@@ -9,6 +9,7 @@ Usage errors exit 2; numeric failures exit 1 with a diagnostic.
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -44,9 +45,9 @@ def _git_describe():
         return "unknown"
 
 
-def _sidecar(path, precision_bits):
+def _sidecar(args, path, precision_bits):
     meta = {
-        "command": " ".join(sys.argv),
+        "command": args.command,
         "precision_bits": precision_bits,
         "revision": _git_describe(),
     }
@@ -55,11 +56,11 @@ def _sidecar(path, precision_bits):
         fh.write("\n")
 
 
-def _write_poly(path, poly):
+def _write_poly(args, path, poly):
     with open(path, "w") as fh:
         fh.write(poly.to_json())
         fh.write("\n")
-    _sidecar(path, None)
+    _sidecar(args, path, None)
 
 
 def _read_poly(path):
@@ -67,7 +68,7 @@ def _read_poly(path):
         return Polynomial.from_json(fh.read())
 
 
-def _write_roots_csv(path, roots, precision_bits):
+def _write_roots_csv(args, path, roots, precision_bits):
     rows = sorted(
         ((float(z.real), float(z.imag)) for z in roots), key=lambda t: (t[0], t[1])
     )
@@ -75,15 +76,15 @@ def _write_roots_csv(path, roots, precision_bits):
         fh.write("index,re,im\n")
         for idx, (re, im) in enumerate(rows):
             fh.write(f"{idx},{re!r},{im!r}\n")
-    _sidecar(path, precision_bits)
+    _sidecar(args, path, precision_bits)
 
 
-def _write_hist_csv(path, rows, precision_bits):
+def _write_hist_csv(args, path, rows, precision_bits):
     with open(path, "w") as fh:
         fh.write("bin_lo,bin_hi,count,density\n")
         for lo, hi, count, dens in rows:
             fh.write(f"{lo!r},{hi!r},{count},{dens!r}\n")
-    _sidecar(path, precision_bits)
+    _sidecar(args, path, precision_bits)
 
 
 def _cmd_hyper(args):
@@ -95,7 +96,7 @@ def _cmd_hyper(args):
         shift=_frac(args.shift),
         sign=args.sign,
     )
-    _write_poly(args.out, hyper_poly(spec))
+    _write_poly(args, args.out, hyper_poly(spec))
     return 0
 
 
@@ -104,7 +105,7 @@ def _cmd_conv(args):
 
     p, q = _read_poly(args.p), _read_poly(args.q)
     op = mult_conv if args.op == "mult" else add_conv
-    _write_poly(args.out, op(p, q, args.n))
+    _write_poly(args, args.out, op(p, q, args.n))
     return 0
 
 
@@ -114,10 +115,10 @@ def _cmd_roots(args):
     p = _read_poly(args.p)
     prec = args.prec or default_precision(p.degree)
     roots = find_roots(p, prec)
-    _write_roots_csv(args.out, roots, prec)
+    _write_roots_csv(args, args.out, roots, prec)
     if args.hist:
         dist = EmpiricalDistribution(roots)
-        _write_hist_csv(args.hist_out, dist.histogram(args.hist), prec)
+        _write_hist_csv(args, args.hist_out, dist.histogram(args.hist), prec)
     return 0
 
 
@@ -157,11 +158,11 @@ def _cmd_mop(args):
         spec = ML2Spec(alpha=_frac_list(args.alpha)[0], c=_frac_list(args.c))
         poly = ml2_typeII(spec, n) if type_ == "II" else ml2_typeI(spec, n, args.i)
     if args.out:
-        _write_poly(args.out, poly)
+        _write_poly(args, args.out, poly)
     if args.emit:
         prec = args.prec or default_precision(poly.degree)
         roots = find_roots(poly, prec)
-        _write_roots_csv(args.emit, roots, prec)
+        _write_roots_csv(args, args.emit, roots, prec)
     return 0
 
 
@@ -200,7 +201,7 @@ def _cmd_limit(args):
     with open(args.out, "w") as fh:
         json.dump(desc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    _sidecar(args.out, None)
+    _sidecar(args, args.out, None)
     if args.samples:
         if lim.curve is None:
             raise FinfreeError("family has no algebraic curve to sample")
@@ -214,7 +215,7 @@ def _cmd_limit(args):
             fh.write("u,re_y,im_y\n")
             for u, y in zip(us, ys):
                 fh.write(f"{u.real!r},{y.real!r},{y.imag!r}\n")
-        _sidecar(args.samples, None)
+        _sidecar(args, args.samples, None)
     return 0
 
 
@@ -240,7 +241,7 @@ def _cmd_density(args):
         fh.write("x,density\n")
         for x, y in zip(xs, ys):
             fh.write(f"{float(x)!r},{float(y)!r}\n")
-    _sidecar(args.emit, None)
+    _sidecar(args, args.emit, None)
     return 0
 
 
@@ -332,11 +333,13 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
+    args.command = shlex.join(["finfree", *argv])
     try:
         return args.fn(args)
     except FinfreeError as exc:

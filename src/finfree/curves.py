@@ -365,13 +365,6 @@ def _upoly_mul(a, b):
     return out
 
 
-def _upoly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
 def _upoly_add(a, b):
     n = max(len(a), len(b))
     a = list(a) + [Fraction(0)] * (n - len(a))

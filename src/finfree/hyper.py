@@ -168,9 +168,6 @@ def hyper_mult_conv(spec1: HypergeometricSpec, spec2: HypergeometricSpec) -> Hyp
     return HypergeometricSpec(n=spec1.n, a=spec1.a + spec2.a, b=spec1.b + spec2.b)
 
 
-MULT_CONV_SIGN = lambda n: (-1) ** n  # noqa: E731  scalar in the merge contract
-
-
 # -- Differential-operator route for the additive convolution -----------------
 
 

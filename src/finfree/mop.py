@@ -9,8 +9,8 @@ Type I delivers the vector (A_{n,1}, ..., A_{n,r}) with deg A_j <= n_j - 1
 through hypergeometric formulas per component; Type II the single monic
 polynomial of degree |n|.  Every constructor here is an exact rational
 expansion; the orthogonality oracle integrates the results against the
-weights with high-precision Gauss rules, which is the one check that does
-not reuse the hypergeometric identities being exercised.
+weights through their exact Beta/Gamma moments, which is the one check that
+does not reuse the hypergeometric identities being exercised.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,6 @@ from .conv import add_conv, mult_conv
 from .errors import InvalidParameters, NonIntegerBetaPath, DuplicateC
 from .hyper import HypergeometricSpec, hyper_poly
 from .poly import Polynomial
-from .quadrature import gauss_jacobi, gauss_laguerre, integrate_poly
 
 # -- family specs ----------------------------------------------------------------
 
@@ -405,21 +404,59 @@ def _factorial_frac(k):
 
 
 # -- weights and the orthogonality oracle ----------------------------------------------
+#
+# Every weight has exact moments up to one transcendental factor:
+#
+#   int x^m w_j = C_j rho_j(m),   rho_j rational, rho_j(0) = 1,
+#
+# so int P x^k w_j = C_j R_j(k) with R_j(k) = sum_i p_i rho_j(i + k) exact.
 
 
-def _weight_rules(family, spec, n, prec, npts):
-    """One Gauss rule per weight index j, matching the family's weights."""
+def _weight(family, spec, j):
+    """Weight j as (a, b, c): x^a (1-x)^b on [0, 1] if c is None, else x^a e^(-c x)."""
     if family == "jp":
-        return [gauss_jacobi(npts, spec.alpha[j], spec.beta, prec) for j in range(spec.r)]
+        return spec.alpha[j], spec.beta, None
     if family == "ml1":
-        return [gauss_laguerre(npts, spec.alpha[j], 1, prec) for j in range(spec.r)]
+        return spec.alpha[j], None, Fraction(1)
     if family == "ml2":
-        return [gauss_laguerre(npts, spec.alpha, spec.c[j], prec) for j in range(spec.r)]
+        return spec.alpha, None, spec.c[j]
     raise ValueError(family)
 
 
+def _moment_ratios(weight, top):
+    """rho(0..top): (a+1)_m / (a+b+2)_m for the Beta weight, (a+1)_m / c^m for Gamma."""
+    a, b, c = weight
+    out = [Fraction(1)]
+    for m in range(top):
+        out.append(out[-1] * (a + 1 + m) / ((a + b + 2 + m) if c is None else c))
+    return out
+
+
+def _moment_constant(weight):
+    """C = int w: B(a+1, b+1) or Gamma(a+1) c^(-a-1), at the working precision."""
+    a, b, c = weight
+    if c is None:
+        return mp.beta(_to_mpf(a + 1), _to_mpf(b + 1))
+    return mp.gamma(_to_mpf(a + 1)) * mp.power(_to_mpf(c), -_to_mpf(a + 1))
+
+
+def _moment_rows(poly, weight, count):
+    """R(k) = (int poly x^k w) / C for k < count, as exact Fractions."""
+    mono = poly.to_monomial()
+    rho = _moment_ratios(weight, len(mono) + count - 2)
+    return [sum(p * rho[i + k] for i, p in enumerate(mono)) for k in range(count)]
+
+
+def _scale_free_residual(moments, top, what):
+    """max_{k < top} |moments[k]| / |moments[top]|, exact when the moments are."""
+    scale = abs(moments[top])
+    if scale == 0:
+        raise InvalidParameters(f"{what} moment vanished")
+    return float(max((abs(v) for v in moments[:top]), default=0) / scale)
+
+
 def _type1_components(family, spec, n, prec):
-    """Type I vector (A_1, ..., A_r) with consistent relative normalization.
+    """Type I vector (A_1, ..., A_r) and its explicit constants (None for ml2).
 
     jp/ml1 apply the explicit constants; ml2 calibrates the relative scales
     from the first r-1 orthogonality conditions (the remaining |n|-r
@@ -440,94 +477,85 @@ def _type1_components(family, spec, n, prec):
     raise ValueError(family)
 
 
+def _calibrate_type1(rows, C):
+    """Relative Type I constants from the first r-1 moment rows, solved over Q.
+
+    rows[j][k] = R_j(k).  Gauss-Jordan elimination gives q with q_r = 1 and
+    sum_j q_j R_j(k) = 0 for k < r-1; the constant on A_j is q_j C_r / C_j.
+    Returns (q, constants).
+    """
+    m = len(C) - 1
+    aug = [[rows[j][k] for j in range(m)] + [-rows[m][k]] for k in range(m)]
+    for col in range(m):
+        piv = next((i for i in range(col, m) if aug[i][col] != 0), None)
+        if piv is None:
+            raise InvalidParameters("Type I calibration rows are singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        head = aug[col][col]
+        aug[col] = [v / head for v in aug[col]]
+        for i in range(m):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
+    q = [aug[k][m] for k in range(m)] + [Fraction(1)]
+    return q, [_to_mpf(qj) * C[m] / Cj for qj, Cj in zip(q, C)]
+
+
 def verify_orthogonality(family, spec, n, type_, prec=256):
-    """Quadrature check of the defining orthogonality, scale-free residuals.
+    """Exact-moment check of the defining orthogonality, scale-free residuals.
 
     type_="II": per weight j, residual_k = |int P x^k w_j| / |int P x^{n_j} w_j|
-    for k < n_j.  type_="I": residual_k = |M_k| / |M_{|n|-1}| for k <= |n|-2
-    where M_k = sum_j int A_j x^k w_j.  Returns a dict with the max residual
-    and the normalization datum (nonzero is part of the contract).
+    for k < n_j; exact, so a correct constructor gives 0.0.  type_="I":
+    residual_k = |M_k| / |M_{|n|-1}| for k <= |n|-2 where M_k = sum_j
+    int A_j x^k w_j; jp/ml1 sum in mpmath at prec + 32 bits with their
+    explicit constants, ml2 exactly with calibrated ones.  Returns a dict with
+    the max residual and the normalization datum (nonzero is part of the
+    contract).
     """
     N = _size(n)
-    npts = 2 * N + 20
-    rules = _weight_rules(family, spec, n, prec, npts)
+    weights = [_weight(family, spec, j) for j in range(spec.r)]
     with mp.workprec(prec + 32):
+        C = [_moment_constant(w) for w in weights]
         if type_ == "II":
             ctor = {"jp": jp_typeII, "ml1": ml1_typeII, "ml2": ml2_typeII}[family]
             P = ctor(spec, n)
-            worst = mp.mpf(0)
+            worst = 0.0
             norms = []
-            for j, (xs, ws) in enumerate(rules):
-                moments = [
-                    integrate_poly(P.mul(Polynomial.x_power(k)), xs, ws, prec)
-                    for k in range(n[j] + 1)
-                ]
-                scale = abs(moments[n[j]])
-                if scale == 0:
-                    raise InvalidParameters("first non-forced moment vanished")
-                worst = max(worst, max(abs(m) / scale for m in moments[: n[j]]))
-                norms.append(moments[n[j]])
-            return {"max_residual": float(worst), "normalization": norms}
+            for j, w in enumerate(weights):
+                rows = _moment_rows(P, w, n[j] + 1)
+                worst = max(worst, _scale_free_residual(rows, n[j], "first non-forced"))
+                norms.append(C[j] * _to_mpf(rows[n[j]]))
+            return {"max_residual": worst, "normalization": norms}
         polys, consts = _type1_components(family, spec, n, prec)
-        r = spec.r
-        table = []  # table[k][j] = int A_j x^k w_j
-        for k in range(N):
-            row = []
-            for j, (xs, ws) in enumerate(rules):
-                row.append(integrate_poly(polys[j].mul(Polynomial.x_power(k)), xs, ws, prec))
-            table.append(row)
+        rows = [_moment_rows(p, w, N) for p, w in zip(polys, weights)]
         if consts is None:
-            consts = _calibrate_type1(table, r)
-        moments = [mp.fsum(c * row[j] for j, c in enumerate(consts)) for row in table]
-        scale = abs(moments[N - 1])
-        if scale == 0:
-            raise InvalidParameters("Type I normalization moment vanished")
-        worst = max(abs(moments[k]) / scale for k in range(N - 1))
-        return {
-            "max_residual": float(worst),
-            "normalization": moments[N - 1],
-            "constants": consts,
-        }
-
-
-def _calibrate_type1(table, r):
-    """Solve the first r-1 orthogonality rows for the relative constants."""
-    if r == 1:
-        return [mp.mpf(1)]
-    A = mp.matrix(r - 1, r - 1)
-    rhs = mp.matrix(r - 1, 1)
-    for k in range(r - 1):
-        for j in range(r - 1):
-            A[k, j] = table[k][j]
-        rhs[k] = -table[k][r - 1]
-    sol = mp.lu_solve(A, rhs)
-    return [sol[j] for j in range(r - 1)] + [mp.mpf(1)]
+            q, consts = _calibrate_type1(rows, C)
+            exact = [sum(qj * row[k] for qj, row in zip(q, rows)) for k in range(N)]
+            worst = _scale_free_residual(exact, N - 1, "Type I normalization")
+            norm = C[-1] * _to_mpf(exact[N - 1])
+        else:
+            lam = [cj * Cj for cj, Cj in zip(consts, C)]
+            moments = [mp.fsum(l * _to_mpf(row[k]) for l, row in zip(lam, rows)) for k in range(N)]
+            worst = _scale_free_residual(moments, N - 1, "Type I normalization")
+            norm = moments[N - 1]
+        return {"max_residual": worst, "normalization": norm, "constants": consts}
 
 
 def typeI_function_eval(family, spec, n, xs, prec=256):
     """Values of Q_n(x) = sum_j A_j(x) w_j(x) on a grid (mpmath)."""
+    weights = [_weight(family, spec, j) for j in range(spec.r)]
     with mp.workprec(prec):
         polys, consts = _type1_components(family, spec, n, prec)
         if consts is None:
-            N = _size(n)
-            npts = 2 * N + 20
-            rules = _weight_rules(family, spec, n, prec, npts)
-            table = []
-            for k in range(spec.r - 1):
-                table.append(
-                    [
-                        integrate_poly(polys[j].mul(Polynomial.x_power(k)), *rules[j], prec)
-                        for j in range(spec.r)
-                    ]
-                )
-            consts = _calibrate_type1(table, spec.r)
+            rows = [_moment_rows(p, w, spec.r - 1) for p, w in zip(polys, weights)]
+            with mp.workprec(prec + 32):
+                C = [_moment_constant(w) for w in weights]
+            _, consts = _calibrate_type1(rows, C)
 
         def weight(j, x):
-            if family == "jp":
-                return x ** _to_mpf(spec.alpha[j]) * (1 - x) ** _to_mpf(spec.beta)
-            if family == "ml1":
-                return x ** _to_mpf(spec.alpha[j]) * mp.e ** (-x)
-            return x ** _to_mpf(spec.alpha) * mp.e ** (-_to_mpf(spec.c[j]) * x)
+            a, b, c = weights[j]
+            tail = (1 - x) ** _to_mpf(b) if c is None else mp.e ** (-_to_mpf(c) * x)
+            return x ** _to_mpf(a) * tail
 
         out = []
         for x in xs:

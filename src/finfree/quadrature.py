@@ -1,7 +1,8 @@
-"""High-precision Gauss rules for the orthogonality oracle.
+"""High-precision Gauss rules for the Jacobi and Laguerre weights.
 
-Golub-Welsch on the monic three-term recurrence, assembled and diagonalized
-in mpmath at a requested bit precision.  Two weights are needed:
+A standalone public utility: Golub-Welsch on the monic three-term
+recurrence, assembled and diagonalized in mpmath at a requested bit
+precision.  Two weights are covered:
 
     gauss_jacobi(m, p, q, prec)    x^p (1-x)^q on [0, 1]
     gauss_laguerre(m, a, c, prec)  x^a e^(-c x) on [0, infinity)

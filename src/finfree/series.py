@@ -37,11 +37,6 @@ def series_trim(a, K):
     return [_coeff(x) for x in a[: K + 1]] + [Fraction(0)] * max(0, K + 1 - len(a))
 
 
-def series_add(a, b, K):
-    a, b = series_trim(a, K), series_trim(b, K)
-    return [x + y for x, y in zip(a, b)]
-
-
 def series_mul(a, b, K):
     a, b = series_trim(a, K), series_trim(b, K)
     out = [Fraction(0)] * (K + 1)

@@ -81,3 +81,10 @@ def test_usage_and_error_exit_codes(tmp_path):
     assert run(tmp_path, "bogus-subcommand") == 2
     # numeric failure: unknown mop family exits 1 with a diagnostic
     assert run(tmp_path, "mop", "--family", "nope", "--n", "2,2", "--alpha", "1/2,3/7") == 1
+
+
+def test_sidecar_records_the_argv_given_to_main(tmp_path):
+    argv = ["hyper", "--n", "3", "--a", "5/2", "--b", "7/3", "--out", "p.json"]
+    assert run(tmp_path, *argv) == 0
+    meta = json.loads((tmp_path / "p.json.meta.json").read_text())
+    assert " ".join(argv) in meta["command"]

@@ -27,6 +27,7 @@ from finfree.mop import (
     unit_index,
     verify_orthogonality,
 )
+from finfree.poly import Polynomial
 from finfree.roots import find_roots, interlaces, real_parts_sorted
 
 JP = JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1))
@@ -98,6 +99,37 @@ def test_orthogonality_all_six_families_small():
     for family, spec, n, type_ in cases:
         rep = verify_orthogonality(family, spec, n, type_, prec=256)
         assert rep["max_residual"] < 1e-25, (family, type_, rep)
+        if type_ == "II":
+            # Type II residuals are ratios of exact moments
+            assert rep["max_residual"] == 0.0, (family, rep)
+
+
+def test_ml2_three_weights_calibrated_exactly():
+    # r = 3 exercises the 2 x 2 exact calibration; residuals are then exact too
+    spec = ML2Spec(alpha=F(1, 3), c=(F(1), F(2), F(3)))
+    rep = verify_orthogonality("ml2", spec, (2, 2, 2), "I", prec=256)
+    assert rep["max_residual"] == 0.0
+    assert rep["constants"][-1] == 1 and all(c != 0 for c in rep["constants"])
+    assert abs(rep["normalization"]) > 1e-10
+    rep = verify_orthogonality("ml2", spec, (2, 1, 2), "II", prec=256)
+    assert rep["max_residual"] == 0.0
+
+
+def _perturbed(poly):
+    e = list(poly.e)
+    e[1] += F(1, 10**6)
+    return Polynomial(poly.n, e)
+
+
+def test_oracle_reports_a_wrong_polynomial(monkeypatch):
+    # one coefficient off by 1e-6 must show far above the 1e-25 gate
+    import finfree.mop as mop
+
+    true_II, true_I = mop.jp_typeII, mop.jp_typeI
+    monkeypatch.setattr(mop, "jp_typeII", lambda *a, **k: _perturbed(true_II(*a, **k)))
+    monkeypatch.setattr(mop, "jp_typeI", lambda *a, **k: _perturbed(true_I(*a, **k)))
+    assert verify_orthogonality("jp", JP, (2, 2), "II", prec=256)["max_residual"] >= 1e-25
+    assert verify_orthogonality("jp", JP, (2, 2), "I", prec=256)["max_residual"] >= 1e-25
 
 
 def test_typeI_normalization_is_unit():
