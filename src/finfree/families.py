@@ -17,6 +17,7 @@ S(z) S_rev(-z-1) = 1 against reciprocal moments read off the curve.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -432,8 +433,15 @@ def density_jp_typeII_r2(theta) -> DensityModel:
 # gauss-legendre mass/cdf helpers with endpoint-absorbing substitutions
 
 
-def _gauss_legendre(f, a, b, nodes=96):
+@lru_cache(maxsize=None)
+def _legendre_rule(nodes):
     x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_legendre(f, a, b, nodes=96):
+    x, w = _legendre_rule(nodes)
     xm = 0.5 * (b + a) + 0.5 * (b - a) * x
     return 0.5 * (b - a) * float(np.sum(w * f(xm)))
 

@@ -238,10 +238,6 @@ def _two_f_zero_spec(n: int) -> HypergeometricSpec:
     return HypergeometricSpec(n=n, a=(Fraction(1),), b=())
 
 
-def _product_factor_series(n: int, a: tuple, b: tuple, l: int):
-    return _operator_series(n, a, b, l)
-
-
 def reversed_product_representation(spec1: HypergeometricSpec, spec2: HypergeometricSpec | None) -> Polynomial:
     """Right side of the reversed-product trick.
 
@@ -268,10 +264,10 @@ def reversed_product_lhs(spec1: HypergeometricSpec, spec2: HypergeometricSpec | 
     case p* would drop degree and the representation does not apply.
     """
     n = spec1.n
-    s1 = _product_factor_series(n, spec1.a, spec1.b, spec1.sign)
+    s1 = _operator_series(n, spec1.a, spec1.b, spec1.sign)
     s2 = [Fraction(1)] + [Fraction(0)] * n
     if spec2 is not None:
-        s2 = _product_factor_series(n, spec2.a, spec2.b, spec2.sign)
+        s2 = _operator_series(n, spec2.a, spec2.b, spec2.sign)
     prod = [Fraction(0)] * (n + 1)
     for i, ci in enumerate(s1):
         for j in range(0, n + 1 - i):

@@ -317,19 +317,8 @@ def ml2_typeII_routes(spec: ML2Spec, n):
     linear:   falling(alpha+N, N) F(-N; alpha+1; x) (x)_N prod (x-1/c_j)^{n_j}.
     All three are claimed (and tested) to coincide coefficient-for-coefficient.
     """
-    from math import comb
-
     N = _size(n)
-    e = []
-    for k in range(N + 1):
-        s = Fraction(0)
-        for ks in _bounded_compositions(k, n):
-            term = Fraction(1)
-            for nj, kj, cj in zip(n, ks, spec.c):
-                term *= Fraction(comb(nj, kj), 1) / cj**kj
-            s += term
-        e.append(_falling_frac(N + spec.alpha, k) * s)
-    direct = Polynomial(N, e)
+    direct = _ml2_direct(spec, n)
 
     parts = []
     for j in range(spec.r):
@@ -363,6 +352,12 @@ def ml2_typeII_routes(spec: ML2Spec, n):
 
 def ml2_typeII(spec: ML2Spec, n) -> Polynomial:
     """Monic Type II multiple Laguerre (second kind), degree |n|."""
+    return _ml2_direct(spec, n).monicized()
+
+
+def _ml2_direct(spec: ML2Spec, n) -> Polynomial:
+    """The explicit double sum over bounded compositions, unnormalized:
+    e_k = falling(alpha + N, k) sum_{|k| = k} prod_j C(n_j, k_j) / c_j^k_j."""
     from math import comb
 
     N = _size(n)
@@ -375,7 +370,7 @@ def ml2_typeII(spec: ML2Spec, n) -> Polynomial:
                 term *= Fraction(comb(nj, kj), 1) / cj**kj
             s += term
         e.append(_falling_frac(N + spec.alpha, k) * s)
-    return Polynomial(N, e).monicized()
+    return Polynomial(N, e)
 
 
 def _bounded_compositions(total, bounds):

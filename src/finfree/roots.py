@@ -1,13 +1,21 @@
 """Multiprecision root extraction and empirical root distributions.
 
-The finder is Aberth-Ehrlich simultaneous iteration in mpmath complex
-arithmetic: exact rational coefficients are converted at the working
-precision, starting points spread over circles whose radii come from the
-Newton polygon of the coefficient magnitudes (so clustered scales are seeded
-at their own magnitude), and a precision ladder polishes from a cheap 64-bit
-pass up to the requested precision.  Convergence per root uses the Adams
-criterion |p(z)| <= eps * sum |c_k| |z|^k, which is the tightest residual a
-backward-stable evaluation can certify.
+The finder is Aberth-Ehrlich simultaneous iteration in software floating
+point on Python integers.  Every complex value is a Gaussian-integer
+mantissa with its own binary exponent, (re, im, exp) meaning
+(re + i im) 2^exp, cut back to P = wp + 16 bits after each multiply or
+divide; no value shares a scale with another, so a polynomial whose
+coefficients span thousands of bits costs no more per step than a tame
+one.  The coefficients are read exactly (floats and mpmath reals are the
+dyadic rationals they denote) and converted once per rung.  Starting points
+spread over circles whose radii come from the Newton polygon of the
+coefficient magnitudes (so clustered scales are seeded at their own
+magnitude), and a precision ladder polishes from a cheap pass up to the
+requested precision.  Convergence per root uses the Adams criterion
+|p(z)| <= eps * sum |c_k| |z|^k, which is the tightest residual a
+backward-stable evaluation can certify; both sides are compared as base-2
+logarithms.  Roots come back as mpmath complex numbers at the working
+precision.
 
 Default precision: 256 bits for degree <= 100, plus 128 bits per additional
 100 degrees; the FINFREE_PREC_BITS environment variable overrides it.
@@ -15,6 +23,7 @@ Default precision: 256 bits for degree <= 100, plus 128 bits per additional
 
 import math
 import os
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -70,47 +79,238 @@ def _initial_points(coeffs_abs, n):
     return points
 
 
-def _aberth_sweeps(coeffs, pts, eps, max_sweeps):
-    """Aberth-Ehrlich iteration at the current mpmath precision."""
+# -- Gaussian-integer floating point ---------------------------------------------
+#
+# A complex value is a triple (re, im, exp) standing for (re + i im) 2^exp.
+# Normalized triples have max(|re|, |im|) in [2^(P-1), 2^P); zero is (0, 0, e)
+# for any e.  Right shifts floor, so each cut costs at most one unit in the
+# last of the P places.
+
+
+def _norm(r, i, e, P):
+    s = max(r.bit_length(), i.bit_length()) - P
+    if s >= 0:
+        return r >> s, i >> s, e + s
+    return r << -s, i << -s, e + s
+
+
+def _is_zero(a):
+    return not (a[0] or a[1])
+
+
+def _add(a, b, P):
+    if _is_zero(b):
+        return a
+    if _is_zero(a):
+        return b
+    if a[2] < b[2]:
+        a, b = b, a
+    d = a[2] - b[2]
+    if d > P + 2:  # b lies below the last place of a
+        return a
+    return _norm((a[0] << d) + b[0], (a[1] << d) + b[1], b[2], P)
+
+
+def _neg(a):
+    return -a[0], -a[1], a[2]
+
+
+def _mul(a, b, P):
+    ar, ai, ae = a
+    br, bi, be = b
+    return _norm(ar * br - ai * bi, ar * bi + ai * br, ae + be, P)
+
+
+def _div(a, b, P):
+    """a / b = a conj(b) / |b|^2, for b != 0 and a of at most P + 1 bits."""
+    ar, ai, ae = a
+    br, bi, be = b
+    nrm = br * br + bi * bi
+    tr = ar * br + ai * bi
+    ti = ai * br - ar * bi
+    s = P + 2 + nrm.bit_length() - max(tr.bit_length(), ti.bit_length())  # >= bits of b
+    return _norm((tr << s) // nrm, (ti << s) // nrm, ae - be - s, P)
+
+
+def _log2_abs(a):
+    """log2 |a| as a float (-inf for zero)."""
+    r, i, e = a
+    b = max(r.bit_length(), i.bit_length())
+    if not b:
+        return -math.inf
+    s = b - 60
+    if s > 0:
+        r, i, e = r >> s, i >> s, e + s
+    return math.log2(math.hypot(r, i)) + e
+
+
+def _mantissa(c, P):
+    """A Fraction as (m, e) with c ~ m 2^e, |m| in [2^(P-1), 2^P); zero as (0, _FAR)."""
+    if not c:
+        return 0, _FAR
+    num, den = c.numerator, c.denominator
+    e = num.bit_length() - den.bit_length() - P
+    m = (num << -e) // den if e <= 0 else num // (den << e)
+    if m.bit_length() > P:
+        m, e = m >> 1, e + 1
+    return m, e
+
+
+# exponent of a zero coefficient: every other value outranks it, and a right
+# shift by the distance gives 0 at once
+_FAR = -(1 << 60)
+
+
+def _exact(c):
+    """A real coefficient as the rational it denotes; floats and mpf are dyadic."""
+    if isinstance(c, mp.mpf):
+        sign, man, exp, _ = c._mpf_
+        if exp and not man:
+            raise ValueError(f"coefficient {c} is not finite")
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
+    return Fraction(c)
+
+
+def _from_mpc(z, P):
+    (rm, re_), (im, ie) = (_mantissa(_exact(x), P) for x in (z.real, z.imag))
+    return _add((rm, 0, re_), (0, im, ie), P)
+
+
+def _to_mpc(a):
+    """An mpc at the current mpmath precision."""
+    return mp.mpc(mp.mpf((a[0], a[2])), mp.mpf((a[1], a[2])))
+
+
+# -- the Aberth-Ehrlich kernel -----------------------------------------------------
+
+
+def _horner(coeffs, z, P):
+    """p(z) as an unnormalized triple; coeffs holds (m, e) with c_k = m 2^e, from c_n down.
+
+    Each product with z takes three multiplications; it is cut to P bits, and
+    the coefficient is added at the exponent of the larger of the two.
+    """
+    zr, zi, ze = z
+    zs, zd = zr + zi, zi - zr
+    (ar, ae), *rest = coeffs
+    ai = 0
+    for m, e in rest:
+        k1 = zr * (ar + ai)
+        tr = k1 - ai * zs
+        ti = k1 + ar * zd
+        b = tr.bit_length()
+        s = ti.bit_length()
+        if s > b:
+            b = s
+        if b > P:
+            s = b - P
+            tr >>= s
+            ti >>= s
+            te = ae + ze + s
+        elif b:
+            s = P - b
+            tr <<= s
+            ti <<= s
+            te = ae + ze - s
+        else:  # the product vanished exactly
+            ar, ai, ae = m, 0, e
+            continue
+        d = te - e
+        if d >= 0:
+            ar, ai, ae = tr + (m >> d), ti, te
+        else:
+            ar, ai, ae = m + (tr >> -d), ti >> -d, e
+    return ar, ai, ae
+
+
+def _adams_holds(log_pv, log_eps, lcs, lz):
+    """log2 |p(z)| <= log_eps + log2 sum_k |c_k| |z|^k, given log2 |z| and the
+    pairs (k, log2 |c_k|) over the nonzero c_k (c_0 among them)."""
+    if lz == -math.inf:
+        return log_pv <= log_eps + lcs[0][1]
+    t = [lc + k * lz for k, lc in lcs]
+    top = max(t)
+    if log_pv > log_eps + top + math.log2(len(t)):  # above even the largest bound
+        return False
+    return log_pv <= log_eps + top + math.log2(sum(math.exp2(x - top) for x in t))
+
+
+def _aberth_sum(z, pts, P):
+    """sum over the points w != z of 1 / (z - w), normalized.
+
+    The terms are summed exactly at one exponent set P + 4 bits below the
+    largest term, so each term is rounded once.
+    """
+    zr, zi, ze = z
+    diffs = []
+    low = None
+    for wr, wi, we in pts:
+        k = ze - we
+        if 0 <= k <= 64:
+            dr, di, de = (zr << k) - wr, (zi << k) - wi, we
+        elif -64 <= k < 0:
+            dr, di, de = zr - (wr << -k), zi - (wi << -k), ze
+        elif k > 0:  # w is some 2^63 times smaller than z, or more
+            dr, di, de = zr - (wr >> k), zi - (wi >> k), ze
+        else:
+            dr, di, de = (zr >> -k) - wr, (zi >> -k) - wi, we
+        b = dr.bit_length()
+        s = di.bit_length()
+        if s > b:
+            b = s
+        if not b:  # z itself, or a coincident point
+            continue
+        if low is None or de + b < low:
+            low = de + b
+        diffs.append((dr, di, de))
+    if low is None:
+        return 0, 0, 0
+    ea = -low - P - 4
+    sr = si = 0
+    for dr, di, de in diffs:
+        s = -de - ea
+        if s >= 0:  # otherwise the term lies below the last place
+            nrm = dr * dr + di * di
+            sr += (dr << s) // nrm
+            si -= (di << s) // nrm
+    return _norm(sr, si, ea, P)
+
+
+def _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, max_sweeps):
+    """Gauss-Seidel Aberth-Ehrlich sweeps on normalized triples at P = wp + 16 bits.
+
+    coeffs and dcoeffs are the (m, e) pairs of p and p' from the top degree
+    down; lcs feeds the Adams bound; pts is updated in place.
+    """
+    P = wp + 16
     n = len(pts)
-    dcoeffs = [coeffs[m] * m for m in range(1, n + 1)]
-    abs_coeffs = [abs(c) for c in coeffs]
+    # stop at the Horner noise floor: n-step evaluation carries ~n ulps
+    log_eps = math.log2(4 * n) - wp
+    one = _norm(1, 0, 0, P)
+    nudge = _norm(1, 0, -20, P)
     converged = [False] * n
     for sweep in range(max_sweeps):
-        moved = mp.mpf(0)
+        moved = False
         for i in range(n):
             if converged[i]:
                 continue
             z = pts[i]
-            pv = coeffs[n]
-            s = abs_coeffs[n]
-            az = abs(z)
-            for m in range(n - 1, -1, -1):
-                pv = pv * z + coeffs[m]
-                s = s * az + abs_coeffs[m]
-            if abs(pv) <= eps * s:
+            pv = _horner(coeffs, z, P)
+            if _adams_holds(_log2_abs(pv), log_eps, lcs, _log2_abs(z)):
                 converged[i] = True
                 continue
-            dv = dcoeffs[n - 1]
-            for m in range(n - 2, -1, -1):
-                dv = dv * z + dcoeffs[m]
-            if dv == 0:
-                pts[i] = z * (1 + mp.mpf("1e-3")) + mp.mpf("1e-6")
+            dv = _horner(dcoeffs, z, P)
+            if _is_zero(dv):
+                pts[i] = _add(_add(z, (z[0], z[1], z[2] - 10), P), nudge, P)
                 continue
-            newton = pv / dv
-            rep = mp.mpc(0)
-            for jdx in range(n):
-                if jdx != i:
-                    dz = z - pts[jdx]
-                    if dz != 0:
-                        rep += 1 / dz
-            denom = 1 - newton * rep
-            step = newton if denom == 0 else newton / denom
-            pts[i] = z - step
-            moved = max(moved, abs(step) / (1 + abs(pts[i])))
+            newton = _div(pv, dv, P)
+            denom = _add(one, _neg(_mul(newton, _aberth_sum(z, pts, P), P)), P)
+            step = newton if _is_zero(denom) else _div(newton, denom, P)
+            pts[i] = _add(z, _neg(step), P)
+            moved = moved or not _is_zero(step)
         if all(converged):
             return pts, True
-        if moved == 0:
+        if not moved:
             break
     return pts, all(converged)
 
@@ -121,13 +321,13 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     Iterates until every root satisfies the Adams residual criterion at the
     working precision (precision_bits + 32 guard bits), climbing a precision
     ladder from 64 bits.  Raises NonConvergence with partial diagnostics if
-    the last rung fails to converge.
+    the last rung fails to converge.  Coefficients must be real: Fractions,
+    ints, floats or mpmath reals.
     """
-    mono = p.to_monomial()
     deg = p.degree
     if deg < 1:
         raise ZeroDegree("constant polynomial has no roots to find")
-    mono = list(mono[: deg + 1])
+    mono = [_exact(c) for c in p.to_monomial()[: deg + 1]]
     # factor out x^m exactly: m zero roots, then the cofactor
     m = next(i for i, c in enumerate(mono) if c != 0)
     zero_roots = [mp.mpc(0)] * m
@@ -139,29 +339,26 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     target = prec + 32
     base = min(max(64, _conditioning_bits(mono, deg) + 96), target)
     ladder = [target] if base * 4 >= target * 3 else [base, target]
+    dmono = [k * c for k, c in enumerate(mono)][1:]
+    lcs = [(k, math.log2(abs(c.numerator)) - math.log2(c.denominator)) for k, c in enumerate(mono) if c]
     pts = None
     for level, wp in enumerate(ladder):
-        with mp.workprec(wp):
-            coeffs = [_coeff_to_mpc(c) for c in mono]
-            if pts is None:
-                pts = _initial_points([abs(c) for c in coeffs], deg)
-            else:
-                pts = [mp.mpc(z) for z in pts]
-            # stop at the Horner noise floor: n-step evaluation carries ~n ulps
-            eps = mp.mpf(4 * deg) * mp.mpf(2) ** (-wp)
-            budget = 500 if level == 0 else 120
-            pts, ok = _aberth_sweeps(coeffs, pts, eps, budget)
-        if level == len(ladder) - 1 and not ok:
+        P = wp + 16
+        coeffs = [_mantissa(c, P) for c in reversed(mono)]
+        dcoeffs = [_mantissa(c, P) for c in reversed(dmono)]
+        if pts is None:
             with mp.workprec(wp):
-                res = [abs(_horner(coeffs, z)) for z in pts]
-            raise NonConvergence("Aberth iteration did not converge", roots=pts, residuals=res)
-    return zero_roots + pts
-
-
-def _coeff_to_mpc(c):
-    if hasattr(c, "numerator") and hasattr(c, "denominator"):
-        return mp.mpc(mp.mpf(c.numerator) / c.denominator)
-    return mp.mpc(c)
+                seeds = _initial_points([mp.mpf((abs(m), e)) for m, e in reversed(coeffs)], deg)
+            pts = [_from_mpc(z, P) for z in seeds]
+        else:
+            pts = [_norm(*z, P) for z in pts]
+        pts, ok = _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, 500 if level == 0 else 120)
+    with mp.workprec(wp):
+        roots = [_to_mpc(z) for z in pts]
+        if not ok:
+            res = [abs(_to_mpc(_horner(coeffs, z, P))) for z in pts]
+            raise NonConvergence("Aberth iteration did not converge", roots=roots, residuals=res)
+    return zero_roots + roots
 
 
 def _conditioning_bits(mono, deg):
@@ -170,28 +367,13 @@ def _conditioning_bits(mono, deg):
     Evaluating p near its roots cancels roughly this many bits, so the base
     rung of the precision ladder must see past it.
     """
-
-    def log2abs(c):
-        if hasattr(c, "numerator"):
-            if c == 0:
-                return None
-            return abs(c.numerator).bit_length() - c.denominator.bit_length()
-        return math.log2(abs(c)) if c else None
-
-    b = [log2abs(c) for c in mono]
+    b = [abs(c.numerator).bit_length() - c.denominator.bit_length() if c else None for c in mono]
     if b[0] is None or b[deg] is None:
         known = [x for x in b if x is not None]
         return int(max(known) - min(known)) if len(known) > 1 else 0
     log2_r = (b[0] - b[deg]) / deg  # |c_0 / c_n|^(1/deg)
     vals = [bk + k * log2_r for k, bk in enumerate(b) if bk is not None]
     return int(max(vals) - min(vals))
-
-
-def _horner(coeffs, z):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
 
 
 def is_real_rooted(p: Polynomial, precision_bits=None, tau=1e-20):
