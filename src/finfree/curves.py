@@ -12,11 +12,12 @@ consumers share it:
 """
 
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 from .errors import BranchDegenerate, BranchJump, NegativeDensity
-from .series import FormalMomentSeries, series_mul, series_trim
+from .series import FormalMomentSeries
 
 
 class AlgebraicCurve:
@@ -142,46 +143,34 @@ def _v_side_coeffs(curve: AlgebraicCurve):
 def newton_series_branch(g, y0, K):
     """Series solution y(v) = y0 + O(v) of G(y, v) = 0, G given as a dict.
 
-    G = sum g[(i, k)] y^i v^k must have a simple root at (y0, 0); solved by
-    Newton iteration in the truncated power series ring.
+    G = sum g[(i, k)] y^i v^k must have a simple root at (y0, 0).  Since
+    [v^n] y^i = i y0^(i-1) y_n + (terms in y_1..y_(n-1)), each y_n solves one
+    linear equation with the fixed pivot G_y(y0, 0); the power table
+    powers[i][t] = [v^t] y^i grows by one column per coefficient.
     """
     y0 = Fraction(y0)
-    slice0 = {}
-    for (i, k), c in g.items():
-        if k == 0:
-            slice0[i] = slice0.get(i, Fraction(0)) + c
-    val = sum(c * y0**i for i, c in slice0.items())
-    der = sum(i * c * y0 ** (i - 1) for i, c in slice0.items() if i >= 1)
+    max_i = max(i for i, _ in g)
+    terms = [(i, k, c) for (i, k), c in g.items() if k <= K]
+    y = [y0]
+    powers = [[Fraction(1)] + [Fraction(0)] * K] + [[y0**i] for i in range(1, max_i + 1)]
+
+    def coeff(n):
+        return sum(c * powers[i][n - k] for i, k, c in terms if k <= n)
+
+    val = coeff(0)
+    der = sum(i * c * powers[i - 1][0] for i, k, c in terms if k == 0 and i >= 1)
     if val != 0 or der == 0:
         raise BranchDegenerate(f"branch not simple at (y={y0}, v=0): G={val}, G_y={der}")
-    max_i = max(i for i, _ in g)
-
-    def eval_g_and_dy(yser):
-        powers = [[Fraction(1)] + [Fraction(0)] * K]
-        for _ in range(max_i):
-            powers.append(series_mul(powers[-1], yser, K))
-        total = [Fraction(0)] * (K + 1)
-        dtotal = [Fraction(0)] * (K + 1)
-        for (i, k), c in g.items():
-            if k > K:
-                continue
-            for idx in range(0, K + 1 - k):
-                total[idx + k] += c * powers[i][idx]
-                if i >= 1:
-                    dtotal[idx + k] += c * i * powers[i - 1][idx]
-        return total, dtotal
-
-    y = [y0] + [Fraction(0)] * K
-    for _ in range(K + 2):
-        gv, gd = eval_g_and_dy(y)
-        if all(c == 0 for c in gv):
-            break
-        inv = _series_inv_nonzero(gd, K)
-        step = series_mul(gv, inv, K)
-        y = [a - b for a, b in zip(y, step)]
-    gv, _ = eval_g_and_dy(y)
-    if any(c != 0 for c in gv):
-        raise BranchDegenerate("series Newton failed to close the curve equation")
+    for n in range(1, K + 1):
+        # column n of the table with y_n = 0, then the pivot correction
+        y.append(Fraction(0))
+        for i in range(1, max_i + 1):
+            powers[i].append(sum(map(mul, powers[i - 1][n::-1], y)))
+        y[n] = -coeff(n) / der
+        for i in range(1, max_i + 1):
+            powers[i][n] += i * powers[i - 1][0] * y[n]
+    if any(coeff(n) != 0 for n in range(K + 1)):
+        raise BranchDegenerate("series branch failed to close the curve equation")
     return y
 
 
@@ -202,11 +191,7 @@ def branch_mass_candidates(curve: AlgebraicCurve):
     regimes (a numerator limit inside (-1, 0)) the surviving branch carries
     mass |A| < 1, which shows up here as another real slice root.
     """
-    g = _v_side_coeffs(curve)
-    slice0 = {}
-    for (i, k), c in g.items():
-        if k == 0:
-            slice0[i] = slice0.get(i, Fraction(0)) + c
+    slice0 = {i: c for (i, k), c in _v_side_coeffs(curve).items() if k == 0}
     coeffs = [0.0] * (max(slice0) + 1)
     for i, c in slice0.items():
         coeffs[i] = float(c)
@@ -231,17 +216,6 @@ def reciprocal_moments_from_curve(curve: AlgebraicCurve, K: int):
     g = dict(curve.coeffs)  # already in (y, u) powers; expand around u = 0
     y = newton_series_branch(g, 0, K)
     return [-c for c in y[1 : K + 1]]
-
-
-def _series_inv_nonzero(a, K):
-    a = series_trim(a, K)
-    if a[0] == 0:
-        raise BranchDegenerate("derivative series vanishes at the expansion point")
-    out = [Fraction(1) / a[0]]
-    for k in range(1, K + 1):
-        acc = sum((a[i] * out[k - i] for i in range(1, k + 1)), start=Fraction(0))
-        out.append(-acc / a[0])
-    return out
 
 
 # -- numeric branch tracking -------------------------------------------------------

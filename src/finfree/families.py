@@ -31,14 +31,7 @@ from .curves import (
     reciprocal_moments_from_curve,
 )
 from .errors import ThetaOutOfRange, UnknownFamily, VanishingFirstMoment
-from .series import (
-    FormalMomentSeries,
-    moments_from_r,
-    s_coefficients,
-    series_inv,
-    series_mul,
-    series_trim,
-)
+from .series import FormalMomentSeries, moments_from_r, moments_from_s, s_coefficients, series_inv, series_mul
 
 # -- rational S-transforms ------------------------------------------------------
 
@@ -83,15 +76,13 @@ class RationalSTransform:
         den = [Fraction(1)]
         for b in self.B:
             den = series_mul(den, [b + 1, Fraction(1)], K)
-        return series_mul(series_trim(num, K), series_inv(den, K), K)
+        return series_mul(num, series_inv(den, K), K)
 
     def moments(self, K) -> FormalMomentSeries:
         """Moments by series reversion of the S-transform definition."""
         s = self.series(K)
         if s[0] == 0:
             raise VanishingFirstMoment("S(0) = 0: the first moment diverges")
-        from .series import moments_from_s
-
         return moments_from_s(s, K)
 
     def curve(self) -> AlgebraicCurve:
@@ -136,18 +127,8 @@ def rational_s_equal(s1: RationalSTransform, s2: RationalSTransform) -> bool:
         return out
 
     K = len(s1.A) + len(s1.B) + len(s2.A) + len(s2.B) + 2
-    lhs = series_mul(
-        series_trim(poly_from_roots(s1.A), K),
-        series_trim(poly_from_roots(s2.B), K),
-        K,
-    )
-    lhs = [s1.scale * c for c in lhs]
-    rhs = series_mul(
-        series_trim(poly_from_roots(s2.A), K),
-        series_trim(poly_from_roots(s1.B), K),
-        K,
-    )
-    rhs = [s2.scale * c for c in rhs]
+    lhs = [s1.scale * c for c in series_mul(poly_from_roots(s1.A), poly_from_roots(s2.B), K)]
+    rhs = [s2.scale * c for c in series_mul(poly_from_roots(s2.A), poly_from_roots(s1.B), K)]
     return lhs == rhs
 
 
@@ -576,4 +557,4 @@ def s_reverse_check(st: RationalSTransform, K: int = 6) -> bool:
     if rec[0] == 0:
         raise VanishingFirstMoment("reciprocal measure has vanishing first moment")
     via_moments = s_coefficients(FormalMomentSeries(tuple(rec)), K - 1)
-    return series_trim(candidate, K - 2) == series_trim(via_moments, K - 2)
+    return candidate[: K - 1] == via_moments[: K - 1]

@@ -5,8 +5,11 @@ full and non-crossing partition enumeration, the Moebius function of the
 partition lattice, the Kreweras complement, the finite free cumulants of a
 polynomial, and the non-crossing moment-cumulant transforms.
 
-Everything is exact; enumeration is guarded at k <= 12 (Bell(12) ~ 4.2e6 is
-the practical wall for the full lattice in pure Python).
+The finite free cumulants come from a generating function and enumerate
+nothing.  The enumeration routines are oracles (for `verify`, the tests and
+`series.free_mult_via_kreweras`); `series` computes the non-crossing maps by
+power series.  Everything is exact; enumeration is guarded at k <= 12
+(Bell(12) ~ 4.2e6 is the practical wall for the full lattice in pure Python).
 """
 
 from fractions import Fraction
@@ -191,12 +194,12 @@ def partition_product(values, pi):
 def finite_free_cumulants(p: Polynomial, upto=None):
     """Finite free cumulants kappa_1..kappa_m of a degree-n polynomial.
 
-    Determined by the triangular system
-
-        e_j(p) = n^(j)_falling / (n^j j!) * sum_{pi in P(j)} n^{|pi|}
-                 mu(0_j, pi) kappa_pi,
-
-    solved for increasing j.  Requires full ambient degree and the exact
+    kappa_j = -j n^(j-1) [t^j] log sum_k (-1)^k e_k / n^(k)_falling t^k with
+    e_0 = 1 (Marcus, arXiv:2108.07054; Arizmendi-Perales, JCTA 2018), i.e.
+    n^(j-1) times the j-th power sum, by Newton's identities, of the
+    elementary values e_k / n^(k)_falling.  This solves the Moebius system
+    e_j = n^(j)_falling / (n^j j!) sum_{pi in P(j)} n^|pi| mu(0_j, pi) kappa_pi
+    without enumerating P(j).  Requires full ambient degree and the exact
     backend.
     """
     if p.e[0] == 0:
@@ -205,40 +208,25 @@ def finite_free_cumulants(p: Polynomial, upto=None):
         raise DegreeMismatch("exact backend required")
     n = p.n
     m = n if upto is None else min(upto, n)
-    e = [c / p.e[0] for c in p.e]
-    kappa = [None]  # 1-indexed
-    for j in range(1, m + 1):
-        falling = Fraction(1)
-        for i in range(j):
-            falling *= n - i
-        pref = falling / (Fraction(n) ** j * factorial(j))
-        target = e[j] / pref
-        acc = Fraction(0)
-        coeff_full = None
-        for pi in _partitions_cached(j):
-            mu = mobius(singletons(j), pi)
-            if len(pi) == 1:
-                coeff_full = Fraction(n) * mu
-                continue
-            acc += Fraction(n) ** len(pi) * mu * partition_product(kappa, pi)
-        kappa.append((target - acc) / coeff_full)
-    return kappa[1:]
+    sigma, falling = [Fraction(1)], 1
+    for k in range(1, m + 1):
+        falling *= n - k + 1
+        sigma.append(p.e[k] / (p.e[0] * falling))
+    return [n ** (j - 1) * s for j, s in enumerate(Polynomial(m, sigma).power_sums(m), start=1)]
 
 
 def cumulants_to_elementary(kappa, n):
-    """Inverse of finite_free_cumulants: rebuild e_1..e_m from kappa (e_0 = 1)."""
-    m = len(kappa)
-    values = [None] + [Fraction(k) for k in kappa]
-    e = [Fraction(1)]
-    for j in range(1, m + 1):
-        falling = Fraction(1)
-        for i in range(j):
-            falling *= n - i
-        pref = falling / (Fraction(n) ** j * factorial(j))
-        tot = Fraction(0)
-        for pi in _partitions_cached(j):
-            tot += Fraction(n) ** len(pi) * mobius(singletons(j), pi) * partition_product(values, pi)
-        e.append(pref * tot)
+    """Inverse of finite_free_cumulants: rebuild e_1..e_m from kappa (e_0 = 1).
+
+    Newton's identities backwards: from the power sums kappa_j / n^(j-1) to
+    the elementary values sigma_j, then e_j = n^(j)_falling sigma_j.
+    """
+    power = [None] + [Fraction(k) / n ** (j - 1) for j, k in enumerate(kappa, start=1)]
+    sigma, e, falling = [Fraction(1)], [Fraction(1)], 1
+    for j in range(1, len(kappa) + 1):
+        sigma.append(sum((-1) ** (i - 1) * sigma[j - i] * power[i] for i in range(1, j + 1)) / j)
+        falling *= n - j + 1
+        e.append(falling * sigma[j])
     return e
 
 

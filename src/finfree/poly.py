@@ -26,6 +26,17 @@ from .errors import FloatBackendRejected, ZeroDilation, ZeroLeading
 _EXACT_TYPES = (int, Fraction)
 
 
+def _signed(c, j):
+    """(-1)^j c, exactly: an mpf keeps all its bits whatever mp.prec is."""
+    if j % 2 == 0:
+        return c
+    if hasattr(c, "_mpf_"):
+        from mpmath import libmp
+
+        return c.context.make_mpf(libmp.mpf_neg(c._mpf_))
+    return -c
+
+
 def _as_coeff(x):
     """Normalize ints to Fraction; pass anything else through unchanged."""
     if isinstance(x, bool):
@@ -68,7 +79,7 @@ class Polynomial:
         if len(coeffs) - 1 > n:
             raise ValueError("more coefficients than ambient degree allows")
         coeffs = coeffs + [Fraction(0)] * (n + 1 - len(coeffs))
-        e = [(-1) ** j * coeffs[n - j] for j in range(n + 1)]
+        e = [_signed(coeffs[n - j], j) for j in range(n + 1)]
         return cls(n, e)
 
     @classmethod
@@ -128,11 +139,11 @@ class Polynomial:
     def to_monomial(self):
         """Coefficients c_0..c_n of ascending powers."""
         n = self.n
-        return tuple((-1) ** (n - m) * self.e[n - m] for m in range(n + 1))
+        return tuple(_signed(self.e[n - m], n - m) for m in range(n + 1))
 
     def coeff(self, m):
         """Monomial coefficient of x^m."""
-        return (-1) ** (self.n - m) * self.e[self.n - m]
+        return _signed(self.e[self.n - m], self.n - m)
 
     # -- elementary transforms ------------------------------------------------
 

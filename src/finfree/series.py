@@ -9,87 +9,99 @@ A moment sequence m_1..m_K determines, as formal power series,
 
 with the compatibility (z M(z) + z) R(z M(z) + z) = M(z) and
 w S(w) = (w R(w))^{-1} (functional inverse).  Everything here is truncated
-at a recorded order and exact when fed rationals.
+at a recorded order and exact: inputs are ints or Fractions.  The kernel
+holds a series as integer numerators over one denominator and makes one
+Fraction per output coefficient; reversion is Lagrange inversion, and the
+free cumulants come from the R-transform functional equation, not from
+partition enumeration.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
-from .errors import VanishingFirstMoment
-from .partitions import (
-    cumulants_from_moments_nc,
-    moments_from_cumulants_nc,
-    multiplicative_cumulant_product,
-)
+from .errors import FloatBackendRejected, VanishingFirstMoment
+from .partitions import multiplicative_cumulant_product
 
-# -- truncated power series helpers (coefficient lists c[0]..c[K]) ------------
+# -- truncated power series kernel (coefficient lists c[0]..c[K]) -------------
 
 
-def _coeff(x):
-    return Fraction(x) if isinstance(x, int) else x
+def _ints(a, K):
+    """a[0..K] (ints or Fractions) as integer numerators over one denominator."""
+    a = list(a[: K + 1]) + [0] * max(0, K + 1 - len(a))
+    den = lcm(*(x.denominator for x in a))
+    return [x.numerator * (den // x.denominator) for x in a], den
 
 
-def _recip(x):
-    return Fraction(1) / x if isinstance(x, (int, Fraction)) else 1 / x
+def _reduced(nums, den):
+    """Cancel the common factor of the numerators and the denominator."""
+    c = gcd(*nums, den)
+    return ([x // c for x in nums], den // c) if c > 1 else (nums, den)
 
 
-def series_trim(a, K):
-    return [_coeff(x) for x in a[: K + 1]] + [Fraction(0)] * max(0, K + 1 - len(a))
+def _mul_ints(a, b, K):
+    """Integer coefficient lists multiplied and truncated at degree K."""
+    return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(K + 1)]
+
+
+def _inv_ints(a, K):
+    """1/a for an integer list with a[0] != 0, as reduced numerators and denominator."""
+    a0 = a[0]
+    out = [a0**K]
+    for k in range(1, K + 1):
+        # the division is exact: out[j] carries the factor a0^(K-j)
+        out.append(-(sum(map(mul, a[1 : k + 1], out[k - 1 :: -1])) // a0))
+    return _reduced(out, a0 ** (K + 1))
 
 
 def series_mul(a, b, K):
-    a, b = series_trim(a, K), series_trim(b, K)
-    out = [Fraction(0)] * (K + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(0, K + 1 - i):
-            if b[j] != 0:
-                out[i + j] += ai * b[j]
-    return out
+    (an, ad), (bn, bd) = _ints(a, K), _ints(b, K)
+    return [Fraction(c, ad * bd) for c in _mul_ints(an, bn, K)]
 
 
 def series_inv(a, K):
     """1/a as a series; needs a[0] != 0."""
-    a = series_trim(a, K)
-    if a[0] == 0:
+    an, ad = _ints(a, K)
+    if an[0] == 0:
         raise ZeroDivisionError("series has no inverse: constant term vanishes")
-    out = [_recip(a[0])]
-    for k in range(1, K + 1):
-        acc = sum((a[i] * out[k - i] for i in range(1, k + 1)), start=Fraction(0))
-        out.append(-acc / a[0])
-    return out
+    inv, den = _inv_ints(an, K)
+    return [Fraction(ad * c, den) for c in inv]
 
 
 def series_compose(a, b, K):
     """a(b(w)) truncated; needs b[0] == 0."""
-    a, b = series_trim(a, K), series_trim(b, K)
-    if b[0] != 0:
+    (an, ad), (bn, bd) = _ints(a, K), _ints(b, K)
+    if bn[0] != 0:
         raise ValueError("composition needs b(0) = 0")
-    out = [Fraction(0)] * (K + 1)
-    out[0] = a[0]
-    power = [Fraction(0)] * (K + 1)
-    power[0] = Fraction(1)
+    # a(b) = sum_i a_i b^i = sum_i an_i bd^(K-i) bn^i / (ad bd^K)
+    out = [an[0] * bd**K] + [0] * K
+    power = [1] + [0] * K
     for i in range(1, K + 1):
-        power = series_mul(power, b, K)
-        if a[i] == 0:
-            continue
-        for j in range(K + 1):
-            out[j] += a[i] * power[j]
-    return out
+        power = _mul_ints(power, bn, K)
+        if an[i]:
+            c = an[i] * bd ** (K - i)
+            for j in range(i, K + 1):
+                out[j] += c * power[j]
+    return [Fraction(c, ad * bd**K) for c in out]
 
 
 def series_reversion(f, K):
-    """g with f(g(w)) = w + O(w^{K+1}); needs f[0] = 0, f[1] != 0."""
-    f = series_trim(f, K)
-    if f[0] != 0 or f[1] == 0:
+    """g with f(g(w)) = w + O(w^{K+1}); needs f[0] = 0, f[1] != 0.
+
+    Lagrange inversion: g_n = (1/n) [z^(n-1)] h(z)^n with h = z / f(z).
+    """
+    fn, fd = _ints(f, K)
+    if fn[0] != 0 or fn[1] == 0:
         raise ValueError("reversion needs f(0) = 0 and f'(0) != 0")
-    g = [Fraction(0), _recip(f[1])]
-    for m in range(2, K + 1):
-        trial = g + [Fraction(0)] * (m - len(g))
-        comp = series_compose(f, series_trim(trial, m), m)
-        g.append(-comp[m] / f[1])
-    return series_trim(g, K)
+    inv, hd = _inv_ints(fn[1:], K - 1)
+    h = [fd * c for c in inv]  # h = z/f over hd
+    g = [Fraction(0)]
+    power, pd = [1] + [0] * (K - 1), 1
+    for n in range(1, K + 1):
+        power, pd = _reduced(_mul_ints(power, h, K - 1), pd * hd)
+        g.append(Fraction(power[n - 1], n * pd))
+    return g
 
 
 # -- moment series -------------------------------------------------------------
@@ -102,7 +114,9 @@ class FormalMomentSeries:
     m: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "m", tuple(_coeff(x) for x in self.m))
+        if not all(isinstance(x, (int, Fraction)) for x in self.m):
+            raise FloatBackendRejected("moment series are exact: ints or Fractions only")
+        object.__setattr__(self, "m", tuple(Fraction(x) for x in self.m))
 
     @property
     def K(self):
@@ -124,15 +138,43 @@ def m_series(moments: FormalMomentSeries, K=None):
     return [Fraction(0)] + list(moments.m[:K])
 
 
+def _nc_solve(known, to_cumulants):
+    """One side of 1 + M(z) = C(z (1 + M(z))), C(w) = 1 + sum kappa_k w^k, from the other.
+
+    m_k = kappa_k + sum_{j<k} kappa_j P[j][k-j] with P[j][t] = [z^t] (1+M)^j,
+    filled along the anti-diagonals j + t = k.  Under z -> den z (den the
+    common denominator of the known side) every coefficient is an integer.
+    """
+    K = len(known)
+    nums, den = _ints([0] + list(known), K)
+    given = [1] + [c * den ** (k - 1) for k, c in enumerate(nums) if k]
+    m = [1] + [0] * K  # 1 + M(den z)
+    c = [1] + [0] * K  # C(den z)
+    P = [[1] + [0] * K for _ in range(K + 1)]
+    for k in range(1, K + 1):
+        for j in range(1, k):
+            t = k - j
+            P[j][t] = sum(map(mul, P[j - 1][t::-1], m[: t + 1]))
+        rest = sum(c[j] * P[j][k - j] for j in range(1, k))
+        if to_cumulants:
+            m[k] = given[k]
+            c[k] = m[k] - rest
+        else:
+            c[k] = given[k]
+            m[k] = c[k] + rest
+    out = c if to_cumulants else m
+    return [Fraction(out[k], den**k) for k in range(1, K + 1)]
+
+
 def r_coefficients(moments: FormalMomentSeries, K=None):
-    """Free cumulants kappa_1..kappa_K via the non-crossing dictionary."""
+    """Free cumulants kappa_1..kappa_K of a moment series."""
     K = moments.K if K is None else K
-    return cumulants_from_moments_nc(list(moments.m[:K]))
+    return _nc_solve(moments.m[:K], to_cumulants=True)
 
 
 def moments_from_r(kappa, K=None):
     K = len(kappa) if K is None else K
-    return FormalMomentSeries(tuple(moments_from_cumulants_nc(list(kappa[:K]))))
+    return FormalMomentSeries(tuple(_nc_solve(kappa[:K], to_cumulants=False)))
 
 
 def s_coefficients(moments: FormalMomentSeries, K=None):
@@ -151,7 +193,6 @@ def moments_from_s(s, K=None):
     K = len(s) if K is None else K
     if s[0] == 0:
         raise VanishingFirstMoment("S(0) = 1/m_1 must be nonzero")
-    s = series_trim(s, K)
     # Minv(w) = w/(w+1) * S(w)
     one_over = series_inv([Fraction(1), Fraction(1)], K)
     minv = series_mul([Fraction(0), Fraction(1)], series_mul(one_over, s, K), K)
@@ -182,9 +223,7 @@ def series_bridge(moments: FormalMomentSeries):
 
 def r_s_consistent(r, s, K):
     """Check w S(w) and w R(w) are functional inverses to order K."""
-    wr = [Fraction(0)] + list(series_trim(r, K - 1))
-    ws = [Fraction(0)] + list(series_trim(s, K - 1))
-    comp = series_compose(wr, ws, K)
+    comp = series_compose([0] + list(r), [0] + list(s), K)
     target = [Fraction(0), Fraction(1)] + [Fraction(0)] * (K - 1)
     return comp == target
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ from finfree.curves import (
     AlgebraicCurve,
     curve_from_limits,
     curve_shifted,
+    mass_branch_moments,
     moments_from_curve,
     reciprocal_moments_from_curve,
     solve_curve_branch,
@@ -115,6 +117,33 @@ def test_reciprocal_moments():
     # reversed measure transform: S_rev(w) = 1/S(-w-1) has moments = m_k(mu*)
     rev = st.reversed_measure()
     assert rec == list(rev.moments(4).m)
+
+
+def _digest(values):
+    return hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()[:16]
+
+
+def test_branch_expansions_keep_their_values():
+    # values and digests recorded from the full-length series Newton iteration
+    from finfree.families import LimitParams, RationalSTransform, family_curves, s_limit_hyper
+
+    escape = s_limit_hyper(A=(F(-1, 2),), B=()).curve()
+    m0, ms = mass_branch_moments(escape, F(1, 2), 6)
+    assert (m0, ms) == (F(1, 2), [-1, 4, -24, 176, -1440, 12608])
+    assert _digest(mass_branch_moments(escape, F(1, 2), 40)[1]) == "ee3ba047aa41d64d"
+    jp2 = family_curves("jp2", LimitParams(theta=(F(1, 3),) * 3)).curve
+    m0, ms = mass_branch_moments(jp2, 1, 40)
+    assert m0 == 1 and _digest(ms) == "d2a82f41525fc548"
+    st = RationalSTransform(A=(F(3, 2), F(2, 3)), B=(F(1, 2), F(5, 4)))
+    assert reciprocal_moments_from_curve(st.curve(), 6) == [
+        F(8, 5),
+        F(1568, 375),
+        F(515456, 28125),
+        F(46048768, 421875),
+        F(119156713472, 158203125),
+        F(66742366478336, 11865234375),
+    ]
+    assert _digest(reciprocal_moments_from_curve(st.curve(), 40)) == "d152fbcc6dc0fdbc"
 
 
 def test_curve_shifted_reduction():

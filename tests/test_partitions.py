@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as F
+from functools import lru_cache
+from math import factorial
 
 import pytest
 
@@ -19,10 +21,53 @@ from finfree.partitions import (
     moments_from_cumulants_nc,
     multiplicative_cumulant_product,
     one_block,
+    partition_product,
     refines,
     singletons,
 )
 from finfree.poly import Polynomial
+
+
+def _falling_pref(n, j):
+    falling = F(1)
+    for i in range(j):
+        falling *= n - i
+    return falling / (F(n) ** j * factorial(j))
+
+
+@lru_cache(maxsize=None)
+def _weighted_partitions(j):
+    return [(pi, mobius(singletons(j), pi)) for pi in enumerate_partitions(j)]
+
+
+def mobius_system_cumulants(p, upto=None):
+    """Oracle: solve e_j = n^(j)/(n^j j!) sum_{pi in P(j)} n^|pi| mu(0_j, pi) kappa_pi for increasing j."""
+    n = p.n
+    m = n if upto is None else min(upto, n)
+    e = [c / p.e[0] for c in p.e]
+    kappa = [None]  # 1-indexed
+    for j in range(1, m + 1):
+        acc, coeff_full = F(0), None
+        for pi, mu in _weighted_partitions(j):
+            if len(pi) == 1:
+                coeff_full = F(n) * mu
+            else:
+                acc += F(n) ** len(pi) * mu * partition_product(kappa, pi)
+        kappa.append((e[j] / _falling_pref(n, j) - acc) / coeff_full)
+    return kappa[1:]
+
+
+def mobius_system_elementary(kappa, n):
+    """Oracle: e_0..e_m from kappa through the same Moebius sum."""
+    values = [None] + [F(k) for k in kappa]
+    e = [F(1)]
+    for j in range(1, len(kappa) + 1):
+        tot = sum(
+            (F(n) ** len(pi) * mu * partition_product(values, pi) for pi, mu in _weighted_partitions(j)),
+            start=F(0),
+        )
+        e.append(_falling_pref(n, j) * tot)
+    return e
 
 
 def test_counts():
@@ -82,6 +127,34 @@ def test_cumulant_additivity_and_roundtrip():
         ks = finite_free_cumulants(add_conv(p, q, n))
         assert ks == [a + b for a, b in zip(kp, kq)]
         assert cumulants_to_elementary(kp, n) == [c / p.e[0] for c in p.e]
+
+
+def test_generating_function_matches_mobius_system():
+    rng = random.Random(35)
+    for n in range(1, 8):
+        for _ in range(3):
+            e = [F(rng.randint(1, 9), rng.randint(1, 5))] + [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+            p = Polynomial(n, e)
+            kappa = finite_free_cumulants(p)
+            assert kappa == mobius_system_cumulants(p)
+            assert finite_free_cumulants(p, upto=3) == mobius_system_cumulants(p, upto=3)
+            assert cumulants_to_elementary(kappa, n) == mobius_system_elementary(kappa, n)
+            # past the ambient degree e_j vanishes on both routes
+            if n <= 5:
+                longer = kappa + [F(1, 3)] * 2
+                assert cumulants_to_elementary(longer, n) == mobius_system_elementary(longer, n)
+
+
+def test_cumulants_past_the_enumeration_wall():
+    # n = 30, 20 cumulants: the Moebius system would need Bell(20) ~ 5e13 partitions
+    rng = random.Random(36)
+    n, upto = 30, 20
+    roots = lambda: [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+    p, q = Polynomial.from_roots(roots()), Polynomial.from_roots(roots())
+    kp, kq = finite_free_cumulants(p, upto=upto), finite_free_cumulants(q, upto=upto)
+    assert len(kp) == upto
+    assert finite_free_cumulants(add_conv(p, q, n), upto=upto) == [a + b for a, b in zip(kp, kq)]
+    assert cumulants_to_elementary(kp, n) == [c / p.e[0] for c in p.e[: upto + 1]]
 
 
 def test_moments_from_roots_match_cumulant_inversion():

@@ -19,6 +19,18 @@ def test_e_convention():
     assert p.monic and p.degree == 2 and p.exact
 
 
+def test_mpf_coefficients_keep_their_bits_at_default_precision():
+    from mpmath import libmp
+
+    with mp.workprec(200):
+        c = mp.mpf(1) / 3
+    p = Polynomial.from_monomial([c, -1, 1])
+    assert p.e[2] == c and p.to_monomial()[0] == c and p.coeff(0) == c
+    q = Polynomial.from_monomial([1, c, 1])  # odd position: e_1 = -c
+    assert q.e[1]._mpf_ == libmp.mpf_neg(c._mpf_)
+    assert q.to_monomial()[1] == c and q.coeff(1) == c
+
+
 def test_dilate_examples():
     p = Polynomial.from_monomial([2, -3, 1])
     assert p.dilate(1) == p

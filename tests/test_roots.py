@@ -209,10 +209,10 @@ def test_float_and_mpf_coefficients_read_exactly():
     assert find_roots(Polynomial.from_monomial([float(c) for c in dyadic]), 160) == expect
     assert find_roots(Polynomial.from_monomial([mp.mpf(c.numerator) / c.denominator for c in dyadic]), 160) == expect
     # an mpf with more bits than a float holds; the Polynomial keeps them
-    # only under the caller's precision
+    # at the default precision too
     with mp.workprec(200):
         third = mp.mpf(1) / 3
-        from_mpf = find_roots(Polynomial.from_monomial([third, -1, 1]), 256)
+    from_mpf = find_roots(Polynomial.from_monomial([third, -1, 1]), 256)
     _, man, exp, _ = third._mpf_
     assert from_mpf == find_roots(Polynomial.from_monomial([F(man) * F(2) ** exp, -1, 1]), 256)
 

@@ -3,9 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from finfree import partitions
 from finfree.conv import add_conv
-from finfree.errors import VanishingFirstMoment
+from finfree.errors import FloatBackendRejected, VanishingFirstMoment
+from finfree.families import LimitParams, family_curves, s_limit_hyper
 from finfree.hyper import HypergeometricSpec, hyper_poly
+from finfree.partitions import cumulants_from_moments_nc, finite_free_cumulants, moments_from_cumulants_nc
+from finfree.poly import Polynomial
 from finfree.series import (
     FormalMomentSeries,
     free_add,
@@ -35,6 +39,43 @@ def test_series_helpers():
     assert series_compose(f, g, 5) == [F(0), F(1), F(0), F(0), F(0), F(0)]
 
 
+def test_reversion_at_order_48_is_an_exact_inverse():
+    f = [F(0)] + list(s_limit_hyper(A=(F(2, 3),), B=(F(3, 2), F(1, 4))).moments(48).m)
+    assert series_compose(f, series_reversion(f, 48), 48) == [0, 1] + [0] * 47
+
+
+def test_series_maps_match_enumeration_oracles():
+    rng = random.Random(52)
+    for k in range(1, 9):
+        for _ in range(3):
+            x = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(k)]
+            assert list(moments_from_r(x).m) == moments_from_cumulants_nc(x)
+            assert r_coefficients(FormalMomentSeries(tuple(x))) == cumulants_from_moments_nc(x)
+
+
+def test_production_path_enumerates_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("partition enumeration on the production path")
+
+    for name in ("_partitions_raw", "_partitions_cached", "_nc_cached"):
+        monkeypatch.setattr(partitions, name, refuse)
+    ma = FormalMomentSeries((F(1), F(3, 2), F(7, 3), F(4), F(13, 2), F(11)))
+    mb = FormalMomentSeries((F(2), F(3), F(5), F(9), F(17), F(33)))
+    free_add(ma, mb)
+    free_mult(ma, mb)
+    finite_free_cumulants(Polynomial.from_roots([F(1), F(-2), F(1, 3), F(5, 2)]))
+    theta = (F(1, 3), F(2, 3))
+    for family, params in (
+        ("jp1", LimitParams(theta=theta, i=1)),
+        ("ml1-1", LimitParams(theta=theta, i=1)),
+        ("jp2", LimitParams(theta=theta)),
+        ("ml1-2", LimitParams(theta=theta)),
+        ("ml2-1", LimitParams(theta=theta, A=(F(1, 2),), c=(F(1), F(3)), i=1)),
+        ("ml2-2", LimitParams(theta=theta, A=(F(1, 2),), c=(F(1), F(3)))),
+    ):
+        assert len(family_curves(family, params).moments(8).m) == 8
+
+
 def test_point_mass_bridge():
     br = series_bridge(FormalMomentSeries.point_mass(3, 6))
     assert br["r"] == [F(3), 0, 0, 0, 0, 0]
@@ -57,6 +98,11 @@ def test_bridge_roundtrips():
     assert moments_from_s(s_coefficients(m1)).m == m1.m
     br = series_bridge(m1)
     assert r_s_consistent(br["r"], br["s"], 6)
+
+
+def test_float_moments_rejected():
+    with pytest.raises(FloatBackendRejected):
+        FormalMomentSeries((1.0, 2.0))
 
 
 def test_vanishing_first_moment():
@@ -85,8 +131,6 @@ def test_finite_n_bridge_to_free_add():
     # Laguerre-type sequences: p_n = F(-n; b n; n x) has limit S = 1/(z+B+1);
     # moments of p_n (+)_n q_n approach the free additive convolution of the
     # two limit laws at rate O(1/n)
-    from finfree.families import s_limit_hyper
-
     K = 4
     lim_p = s_limit_hyper(A=(), B=(F(1),)).moments(K)
     lim_q = s_limit_hyper(A=(), B=(F(3),)).moments(K)
