@@ -5,21 +5,16 @@ Additive:        e_k(p (+)_n q) = n^(k)_falling * sum_{i+j=k} e_i(p)/n^(i) * e_j
 
 Both are defined relative to the shared ambient degree n and require exact
 rational coefficients: the binomial ratio amplifies float error by
-C(n, n/2), so float-backend inputs are rejected outright.
+C(n, n/2), so float-backend inputs are rejected outright.  The additive
+convolution runs on the integer kernel of `poly`: one integer product of
+factorial-scaled numerators, then one Fraction per output coefficient.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .errors import DegreeMismatch, FloatBackendRejected
-from .poly import Polynomial
-
-
-def _falling(n, k):
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
+from .poly import Polynomial, _ints, _mul_ints
 
 
 def _check(p, q, n):
@@ -41,18 +36,17 @@ def add_conv(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
 
     Returns the zero polynomial of ambient degree n when deg p + deg q < n
     (that is the exact vanishing locus of the operation).
+
+    With e_i(p) = pn_i / pd, a_i = pn_i (n-i)! and b_j likewise for q, the
+    formula becomes e_k = (a * b)_k / (pd qd n! (n-k)!).
     """
     _check(p, q, n)
-    ep = [Fraction(p.e[i], _falling(n, i)) for i in range(n + 1)]
-    eq = [Fraction(q.e[j], _falling(n, j)) for j in range(n + 1)]
-    e = []
-    for k in range(n + 1):
-        s = Fraction(0)
-        for i in range(k + 1):
-            if ep[i] and eq[k - i]:
-                s += ep[i] * eq[k - i]
-        e.append(_falling(n, k) * s)
-    return Polynomial(n, e)
+    fact = [factorial(k) for k in range(n + 1)]
+    (a, pd), (b, qd) = _ints(p.e, n), _ints(q.e, n)
+    a = [c * fact[n - i] for i, c in enumerate(a)]
+    b = [c * fact[n - j] for j, c in enumerate(b)]
+    den = pd * qd * fact[n]
+    return Polynomial(n, [Fraction(c, den * fact[n - k]) for k, c in enumerate(_mul_ints(a, b, n))])
 
 
 def check_identity_dilation_distribute(p, q, n, alpha) -> bool:

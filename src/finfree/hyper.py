@@ -7,7 +7,9 @@ A terminating series with numerator parameter -n,
 is a polynomial of degree <= n whenever no denominator parameter lies in
 {0, -1, ..., -n}; the degree equals n exactly iff no numerator parameter
 lies in {0, -1, ..., -(n-1)}.  All parameters here are exact rationals and
-every expansion is exact.
+every expansion is exact: each coefficient table comes from one ratio
+recurrence, and the products of tables, the affine argument (a Taylor
+shift) and the additive convolution run on the integer kernel of `poly`.
 
 The module also carries the structural theorems used throughout: the
 multiplicative-convolution merge of parameter tuples, the differential
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm
 
 from .conv import add_conv, mult_conv
 from .errors import (
@@ -31,6 +34,7 @@ from .errors import (
     ZeroScale,
 )
 from .poly import Polynomial
+from .series import series_mul
 
 
 def pochhammer_rising(a, k: int) -> Fraction:
@@ -53,6 +57,22 @@ def pochhammer_falling(a, k: int) -> Fraction:
 
 def _tuple_of_fractions(xs):
     return tuple(Fraction(x) for x in xs)
+
+
+def _ratio_table(num, den, c, n):
+    """t_k = c^k prod (num)_k / (prod (den)_k k!) for k = 0..n, by the term ratio."""
+    out = [Fraction(1)]
+    for k in range(n):
+        top = Fraction(c)
+        for x in num:
+            top *= x + k
+        bot = Fraction(k + 1)
+        for x in den:
+            bot *= x + k
+        if bot == 0:
+            raise InadmissibleDenominator("coefficient table hits a vanishing denominator; spec not full-degree")
+        out.append(out[-1] * top / bot)
+    return out
 
 
 @dataclass(frozen=True)
@@ -92,44 +112,27 @@ class HypergeometricSpec:
 
     def term_coefficients(self):
         """r_k = (-n)_k (a)_k / ((b)_k k!) for k = 0..n, exactly."""
-        r = [Fraction(1)]
-        for k in range(self.n):
-            num = Fraction(-self.n + k)
-            for ai in self.a:
-                num *= ai + k
-            den = Fraction(k + 1)
-            for bj in self.b:
-                den *= bj + k
-            r.append(r[-1] * num / den)
-        return r
+        return _ratio_table((-self.n,) + self.a, self.b, 1, self.n)
 
 
 def hyper_poly(spec: HypergeometricSpec) -> Polynomial:
     """Expand the spec to a Polynomial in x (hypergeometric normalization).
 
     The constant term is 1 whenever shift = 0; monicization is a separate,
-    explicit call on the result.
+    explicit call on the result.  The series in w = scale x + shift is
+    Taylor-shifted to y = w - shift, then y = scale x is substituted.
     """
     n = spec.n
-    r = spec.term_coefficients()
     s = -1 if spec.sign else 1
-    mono = [Fraction(0)] * (n + 1)
-    if spec.shift == 0:
-        c_pow = Fraction(1)
-        for k in range(n + 1):
-            mono[k] = r[k] * (s**k) * c_pow
-            c_pow *= spec.scale
-    else:
-        # expand ((-1)^l (c x + d))^k binomially
-        from math import comb
-
-        for k in range(n + 1):
-            rk = r[k] * (s**k)
-            if rk == 0:
-                continue
-            for m in range(k + 1):
-                mono[m] += rk * comb(k, m) * spec.scale**m * spec.shift ** (k - m)
-    return Polynomial.from_monomial(mono, n)
+    mono = [rk * s**k for k, rk in enumerate(spec.term_coefficients())]
+    if spec.shift:
+        mono = Polynomial.from_monomial(mono, n).shift(-spec.shift).to_monomial()
+    c_pow = Fraction(1)
+    out = []
+    for c in mono:
+        out.append(c * c_pow)
+        c_pow *= spec.scale
+    return Polynomial.from_monomial(out, n)
 
 
 def hyper_derivative(spec: HypergeometricSpec) -> HypergeometricSpec:
@@ -177,23 +180,8 @@ def _operator_series(n: int, a: tuple, b: tuple, l: int):
     Only the first n+1 coefficients act on x^n, so the (generally
     non-terminating) series is cut there.
     """
-    i, j = len(a), len(b)
-    sgn = (-1) ** (i + j + l + 1)
-    num = tuple(-bk - n + 1 for bk in b)
-    den = tuple(-ak - n + 1 for ak in a)
-    coeffs = [Fraction(1)]
-    for k in range(n):
-        top = Fraction(1)
-        for nu in num:
-            top *= nu + k
-        bot = Fraction(k + 1)
-        for de in den:
-            bot *= de + k
-        if bot == 0:
-            raise InadmissibleDenominator("operator series hits a vanishing denominator; spec not full-degree")
-        coeffs.append(coeffs[-1] * top / bot * sgn)
-    # absorb the sign into each power: coefficient of t^k gets sgn^k; done above per step
-    return coeffs
+    sgn = (-1) ** (len(a) + len(b) + l + 1)
+    return _ratio_table(tuple(-bk - n + 1 for bk in b), tuple(-ak - n + 1 for ak in a), sgn, n)
 
 
 def theorem_b_rhs(spec1: HypergeometricSpec, spec2: HypergeometricSpec) -> Polynomial:
@@ -203,18 +191,9 @@ def theorem_b_rhs(spec1: HypergeometricSpec, spec2: HypergeometricSpec) -> Polyn
     n = spec1.n
     s1 = _operator_series(n, spec1.a, spec1.b, spec1.sign)
     s2 = _operator_series(n, spec2.a, spec2.b, spec2.sign)
-    prod = [Fraction(0)] * (n + 1)
-    for i, ci in enumerate(s1):
-        if ci == 0:
-            continue
-        for j in range(0, n + 1 - i):
-            if s2[j] != 0:
-                prod[i + j] += ci * s2[j]
+    prod = series_mul(s1, s2, n)
     # S(d/dx)[x^n] = sum_k s_k n^(k)_falling x^(n-k)
-    mono = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        mono[n - k] = prod[k] * pochhammer_falling(n, k)
-    return Polynomial.from_monomial(mono, n)
+    return Polynomial.from_monomial([prod[n - m] * perm(n, n - m) for m in range(n + 1)], n)
 
 
 def additive_hg_verify(spec1: HypergeometricSpec, spec2: HypergeometricSpec) -> bool:
@@ -264,14 +243,9 @@ def reversed_product_lhs(spec1: HypergeometricSpec, spec2: HypergeometricSpec | 
     case p* would drop degree and the representation does not apply.
     """
     n = spec1.n
-    s1 = _operator_series(n, spec1.a, spec1.b, spec1.sign)
-    s2 = [Fraction(1)] + [Fraction(0)] * n
+    prod = _operator_series(n, spec1.a, spec1.b, spec1.sign)
     if spec2 is not None:
-        s2 = _operator_series(n, spec2.a, spec2.b, spec2.sign)
-    prod = [Fraction(0)] * (n + 1)
-    for i, ci in enumerate(s1):
-        for j in range(0, n + 1 - i):
-            prod[i + j] += ci * s2[j]
+        prod = series_mul(prod, _operator_series(n, spec2.a, spec2.b, spec2.sign), n)
     if prod[n] == 0:
         raise DegreeDeficient("product has degree < n; reversal drops degree")
     return Polynomial.from_monomial(prod, n).reverse()
@@ -317,57 +291,31 @@ class KdFSpec:
         return len(self.groups)
 
 
-def _group_term(a: tuple, b: tuple, l: int):
-    """(a)_l / ((b)_l l!)"""
-    return pochhammer_rising_tuple(a, l) / (pochhammer_rising_tuple(b, l) * pochhammer_rising(1, l))
-
-
-def pochhammer_rising_tuple(tup, k: int) -> Fraction:
-    out = Fraction(1)
-    for t in tup:
-        out *= pochhammer_rising(t, k)
-    return out
-
-
-def _compositions(total, parts):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def kdf_poly(spec: KdFSpec, mode: str = "all") -> Polynomial:
-    """Direct multi-sum expansion, as a polynomial in x.
+    """Expansion of the multi-sum, as a polynomial in x, by generating functions.
 
     mode="all": arguments (c_1 x, ..., c_r x).
     mode="one": arguments (c_1 x, c_2, ..., c_r) -- every variable but the
     first is frozen at its multiplier.
+
+    With head_k = (-n)_k (a0)_k / (b0)_k and G_m(t) = sum_l (a_m)_l / ((b_m)_l l!) (c_m t)^l,
+    mode "all" gives x^k the coefficient head_k [t^k] prod_m G_m, and mode "one"
+    gives x^l the coefficient [t^l] G_1 * sum_{k>=l} head_k [t^(k-l)] prod_{m>=2} G_m.
     """
-    n, r = spec.n, spec.r
+    n = spec.n
     if mode not in ("all", "one"):
         raise ValueError("mode must be 'all' or 'one'")
-    mono = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        head = (
-            pochhammer_rising(-n, k)
-            * pochhammer_rising_tuple(spec.a0, k)
-            / pochhammer_rising_tuple(spec.b0, k)
-        )
-        if head == 0:
-            continue
-        for ls in _compositions(k, r):
-            term = head
-            for m, lm in enumerate(ls):
-                am, bm = spec.groups[m]
-                term *= _group_term(am, bm, lm) * spec.c[m] ** lm
-            if mode == "all":
-                mono[k] += term
-            else:
-                mono[ls[0]] += term
-    return Polynomial.from_monomial(mono, n)
+    head = _ratio_table((-n, 1) + spec.a0, spec.b0, 1, n)
+    tables = [_ratio_table(a, b, c, n) for (a, b), c in zip(spec.groups, spec.c)]
+    first = tables.pop(0) if mode == "one" else None
+    prod = [Fraction(1)] + [Fraction(0)] * n
+    for t in tables:
+        prod = series_mul(prod, t, n)
+    if mode == "all":
+        return Polynomial.from_monomial([h * g for h, g in zip(head, prod)], n)
+    # sum_{k>=l} head_k prod_{k-l} is [t^(n-l)] of (head reversed) * prod
+    corr = series_mul(head[::-1], prod, n)
+    return Polynomial.from_monomial([first[l] * corr[n - l] for l in range(n + 1)], n)
 
 
 # expression tree nodes for the factorizations

@@ -15,12 +15,13 @@ does not reuse the hypergeometric identities being exercised.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 
 from .conv import add_conv, mult_conv
 from .errors import InvalidParameters, NonIntegerBetaPath, DuplicateC
-from .hyper import HypergeometricSpec, hyper_poly
+from .hyper import HypergeometricSpec, hyper_poly, pochhammer_falling
 from .poly import Polynomial
 
 # -- family specs ----------------------------------------------------------------
@@ -330,7 +331,7 @@ def ml2_typeII_routes(spec: ML2Spec, n):
         ]
         parts.append(
             Polynomial.from_monomial(mono, N).scaled(
-                _falling_frac(Fraction(N), n[j]) / spec.c[j] ** n[j]
+                pochhammer_falling(N, n[j]) / spec.c[j] ** n[j]
             )
         )
     acc = parts[0]
@@ -339,14 +340,14 @@ def ml2_typeII_routes(spec: ML2Spec, n):
     # the e-convention puts a global (-1)^N on the hypergeometric factor
     q_alpha = hyper_poly(
         HypergeometricSpec(n=N, a=(Fraction(1),), b=(spec.alpha + 1,))
-    ).scaled((-1) ** N * _falling_frac(spec.alpha + N, N) / _factorial_frac(N))
+    ).scaled((-1) ** N * pochhammer_falling(spec.alpha + N, N) / factorial(N))
     factored = mult_conv(q_alpha, acc, N)
 
     prod = Polynomial.from_roots(
         [Fraction(1) / cj for cj, nj in zip(spec.c, n) for _ in range(nj)]
     )
     lag = hyper_poly(HypergeometricSpec(n=N, b=(spec.alpha + 1,))).scaled((-1) ** N)
-    linear = mult_conv(lag, prod, N).scaled(_falling_frac(spec.alpha + N, N))
+    linear = mult_conv(lag, prod, N).scaled(pochhammer_falling(spec.alpha + N, N))
     return direct, factored, linear
 
 
@@ -369,7 +370,7 @@ def _ml2_direct(spec: ML2Spec, n) -> Polynomial:
             for nj, kj, cj in zip(n, ks, spec.c):
                 term *= Fraction(comb(nj, kj), 1) / cj**kj
             s += term
-        e.append(_falling_frac(N + spec.alpha, k) * s)
+        e.append(pochhammer_falling(N + spec.alpha, k) * s)
     return Polynomial(N, e)
 
 
@@ -381,21 +382,6 @@ def _bounded_compositions(total, bounds):
     for first in range(min(total, bounds[0]) + 1):
         for rest in _bounded_compositions(total - first, bounds[1:]):
             yield (first,) + rest
-
-
-def _falling_frac(a, k):
-    a = Fraction(a)
-    out = Fraction(1)
-    for t in range(k):
-        out *= a - t
-    return out
-
-
-def _factorial_frac(k):
-    out = Fraction(1)
-    for t in range(2, k + 1):
-        out *= t
-    return out
 
 
 # -- weights and the orthogonality oracle ----------------------------------------------

@@ -9,11 +9,13 @@ The finite free cumulants come from a generating function and enumerate
 nothing.  The enumeration routines are oracles (for `verify`, the tests and
 `series.free_mult_via_kreweras`); `series` computes the non-crossing maps by
 power series.  Everything is exact; enumeration is guarded at k <= 12
-(Bell(12) ~ 4.2e6 is the practical wall for the full lattice in pure Python).
+(Bell(12) ~ 4.2e6 is the practical wall for the full lattice in pure Python;
+the non-crossing ones, Catalan(12) = 208012, are generated directly).
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 from math import factorial
 
 from .errors import DegreeMismatch, NotComparable, TooLarge, ZeroLeading
@@ -76,9 +78,28 @@ def _blocks_cross(b, c):
 
 
 def enumerate_nc(k):
-    """All non-crossing partitions of {1..k} (Catalan(k) many)."""
+    """All non-crossing partitions of {1..k} (Catalan(k) many), generated directly."""
     _check_size(k)
-    return [p for p in _partitions_cached(k) if is_noncrossing(p)]
+    return [_canon(p) for p in _nc_raw(tuple(range(1, k + 1)))]
+
+
+def _nc_raw(items):
+    """Non-crossing partitions of the sorted tuple `items`, by the block holding items[0].
+
+    Once that block is chosen, the gaps between its elements are partitioned
+    independently: a block inside a gap cannot cross it or another gap.
+    """
+    if not items:
+        yield ()
+        return
+    rest = items[1:]
+    for size in range(len(rest) + 1):
+        for picked in combinations(range(len(rest)), size):
+            cuts = (-1,) + picked + (len(rest),)
+            gaps = [_nc_raw(rest[lo + 1 : hi]) for lo, hi in zip(cuts, cuts[1:])]
+            block = (items[0],) + tuple(rest[i] for i in picked)
+            for parts in product(*gaps):
+                yield (block,) + sum(parts, ())
 
 
 @lru_cache(maxsize=None)

@@ -12,18 +12,56 @@ the ordinary monomial basis are lossless.
 
 Coefficients are exact rationals (fractions.Fraction) by default.  Floats /
 mpmath values are tolerated for evaluation-style work, but any operation that
-must be exact checks `Polynomial.exact` and refuses float inputs.
+must be exact refuses them with FloatBackendRejected.
+
+The exact kernel below is shared by every layer: a vector of rationals
+becomes integer numerators over one common denominator, the loops run on
+Python ints, and each output coefficient becomes one Fraction.  `shift`,
+`mul` and `from_roots` run on it and are exact-only.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import comb
+from functools import reduce
+from math import comb, gcd, lcm
+from operator import mul
 
 from .errors import FloatBackendRejected, ZeroDilation, ZeroLeading
 
 _EXACT_TYPES = (int, Fraction)
+
+# -- integer-numerator kernel --------------------------------------------------
+
+
+def _require_exact(values):
+    if not all(isinstance(x, _EXACT_TYPES) for x in values):
+        raise FloatBackendRejected("exact operation: coefficients must be ints or Fractions")
+
+
+# lcm and gcd are folded pairwise: a star-argument call builds one tuple per
+# vector, and the small ones linger in the interpreter's tuple free list,
+# which measurably raised peak RSS.
+
+
+def _ints(a, K):
+    """a[0..K] (ints or Fractions, zero-padded) as integer numerators over one denominator."""
+    a = list(a[: K + 1]) + [0] * max(0, K + 1 - len(a))
+    _require_exact(a)
+    den = reduce(lcm, [x.denominator for x in a])
+    return [x.numerator * (den // x.denominator) for x in a], den
+
+
+def _reduced(nums, den):
+    """Cancel the common factor of the numerators and the denominator."""
+    c = reduce(gcd, nums, den)
+    return ([x // c for x in nums], den // c) if c > 1 else (nums, den)
+
+
+def _mul_ints(a, b, K):
+    """Integer lists, each with at least K+1 entries, multiplied and truncated at degree K."""
+    return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(K + 1)]
 
 
 def _signed(c, j):
@@ -84,20 +122,24 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, roots, n=None, leading=1):
-        """Monic-times-`leading` polynomial with the given roots, exactly."""
+        """Monic-times-`leading` polynomial with the given roots, exactly.
+
+        Each root r = u/v contributes the integer factor (v x - u); the
+        product's denominator is that of `leading` times every v.
+        """
         roots = [_as_coeff(r) for r in roots]
+        leading = _as_coeff(leading)
+        _require_exact(roots + [leading])
         if n is None:
             n = len(roots)
         if len(roots) > n:
             raise ValueError("more roots than ambient degree")
-        mono = [_as_coeff(leading)]
+        mono, den = [leading.numerator], leading.denominator
         for r in roots:
-            nxt = [mono[0] * (-r)]
-            for k in range(1, len(mono)):
-                nxt.append(mono[k] * (-r) + mono[k - 1])
-            nxt.append(mono[-1])
-            mono = nxt
-        return cls.from_monomial(mono, n)
+            u, v = r.numerator, r.denominator
+            mono = [-u * mono[0]] + [v * a - u * b for a, b in zip(mono, mono[1:])] + [v * mono[-1]]
+            den *= v
+        return cls.from_monomial([Fraction(c, den) for c in mono], n)
 
     @classmethod
     def linear_power(cls, alpha, n):
@@ -155,22 +197,25 @@ class Polynomial:
         return Polynomial(self.n, [a**j * c for j, c in enumerate(self.e)])
 
     def shift(self, alpha):
-        """p(x - alpha), expanded exactly (Taylor shift)."""
+        """p(x - alpha), expanded exactly (Taylor shift).
+
+        With alpha = u/v and monomial coefficients N_m / D, the integers
+        s_m = N_m u^m v^(n-m) are the coefficients of v^n D p(u y / v); a
+        Taylor shift by -1 (Pascal's rule, integer additions only) gives t,
+        and the coefficient of x^k is t_k / (u^k v^(n-k) D).
+        """
         a = _as_coeff(alpha)
+        _require_exact([a])
         if a == 0:
             return self
-        mono = list(self.to_monomial())
-        n = self.n
-        out = [Fraction(0)] * (n + 1)
-        for m in range(n, -1, -1):
-            c = mono[m]
-            if c == 0:
-                continue
-            # (x - a)^m
-            t = c
-            for k in range(m, -1, -1):
-                out[k] += t * comb(m, k) * (-a) ** (m - k)
-        return Polynomial.from_monomial(out, n)
+        n, u, v = self.n, a.numerator, a.denominator
+        nums, den = _ints(self.to_monomial(), n)
+        upow, vpow = [u**k for k in range(n + 1)], [v**k for k in range(n + 1)]
+        t = [c * upow[m] * vpow[n - m] for m, c in enumerate(nums)]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                t[j] -= t[j + 1]
+        return Polynomial.from_monomial([Fraction(c, upow[k] * vpow[n - k] * den) for k, c in enumerate(t)], n)
 
     def reverse(self):
         """Reversed polynomial p*(x) = x^n p(1/x); roots map t -> 1/t."""
@@ -211,15 +256,9 @@ class Polynomial:
 
     def mul(self, other):
         """Plain polynomial product; ambient degrees add."""
-        a, b = self.to_monomial(), other.to_monomial()
-        out = [Fraction(0)] * (self.n + other.n + 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb != 0:
-                    out[i + j] += ca * cb
-        return Polynomial.from_monomial(out, self.n + other.n)
+        n = self.n + other.n
+        (a, ad), (b, bd) = _ints(self.to_monomial(), n), _ints(other.to_monomial(), n)
+        return Polynomial.from_monomial([Fraction(c, ad * bd) for c in _mul_ints(a, b, n)], n)
 
     def divide_linear(self, root):
         """Exact division by (x - root); raises if the remainder is nonzero."""

@@ -10,39 +10,21 @@ A moment sequence m_1..m_K determines, as formal power series,
 with the compatibility (z M(z) + z) R(z M(z) + z) = M(z) and
 w S(w) = (w R(w))^{-1} (functional inverse).  Everything here is truncated
 at a recorded order and exact: inputs are ints or Fractions.  The kernel
-holds a series as integer numerators over one denominator and makes one
-Fraction per output coefficient; reversion is Lagrange inversion, and the
-free cumulants come from the R-transform functional equation, not from
-partition enumeration.
+of `poly` holds a series as integer numerators over one denominator and
+makes one Fraction per output coefficient; reversion is Lagrange
+inversion, and the free cumulants come from the R-transform functional
+equation, not from partition enumeration.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from operator import mul
 
 from .errors import FloatBackendRejected, VanishingFirstMoment
 from .partitions import multiplicative_cumulant_product
+from .poly import _ints, _mul_ints, _reduced
 
 # -- truncated power series kernel (coefficient lists c[0]..c[K]) -------------
-
-
-def _ints(a, K):
-    """a[0..K] (ints or Fractions) as integer numerators over one denominator."""
-    a = list(a[: K + 1]) + [0] * max(0, K + 1 - len(a))
-    den = lcm(*(x.denominator for x in a))
-    return [x.numerator * (den // x.denominator) for x in a], den
-
-
-def _reduced(nums, den):
-    """Cancel the common factor of the numerators and the denominator."""
-    c = gcd(*nums, den)
-    return ([x // c for x in nums], den // c) if c > 1 else (nums, den)
-
-
-def _mul_ints(a, b, K):
-    """Integer coefficient lists multiplied and truncated at degree K."""
-    return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(K + 1)]
 
 
 def _inv_ints(a, K):

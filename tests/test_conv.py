@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import perm
 
 import pytest
 
@@ -123,3 +124,28 @@ def test_interlacing_preservation():
         a = real_parts_sorted(find_roots(add_conv(p, q, n), 192), tau=1e-15)
         b = real_parts_sorted(find_roots(add_conv(pt, q, n), 192), tau=1e-15)
         assert interlaces(a, b, tau=1e-18)
+
+
+def add_conv_oracle(p, q, n):
+    """The coefficient formula with one Fraction per term."""
+    ep = [p.e[i] / perm(n, i) for i in range(n + 1)]
+    eq = [q.e[j] / perm(n, j) for j in range(n + 1)]
+    return Polynomial(n, [perm(n, k) * sum((ep[i] * eq[k - i] for i in range(k + 1)), F(0)) for k in range(n + 1)])
+
+
+def test_add_conv_matches_per_term_oracle():
+    rng = random.Random(17)
+    denoms = (1, 2, 3, 7, 12, 97, 1024, 3**9, 10**12 + 39)
+
+    def mixed(n, deg):
+        mono = [F(rng.randint(-50, 50), rng.choice(denoms)) for _ in range(deg)]
+        mono.append(F(rng.randint(1, 9), rng.choice(denoms)))  # degree exactly deg
+        return Polynomial.from_monomial(mono, n)
+
+    for n in (0, 1, 2, 7, 23, 40):
+        for _ in range(3):
+            p, q = mixed(n, rng.randint(0, n)), mixed(n, rng.randint(0, n))
+            out = add_conv(p, q, n)
+            assert out == add_conv_oracle(p, q, n)
+            assert out.is_zero == (p.degree + q.degree < n)
+        assert add_conv(Polynomial.zero(n), mixed(n, n), n) == Polynomial.zero(n)

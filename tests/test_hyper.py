@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -198,3 +199,77 @@ def test_kdf_reciprocal_relation():
 def test_kdf_zero_multiplier():
     with pytest.raises(ZeroMultiplier):
         KdFSpec(n=2, groups=(((), ()),), c=(0,))
+
+
+# -- generating-function and kernel expansions against the per-term sums ------
+
+
+def _compositions(total, parts):
+    """All tuples of `parts` nonnegative ints summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _rising_tuple(tup, k):
+    out = F(1)
+    for t in tup:
+        out *= pochhammer_rising(t, k)
+    return out
+
+
+def kdf_poly_oracle(spec, mode):
+    """The multi-sum over compositions, one Pochhammer product per term."""
+    n, mono = spec.n, [F(0)] * (spec.n + 1)
+    for k in range(n + 1):
+        head = pochhammer_rising(-n, k) * _rising_tuple(spec.a0, k) / _rising_tuple(spec.b0, k)
+        for ls in _compositions(k, spec.r):
+            term = head
+            for (am, bm), cm, lm in zip(spec.groups, spec.c, ls):
+                term *= _rising_tuple(am, lm) / (_rising_tuple(bm, lm) * pochhammer_rising(1, lm)) * cm**lm
+            mono[k if mode == "all" else ls[0]] += term
+    return Polynomial.from_monomial(mono, n)
+
+
+def hyper_poly_oracle(spec):
+    """The binomial double sum of ((-1)^sign (scale x + shift))^k."""
+    n, r, s = spec.n, spec.term_coefficients(), -1 if spec.sign else 1
+    mono = [F(0)] * (n + 1)
+    for k in range(n + 1):
+        for m in range(k + 1):
+            mono[m] += r[k] * s**k * comb(k, m) * spec.scale**m * spec.shift ** (k - m)
+    return Polynomial.from_monomial(mono, n)
+
+
+def _rand_param(rng):
+    return F(rng.randint(-40, 40), rng.choice((1, 3, 7, 97, 1024, 10**9 + 7))) + F(1, 2)
+
+
+def test_affine_hyper_poly_matches_binomial_oracle():
+    rng = random.Random(23)
+    for n in (1, 4, 13, 40):
+        for sign in (0, 1):
+            for shift in (F(0), F(-3, 7), _rand_param(rng)):
+                scale = rng.choice((F(-5, 3), F(2), F(-1, 10**9 + 7), F(7, 4)))
+                spec = HypergeometricSpec(n=n, a=(_rand_param(rng),), b=(F(5, 2), _rand_param(rng) + 200),
+                                          scale=scale, shift=shift, sign=sign)
+                assert hyper_poly(spec) == hyper_poly_oracle(spec)
+
+
+def test_kdf_poly_matches_composition_oracle():
+    rng = random.Random(24)
+    for r in (1, 2, 3):
+        for n in (1, 3, 7, 12 if r == 3 else 20):
+            groups = tuple(((_rand_param(rng),), (rng.randint(1, 9) + F(1, 7),)) for _ in range(r))
+            c = tuple(rng.choice((1, -1)) * (rng.randint(1, 5) + F(1, rng.choice((3, 97)))) for _ in range(r))
+            spec = KdFSpec(n=n, a0=(_rand_param(rng),), b0=(rng.randint(1, 5) + F(3, 11),), groups=groups, c=c)
+            for mode in ("all", "one"):
+                assert kdf_poly(spec, mode) == kdf_poly_oracle(spec, mode)
+    # a numerator parameter in -Z_n cuts the head table off early
+    groups = (((F(1, 3),), (F(2),)), ((), (F(3, 4),)))
+    spec = KdFSpec(n=6, a0=(F(-2),), b0=(F(1, 2),), groups=groups, c=(F(2), F(-1, 5)))
+    for mode in ("all", "one"):
+        assert kdf_poly(spec, mode) == kdf_poly_oracle(spec, mode)

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -73,6 +73,15 @@ def mobius_system_elementary(kappa, n):
 def test_counts():
     assert [len(enumerate_partitions(k)) for k in (1, 2, 3, 4, 5)] == [1, 2, 5, 15, 52]
     assert [len(enumerate_nc(k)) for k in (1, 2, 3, 4, 5)] == [1, 2, 5, 14, 42]
+
+
+def test_nc_generated_directly():
+    for k in range(1, 11):
+        assert len(enumerate_nc(k)) == comb(2 * k, k) // (k + 1)
+    for k in range(1, 9):
+        ncs = enumerate_nc(k)
+        assert len(set(ncs)) == len(ncs)
+        assert set(ncs) == {p for p in enumerate_partitions(k) if is_noncrossing(p)}
 
 
 def test_guard():

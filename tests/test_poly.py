@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from math import comb
 
 import mpmath as mp
 import pytest
@@ -136,3 +137,92 @@ def test_divide_linear():
     assert q.to_monomial() == Polynomial.from_roots([F(1), F(2)]).to_monomial()
     with pytest.raises(ValueError):
         p.divide_linear(F(5))
+
+
+# -- the exact kernel against the per-term Fraction loops it replaced ----------
+
+DENOMS = (1, 2, 3, 7, 12, 97, 1024, 3**9, 10**12 + 39)
+
+
+def rand_rational(rng):
+    return F(rng.randint(-50, 50), rng.choice(DENOMS))
+
+
+def rand_mixed(rng, n, deficit=0):
+    """Ambient degree n, coefficients with mixed denominators, actual degree n - deficit."""
+    return Polynomial.from_monomial([rand_rational(rng) for _ in range(n + 1 - deficit)], n)
+
+
+def shift_oracle(p, a):
+    mono, n = p.to_monomial(), p.n
+    out = [F(0)] * (n + 1)
+    for m in range(n, -1, -1):
+        for k in range(m, -1, -1):
+            out[k] += mono[m] * comb(m, k) * (-a) ** (m - k)
+    return Polynomial.from_monomial(out, n)
+
+
+def mul_oracle(p, q):
+    a, b = p.to_monomial(), q.to_monomial()
+    out = [F(0)] * (p.n + q.n + 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return Polynomial.from_monomial(out, p.n + q.n)
+
+
+def from_roots_oracle(roots, n, leading):
+    mono = [F(leading)]
+    for r in roots:
+        mono = [mono[0] * (-r)] + [mono[k] * (-r) + mono[k - 1] for k in range(1, len(mono))] + [mono[-1]]
+    return Polynomial.from_monomial(mono, n)
+
+
+def test_shift_matches_binomial_oracle():
+    rng = random.Random(31)
+    alphas = [F(-7, 3), F(5, 10**12 + 39), F(-1, 2**40), F(3), F(-11, 97)]
+    for n in (0, 1, 2, 5, 17, 40):
+        for deficit in (0, min(n, 3)):
+            p = rand_mixed(rng, n, deficit)
+            for a in alphas + [rand_rational(rng) or F(1)]:
+                assert p.shift(a) == shift_oracle(p, a)
+        assert Polynomial.zero(n).shift(F(-2, 3)) == Polynomial.zero(n)
+    p = rand_mixed(rng, 9)
+    assert p.shift(0) is p and p.shift(F(0)) is p
+
+
+def test_mul_matches_convolution_oracle():
+    rng = random.Random(32)
+    for _ in range(12):
+        n, m = rng.randint(0, 40), rng.randint(0, 40)
+        p, q = rand_mixed(rng, n, rng.randint(0, n)), rand_mixed(rng, m)
+        assert p.mul(q) == mul_oracle(p, q) == q.mul(p)
+    assert rand_mixed(rng, 6).mul(Polynomial.zero(4)) == Polynomial.zero(10)
+
+
+def test_from_roots_matches_product_oracle():
+    rng = random.Random(33)
+    for _ in range(12):
+        k = rng.randint(0, 40)
+        roots = [rand_rational(rng) for _ in range(k)]
+        n = k + rng.randint(0, 3)
+        leading = rng.choice((1, F(-5, 7), F(3, 10**12 + 39)))
+        assert Polynomial.from_roots(roots, n, leading) == from_roots_oracle(roots, n, leading)
+
+
+@pytest.mark.parametrize("bad", [0.5, mp.mpf(1) / 3])
+def test_exact_kernel_rejects_float_and_mpf(bad):
+    exact = Polynomial.from_monomial([1, F(2, 3), 1])
+    inexact = Polynomial.from_monomial([bad, 1, 1])
+    with pytest.raises(FloatBackendRejected):
+        inexact.shift(F(1, 2))
+    with pytest.raises(FloatBackendRejected):
+        exact.shift(bad)
+    with pytest.raises(FloatBackendRejected):
+        inexact.mul(exact)
+    with pytest.raises(FloatBackendRejected):
+        exact.mul(inexact)
+    with pytest.raises(FloatBackendRejected):
+        Polynomial.from_roots([1, bad])
+    with pytest.raises(FloatBackendRejected):
+        Polynomial.from_roots([1, 2], leading=bad)
