@@ -1,0 +1,393 @@
+"""Software floating point on Python integers, and the Aberth-Ehrlich sweeps
+that `roots.find_roots` runs on it.
+
+Every complex value is a Gaussian-integer mantissa with its own binary
+exponent, (re, im, exp) meaning (re + i im) 2^exp; on the real path every
+value is a pair (m, exp) meaning m 2^exp.  Values are cut back to
+P = wp + 16 bits after each multiply or divide; no value shares a scale
+with another, so a polynomial whose coefficients span thousands of bits
+costs no more per step than a tame one.  Convergence per root uses the
+Adams criterion |p(z)| <= eps * sum |c_k| |z|^k, which is the tightest
+residual a backward-stable evaluation can certify; both sides are compared
+as base-2 logarithms.
+"""
+
+import math
+from fractions import Fraction
+
+import mpmath as mp
+
+
+# -- Gaussian-integer floating point ---------------------------------------------
+#
+# A complex value is a triple (re, im, exp) standing for (re + i im) 2^exp.
+# Normalized triples have max(|re|, |im|) in [2^(P-1), 2^P); zero is (0, 0, e)
+# for any e.  Right shifts floor, so each cut costs at most one unit in the
+# last of the P places.
+
+
+def _norm(r, i, e, P):
+    s = max(r.bit_length(), i.bit_length()) - P
+    if s >= 0:
+        return r >> s, i >> s, e + s
+    return r << -s, i << -s, e + s
+
+
+def _is_zero(a):
+    return not (a[0] or a[1])
+
+
+def _add(a, b, P):
+    if _is_zero(b):
+        return a
+    if _is_zero(a):
+        return b
+    if a[2] < b[2]:
+        a, b = b, a
+    d = a[2] - b[2]
+    if d > P + 2:  # b lies below the last place of a
+        return a
+    return _norm((a[0] << d) + b[0], (a[1] << d) + b[1], b[2], P)
+
+
+def _neg(a):
+    return -a[0], -a[1], a[2]
+
+
+def _mul(a, b, P):
+    ar, ai, ae = a
+    br, bi, be = b
+    return _norm(ar * br - ai * bi, ar * bi + ai * br, ae + be, P)
+
+
+def _div(a, b, P):
+    """a / b = a conj(b) / |b|^2, for b != 0 and a of at most P + 1 bits."""
+    ar, ai, ae = a
+    br, bi, be = b
+    nrm = br * br + bi * bi
+    tr = ar * br + ai * bi
+    ti = ai * br - ar * bi
+    s = P + 2 + nrm.bit_length() - max(tr.bit_length(), ti.bit_length())  # >= bits of b
+    return _norm((tr << s) // nrm, (ti << s) // nrm, ae - be - s, P)
+
+
+def _log2_abs(a):
+    """log2 |a| as a float (-inf for zero)."""
+    r, i, e = a
+    b = max(r.bit_length(), i.bit_length())
+    if not b:
+        return -math.inf
+    s = b - 60
+    if s > 0:
+        r, i, e = r >> s, i >> s, e + s
+    return math.log2(math.hypot(r, i)) + e
+
+
+def _mantissa(c, P):
+    """A Fraction as (m, e) with c ~ m 2^e, |m| in [2^(P-1), 2^P); zero as (0, _FAR)."""
+    if not c:
+        return 0, _FAR
+    num, den = c.numerator, c.denominator
+    e = num.bit_length() - den.bit_length() - P
+    m = (num << -e) // den if e <= 0 else num // (den << e)
+    if m.bit_length() > P:
+        m, e = m >> 1, e + 1
+    return m, e
+
+
+# exponent of a zero coefficient: every other value outranks it, and a right
+# shift by the distance gives 0 at once
+_FAR = -(1 << 60)
+
+
+def _exact(c):
+    """A real coefficient as the rational it denotes; floats and mpf are dyadic."""
+    if isinstance(c, mp.mpf):
+        sign, man, exp, _ = c._mpf_
+        if exp and not man:
+            raise ValueError(f"coefficient {c} is not finite")
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
+    return Fraction(c)
+
+
+# -- real floating point ---------------------------------------------------------
+#
+# On the real path a value is a pair (m, e) standing for m 2^e, normalized to
+# |m| in [2^(P-1), 2^P), with the same cuts as the triples above.
+
+
+def _rnorm(m, e, P):
+    s = m.bit_length() - P
+    if s >= 0:
+        return m >> s, e + s
+    return m << -s, e + s
+
+
+def _radd(a, b, P):
+    if not b[0]:
+        return a
+    if not a[0]:
+        return b
+    if a[1] < b[1]:
+        a, b = b, a
+    d = a[1] - b[1]
+    if d > P + 2:
+        return a
+    return _rnorm((a[0] << d) + b[0], b[1], P)
+
+
+def _rdiv(a, b, P):
+    """a / b for b != 0 and a of at most P + 1 bits."""
+    s = P + 2 + b[0].bit_length() - a[0].bit_length()
+    return _rnorm((a[0] << s) // b[0], a[1] - b[1] - s, P)
+
+
+def _rlog2_abs(a):
+    m, e = a
+    b = m.bit_length()
+    if not b:
+        return -math.inf
+    s = b - 60
+    if s > 0:
+        m, e = m >> s, e + s
+    return math.log2(abs(m)) + e
+
+
+def _from_mp(z, P):
+    """An mpmath real as a pair, an mpmath complex as a triple."""
+    if isinstance(z, mp.mpf):
+        return _mantissa(_exact(z), P)
+    (rm, re_), (im, ie) = (_mantissa(_exact(x), P) for x in (z.real, z.imag))
+    return _add((rm, 0, re_), (0, im, ie), P)
+
+
+def _renorm(a, P):
+    """A pair or a triple normalized to P bits."""
+    return _rnorm(*a, P) if len(a) == 2 else _norm(*a, P)
+
+
+def _to_mpc(a):
+    """A pair or a triple as an mpc at the current mpmath precision."""
+    if len(a) == 2:
+        return mp.mpc(mp.mpf(a))
+    return mp.mpc(mp.mpf((a[0], a[2])), mp.mpf((a[1], a[2])))
+
+
+# -- the Aberth-Ehrlich kernel -----------------------------------------------------
+
+
+def _horner(coeffs, z, P):
+    """p(z) as an unnormalized triple; coeffs holds (m, e) with c_k = m 2^e, from c_n down.
+
+    Each product with z takes three multiplications; it is cut to P bits, and
+    the coefficient is added at the exponent of the larger of the two.
+    """
+    zr, zi, ze = z
+    zs, zd = zr + zi, zi - zr
+    (ar, ae), *rest = coeffs
+    ai = 0
+    for m, e in rest:
+        k1 = zr * (ar + ai)
+        tr = k1 - ai * zs
+        ti = k1 + ar * zd
+        b = tr.bit_length()
+        s = ti.bit_length()
+        if s > b:
+            b = s
+        if b > P:
+            s = b - P
+            tr >>= s
+            ti >>= s
+            te = ae + ze + s
+        elif b:
+            s = P - b
+            tr <<= s
+            ti <<= s
+            te = ae + ze - s
+        else:  # the product vanished exactly
+            ar, ai, ae = m, 0, e
+            continue
+        d = te - e
+        if d >= 0:
+            ar, ai, ae = tr + (m >> d), ti, te
+        else:
+            ar, ai, ae = m + (tr >> -d), ti >> -d, e
+    return ar, ai, ae
+
+
+def _adams_holds(log_pv, log_eps, lcs, lz):
+    """log2 |p(z)| <= log_eps + log2 sum_k |c_k| |z|^k, given log2 |z| and the
+    pairs (k, log2 |c_k|) over the nonzero c_k (c_0 among them)."""
+    if lz == -math.inf:
+        return log_pv <= log_eps + lcs[0][1]
+    t = [lc + k * lz for k, lc in lcs]
+    top = max(t)
+    if log_pv > log_eps + top + math.log2(len(t)):  # above even the largest bound
+        return False
+    return log_pv <= log_eps + top + math.log2(sum(math.exp2(x - top) for x in t))
+
+
+def _aberth_sum(z, pts, P):
+    """sum over the points w != z of 1 / (z - w), normalized.
+
+    The terms are summed exactly at one exponent set P + 4 bits below the
+    largest term, so each term is rounded once.
+    """
+    zr, zi, ze = z
+    diffs = []
+    low = None
+    for wr, wi, we in pts:
+        k = ze - we
+        if 0 <= k <= 64:
+            dr, di, de = (zr << k) - wr, (zi << k) - wi, we
+        elif -64 <= k < 0:
+            dr, di, de = zr - (wr << -k), zi - (wi << -k), ze
+        elif k > 0:  # w is some 2^63 times smaller than z, or more
+            dr, di, de = zr - (wr >> k), zi - (wi >> k), ze
+        else:
+            dr, di, de = (zr >> -k) - wr, (zi >> -k) - wi, we
+        b = dr.bit_length()
+        s = di.bit_length()
+        if s > b:
+            b = s
+        if not b:  # z itself, or a coincident point
+            continue
+        if low is None or de + b < low:
+            low = de + b
+        diffs.append((dr, di, de))
+    if low is None:
+        return 0, 0, 0
+    ea = -low - P - 4
+    sr = si = 0
+    for dr, di, de in diffs:
+        s = -de - ea
+        if s >= 0:  # otherwise the term lies below the last place
+            nrm = dr * dr + di * di
+            sr += (dr << s) // nrm
+            si -= (di << s) // nrm
+    return _norm(sr, si, ea, P)
+
+
+def _rhorner(coeffs, x, P):
+    """_horner on pairs: one multiplication per step."""
+    xm, xe = x
+    (am, ae), *rest = coeffs
+    for m, e in rest:
+        t = am * xm
+        b = t.bit_length()
+        if b > P:
+            s = b - P
+            t >>= s
+            te = ae + xe + s
+        elif b:
+            s = P - b
+            t <<= s
+            te = ae + xe - s
+        else:  # the product vanished exactly
+            am, ae = m, e
+            continue
+        d = te - e
+        if d >= 0:
+            am, ae = t + (m >> d), te
+        else:
+            am, ae = m + (t >> -d), e
+    return am, ae
+
+
+def _raberth_sum(x, pts, P):
+    """_aberth_sum on pairs: one division per term."""
+    xm, xe = x
+    diffs = []
+    low = None
+    for wm, we in pts:
+        k = xe - we
+        if 0 <= k <= 64:
+            dm, de = (xm << k) - wm, we
+        elif -64 <= k < 0:
+            dm, de = xm - (wm << -k), xe
+        elif k > 0:
+            dm, de = xm - (wm >> k), xe
+        else:
+            dm, de = (xm >> -k) - wm, we
+        b = dm.bit_length()
+        if not b:
+            continue
+        if low is None or de + b < low:
+            low = de + b
+        diffs.append((dm, de))
+    if low is None:
+        return 0, 0
+    ea = -low - P - 4
+    s = 0
+    for dm, de in diffs:
+        k = -de - ea
+        if k >= 0:
+            s += (1 << k) // dm
+    return _rnorm(s, ea, P)
+
+
+def _step(z, pv, dv, pts, P):
+    """The Aberth update of the triple z from p(z) and p'(z), and whether it moved."""
+    if _is_zero(dv):  # a critical point: nudge off it
+        return _add(_add(z, (z[0], z[1], z[2] - 10), P), _norm(1, 0, -20, P), P), False
+    newton = _div(pv, dv, P)
+    denom = _add(_norm(1, 0, 0, P), _neg(_mul(newton, _aberth_sum(z, pts, P), P)), P)
+    step = newton if _is_zero(denom) else _div(newton, denom, P)
+    return _add(z, _neg(step), P), not _is_zero(step)
+
+
+def _rstep(x, pv, dv, pts, P):
+    """_step on pairs, as x - p / (p' - p S) for the Aberth sum S."""
+    if not dv[0]:
+        return _radd(_radd(x, (x[0], x[1] - 10), P), _rnorm(1, -20, P), P), False
+    s = _raberth_sum(x, pts, P)
+    ps = _rnorm(-pv[0] * s[0], pv[1] + s[1], P)
+    den = _radd(_rnorm(*dv, P), ps, P)
+    step = _rdiv(pv, den if den[0] else dv, P)
+    return _radd(x, (-step[0], step[1]), P), step[0] != 0
+
+
+# Horner, log2 |.| and the update, per value shape
+_TRIPLES = (_horner, _log2_abs, _step)
+_PAIRS = (_rhorner, _rlog2_abs, _rstep)
+
+# sweeps on pairs without a newly converged point before they count as stalled
+_PATIENCE = 24
+
+
+def _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, max_sweeps):
+    """Gauss-Seidel Aberth-Ehrlich sweeps at P = wp + 16 bits on normalized
+    triples or, on the real path, pairs.
+
+    coeffs and dcoeffs are the (m, e) pairs of p and p' from the top degree
+    down; lcs feeds the Adams bound; pts is updated in place.  Pairs give up
+    once _PATIENCE sweeps in a row converge no further point, as real points
+    chasing complex roots do.
+    """
+    P = wp + 16
+    n = len(pts)
+    # stop at the Horner noise floor: n-step evaluation carries ~n ulps
+    log_eps = math.log2(4 * n) - wp
+    real = len(pts[0]) == 2
+    horner, log2_abs, step = _PAIRS if real else _TRIPLES
+    patience = _PATIENCE if real else max_sweeps
+    converged = [False] * n
+    left, last = n, 0
+    for sweep in range(max_sweeps):
+        moved = False
+        for i in range(n):
+            if converged[i]:
+                continue
+            z = pts[i]
+            pv = horner(coeffs, z, P)
+            if _adams_holds(log2_abs(pv), log_eps, lcs, log2_abs(z)):
+                converged[i] = True
+                left, last = left - 1, sweep
+                continue
+            pts[i], stepped = step(z, pv, horner(dcoeffs, z, P), pts, P)
+            moved = moved or stepped
+        if not left:
+            return pts, True
+        if not moved or sweep - last >= patience:
+            break
+    return pts, False

@@ -3,7 +3,9 @@
 Every numeric output file gets a JSON sidecar (<file>.meta.json) recording
 the exact command, the precision in bits, and the source revision, so any
 CSV can be reproduced byte-identically by rerunning the recorded command.
-Usage errors exit 2; numeric failures exit 1 with a diagnostic.
+The sidecar of a roots CSV (`roots`, `mop --emit`) adds "certificate":
+{"real": true, "isolated": n} when the roots written carry an exact
+real-root certificate, else null.  Usage errors exit 2; numeric failures exit 1 with a diagnostic.
 """
 
 import argparse
@@ -45,11 +47,12 @@ def _git_describe():
         return "unknown"
 
 
-def _sidecar(args, path, precision_bits):
+def _sidecar(args, path, precision_bits, **extra):
     meta = {
         "command": args.command,
         "precision_bits": precision_bits,
         "revision": _git_describe(),
+        **extra,
     }
     with open(path + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
@@ -68,7 +71,11 @@ def _read_poly(path):
         return Polynomial.from_json(fh.read())
 
 
-def _write_roots_csv(args, path, roots, precision_bits):
+def _write_roots_csv(args, path, poly, roots, precision_bits):
+    """The roots as `index,re,im` rows; the sidecar carries their real-root
+    certificate, or null when none holds (the complex path ran)."""
+    from .roots import real_root_certificate
+
     rows = sorted(
         ((float(z.real), float(z.imag)) for z in roots), key=lambda t: (t[0], t[1])
     )
@@ -76,7 +83,9 @@ def _write_roots_csv(args, path, roots, precision_bits):
         fh.write("index,re,im\n")
         for idx, (re, im) in enumerate(rows):
             fh.write(f"{idx},{re!r},{im!r}\n")
-    _sidecar(args, path, precision_bits)
+    seps = real_root_certificate(poly, roots)
+    cert = None if seps is None else {"real": True, "isolated": len(seps) - 1}
+    _sidecar(args, path, precision_bits, certificate=cert)
 
 
 def _write_hist_csv(args, path, rows, precision_bits):
@@ -115,7 +124,7 @@ def _cmd_roots(args):
     p = _read_poly(args.p)
     prec = args.prec or default_precision(p.degree)
     roots = find_roots(p, prec)
-    _write_roots_csv(args, args.out, roots, prec)
+    _write_roots_csv(args, args.out, p, roots, prec)
     if args.hist:
         dist = EmpiricalDistribution(roots)
         _write_hist_csv(args, args.hist_out, dist.histogram(args.hist), prec)
@@ -162,7 +171,7 @@ def _cmd_mop(args):
     if args.emit:
         prec = args.prec or default_precision(poly.degree)
         roots = find_roots(poly, prec)
-        _write_roots_csv(args, args.emit, roots, prec)
+        _write_roots_csv(args, args.emit, poly, roots, prec)
     return 0
 
 

@@ -15,7 +15,7 @@ does not reuse the hypergeometric identities being exercised.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import mpmath as mp
 
@@ -23,6 +23,7 @@ from .conv import add_conv, mult_conv
 from .errors import InvalidParameters, NonIntegerBetaPath, DuplicateC
 from .hyper import HypergeometricSpec, hyper_poly, pochhammer_falling
 from .poly import Polynomial
+from .series import series_mul
 
 # -- family specs ----------------------------------------------------------------
 
@@ -352,15 +353,26 @@ def ml2_typeII_routes(spec: ML2Spec, n):
 
 
 def ml2_typeII(spec: ML2Spec, n) -> Polynomial:
-    """Monic Type II multiple Laguerre (second kind), degree |n|."""
-    return _ml2_direct(spec, n).monicized()
+    """Monic Type II multiple Laguerre (second kind), degree |n|.
+
+    By generating functions: e_k = falling(alpha + N, k) [t^k] prod_j
+    (1 + t/c_j)^{n_j}, one series product per weight; the same e_k as the
+    composition sum of the direct route.
+    """
+    N = _size(n)
+    gen = [Fraction(1)]
+    for nj, cj in zip(n, spec.c):
+        gen = series_mul(gen, [comb(nj, k) / cj**k for k in range(nj + 1)], N)
+    e, falling = [], Fraction(1)
+    for k in range(N + 1):
+        e.append(falling * gen[k])
+        falling *= N + spec.alpha - k
+    return Polynomial(N, e).monicized()
 
 
 def _ml2_direct(spec: ML2Spec, n) -> Polynomial:
     """The explicit double sum over bounded compositions, unnormalized:
     e_k = falling(alpha + N, k) sum_{|k| = k} prod_j C(n_j, k_j) / c_j^k_j."""
-    from math import comb
-
     N = _size(n)
     e = []
     for k in range(N + 1):

@@ -1,21 +1,27 @@
 """Multiprecision root extraction and empirical root distributions.
 
 The finder is Aberth-Ehrlich simultaneous iteration in software floating
-point on Python integers.  Every complex value is a Gaussian-integer
-mantissa with its own binary exponent, (re, im, exp) meaning
-(re + i im) 2^exp, cut back to P = wp + 16 bits after each multiply or
-divide; no value shares a scale with another, so a polynomial whose
-coefficients span thousands of bits costs no more per step than a tame
-one.  The coefficients are read exactly (floats and mpmath reals are the
-dyadic rationals they denote) and converted once per rung.  Starting points
-spread over circles whose radii come from the Newton polygon of the
-coefficient magnitudes (so clustered scales are seeded at their own
-magnitude), and a precision ladder polishes from a cheap pass up to the
-requested precision.  Convergence per root uses the Adams criterion
-|p(z)| <= eps * sum |c_k| |z|^k, which is the tightest residual a
-backward-stable evaluation can certify; both sides are compared as base-2
-logarithms.  Roots come back as mpmath complex numbers at the working
-precision.
+point on Python integers (`aberth.py`).  The coefficients are read exactly
+(floats and mpmath reals are the dyadic rationals they denote) and
+converted once per rung.  A precision ladder polishes from a cheap pass up
+to the requested precision, each root to the Adams residual criterion.
+Roots come back as mpmath complex numbers at the working precision.
+
+Two paths share one sweep driver:
+
+* the real path, tried first when Descartes' rule of signs allows every
+  root to be real (sign changes of p(x) and p(-x) summing to the degree).
+  It seeds real points of the counted signs at the radii of the Newton
+  polygon of the coefficient magnitudes and sweeps on real (m, exp) pairs,
+  one multiplication per Horner step instead of three.  Its result stands
+  only with an exact certificate (real_root_certificate): p, evaluated by
+  integer Horner at dyadic separators between the sorted roots and beyond
+  both ends, alternates strictly in sign, which proves deg p simple real
+  roots, each isolated.  These roots have imaginary part exactly 0.
+* the complex path, run when the gate, the sweeps or the certificate
+  fails (the real sweeps give up once they stall).  Starting points spread
+  over the Newton-polygon circles, so clustered scales are seeded at their
+  own magnitude.
 
 Default precision: 256 bits for degree <= 100, plus 128 bits per additional
 100 degrees; the FINFREE_PREC_BITS environment variable overrides it.
@@ -28,13 +34,14 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
+from .aberth import _aberth_sweeps, _exact, _from_mp, _horner, _mantissa, _renorm, _to_mpc
 from .errors import (
     DegreeGapTooLarge,
     NonConvergence,
     NonRealRoots,
     ZeroDegree,
 )
-from .poly import Polynomial
+from .poly import Polynomial, _ints
 
 
 def default_precision(n: int) -> int:
@@ -47,12 +54,11 @@ def default_precision(n: int) -> int:
     return 256 + 128 * math.ceil((n - 100) / 100)
 
 
-def _initial_points(coeffs_abs, n):
-    """Starting points on Newton-polygon circles (Bini-style).
+def _newton_annuli(coeffs_abs, n):
+    """(radius, count) for each edge of the upper convex hull of (k, log |c_k|),
+    innermost first: the Newton polygon's estimate of the root magnitudes.
 
-    coeffs_abs[k] = |monomial coefficient of x^k|; for each edge of the upper
-    convex hull of (k, log |c_k|) the corresponding annulus of root magnitudes
-    is seeded with equispaced angles and a rotating offset.
+    coeffs_abs[k] = |monomial coefficient of x^k|.
     """
     logs = [mp.log(c) if c > 0 else mp.mpf("-inf") for c in coeffs_abs]
     hull = []  # indices on the upper hull, left to right
@@ -67,11 +73,15 @@ def _initial_points(coeffs_abs, n):
             else:
                 break
         hull.append(k)
+    return [(mp.exp((logs[i] - logs[j]) / (j - i)), j - i) for i, j in zip(hull, hull[1:])]
+
+
+def _initial_points(coeffs_abs, n):
+    """Starting points on Newton-polygon circles (Bini-style): each annulus
+    is seeded with equispaced angles and a rotating offset."""
     points = []
     golden = 0.7639320225
-    for (i, j) in zip(hull, hull[1:]):
-        radius = mp.exp((logs[i] - logs[j]) / (j - i))
-        count = j - i
+    for radius, count in _newton_annuli(coeffs_abs, n):
         base = len(points)
         for t in range(count):
             angle = 2 * mp.pi * (t + 0.5 + golden * base) / count + 0.4
@@ -79,240 +89,46 @@ def _initial_points(coeffs_abs, n):
     return points
 
 
-# -- Gaussian-integer floating point ---------------------------------------------
-#
-# A complex value is a triple (re, im, exp) standing for (re + i im) 2^exp.
-# Normalized triples have max(|re|, |im|) in [2^(P-1), 2^P); zero is (0, 0, e)
-# for any e.  Right shifts floor, so each cut costs at most one unit in the
-# last of the P places.
+def _real_points(coeffs_abs, n, neg):
+    """Distinct real starting points on the Newton-polygon radii, neg of them negative.
 
-
-def _norm(r, i, e, P):
-    s = max(r.bit_length(), i.bit_length()) - P
-    if s >= 0:
-        return r >> s, i >> s, e + s
-    return r << -s, i << -s, e + s
-
-
-def _is_zero(a):
-    return not (a[0] or a[1])
-
-
-def _add(a, b, P):
-    if _is_zero(b):
-        return a
-    if _is_zero(a):
-        return b
-    if a[2] < b[2]:
-        a, b = b, a
-    d = a[2] - b[2]
-    if d > P + 2:  # b lies below the last place of a
-        return a
-    return _norm((a[0] << d) + b[0], (a[1] << d) + b[1], b[2], P)
-
-
-def _neg(a):
-    return -a[0], -a[1], a[2]
-
-
-def _mul(a, b, P):
-    ar, ai, ae = a
-    br, bi, be = b
-    return _norm(ar * br - ai * bi, ar * bi + ai * br, ae + be, P)
-
-
-def _div(a, b, P):
-    """a / b = a conj(b) / |b|^2, for b != 0 and a of at most P + 1 bits."""
-    ar, ai, ae = a
-    br, bi, be = b
-    nrm = br * br + bi * bi
-    tr = ar * br + ai * bi
-    ti = ai * br - ar * bi
-    s = P + 2 + nrm.bit_length() - max(tr.bit_length(), ti.bit_length())  # >= bits of b
-    return _norm((tr << s) // nrm, (ti << s) // nrm, ae - be - s, P)
-
-
-def _log2_abs(a):
-    """log2 |a| as a float (-inf for zero)."""
-    r, i, e = a
-    b = max(r.bit_length(), i.bit_length())
-    if not b:
-        return -math.inf
-    s = b - 60
-    if s > 0:
-        r, i, e = r >> s, i >> s, e + s
-    return math.log2(math.hypot(r, i)) + e
-
-
-def _mantissa(c, P):
-    """A Fraction as (m, e) with c ~ m 2^e, |m| in [2^(P-1), 2^P); zero as (0, _FAR)."""
-    if not c:
-        return 0, _FAR
-    num, den = c.numerator, c.denominator
-    e = num.bit_length() - den.bit_length() - P
-    m = (num << -e) // den if e <= 0 else num // (den << e)
-    if m.bit_length() > P:
-        m, e = m >> 1, e + 1
-    return m, e
-
-
-# exponent of a zero coefficient: every other value outranks it, and a right
-# shift by the distance gives 0 at once
-_FAR = -(1 << 60)
-
-
-def _exact(c):
-    """A real coefficient as the rational it denotes; floats and mpf are dyadic."""
-    if isinstance(c, mp.mpf):
-        sign, man, exp, _ = c._mpf_
-        if exp and not man:
-            raise ValueError(f"coefficient {c} is not finite")
-        return Fraction(-man if sign else man) * Fraction(2) ** exp
-    return Fraction(c)
-
-
-def _from_mpc(z, P):
-    (rm, re_), (im, ie) = (_mantissa(_exact(x), P) for x in (z.real, z.imag))
-    return _add((rm, 0, re_), (0, im, ie), P)
-
-
-def _to_mpc(a):
-    """An mpc at the current mpmath precision."""
-    return mp.mpc(mp.mpf((a[0], a[2])), mp.mpf((a[1], a[2])))
-
-
-# -- the Aberth-Ehrlich kernel -----------------------------------------------------
-
-
-def _horner(coeffs, z, P):
-    """p(z) as an unnormalized triple; coeffs holds (m, e) with c_k = m 2^e, from c_n down.
-
-    Each product with z takes three multiplications; it is cut to P bits, and
-    the coefficient is added at the exponent of the larger of the two.
+    An annulus holding c roots gets c magnitudes spread geometrically
+    within a factor sqrt(2) of its radius; the signs are dealt out evenly
+    over all magnitudes in increasing order.
     """
-    zr, zi, ze = z
-    zs, zd = zr + zi, zi - zr
-    (ar, ae), *rest = coeffs
-    ai = 0
-    for m, e in rest:
-        k1 = zr * (ar + ai)
-        tr = k1 - ai * zs
-        ti = k1 + ar * zd
-        b = tr.bit_length()
-        s = ti.bit_length()
-        if s > b:
-            b = s
-        if b > P:
-            s = b - P
-            tr >>= s
-            ti >>= s
-            te = ae + ze + s
-        elif b:
-            s = P - b
-            tr <<= s
-            ti <<= s
-            te = ae + ze - s
-        else:  # the product vanished exactly
-            ar, ai, ae = m, 0, e
-            continue
-        d = te - e
-        if d >= 0:
-            ar, ai, ae = tr + (m >> d), ti, te
+    mags = []
+    for radius, count in _newton_annuli(coeffs_abs, n):
+        mags += [radius * mp.mpf(2) ** ((t + 0.5) / count - 0.5) for t in range(count)]
+    return [-r if (i + 1) * neg // n > i * neg // n else r for i, r in enumerate(mags)]
+
+
+def _sign_changes(cs):
+    """Sign changes along the nonzero entries of cs (Descartes' bound on positive roots)."""
+    signs = [c > 0 for c in cs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _climb(rungs, lcs, seed):
+    """Sweeps up the precision ladder from the points seed(|c_k| as mpf).
+
+    Real seeds sweep as pairs, complex ones as triples.  A failed rung ends
+    a real climb, whose stalled points would only stall again; a complex
+    climb goes on to polish at the next rung.
+    """
+    pts = None
+    for level, (wp, coeffs, dcoeffs) in enumerate(rungs):
+        P = wp + 16
+        if pts is None:
+            with mp.workprec(wp):
+                seeds = seed([mp.mpf((abs(m), e)) for m, e in reversed(coeffs)])
+            real = isinstance(seeds[0], mp.mpf)
+            pts = [_from_mp(z, P) for z in seeds]
         else:
-            ar, ai, ae = m + (tr >> -d), ti >> -d, e
-    return ar, ai, ae
-
-
-def _adams_holds(log_pv, log_eps, lcs, lz):
-    """log2 |p(z)| <= log_eps + log2 sum_k |c_k| |z|^k, given log2 |z| and the
-    pairs (k, log2 |c_k|) over the nonzero c_k (c_0 among them)."""
-    if lz == -math.inf:
-        return log_pv <= log_eps + lcs[0][1]
-    t = [lc + k * lz for k, lc in lcs]
-    top = max(t)
-    if log_pv > log_eps + top + math.log2(len(t)):  # above even the largest bound
-        return False
-    return log_pv <= log_eps + top + math.log2(sum(math.exp2(x - top) for x in t))
-
-
-def _aberth_sum(z, pts, P):
-    """sum over the points w != z of 1 / (z - w), normalized.
-
-    The terms are summed exactly at one exponent set P + 4 bits below the
-    largest term, so each term is rounded once.
-    """
-    zr, zi, ze = z
-    diffs = []
-    low = None
-    for wr, wi, we in pts:
-        k = ze - we
-        if 0 <= k <= 64:
-            dr, di, de = (zr << k) - wr, (zi << k) - wi, we
-        elif -64 <= k < 0:
-            dr, di, de = zr - (wr << -k), zi - (wi << -k), ze
-        elif k > 0:  # w is some 2^63 times smaller than z, or more
-            dr, di, de = zr - (wr >> k), zi - (wi >> k), ze
-        else:
-            dr, di, de = (zr >> -k) - wr, (zi >> -k) - wi, we
-        b = dr.bit_length()
-        s = di.bit_length()
-        if s > b:
-            b = s
-        if not b:  # z itself, or a coincident point
-            continue
-        if low is None or de + b < low:
-            low = de + b
-        diffs.append((dr, di, de))
-    if low is None:
-        return 0, 0, 0
-    ea = -low - P - 4
-    sr = si = 0
-    for dr, di, de in diffs:
-        s = -de - ea
-        if s >= 0:  # otherwise the term lies below the last place
-            nrm = dr * dr + di * di
-            sr += (dr << s) // nrm
-            si -= (di << s) // nrm
-    return _norm(sr, si, ea, P)
-
-
-def _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, max_sweeps):
-    """Gauss-Seidel Aberth-Ehrlich sweeps on normalized triples at P = wp + 16 bits.
-
-    coeffs and dcoeffs are the (m, e) pairs of p and p' from the top degree
-    down; lcs feeds the Adams bound; pts is updated in place.
-    """
-    P = wp + 16
-    n = len(pts)
-    # stop at the Horner noise floor: n-step evaluation carries ~n ulps
-    log_eps = math.log2(4 * n) - wp
-    one = _norm(1, 0, 0, P)
-    nudge = _norm(1, 0, -20, P)
-    converged = [False] * n
-    for sweep in range(max_sweeps):
-        moved = False
-        for i in range(n):
-            if converged[i]:
-                continue
-            z = pts[i]
-            pv = _horner(coeffs, z, P)
-            if _adams_holds(_log2_abs(pv), log_eps, lcs, _log2_abs(z)):
-                converged[i] = True
-                continue
-            dv = _horner(dcoeffs, z, P)
-            if _is_zero(dv):
-                pts[i] = _add(_add(z, (z[0], z[1], z[2] - 10), P), nudge, P)
-                continue
-            newton = _div(pv, dv, P)
-            denom = _add(one, _neg(_mul(newton, _aberth_sum(z, pts, P), P)), P)
-            step = newton if _is_zero(denom) else _div(newton, denom, P)
-            pts[i] = _add(z, _neg(step), P)
-            moved = moved or not _is_zero(step)
-        if all(converged):
-            return pts, True
-        if not moved:
+            pts = [_renorm(z, P) for z in pts]
+        pts, ok = _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, 500 if level == 0 else 120)
+        if not ok and real:
             break
-    return pts, all(converged)
+    return pts, ok
 
 
 def find_roots(p: Polynomial, precision_bits: int | None = None):
@@ -320,9 +136,13 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
 
     Iterates until every root satisfies the Adams residual criterion at the
     working precision (precision_bits + 32 guard bits), climbing a precision
-    ladder from 64 bits.  Raises NonConvergence with partial diagnostics if
-    the last rung fails to converge.  Coefficients must be real: Fractions,
-    ints, floats or mpmath reals.
+    ladder from 64 bits.  When Descartes' rule of signs allows every root to
+    be real, a real path runs first: real seeds, sweeps on real pairs, and
+    the exact certificate of real_root_certificate; its roots have imaginary
+    part exactly 0.  If any of the three fails, the complex path runs from
+    complex seeds.  Raises NonConvergence with partial diagnostics if the
+    last rung of the complex path fails to converge.  Coefficients must be
+    real: Fractions, ints, floats or mpmath reals.
     """
     deg = p.degree
     if deg < 1:
@@ -341,22 +161,23 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     ladder = [target] if base * 4 >= target * 3 else [base, target]
     dmono = [k * c for k, c in enumerate(mono)][1:]
     lcs = [(k, math.log2(abs(c.numerator)) - math.log2(c.denominator)) for k, c in enumerate(mono) if c]
-    pts = None
-    for level, wp in enumerate(ladder):
-        P = wp + 16
-        coeffs = [_mantissa(c, P) for c in reversed(mono)]
-        dcoeffs = [_mantissa(c, P) for c in reversed(dmono)]
-        if pts is None:
-            with mp.workprec(wp):
-                seeds = _initial_points([mp.mpf((abs(m), e)) for m, e in reversed(coeffs)], deg)
-            pts = [_from_mpc(z, P) for z in seeds]
-        else:
-            pts = [_norm(*z, P) for z in pts]
-        pts, ok = _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, 500 if level == 0 else 120)
+    rungs = [
+        (wp, [_mantissa(c, wp + 16) for c in reversed(mono)], [_mantissa(c, wp + 16) for c in reversed(dmono)])
+        for wp in ladder
+    ]
+    wp, coeffs, _ = rungs[-1]
+    # Descartes: at most neg negative and pos positive roots, so all real needs pos + neg = deg
+    neg = _sign_changes([-c if k % 2 else c for k, c in enumerate(mono)])
+    ok = False
+    if _sign_changes(mono) + neg == deg:
+        pts, ok = _climb(rungs, lcs, lambda mags: _real_points(mags, deg, neg))
+        ok = ok and _isolate(_ints(mono, deg)[0], pts) is not None
+    if not ok:
+        pts, ok = _climb(rungs, lcs, lambda mags: _initial_points(mags, deg))
     with mp.workprec(wp):
         roots = [_to_mpc(z) for z in pts]
         if not ok:
-            res = [abs(_to_mpc(_horner(coeffs, z, P))) for z in pts]
+            res = [abs(_to_mpc(_horner(coeffs, z, wp + 16))) for z in pts]
             raise NonConvergence("Aberth iteration did not converge", roots=roots, residuals=res)
     return zero_roots + roots
 
@@ -376,11 +197,104 @@ def _conditioning_bits(mono, deg):
     return int(max(vals) - min(vals))
 
 
+# -- the real-root certificate ---------------------------------------------------
+#
+# Integer coefficients a_0..a_n, n distinct dyadic approximations x_i sorted,
+# and n + 1 dyadic separators s_0 < x_0 < s_1 < ... < x_{n-1} < s_n: if the
+# signs of p(s_0), ..., p(s_n) alternate strictly, each (s_i, s_{i+1}) holds a
+# root, so p has n simple real roots, the i-th in the interval around x_i.
+
+
+def _coarsest(lo, hi):
+    """The integer in [lo, hi] divisible by the largest power of two."""
+    if lo <= 0 <= hi:
+        return 0
+    if hi < 0:
+        return -_coarsest(-hi, -lo)
+    s = ((lo - 1) ^ hi).bit_length() - 1
+    return hi >> s << s
+
+
+def _sign_at(nums, u, k):
+    """Sign of sum_j nums[j] (u 2^k)^j, exactly."""
+    n = len(nums) - 1
+    acc = nums[n]
+    if k >= 0:
+        x = u << k
+        for c in reversed(nums[:n]):
+            acc = acc * x + c
+    else:  # 2^(-k n) p(u 2^k) = sum_j nums[j] u^j 2^(-k (n - j))
+        for j in range(n - 1, -1, -1):
+            acc = acc * u + (nums[j] << -k * (n - j))
+    return (acc > 0) - (acc < 0)
+
+
+def _isolate(nums, vals):
+    """Separators for the (m, e) pairs vals as Fractions, or None.
+
+    nums are integer coefficients from a_0 up.  Each separator is the
+    shortest dyadic in the middle half between two neighbouring values, or
+    beyond an end by a quarter to three quarters of the nearest gap.
+    """
+    n = len(vals)
+    E = min((e for m, e in vals if m), default=0) - 3  # makes every gap a multiple of 8
+    xs = sorted(m << (e - E) if m else 0 for m, e in vals)
+    gaps = [b - a for a, b in zip(xs, xs[1:])]
+    if any(g <= 0 for g in gaps):
+        return None
+    first = gaps[0] if gaps else max(abs(xs[0]), 8)
+    last = gaps[-1] if gaps else first
+    windows = [(xs[0] - 3 * first // 4, xs[0] - first // 4)]
+    windows += [(a + g // 4, b - g // 4) for a, b, g in zip(xs, xs[1:], gaps)]
+    windows.append((xs[-1] + last // 4, xs[-1] + 3 * last // 4))
+    seps, prev = [], 0
+    for lo, hi in windows:
+        s = _coarsest(lo, hi)
+        tz = (s & -s).bit_length() - 1 if s else 0
+        u, k = s >> tz, E + tz
+        sign = _sign_at(nums, u, k)
+        if not sign or sign == prev:
+            return None
+        prev = sign
+        seps.append(Fraction(u << k) if k >= 0 else Fraction(u, 1 << -k))
+    return seps
+
+
+def real_root_certificate(p: Polynomial, roots):
+    """Isolating separators s_0 < ... < s_n for exactly real roots of p, or None.
+
+    roots are approximations as find_roots returns them (mpmath numbers,
+    floats or ints, each a dyadic value).  The separators are dyadic
+    Fractions, one between each pair of sorted neighbours and one beyond
+    each end, at which p, evaluated exactly, alternates strictly in sign: a
+    proof that p has n = deg p simple real roots, the i-th sorted one alone
+    in (s_i, s_{i+1}) with roots[i].  None when the roots are not n finite
+    values with imaginary part 0, or the signs do not alternate (multiple
+    roots, complex roots, or approximations too coarse to separate).
+    """
+    deg = p.degree
+    if deg < 1 or len(roots) != deg:
+        return None
+    vals = []
+    for z in roots:
+        z = mp.mpc(z)
+        if z.imag or not mp.isfinite(z.real):
+            return None
+        sign, man, exp, _ = z.real._mpf_
+        vals.append((-man if sign else man, exp))
+    return _isolate(_ints([_exact(c) for c in p.to_monomial()[: deg + 1]], deg)[0], vals)
+
+
 def is_real_rooted(p: Polynomial, precision_bits=None, tau=1e-20):
-    """True iff every root satisfies |Im z| <= tau * (1 + |z|)."""
+    """(verdict, margin) with margin = max |Im z| / (1 + |z|) over the roots.
+
+    The verdict is True when real_root_certificate proves every root real
+    and simple; roots it cannot certify (multiple or complex ones) pass when
+    margin <= tau.
+    """
     rts = find_roots(p, precision_bits)
-    margin = max(abs(z.imag) / (1 + abs(z)) for z in rts)
-    return float(margin) <= tau, float(margin)
+    margin = float(max(abs(z.imag) / (1 + abs(z)) for z in rts))
+    return real_root_certificate(p, rts) is not None or margin <= tau, margin
 
 
 def real_parts_sorted(roots, tau=1e-20):

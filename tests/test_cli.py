@@ -88,3 +88,19 @@ def test_sidecar_records_the_argv_given_to_main(tmp_path):
     assert run(tmp_path, *argv) == 0
     meta = json.loads((tmp_path / "p.json.meta.json").read_text())
     assert " ".join(argv) in meta["command"]
+
+
+def test_roots_sidecars_carry_the_certificate(tmp_path):
+    meta = lambda name: json.loads((tmp_path / f"{name}.meta.json").read_text())
+    assert run(tmp_path, "hyper", "--n", "5", "--b", "2", "--out", "lag.json") == 0
+    assert run(tmp_path, "roots", "--p", "lag.json", "--out", "lag.csv") == 0
+    assert meta("lag.csv")["certificate"] == {"real": True, "isolated": 5}
+    assert "certificate" not in meta("lag.json")
+    # x^2 + 1 fails Descartes: the complex path runs, and no certificate holds
+    (tmp_path / "c.json").write_text(Polynomial.from_monomial([1, 0, 1]).to_json() + "\n")
+    assert run(tmp_path, "roots", "--p", "c.json", "--out", "c.csv", "--prec", "128") == 0
+    assert meta("c.csv")["certificate"] is None
+    assert meta("c.csv")["precision_bits"] == 128
+    assert run(tmp_path, "mop", "--family", "jp2", "--n", "3,3", "--alpha", "1/2,3/7",
+               "--beta", "1", "--emit", "jp.csv") == 0
+    assert meta("jp.csv")["certificate"] == {"real": True, "isolated": 6}

@@ -171,6 +171,20 @@ def test_ml2_typeII_three_routes_exact():
     assert d == f == l
 
 
+def test_ml2_typeII_generating_function_matches_direct_route():
+    cases = [
+        (ML2, (2, 2)),
+        (ML2Spec(alpha=F(2, 5), c=(F(1, 2), F(3))), (3, 2)),
+        (ML2Spec(alpha=F(-1, 2), c=(F(7, 3),)), (5,)),
+        (ML2Spec(alpha=F(9, 4), c=(F(1, 3), F(5, 2), F(4))), (4, 0, 6)),
+        (ML2Spec(alpha=F(0), c=(F(3, 2), F(2, 7))), (11, 9)),
+    ]
+    for spec, n in cases:
+        direct = ml2_typeII_routes(spec, n)[0].monicized()
+        got = ml2_typeII(spec, n)
+        assert got == direct and got.to_json() == direct.to_json()
+
+
 def test_ml2_typeI_kdf_representation():
     # mode-"one" KdF data reproduces the additive decomposition
     from finfree.hyper import KdFSpec, kdf_poly

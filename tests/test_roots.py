@@ -229,3 +229,141 @@ def test_nonconvergence_carries_roots_and_residuals(monkeypatch):
     assert len(err.roots) == len(err.residuals) == 12
     assert all(isinstance(z, mp.mpc) for z in err.roots)
     assert max(err.residuals) > 0
+
+
+# -- the real path: Descartes-signed seeds, sweeps on pairs, exact certificate -----
+
+
+def _complex_path_only(monkeypatch):
+    """Close the Descartes gate, so find_roots runs only the complex path."""
+    monkeypatch.setattr(roots_module, "_sign_changes", lambda cs: -1)
+
+
+def _no_complex_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the complex path ran")
+
+    monkeypatch.setattr(roots_module, "_initial_points", refuse)
+
+
+def _exact_value(p, x):
+    return sum(c * x**k for k, c in enumerate(p.to_monomial()))
+
+
+@pytest.mark.parametrize(
+    "p, prec",
+    [
+        (Polynomial.from_monomial([1, -1, 1]), 128),  # x^2 - x + 1: complex pair
+        (Polynomial.from_roots([1, 1]), 128),  # double root
+        (Polynomial.from_monomial([F(1, 10**30), 0, 1]).mul(Polynomial.from_roots([1, 1])), 256),
+    ],
+)
+def test_uncertified_real_path_falls_back_to_complex_roots(monkeypatch, p, prec):
+    # Descartes lets every root be real, so the real path is tried first
+    mono = p.to_monomial()
+    alternated = [-c if k % 2 else c for k, c in enumerate(mono)]
+    assert roots_module._sign_changes(mono) + roots_module._sign_changes(alternated) == p.degree
+    tried = []
+    real_points = roots_module._real_points
+    with monkeypatch.context() as m:
+        m.setattr(roots_module, "_real_points", lambda *a: tried.append(1) or real_points(*a))
+        got = find_roots(p, prec)
+    assert tried
+    with monkeypatch.context() as m:
+        _complex_path_only(m)
+        want = find_roots(p, prec)
+    assert got == want
+    assert roots_module.real_root_certificate(p, got) is None
+
+
+def test_mixed_sign_real_roots_take_the_real_path(monkeypatch):
+    _no_complex_path(monkeypatch)
+    rts = [F(-7, 2), -1, F(-1, 5), F(1, 3), 2, F(9, 2)]
+    p = Polynomial.from_roots(rts)
+    got = find_roots(p, 128)
+    assert all(z.imag == 0 for z in got)
+    assert sorted(float(z.real) for z in got) == pytest.approx([float(r) for r in rts], rel=1e-30)
+    # symmetric spectrum, every other coefficient zero
+    sym = Polynomial.from_roots([F(k, 3) for k in range(-6, 7) if k])
+    got = find_roots(sym, 128)
+    assert all(z.imag == 0 for z in got) and len(got) == 12
+    assert roots_module.real_root_certificate(sym, got) is not None
+
+
+def test_real_path_roots_have_exactly_zero_imaginary_part():
+    p = hyper_poly(HypergeometricSpec(n=12, a=(F(36),), b=(F(3, 2),)))
+    got = find_roots(p, 128)
+    assert all(isinstance(z, mp.mpc) and z.imag == 0 for z in got)
+    # a zero root factored out exactly keeps the cofactor on the real path
+    got = find_roots(Polynomial.from_roots([0, F(1, 3), 5]), 128)
+    assert [z.imag for z in got] == [0, 0, 0]
+
+
+def test_certificate_isolates_and_rejects():
+    p = Polynomial.from_roots([F(1, 3), F(4, 3), F(7, 3), F(10, 3)])
+    rts = find_roots(p, 128)
+    seps = roots_module.real_root_certificate(p, rts)
+    xs = sorted(roots_module._exact(z.real) for z in rts)
+    assert len(seps) == 5 and all(isinstance(s, F) for s in seps)
+    for i, x in enumerate(xs):
+        assert seps[i] < x < seps[i + 1]
+    values = [_exact_value(p, s) for s in seps]
+    assert all(a * b < 0 for a, b in zip(values, values[1:]))
+    # a duplicated approximation, a perturbed one, a complex one, a short list
+    assert roots_module.real_root_certificate(p, [rts[0], rts[0], rts[2], rts[3]]) is None
+    # moved inward, the largest approximation leaves the largest root outside every interval
+    assert roots_module.real_root_certificate(p, [rts[0], rts[1], rts[2], rts[3] - mp.mpf(0.45)]) is None
+    # an approximation in a neighbour's interval still isolates every root there
+    assert roots_module.real_root_certificate(p, [rts[0], rts[1] + mp.mpf(0.6), rts[2], rts[3]]) is not None
+    assert roots_module.real_root_certificate(p, [rts[0], rts[1], rts[2], rts[3] + 1j * mp.mpf(2) ** -100]) is None
+    assert roots_module.real_root_certificate(p, rts[:3]) is None
+    # plain floats are dyadic approximations too
+    assert roots_module.real_root_certificate(p, [1 / 3, 4 / 3, 7 / 3, 10 / 3]) is not None
+
+
+def test_jp_typeII_degree_36_takes_the_real_path(monkeypatch):
+    _no_complex_path(monkeypatch)
+    p = jp_typeII(JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1, 2)), (18, 18))
+    rts = find_roots(p)
+    assert all(z.imag == 0 for z in rts)
+    assert _certify(p, rts, default_precision(36)) > 200
+    assert len(roots_module.real_root_certificate(p, rts)) == 37
+
+
+def test_jp_typeI_degree_39_takes_the_real_path(monkeypatch):
+    _no_complex_path(monkeypatch)
+    p = jp_typeI(JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1)), (40, 80), 1)
+    rts = find_roots(p)
+    assert all(z.imag == 0 for z in rts)
+    assert _certify(p, rts, default_precision(39)) > 200
+    assert len(roots_module.real_root_certificate(p, rts)) == 40
+
+
+def test_real_and_complex_paths_agree_to_the_float():
+    p = jp_typeII(JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1, 2)), (18, 18))
+    real = sorted(float(z.real) for z in find_roots(p))
+    with pytest.MonkeyPatch.context() as m:
+        _complex_path_only(m)
+        cplx = sorted(float(z.real) for z in find_roots(p))
+    assert real == cplx
+
+
+def test_is_real_rooted_decides_by_the_certificate():
+    p = hyper_poly(HypergeometricSpec(n=6, b=(F(1, 2),)))
+    assert is_real_rooted(p, 128, tau=0.0) == (True, 0.0)
+    # a double root cannot be certified; the tau margin decides
+    ok, margin = is_real_rooted(Polynomial.from_roots([1, 1, 2]), 128, tau=1e-20)
+    assert ok and margin <= 1e-20
+
+
+def test_coarsest_separator_against_brute_force():
+    def twos(v):
+        return 99 if v == 0 else (v & -v).bit_length() - 1
+
+    rng = random.Random(17)
+    for _ in range(400):
+        lo = rng.randint(-300, 300)
+        hi = lo + rng.randint(0, 80)
+        got = roots_module._coarsest(lo, hi)
+        assert lo <= got <= hi
+        assert twos(got) == max(twos(v) for v in range(lo, hi + 1))
