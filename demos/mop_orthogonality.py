@@ -3,9 +3,11 @@
 The hypergeometric closed forms are verified by something that does not use
 them: the exact moments of the weights x^a (1-x)^b on [0,1] and x^a e^(-c x)
 on [0, inf), each a rational number times one Beta or Gamma value.
-Residuals are scale-free.  Type II residuals are exact ratios and come out
-0, and so do the ml2 Type I ones; the jp/ml1 Type I residuals near 1e-73
-are rounding at 256 bits in their mpmath normalizing constants.
+Residuals are scale-free ratios of exact rationals, so every one comes out
+exactly 0.  For Type I the products lambda_j = c_j C_j of the normalizing
+constants and the weight integrals are exact: closed forms for jp/ml1 (the
+Gamma factors cancel, so the normalization integral is exactly 1) and an
+exact calibration for ml2.
 """
 
 from fractions import Fraction as F
@@ -32,7 +34,7 @@ for label, family, spec, n, type_ in cases:
         extra = f"   normalization integral = {rep['normalization']}"
     print(f"{label:40s} n={n}: max residual {rep['max_residual']:.2e}{extra}")
 
-print("\n(Type II residuals are exact: 0 means the moments vanish exactly.")
-print("The Type I normalization comes out 1 to rounding for the families")
-print("whose explicit normalizing constants are built in; for ml2 the Type I")
-print("constants are calibrated exactly, so its residual is exact too.)")
+print("\n(Every residual is exact: 0 means the moments vanish exactly.")
+print("The jp/ml1 Type I normalization is exactly 1, because their constants")
+print("times the weight integrals are rational; ml2 calibrates its Type I")
+print("constants exactly and reports the normalization integral it gets.)")

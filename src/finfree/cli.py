@@ -9,6 +9,7 @@ real-root certificate, else null.  Usage errors exit 2; numeric failures exit 1 
 """
 
 import argparse
+import functools
 import json
 import os
 import shlex
@@ -33,7 +34,9 @@ def _int_list(text):
     return tuple(int(t) for t in text.split(","))
 
 
+@functools.lru_cache(maxsize=None)
 def _git_describe():
+    """The source revision; it cannot change within one process, so git runs once."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

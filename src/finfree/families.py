@@ -321,7 +321,11 @@ def family_curves(family: str, params: LimitParams) -> FamilyLimit:
 
 @dataclass(frozen=True)
 class DensityModel:
-    """Closed-form limit density on a real support interval."""
+    """Closed-form limit density on a real support interval.
+
+    The r = 2 Jacobi-Pineiro models are cached per theta and shared by every
+    caller, so `constants` is read-only by convention.
+    """
 
     support: tuple
     density: object  # callable on floats / numpy arrays
@@ -331,6 +335,7 @@ class DensityModel:
         return self.density(np.asarray(x, dtype=float))
 
 
+@lru_cache(maxsize=None)
 def density_jp_typeI_r2(theta) -> DensityModel:
     """Limit density of Type I Jacobi-Pineiro at r = 2, proportions (t, 1-t).
 
@@ -380,6 +385,7 @@ def density_jp_typeI_r2(theta) -> DensityModel:
     )
 
 
+@lru_cache(maxsize=None)
 def density_jp_typeII_r2(theta) -> DensityModel:
     """Limit density of Type II Jacobi-Pineiro at r = 2 on [0, 1].
 
@@ -458,6 +464,7 @@ def jp1_mass(theta) -> float:
     return a + b
 
 
+@lru_cache(maxsize=None)
 def jp2_mass(theta) -> float:
     model = density_jp_typeII_r2(theta)
     a = _gauss_legendre(lambda s: model(s**3) * 3 * s**2, 0.0, 0.5 ** (1 / 3))

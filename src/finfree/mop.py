@@ -10,7 +10,9 @@ through hypergeometric formulas per component; Type II the single monic
 polynomial of degree |n|.  Every constructor here is an exact rational
 expansion; the orthogonality oracle integrates the results against the
 weights through their exact Beta/Gamma moments, which is the one check that
-does not reuse the hypergeometric identities being exercised.
+does not reuse the hypergeometric identities being exercised.  Its verdicts
+are exact: each moment is C_j times a rational, and the Type I constants
+enter only as the rationals lambda_j = c_j C_j (up to one common factor).
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ import mpmath as mp
 
 from .conv import add_conv, mult_conv
 from .errors import InvalidParameters, NonIntegerBetaPath, DuplicateC
-from .hyper import HypergeometricSpec, hyper_poly, pochhammer_falling
+from .hyper import HypergeometricSpec, hyper_poly, pochhammer_falling, pochhammer_rising
 from .poly import Polynomial
 from .series import series_mul
 
@@ -147,30 +149,11 @@ def jp_typeI_blocks(spec: JPSpec, n, i):
     return out
 
 
-def _rising_mpf(a, k):
-    out = mp.mpf(1)
-    x = mp.mpf(a.numerator) / a.denominator
-    for t in range(k):
-        out *= x + t
-    return out
-
-
 def jp_typeI_constant(spec: JPSpec, n, i, prec=256):
-    """Normalizing constant making the Type I vector satisfy the unit moment."""
+    """Normalizing constant c_i = lambda_i / B(alpha_i + 1, beta + 1) making the
+    Type I vector satisfy the unit moment; lambda_i is exact (_typeI_lambda)."""
     with mp.workprec(prec):
-        al, beta, N = spec.alpha, spec.beta, _size(n)
-        ai = al[i - 1]
-        aib = mp.mpf((ai + beta + N).numerator) / (ai + beta + N).denominator
-        b_n = mp.mpf((beta + N).numerator) / (beta + N).denominator
-        ai1 = mp.mpf((ai + 1).numerator) / (ai + 1).denominator
-        num = mp.gamma(aib)
-        for k in range(spec.r):
-            num *= _rising_mpf(al[k] + beta + N, n[k])
-        den = mp.factorial(n[i - 1] - 1) * mp.gamma(b_n) * mp.gamma(ai1)
-        for k in range(spec.r):
-            if k != i - 1:
-                den *= _rising_mpf(al[k] - ai, n[k])
-        return (-1) ** (N - 1) * num / den
+        return _to_mpf(_typeI_lambda("jp", spec, n, i)) / _moment_constant(_weight("jp", spec, i - 1))
 
 
 def ml1_typeI_spec(spec: ML1Spec, n, i) -> HypergeometricSpec:
@@ -187,14 +170,9 @@ def ml1_typeI(spec: ML1Spec, n, i) -> Polynomial:
 
 
 def ml1_typeI_constant(spec: ML1Spec, n, i, prec=256):
+    """Normalizing constant c_i = lambda_i / Gamma(alpha_i + 1), see _typeI_lambda."""
     with mp.workprec(prec):
-        al, N = spec.alpha, _size(n)
-        ai = al[i - 1]
-        den = mp.factorial(n[i - 1] - 1) * mp.gamma(mp.mpf((ai + 1).numerator) / (ai + 1).denominator)
-        for j in range(spec.r):
-            if j != i - 1:
-                den *= _rising_mpf(al[j] - ai, n[j])
-        return (-1) ** (N - 1) / den
+        return _to_mpf(_typeI_lambda("ml1", spec, n, i)) / _moment_constant(_weight("ml1", spec, i - 1))
 
 
 def ml1_laguerre_factor(spec, n, i) -> HypergeometricSpec:
@@ -448,36 +426,50 @@ def _scale_free_residual(moments, top, what):
     return float(max((abs(v) for v in moments[:top]), default=0) / scale)
 
 
-def _type1_components(family, spec, n, prec):
-    """Type I vector (A_1, ..., A_r) and its explicit constants (None for ml2).
+def _typeI_lambda(family, spec, n, i):
+    """lambda_i = c_i C_i for jp/ml1, exact: the Gamma factors of c_i cancel C_i.
 
-    jp/ml1 apply the explicit constants; ml2 calibrates the relative scales
-    from the first r-1 orthogonality conditions (the remaining |n|-r
-    conditions are then genuine checks).
+    ml1: (-1)^{N-1} / ((n_i - 1)! prod_{k != i} (alpha_k - alpha_i)_{n_k}); jp
+    multiplies that by (a+1)_{N-1} / ((a+1) (beta+1)_{N-1}) prod_k
+    (alpha_k + beta + N)_{n_k}, with a = alpha_i + beta and N = |n|.
     """
-    r = spec.r
+    al, N = spec.alpha, _size(n)
+    lam = Fraction((-1) ** (N - 1), factorial(n[i - 1] - 1))
+    for k, (ak, nk) in enumerate(zip(al, n)):
+        if k != i - 1:
+            lam /= pochhammer_rising(ak - al[i - 1], nk)
     if family == "jp":
-        polys = [jp_typeI(spec, n, j + 1) for j in range(r)]
-        consts = [jp_typeI_constant(spec, n, j + 1, prec) for j in range(r)]
-        return polys, consts
-    if family == "ml1":
-        polys = [ml1_typeI(spec, n, j + 1) for j in range(r)]
-        consts = [ml1_typeI_constant(spec, n, j + 1, prec) for j in range(r)]
-        return polys, consts
+        beta = spec.beta
+        a = al[i - 1] + beta
+        lam *= pochhammer_rising(a + 1, N - 1) / ((a + 1) * pochhammer_rising(beta + 1, N - 1))
+        for ak, nk in zip(al, n):
+            lam *= pochhammer_rising(ak + beta + N, nk)
+    return lam
+
+
+def _type1_components(family, spec, n, weights, C, count):
+    """Type I vector (A_1, ..., A_r), its rows R_j(k) for k < count, and exact
+    lam with a scale s: the constant on A_j is c_j = lam_j s / C_j.
+
+    jp/ml1: lam_j = c_j C_j in closed form, s = 1.  ml2: lam = q calibrated on
+    the first r-1 rows, s = C_r; the other |n|-r conditions stay genuine checks.
+    """
+    ctor = {"jp": jp_typeI, "ml1": ml1_typeI, "ml2": ml2_typeI}[family]
+    idx = range(1, spec.r + 1)
+    polys = [ctor(spec, n, i) for i in idx]
+    rows = [_moment_rows(p, w, count) for p, w in zip(polys, weights)]
     if family == "ml2":
-        polys = [ml2_typeI(spec, n, j + 1) for j in range(r)]
-        return polys, None
-    raise ValueError(family)
+        return polys, rows, _calibrate_type1(rows), C[-1]
+    return polys, rows, [_typeI_lambda(family, spec, n, i) for i in idx], 1
 
 
-def _calibrate_type1(rows, C):
-    """Relative Type I constants from the first r-1 moment rows, solved over Q.
+def _calibrate_type1(rows):
+    """Relative Type I weights q from the first r-1 moment rows, solved over Q.
 
     rows[j][k] = R_j(k).  Gauss-Jordan elimination gives q with q_r = 1 and
-    sum_j q_j R_j(k) = 0 for k < r-1; the constant on A_j is q_j C_r / C_j.
-    Returns (q, constants).
+    sum_j q_j R_j(k) = 0 for k < r-1.
     """
-    m = len(C) - 1
+    m = len(rows) - 1
     aug = [[rows[j][k] for j in range(m)] + [-rows[m][k]] for k in range(m)]
     for col in range(m):
         piv = next((i for i in range(col, m) if aug[i][col] != 0), None)
@@ -490,88 +482,63 @@ def _calibrate_type1(rows, C):
             if i != col and aug[i][col] != 0:
                 f = aug[i][col]
                 aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-    q = [aug[k][m] for k in range(m)] + [Fraction(1)]
-    return q, [_to_mpf(qj) * C[m] / Cj for qj, Cj in zip(q, C)]
+    return [aug[k][m] for k in range(m)] + [Fraction(1)]
 
 
 def verify_orthogonality(family, spec, n, type_, prec=256):
     """Exact-moment check of the defining orthogonality, scale-free residuals.
 
     type_="II": per weight j, residual_k = |int P x^k w_j| / |int P x^{n_j} w_j|
-    for k < n_j; exact, so a correct constructor gives 0.0.  type_="I":
-    residual_k = |M_k| / |M_{|n|-1}| for k <= |n|-2 where M_k = sum_j
-    int A_j x^k w_j; jp/ml1 sum in mpmath at prec + 32 bits with their
-    explicit constants, ml2 exactly with calibrated ones.  Returns a dict with
-    the max residual and the normalization datum (nonzero is part of the
-    contract).
+    for k < n_j.  type_="I": residual_k = |M_k| / |M_{|n|-1}| for k <= |n|-2,
+    M_k = sum_j c_j int A_j x^k w_j = s sum_j lam_j R_j(k) with lam_j exact
+    (see _type1_components; s = 1 makes the jp/ml1 normalization exactly 1).
+    Every residual is a ratio of exact rationals, so a correct constructor
+    gives 0.0.  Returns a dict with the max residual, the normalization datum
+    (nonzero is part of the contract) and, for Type I, the constants c_j.
     """
     N = _size(n)
     weights = [_weight(family, spec, j) for j in range(spec.r)]
     with mp.workprec(prec + 32):
         C = [_moment_constant(w) for w in weights]
         if type_ == "II":
-            ctor = {"jp": jp_typeII, "ml1": ml1_typeII, "ml2": ml2_typeII}[family]
-            P = ctor(spec, n)
-            worst = 0.0
-            norms = []
-            for j, w in enumerate(weights):
-                rows = _moment_rows(P, w, n[j] + 1)
-                worst = max(worst, _scale_free_residual(rows, n[j], "first non-forced"))
-                norms.append(C[j] * _to_mpf(rows[n[j]]))
+            P = {"jp": jp_typeII, "ml1": ml1_typeII, "ml2": ml2_typeII}[family](spec, n)
+            rows = [_moment_rows(P, w, nj + 1) for w, nj in zip(weights, n)]
+            worst = max(_scale_free_residual(row, nj, "first non-forced") for row, nj in zip(rows, n))
+            norms = [Cj * _to_mpf(row[nj]) for Cj, row, nj in zip(C, rows, n)]
             return {"max_residual": worst, "normalization": norms}
-        polys, consts = _type1_components(family, spec, n, prec)
-        rows = [_moment_rows(p, w, N) for p, w in zip(polys, weights)]
-        if consts is None:
-            q, consts = _calibrate_type1(rows, C)
-            exact = [sum(qj * row[k] for qj, row in zip(q, rows)) for k in range(N)]
-            worst = _scale_free_residual(exact, N - 1, "Type I normalization")
-            norm = C[-1] * _to_mpf(exact[N - 1])
-        else:
-            lam = [cj * Cj for cj, Cj in zip(consts, C)]
-            moments = [mp.fsum(l * _to_mpf(row[k]) for l, row in zip(lam, rows)) for k in range(N)]
-            worst = _scale_free_residual(moments, N - 1, "Type I normalization")
-            norm = moments[N - 1]
-        return {"max_residual": worst, "normalization": norm, "constants": consts}
+        _, rows, lam, scale = _type1_components(family, spec, n, weights, C, N)
+        moments = [sum(l * row[k] for l, row in zip(lam, rows)) for k in range(N)]
+        worst = _scale_free_residual(moments, N - 1, "Type I normalization")
+        consts = [scale * _to_mpf(l) / Cj for l, Cj in zip(lam, C)]
+        return {"max_residual": worst, "normalization": scale * _to_mpf(moments[N - 1]), "constants": consts}
 
 
 def typeI_function_eval(family, spec, n, xs, prec=256):
-    """Values of Q_n(x) = sum_j A_j(x) w_j(x) on a grid (mpmath)."""
+    """Values of Q_n(x) = sum_j c_j A_j(x) w_j(x) on a grid (mpmath), and the c_j."""
     weights = [_weight(family, spec, j) for j in range(spec.r)]
     with mp.workprec(prec):
-        polys, consts = _type1_components(family, spec, n, prec)
-        if consts is None:
-            rows = [_moment_rows(p, w, spec.r - 1) for p, w in zip(polys, weights)]
-            with mp.workprec(prec + 32):
-                C = [_moment_constant(w) for w in weights]
-            _, consts = _calibrate_type1(rows, C)
+        C = [_moment_constant(w) for w in weights]
+        polys, _, lam, scale = _type1_components(family, spec, n, weights, C, spec.r - 1)
+        consts = [scale * _to_mpf(l) / Cj for l, Cj in zip(lam, C)]
+        coeffs = [[_to_mpf(c) for c in reversed(p.to_monomial())] for p in polys]
 
         def weight(j, x):
             a, b, c = weights[j]
             tail = (1 - x) ** _to_mpf(b) if c is None else mp.e ** (-_to_mpf(c) * x)
             return x ** _to_mpf(a) * tail
 
-        out = []
-        for x in xs:
-            xm = mp.mpf(x)
-            out.append(
-                mp.fsum(
-                    consts[j] * _eval_mp(polys[j], xm) * weight(j, xm)
-                    for j in range(spec.r)
-                )
-            )
+        out = [
+            mp.fsum(consts[j] * mp.polyval(coeffs[j], x) * weight(j, x) for j in range(spec.r))
+            for x in map(mp.mpf, xs)
+        ]
         return out, consts
 
 
-def _to_mpf(q):
-    return mp.mpf(q.numerator) / q.denominator
-
-
-def _eval_mp(poly, x):
-    mono = poly.to_monomial()
-    acc = _to_mpf(mono[-1])
-    for c in reversed(mono[:-1]):
-        acc = acc * x + _to_mpf(c)
-    return acc
+def _to_mpf(x):
+    """A Fraction (or int, float, mpf) as an mpf at the working precision."""
+    if hasattr(x, "denominator"):
+        return mp.mpf(x.numerator) / x.denominator
+    return mp.mpf(x)
 
 
 # -- zero-location / interlacing theorem suite ----------------------------------------

@@ -14,6 +14,7 @@ polynomial integrand the only error is rounding at the working precision.
 import mpmath as mp
 
 from .errors import QuadratureFailure
+from .mop import _to_mpf
 
 
 def _golub_welsch(alpha, beta):
@@ -34,12 +35,6 @@ def _golub_welsch(alpha, beta):
     weights = [beta[0] * eigvecs[0, k] ** 2 for k in range(m)]
     order = sorted(range(m), key=lambda k: nodes[k])
     return [nodes[k] for k in order], [weights[k] for k in order]
-
-
-def _to_mpf(x):
-    if hasattr(x, "numerator") and hasattr(x, "denominator"):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
 
 
 def gauss_jacobi(m: int, p, q, prec: int = 256):

@@ -1,7 +1,9 @@
 import json
 import os
+import subprocess
 from fractions import Fraction as F
 
+from finfree import cli
 from finfree.cli import main
 from finfree.poly import Polynomial
 
@@ -88,6 +90,18 @@ def test_sidecar_records_the_argv_given_to_main(tmp_path):
     assert run(tmp_path, *argv) == 0
     meta = json.loads((tmp_path / "p.json.meta.json").read_text())
     assert " ".join(argv) in meta["command"]
+
+
+def test_git_describe_runs_once_per_process(tmp_path, monkeypatch):
+    calls = []
+    real_run = subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda *a, **k: calls.append(a) or real_run(*a, **k))
+    cli._git_describe.cache_clear()
+    assert run(tmp_path, "mop", "--family", "jp2", "--n", "2,2", "--alpha", "1/2,3/7",
+               "--beta", "1", "--out", "P.json", "--emit", "roots.csv") == 0
+    metas = [json.loads((tmp_path / f"{name}.meta.json").read_text()) for name in ("P.json", "roots.csv")]
+    assert metas[0]["revision"] == metas[1]["revision"]
+    assert len(calls) == 1
 
 
 def test_roots_sidecars_carry_the_certificate(tmp_path):

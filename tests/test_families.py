@@ -190,6 +190,20 @@ def test_cdfs_monotone_and_normalized():
     assert jp2_cdf(F(1, 3), 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_cached_cdfs_equal_the_uncached_computation(monkeypatch):
+    import finfree.families as fam
+
+    def table():
+        return [fam.jp1_cdf(F(1, 3), x) for x in np.linspace(-2.43, 0.0, 13)] + [
+            fam.jp2_cdf(th, x) for th in (F(1, 3), F(1, 2)) for x in np.linspace(0.0, 1.0, 13)
+        ]
+
+    cached = table()
+    for name in ("density_jp_typeI_r2", "density_jp_typeII_r2", "jp2_mass"):
+        monkeypatch.setattr(fam, name, getattr(fam, name).__wrapped__)
+    assert cached == table()
+
+
 def test_stieltjes_matches_closed_forms():
     lim = family_curves("jp1", LimitParams(theta=(F(1, 3), F(2, 3)), i=1))
     model = density_jp_typeI_r2(F(1, 3))
