@@ -22,10 +22,6 @@ from .hyper import HypergeometricSpec, hyper_poly
 from .poly import Polynomial
 
 
-def _frac(text):
-    return Fraction(text)
-
-
 def _frac_list(text):
     return tuple(Fraction(t) for t in text.split(",")) if text else ()
 
@@ -104,8 +100,8 @@ def _cmd_hyper(args):
         n=args.n,
         a=_frac_list(args.a),
         b=_frac_list(args.b),
-        scale=_frac(args.scale),
-        shift=_frac(args.shift),
+        scale=Fraction(args.scale),
+        shift=Fraction(args.shift),
         sign=args.sign,
     )
     _write_poly(args, args.out, hyper_poly(spec))
@@ -134,41 +130,15 @@ def _cmd_roots(args):
     return 0
 
 
-_MOP_ALIASES = {
-    "jp1-typei": ("jp", "I"),
-    "jp1": ("jp", "I"),
-    "jp-typei": ("jp", "I"),
-    "jp2": ("jp", "II"),
-    "jp-typeii": ("jp", "II"),
-    "ml1-typei": ("ml1", "I"),
-    "ml11": ("ml1", "I"),
-    "ml1-typeii": ("ml1", "II"),
-    "ml12": ("ml1", "II"),
-    "ml2-typei": ("ml2", "I"),
-    "ml21": ("ml2", "I"),
-    "ml2-typeii": ("ml2", "II"),
-    "ml22": ("ml2", "II"),
-}
-
-
 def _cmd_mop(args):
-    from .mop import JPSpec, ML1Spec, ML2Spec, jp_typeI, jp_typeII, ml1_typeI, ml1_typeII, ml2_typeI, ml2_typeII
+    from .families import resolve
+    from .mop import KINDS, constructor
     from .roots import default_precision, find_roots
 
-    key = args.family.lower()
-    if key not in _MOP_ALIASES:
-        raise FinfreeError(f"unknown mop family {args.family!r}")
-    family, type_ = _MOP_ALIASES[key]
-    n = _int_list(args.n)
-    if family == "jp":
-        spec = JPSpec(alpha=_frac_list(args.alpha), beta=_frac(args.beta))
-        poly = jp_typeII(spec, n) if type_ == "II" else jp_typeI(spec, n, args.i)
-    elif family == "ml1":
-        spec = ML1Spec(alpha=_frac_list(args.alpha))
-        poly = ml1_typeII(spec, n) if type_ == "II" else ml1_typeI(spec, n, args.i)
-    else:
-        spec = ML2Spec(alpha=_frac_list(args.alpha)[0], c=_frac_list(args.c))
-        poly = ml2_typeII(spec, n) if type_ == "II" else ml2_typeI(spec, n, args.i)
+    fam, n = resolve(args.family), _int_list(args.n)
+    spec = KINDS[fam.kind].spec(_frac_list(args.alpha), Fraction(args.beta), _frac_list(args.c))
+    ctor = constructor(fam.kind, fam.type_)
+    poly = ctor(spec, n, args.i) if fam.type_ == "I" else ctor(spec, n)
     if args.out:
         _write_poly(args, args.out, poly)
     if args.emit:
@@ -184,7 +154,7 @@ def _cmd_limit(args):
     params = LimitParams(
         theta=_frac_list(args.theta),
         A=_frac_list(args.A),
-        B=_frac(args.B),
+        B=Fraction(args.B),
         c=_frac_list(args.c),
         i=args.i,
     )
@@ -234,15 +204,9 @@ def _cmd_limit(args):
 def _cmd_density(args):
     import numpy as np
 
-    from .families import density_jp_typeI_r2, density_jp_typeII_r2
+    from .families import closed_form
 
-    theta = _frac(args.theta)
-    if args.family in ("jp1-r2", "jp-i-r2"):
-        model = density_jp_typeI_r2(theta)
-    elif args.family in ("jp2-r2", "jp-ii-r2"):
-        model = density_jp_typeII_r2(theta)
-    else:
-        raise FinfreeError(f"unknown density family {args.family!r}")
+    model = closed_form(args.family, "densities")(Fraction(args.theta))
     lo, hi = model.support
     if lo == float("-inf"):
         lo = -10.0

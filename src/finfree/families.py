@@ -15,9 +15,10 @@ endpoint formulas, and verifies the reversed-measure identity
 S(z) S_rev(-z-1) = 1 against reciprocal moments read off the curve.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .curves import (
     moments_from_curve,
     reciprocal_moments_from_curve,
 )
-from .errors import ThetaOutOfRange, UnknownFamily, VanishingFirstMoment
+from .errors import InvalidParameters, ThetaOutOfRange, UnknownFamily, VanishingFirstMoment
 from .series import FormalMomentSeries, moments_from_r, moments_from_s, s_coefficients, series_inv, series_mul
 
 # -- rational S-transforms ------------------------------------------------------
@@ -221,99 +222,53 @@ class FamilyLimit:
         return self.s_transform.moments(K)
 
 
-def _jp1_frak(params: LimitParams):
-    r = len(params.theta)
-    i = params.i - 1
-    A = list(params.A) if params.A else [Fraction(0)] * r
-    B = params.B
-    th = params.theta
-    fa, fb = [], []
-    for j in range(r):
-        if j == i:
-            fa.append((A[i] + B + 1) / th[i])
-            fb.append(A[i] / th[i])
-        else:
-            fa.append((A[i] - A[j] - th[j]) / th[i])
-            fb.append((A[i] - A[j]) / th[i])
-    return fa, fb
+# Limit builders of the six families (FAMILIES): each returns FamilyLimit fields.
+def _s_limit(fa, fb, **extra):
+    st = RationalSTransform(A=tuple(fa), B=tuple(fb), flags=degeneracy_flags(fa, fb))
+    return {"s_transform": st, "curve": st.curve(), "flags": st.flags, **extra}
 
 
-def family_curves(family: str, params: LimitParams) -> FamilyLimit:
-    """Limit object for one of the six families.
+def _jp1_limit(params, ml1=False):
+    """S-transform with the frak a/b parameters at component i; ml1-1 drops a_i."""
+    i, th = params.i - 1, params.theta
+    A = params.A or (Fraction(0),) * len(th)
+    fa = [(A[i] + params.B + 1 if j == i else A[i] - A[j] - th[j]) / th[i] for j in range(len(th))]
+    fb = [(A[i] if j == i else A[i] - A[j]) / th[i] for j in range(len(th))]
+    return _s_limit(fa[:i] + fa[i + 1 :] if ml1 else fa, fb)
 
-    jp1 / ml1-1:   rational S-transform (and its curve) via the frak a/b
-                   parameters; Type I lives at component index params.i.
-    jp2:           S-transform of the delta_0-mixed measure; moments of the
-                   plain limit measure are (1+B) times the curve moments.
-    ml1-2:         algebraic curve of the rescaled Type II polynomials.
-    ml2-1:         rational R-transform (pole/weight data).
-    ml2-2:         algebraic curve from the compound-free-Poisson relation.
-    Degenerate assumption violations are flagged, not fatal.
-    """
-    fam = family.lower().replace("_", "-")
-    if fam in ("jp1", "jp-i", "jp-typei"):
-        fa, fb = _jp1_frak(params)
-        st = RationalSTransform(A=tuple(fa), B=tuple(fb), flags=degeneracy_flags(fa, fb))
-        return FamilyLimit(family="jp1", s_transform=st, curve=st.curve(), flags=st.flags)
-    if fam in ("ml1-1", "ml1-i", "ml1-typei"):
-        fa, fb = _jp1_frak(params)
-        fa = [a for j, a in enumerate(fa) if j != params.i - 1]
-        st = RationalSTransform(A=tuple(fa), B=tuple(fb), flags=degeneracy_flags(fa, fb))
-        return FamilyLimit(family="ml1-1", s_transform=st, curve=st.curve(), flags=st.flags)
-    if fam in ("jp2", "jp-ii", "jp-typeii"):
-        r = len(params.theta)
-        A = list(params.A) if params.A else [Fraction(0)] * r
-        B = params.B
-        fa = tuple((A[j] + params.theta[j]) / (1 + B) for j in range(r))
-        fb = tuple(A[j] / (1 + B) for j in range(r))
-        st = RationalSTransform(A=fa, B=fb, flags=degeneracy_flags(fa, fb))
-        return FamilyLimit(
-            family="jp2", s_transform=st, curve=st.curve(), moment_scale=1 + B, flags=st.flags
-        )
-    if fam in ("ml1-2", "ml1-ii", "ml1-typeii"):
-        r = len(params.theta)
-        A = list(params.A) if params.A else [Fraction(0)] * r
-        # u prod_i (y + A_i + theta_i - u) = (u - y) prod_i (y + A_i - u)
-        lhs = {(0, 1): Fraction(1)}
-        for j in range(r):
-            lhs = biv_mul(lhs, {(1, 0): Fraction(1), (0, 0): A[j] + params.theta[j], (0, 1): Fraction(-1)})
-        rhs = {(0, 1): Fraction(1), (1, 0): Fraction(-1)}
-        for j in range(r):
-            rhs = biv_mul(rhs, {(1, 0): Fraction(1), (0, 0): A[j], (0, 1): Fraction(-1)})
-        curve = AlgebraicCurve(biv_add(lhs, biv_scale(rhs, -1)))
-        return FamilyLimit(family="ml1-2", curve=curve)
-    if fam in ("ml2-1", "ml2-i", "ml2-typei"):
-        r = len(params.theta)
-        i = params.i - 1
-        A = params.A[0] if params.A else Fraction(0)
-        c = params.c
-        th = params.theta
-        poles = [((A + 1) / th[i], c[i])]
-        for j in range(r):
-            if j != i:
-                poles.append((-th[j] / th[i], c[i] - c[j]))
-        return FamilyLimit(family="ml2-1", r_poles=tuple(poles))
-    if fam in ("ml2-2", "ml2-ii", "ml2-typeii"):
-        r = len(params.theta)
-        A = params.A[0] if params.A else Fraction(0)
-        c = params.c
-        th = params.theta
-        # (y+A) sum_j theta_j prod_{k != j} (c_k u - y - A) = (y-1) prod_j (c_j u - y - A)
-        bracket = [{(0, 1): ck, (1, 0): Fraction(-1), (0, 0): -A} for ck in c]
-        lhs = {}
-        for j in range(r):
-            term = {(0, 0): th[j]}
-            for k in range(r):
-                if k != j:
-                    term = biv_mul(term, bracket[k])
-            lhs = biv_add(lhs, term)
-        lhs = biv_mul(lhs, {(1, 0): Fraction(1), (0, 0): A})
-        rhs = {(1, 0): Fraction(1), (0, 0): Fraction(-1)}
-        for k in range(r):
-            rhs = biv_mul(rhs, bracket[k])
-        curve = AlgebraicCurve(biv_add(lhs, biv_scale(rhs, -1)))
-        return FamilyLimit(family="ml2-2", curve=curve)
-    raise UnknownFamily(f"unknown family {family!r}")
+
+def _jp2_limit(params):
+    A, B = params.A or (Fraction(0),) * len(params.theta), params.B
+    fa = [(a + t) / (1 + B) for a, t in zip(A, params.theta)]
+    return _s_limit(fa, [a / (1 + B) for a in A], moment_scale=1 + B)
+
+
+def _ml1_2_limit(params):
+    # u prod_i (y + A_i + theta_i - u) = (u - y) prod_i (y + A_i - u)
+    lhs, rhs = {(0, 1): Fraction(1)}, {(0, 1): Fraction(1), (1, 0): Fraction(-1)}
+    for a, t in zip(params.A or (Fraction(0),) * len(params.theta), params.theta):
+        lhs = biv_mul(lhs, {(1, 0): Fraction(1), (0, 0): a + t, (0, 1): Fraction(-1)})
+        rhs = biv_mul(rhs, {(1, 0): Fraction(1), (0, 0): a, (0, 1): Fraction(-1)})
+    return {"curve": AlgebraicCurve(biv_add(lhs, biv_scale(rhs, -1)))}
+
+
+def _ml2_1_limit(params):
+    i, th, c = params.i - 1, params.theta, params.c
+    A = params.A[0] if params.A else Fraction(0)
+    poles = [((A + 1) / th[i], c[i])] + [(-th[j] / th[i], c[i] - c[j]) for j in range(len(th)) if j != i]
+    return {"r_poles": tuple(poles)}
+
+
+def _ml2_2_limit(params):
+    # (y+A) sum_j theta_j prod_{k != j} (c_k u - y - A) = (y-1) prod_j (c_j u - y - A)
+    th, A = params.theta, params.A[0] if params.A else Fraction(0)
+    bracket = [{(0, 1): ck, (1, 0): Fraction(-1), (0, 0): -A} for ck in params.c]
+    lhs = {}
+    for j in range(len(th)):
+        lhs = biv_add(lhs, reduce(biv_mul, bracket[:j] + bracket[j + 1 :], {(0, 0): th[j]}))
+    lhs = biv_mul(lhs, {(1, 0): Fraction(1), (0, 0): A})
+    rhs = reduce(biv_mul, bracket, {(1, 0): Fraction(1), (0, 0): Fraction(-1)})
+    return {"curve": AlgebraicCurve(biv_add(lhs, biv_scale(rhs, -1)))}
 
 
 # -- closed-form densities (r = 2 examples) --------------------------------------
@@ -501,48 +456,40 @@ def _sqrt_exact_or_float(x: Fraction):
     return float(x) ** 0.5
 
 
-def endpoints(family: str, **params):
-    """Closed-form support endpoint for the named family.
+# The r = 2 endpoint formulas of FAMILIES; endpoints() names each one.
+def _jp1_cstar(theta):
+    t = Fraction(theta)
+    if not 0 < t < Fraction(1, 2):
+        raise ThetaOutOfRange("need 0 < theta < 1/2")
+    return 27 * (t * (1 - t) / ((1 - 2 * t) * (2 - t) * (1 + t))) ** 2
 
-    JP-I-r2(theta):    c* with support [-c*, 0]
-    ML1-I-r2(theta):   c* with support [-c*, 0]
-    JP-II-r2-A(A):     a* with support [a*, 1]
-    JP-II-r2-B(B):     b* with support [0, b*]
-    ML1-II-r2(theta):  c* with support [0, c*]; continuous limits at the
-                       theta boundaries (27/8 at 1/2, 4 at 0+).
-    Exact rationals are returned whenever the formula stays rational.
-    """
-    fam = family.upper()
-    if fam == "JP-I-R2":
-        t = Fraction(params["theta"])
-        if not 0 < t < Fraction(1, 2):
-            raise ThetaOutOfRange("need 0 < theta < 1/2")
-        return 27 * (t * (1 - t) / ((1 - 2 * t) * (2 - t) * (1 + t))) ** 2
-    if fam == "ML1-I-R2":
-        t = Fraction(params["theta"])
-        if not 0 < t < Fraction(1, 2):
-            raise ThetaOutOfRange("need 0 < theta < 1/2")
-        s = (1 - 3 * (1 - t) * t) ** 3
-        root = _sqrt_exact_or_float(s)
-        num = 9 * (1 - t) * t - 2 + 2 * root
-        return num / (t * (1 - 2 * t) ** 2)
-    if fam == "JP-II-R2-A":
-        a = Fraction(params["A"])
-        return a**3 * (a + 1) / ((a + Fraction(3, 2)) ** 3 * (a + Fraction(1, 2)))
-    if fam == "JP-II-R2-B":
-        b = Fraction(params["B"])
-        return 27 * (b + 1) ** 2 / (2 * b + 3) ** 3
-    if fam == "ML1-II-R2":
-        t = Fraction(params["theta"])
-        if not 0 <= t <= Fraction(1, 2):
-            raise ThetaOutOfRange("need 0 <= theta <= 1/2")
-        if t == 0:
-            return Fraction(4)
-        s = (1 - 3 * t * (1 - t)) ** 3
-        root = _sqrt_exact_or_float(s)
-        den = 9 * t * (1 - t) - 2 + 2 * root
-        return 27 * t**2 * (1 - t) ** 2 / den
-    raise UnknownFamily(f"no endpoint formula for {family!r}")
+
+def _ml1_1_cstar(theta):
+    t = Fraction(theta)
+    if not 0 < t < Fraction(1, 2):
+        raise ThetaOutOfRange("need 0 < theta < 1/2")
+    root = _sqrt_exact_or_float((1 - 3 * (1 - t) * t) ** 3)
+    return (9 * (1 - t) * t - 2 + 2 * root) / (t * (1 - 2 * t) ** 2)
+
+
+def _jp2_astar(A):
+    a = Fraction(A)
+    return a**3 * (a + 1) / ((a + Fraction(3, 2)) ** 3 * (a + Fraction(1, 2)))
+
+
+def _jp2_bstar(B):
+    b = Fraction(B)
+    return 27 * (b + 1) ** 2 / (2 * b + 3) ** 3
+
+
+def _ml1_2_cstar(theta):
+    t = Fraction(theta)
+    if not 0 <= t <= Fraction(1, 2):
+        raise ThetaOutOfRange("need 0 <= theta <= 1/2")
+    if t == 0:
+        return Fraction(4)
+    root = _sqrt_exact_or_float((1 - 3 * t * (1 - t)) ** 3)
+    return 27 * t**2 * (1 - t) ** 2 / (9 * t * (1 - t) - 2 + 2 * root)
 
 
 # -- reversed-measure identity -------------------------------------------------------
@@ -565,3 +512,79 @@ def s_reverse_check(st: RationalSTransform, K: int = 6) -> bool:
         raise VanishingFirstMoment("reciprocal measure has vanishing first moment")
     via_moments = s_coefficients(FormalMomentSeries(tuple(rec)), K - 1)
     return candidate[: K - 1] == via_moments[: K - 1]
+
+
+# -- the family registry: the one place that decides the family names -------------
+# Per family: canonical name, other spellings, (kind, type_) of its `mop`
+# constructor, limit builder, and its r = 2 closed forms: densities and
+# endpoints keyed by what follows "-r2" in their name <family>-r2[-a|-b].
+
+Family = namedtuple("Family", "name spellings kind type_ limit densities endpoints")
+
+FAMILIES = (
+    Family("jp1", ("jp-i", "jp-typei", "jp1-typei"), "jp", "I", _jp1_limit,
+           {"": density_jp_typeI_r2}, {"": _jp1_cstar}),
+    Family("jp2", ("jp-ii", "jp-typeii"), "jp", "II", _jp2_limit,
+           {"": density_jp_typeII_r2}, {"-a": _jp2_astar, "-b": _jp2_bstar}),
+    Family("ml1-1", ("ml11", "ml1-i", "ml1-typei"), "ml1", "I", partial(_jp1_limit, ml1=True),
+           {}, {"": _ml1_1_cstar}),
+    Family("ml1-2", ("ml12", "ml1-ii", "ml1-typeii"), "ml1", "II", _ml1_2_limit, {}, {"": _ml1_2_cstar}),
+    Family("ml2-1", ("ml21", "ml2-i", "ml2-typei"), "ml2", "I", _ml2_1_limit, {}, {}),
+    Family("ml2-2", ("ml22", "ml2-ii", "ml2-typeii"), "ml2", "II", _ml2_2_limit, {}, {}),
+)
+_BY_SPELLING = {s: fam for fam in FAMILIES for s in (fam.name, *fam.spellings)}
+
+
+def resolve(name: str) -> Family:
+    """The family a spelling names; case is ignored and '_' reads as '-'."""
+    fam = _BY_SPELLING.get(name.lower().replace("_", "-"))
+    if fam is None:
+        raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(f.name for f in FAMILIES)}")
+    return fam
+
+
+def closed_form(name: str, forms: str):
+    """The r = 2 closed form named <family>-r2[-a|-b] among the family's `forms`
+    ("densities" or "endpoints"), with <family> any spelling `resolve` accepts."""
+    base, r2, sel = name.lower().replace("_", "-").partition("-r2")
+    form = getattr(resolve(base), forms).get(sel) if r2 else None
+    if form is None:
+        raise UnknownFamily(f"unknown family {name!r} for the r = 2 {forms}, named <family>-r2[-a|-b]")
+    return form
+
+
+def family_curves(family: str, params: LimitParams) -> FamilyLimit:
+    """Limit object of a family, named by any spelling `resolve` accepts.
+
+    jp1 / ml1-1:   rational S-transform (and its curve) via the frak a/b
+                   parameters; Type I lives at component index params.i.
+    jp2:           S-transform of the delta_0-mixed measure; moments of the
+                   plain limit measure are (1+B) times the curve moments.
+    ml1-2, ml2-2:  algebraic curve (rescaled Type II; compound free Poisson).
+    ml2-1:         rational R-transform (pole/weight data).
+    A holds 0 or r = len(theta) values (ml2: 0 or 1), ml2 needs r values c
+    and Type I 1 <= i <= r.  Degenerate assumptions are flagged, not fatal.
+    """
+    fam, r = resolve(family), len(params.theta)
+    nA = 1 if fam.kind == "ml2" else r
+    if len(params.A) not in (0, nA):
+        raise InvalidParameters(f"{fam.name} takes 0 or {nA} values A, got {len(params.A)}")
+    if fam.kind == "ml2" and len(params.c) != r:
+        raise InvalidParameters(f"{fam.name} needs one c per weight: {r}, got {len(params.c)}")
+    if fam.type_ == "I" and not 1 <= params.i <= r:
+        raise InvalidParameters(f"{fam.name} needs 1 <= i <= {r}, got i = {params.i}")
+    return FamilyLimit(family=fam.name, **fam.limit(params))
+
+
+def endpoints(family: str, **params):
+    """Closed-form support endpoint <family>-r2[-a|-b], <family> any spelling.
+
+    JP-I-r2(theta):    c* with support [-c*, 0]
+    ML1-I-r2(theta):   c* with support [-c*, 0]
+    JP-II-r2-A(A):     a* with support [a*, 1]
+    JP-II-r2-B(B):     b* with support [0, b*]
+    ML1-II-r2(theta):  c* with support [0, c*]; continuous limits at the
+                       theta boundaries (27/8 at 1/2, 4 at 0+).
+    Exact rationals are returned whenever the formula stays rational.
+    """
+    return closed_form(family, "endpoints")(**params)

@@ -15,14 +15,15 @@ are exact: each moment is C_j times a rational, and the Type I constants
 enter only as the rationals lambda_j = c_j C_j (up to one common factor).
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, inf
 
 import mpmath as mp
 
 from .conv import add_conv, mult_conv
-from .errors import InvalidParameters, NonIntegerBetaPath, DuplicateC
+from .errors import DuplicateC, InvalidParameters, NonIntegerBetaPath, UnknownFamily
 from .hyper import HypergeometricSpec, hyper_poly, pochhammer_falling, pochhammer_rising
 from .poly import Polynomial
 from .series import series_mul
@@ -99,10 +100,6 @@ def _check_alphas(alpha):
                 raise InvalidParameters("alpha_i - alpha_j must not be an integer")
 
 
-def _size(n):
-    return sum(n)
-
-
 def unit_index(r, i):
     """Multi-index e_i (1-based component i)."""
     return tuple(1 if j == i - 1 else 0 for j in range(r))
@@ -112,12 +109,20 @@ def add_index(n, e):
     return tuple(a + b for a, b in zip(n, e))
 
 
+def _check_index(spec, n, i=None):
+    """n holds one index n_j >= 0 per weight; Type I (i given) needs 1 <= i <= r and n_i >= 1."""
+    if len(n) != spec.r or any(nj < 0 for nj in n):
+        raise InvalidParameters(f"need {spec.r} indices n_j >= 0, one per weight, got n = {tuple(n)}")
+    if i is not None and not (1 <= i <= spec.r and n[i - 1] >= 1):
+        raise InvalidParameters(f"Type I needs 1 <= i <= {spec.r} and n_i >= 1, got i = {i}, n = {tuple(n)}")
+
+
 # -- Type I constructors -----------------------------------------------------------
 
 
 def jp_typeI_spec(spec: JPSpec, n, i) -> HypergeometricSpec:
     """Hypergeometric data of the i-th Type I Jacobi-Pineiro component."""
-    al, beta, N = spec.alpha, spec.beta, _size(n)
+    al, beta, N = spec.alpha, spec.beta, sum(n)
     ai = al[i - 1]
     a = [ai + beta + N] + [ai + 1 - al[j] - n[j] for j in range(spec.r) if j != i - 1]
     b = [ai + 1] + [ai + 1 - al[j] for j in range(spec.r) if j != i - 1]
@@ -130,12 +135,13 @@ def jp_typeI(spec: JPSpec, n, i) -> Polynomial:
     Degree n_i - 1; the orthogonality normalizing constant is not applied
     (see jp_typeI_constant).
     """
+    _check_index(spec, n, i)
     return hyper_poly(jp_typeI_spec(spec, n, i))
 
 
 def jp_typeI_blocks(spec: JPSpec, n, i):
     """The 2F1 building blocks whose multiplicative convolution gives jp_typeI."""
-    al, beta, N = spec.alpha, spec.beta, _size(n)
+    al, beta, N = spec.alpha, spec.beta, sum(n)
     m = n[i - 1] - 1
     ai = al[i - 1]
     out = []
@@ -151,13 +157,13 @@ def jp_typeI_blocks(spec: JPSpec, n, i):
 
 def jp_typeI_constant(spec: JPSpec, n, i, prec=256):
     """Normalizing constant c_i = lambda_i / B(alpha_i + 1, beta + 1) making the
-    Type I vector satisfy the unit moment; lambda_i is exact (_typeI_lambda)."""
+    Type I vector satisfy the unit moment; lambda_i is exact (_jp_lambda)."""
     with mp.workprec(prec):
-        return _to_mpf(_typeI_lambda("jp", spec, n, i)) / _moment_constant(_weight("jp", spec, i - 1))
+        return _to_mpf(_jp_lambda(spec, n, i)) / _moment_constant(KINDS["jp"].weight(spec, i - 1))
 
 
 def ml1_typeI_spec(spec: ML1Spec, n, i) -> HypergeometricSpec:
-    al, N = spec.alpha, _size(n)
+    al, N = spec.alpha, sum(n)
     ai = al[i - 1]
     a = [ai + 1 - al[j] - n[j] for j in range(spec.r) if j != i - 1]
     b = [ai + 1] + [ai + 1 - al[j] for j in range(spec.r) if j != i - 1]
@@ -166,18 +172,19 @@ def ml1_typeI_spec(spec: ML1Spec, n, i) -> HypergeometricSpec:
 
 def ml1_typeI(spec: ML1Spec, n, i) -> Polynomial:
     """Type I multiple Laguerre (first kind) component, degree n_i - 1."""
+    _check_index(spec, n, i)
     return hyper_poly(ml1_typeI_spec(spec, n, i))
 
 
 def ml1_typeI_constant(spec: ML1Spec, n, i, prec=256):
-    """Normalizing constant c_i = lambda_i / Gamma(alpha_i + 1), see _typeI_lambda."""
+    """Normalizing constant c_i = lambda_i / Gamma(alpha_i + 1), see _ml1_lambda."""
     with mp.workprec(prec):
-        return _to_mpf(_typeI_lambda("ml1", spec, n, i)) / _moment_constant(_weight("ml1", spec, i - 1))
+        return _to_mpf(_ml1_lambda(spec, n, i)) / _moment_constant(KINDS["ml1"].weight(spec, i - 1))
 
 
 def ml1_laguerre_factor(spec, n, i) -> HypergeometricSpec:
     """The Laguerre block linking jp_typeI and ml1_typeI multiplicatively."""
-    al, beta, N = spec.alpha, spec.beta, _size(n)
+    al, beta, N = spec.alpha, spec.beta, sum(n)
     return HypergeometricSpec(n=n[i - 1] - 1, a=(), b=(al[i - 1] + beta + N,))
 
 
@@ -192,7 +199,8 @@ def ml2_typeI(spec: ML2Spec, n, i) -> Polynomial:
     which needs n_j >= 2 for j != i (otherwise the denominator parameter is
     inadmissible).
     """
-    N = _size(n)
+    _check_index(spec, n, i)
+    N = sum(n)
     m = n[i - 1] - 1
     blocks = []
     for j in range(spec.r):
@@ -223,12 +231,13 @@ def jp_typeII(spec: JPSpec, n, path="auto") -> Polynomial:
     reversed-product representation is used (path="reversed"); requesting
     path="integer" with non-integer beta raises NonIntegerBetaPath.
     """
+    _check_index(spec, n)
     if path == "auto":
         path = "integer" if spec.beta.denominator == 1 and spec.beta >= 0 else "reversed"
     if path == "integer":
         if spec.beta.denominator != 1 or spec.beta < 0:
             raise NonIntegerBetaPath("integer-beta path needs beta in Z_{>=0}")
-        N = _size(n)
+        N = sum(n)
         beta = int(spec.beta)
         big = hyper_poly(
             HypergeometricSpec(
@@ -254,7 +263,7 @@ def _jp_typeII_reversed(spec: JPSpec, n) -> Polynomial:
 
     and reversing back gives P up to the monic normalization.
     """
-    N = _size(n)
+    N = sum(n)
     q = hyper_poly(
         HypergeometricSpec(
             n=N,
@@ -276,7 +285,8 @@ def ml1_typeII(spec: ML1Spec, n) -> Polynomial:
     Built as the reversal of F(-|n|, 1; ; x) (x)_N F(-|n|, -|n|-alpha;
     -|n|-n-alpha; x+1), the reciprocal representation.
     """
-    N = _size(n)
+    _check_index(spec, n)
+    N = sum(n)
     shifted = hyper_poly(
         HypergeometricSpec(
             n=N,
@@ -297,7 +307,7 @@ def ml2_typeII_routes(spec: ML2Spec, n):
     linear:   falling(alpha+N, N) F(-N; alpha+1; x) (x)_N prod (x-1/c_j)^{n_j}.
     All three are claimed (and tested) to coincide coefficient-for-coefficient.
     """
-    N = _size(n)
+    N = sum(n)
     direct = _ml2_direct(spec, n)
 
     parts = []
@@ -337,7 +347,8 @@ def ml2_typeII(spec: ML2Spec, n) -> Polynomial:
     (1 + t/c_j)^{n_j}, one series product per weight; the same e_k as the
     composition sum of the direct route.
     """
-    N = _size(n)
+    _check_index(spec, n)
+    N = sum(n)
     gen = [Fraction(1)]
     for nj, cj in zip(n, spec.c):
         gen = series_mul(gen, [comb(nj, k) / cj**k for k in range(nj + 1)], N)
@@ -351,7 +362,7 @@ def ml2_typeII(spec: ML2Spec, n) -> Polynomial:
 def _ml2_direct(spec: ML2Spec, n) -> Polynomial:
     """The explicit double sum over bounded compositions, unnormalized:
     e_k = falling(alpha + N, k) sum_{|k| = k} prod_j C(n_j, k_j) / c_j^k_j."""
-    N = _size(n)
+    N = sum(n)
     e = []
     for k in range(N + 1):
         s = Fraction(0)
@@ -381,17 +392,6 @@ def _bounded_compositions(total, bounds):
 #   int x^m w_j = C_j rho_j(m),   rho_j rational, rho_j(0) = 1,
 #
 # so int P x^k w_j = C_j R_j(k) with R_j(k) = sum_i p_i rho_j(i + k) exact.
-
-
-def _weight(family, spec, j):
-    """Weight j as (a, b, c): x^a (1-x)^b on [0, 1] if c is None, else x^a e^(-c x)."""
-    if family == "jp":
-        return spec.alpha[j], spec.beta, None
-    if family == "ml1":
-        return spec.alpha[j], None, Fraction(1)
-    if family == "ml2":
-        return spec.alpha, None, spec.c[j]
-    raise ValueError(family)
 
 
 def _moment_ratios(weight, top):
@@ -426,25 +426,60 @@ def _scale_free_residual(moments, top, what):
     return float(max((abs(v) for v in moments[:top]), default=0) / scale)
 
 
-def _typeI_lambda(family, spec, n, i):
-    """lambda_i = c_i C_i for jp/ml1, exact: the Gamma factors of c_i cancel C_i.
-
-    ml1: (-1)^{N-1} / ((n_i - 1)! prod_{k != i} (alpha_k - alpha_i)_{n_k}); jp
-    multiplies that by (a+1)_{N-1} / ((a+1) (beta+1)_{N-1}) prod_k
-    (alpha_k + beta + N)_{n_k}, with a = alpha_i + beta and N = |n|.
-    """
-    al, N = spec.alpha, _size(n)
+def _ml1_lambda(spec, n, i):
+    """lambda_i = c_i C_i for ml1, exact (the Gamma factors of c_i cancel C_i):
+    (-1)^{N-1} / ((n_i - 1)! prod_{k != i} (alpha_k - alpha_i)_{n_k}), N = |n|."""
+    al, N = spec.alpha, sum(n)
     lam = Fraction((-1) ** (N - 1), factorial(n[i - 1] - 1))
     for k, (ak, nk) in enumerate(zip(al, n)):
         if k != i - 1:
             lam /= pochhammer_rising(ak - al[i - 1], nk)
-    if family == "jp":
-        beta = spec.beta
-        a = al[i - 1] + beta
-        lam *= pochhammer_rising(a + 1, N - 1) / ((a + 1) * pochhammer_rising(beta + 1, N - 1))
-        for ak, nk in zip(al, n):
-            lam *= pochhammer_rising(ak + beta + N, nk)
     return lam
+
+
+def _jp_lambda(spec, n, i):
+    """lambda_i = c_i C_i for jp: the ml1 value times (a+1)_{N-1} / ((a+1)
+    (beta+1)_{N-1}) prod_k (alpha_k + beta + N)_{n_k}, with a = alpha_i + beta."""
+    beta, N, a = spec.beta, sum(n), spec.alpha[i - 1] + spec.beta
+    lam = _ml1_lambda(spec, n, i)
+    lam *= pochhammer_rising(a + 1, N - 1) / ((a + 1) * pochhammer_rising(beta + 1, N - 1))
+    for ak, nk in zip(spec.alpha, n):
+        lam *= pochhammer_rising(ak + beta + N, nk)
+    return lam
+
+
+def _ml2_spec(alpha, beta, c):
+    if len(alpha) != 1:
+        raise InvalidParameters(f"ml2 takes one alpha, shared by all weights, got {len(alpha)}")
+    return ML2Spec(alpha[0], c)
+
+
+# The kind table.  Per kind: the spec from raw (alpha, beta, c); weight j as
+# (a, b, c), x^a (1-x)^b on [0, 1] if c is None, else x^a e^(-c x); the weights'
+# interval; the exact Type I lambda_i(spec, n, i), or None to calibrate; the spec
+# of the Type I derivative relation.  `constructor` looks up <kind>_typeI/_typeII
+# when called, so a rebinding (a test's patch, a tracer) is seen.
+_Kind = namedtuple("_Kind", "spec weight support lam shifted", defaults=(None, None))
+
+
+class _Kinds(dict):
+    def __missing__(self, family):
+        raise UnknownFamily(f"unknown family kind {family!r}; known: {', '.join(self)}")
+
+
+KINDS = _Kinds({
+    "jp": _Kind(lambda al, beta, c: JPSpec(al, beta), lambda s, j: (s.alpha[j], s.beta, None), (0.0, 1.0),
+                _jp_lambda, lambda s, i: JPSpec(add_index(s.alpha, unit_index(s.r, i)), s.beta + 1)),
+    "ml1": _Kind(lambda al, beta, c: ML1Spec(al), lambda s, j: (s.alpha[j], None, Fraction(1)), (0.0, inf),
+                 _ml1_lambda, lambda s, i: ML1Spec(add_index(s.alpha, unit_index(s.r, i)))),
+    "ml2": _Kind(_ml2_spec, lambda s, j: (s.alpha, None, s.c[j]), (0.0, inf)),
+})
+
+
+def constructor(family, type_):
+    """The Type I (spec, n, i) or Type II (spec, n) constructor of kind `family`."""
+    KINDS[family]  # unknown kinds raise UnknownFamily
+    return globals()[f"{family}_type{type_}"]
 
 
 def _type1_components(family, spec, n, weights, C, count):
@@ -454,13 +489,13 @@ def _type1_components(family, spec, n, weights, C, count):
     jp/ml1: lam_j = c_j C_j in closed form, s = 1.  ml2: lam = q calibrated on
     the first r-1 rows, s = C_r; the other |n|-r conditions stay genuine checks.
     """
-    ctor = {"jp": jp_typeI, "ml1": ml1_typeI, "ml2": ml2_typeI}[family]
+    ctor, lam = constructor(family, "I"), KINDS[family].lam
     idx = range(1, spec.r + 1)
     polys = [ctor(spec, n, i) for i in idx]
     rows = [_moment_rows(p, w, count) for p, w in zip(polys, weights)]
-    if family == "ml2":
+    if lam is None:
         return polys, rows, _calibrate_type1(rows), C[-1]
-    return polys, rows, [_typeI_lambda(family, spec, n, i) for i in idx], 1
+    return polys, rows, [lam(spec, n, i) for i in idx], 1
 
 
 def _calibrate_type1(rows):
@@ -496,12 +531,13 @@ def verify_orthogonality(family, spec, n, type_, prec=256):
     gives 0.0.  Returns a dict with the max residual, the normalization datum
     (nonzero is part of the contract) and, for Type I, the constants c_j.
     """
-    N = _size(n)
-    weights = [_weight(family, spec, j) for j in range(spec.r)]
+    _check_index(spec, n)
+    N = sum(n)
+    weights = [KINDS[family].weight(spec, j) for j in range(spec.r)]
     with mp.workprec(prec + 32):
         C = [_moment_constant(w) for w in weights]
         if type_ == "II":
-            P = {"jp": jp_typeII, "ml1": ml1_typeII, "ml2": ml2_typeII}[family](spec, n)
+            P = constructor(family, "II")(spec, n)
             rows = [_moment_rows(P, w, nj + 1) for w, nj in zip(weights, n)]
             worst = max(_scale_free_residual(row, nj, "first non-forced") for row, nj in zip(rows, n))
             norms = [Cj * _to_mpf(row[nj]) for Cj, row, nj in zip(C, rows, n)]
@@ -515,7 +551,7 @@ def verify_orthogonality(family, spec, n, type_, prec=256):
 
 def typeI_function_eval(family, spec, n, xs, prec=256):
     """Values of Q_n(x) = sum_j c_j A_j(x) w_j(x) on a grid (mpmath), and the c_j."""
-    weights = [_weight(family, spec, j) for j in range(spec.r)]
+    weights = [KINDS[family].weight(spec, j) for j in range(spec.r)]
     with mp.workprec(prec):
         C = [_moment_constant(w) for w in weights]
         polys, _, lam, scale = _type1_components(family, spec, n, weights, C, spec.r - 1)
@@ -578,7 +614,7 @@ def jp_condition_weak(spec, n, i):
 def delta_r_interval(family, r):
     """Zero-location target Delta_r: alternating half-lines for r >= 2."""
     if r == 1:
-        return (0.0, 1.0) if family == "jp" else (0.0, float("inf"))
+        return KINDS[family].support
     if r % 2 == 0:
         return (float("-inf"), 0.0)
     return (0.0, float("inf"))
@@ -593,7 +629,7 @@ def theorem_suite_zero_location(family, spec, n, i, precision_bits=None, tau=1e-
     """
     from .roots import find_roots, real_parts_sorted
 
-    ctor = jp_typeI if family == "jp" else ml1_typeI
+    shifted, ctor = KINDS[family].shifted, constructor(family, "I")
     hyp = jp_condition_window(spec, n, i)
     weak = jp_condition_weak(spec, n, i)
     report = {"hypothesis": hyp, "weak_hypothesis": weak, "claim_checked": False}
@@ -605,18 +641,6 @@ def theorem_suite_zero_location(family, spec, n, i, precision_bits=None, tau=1e-
         report.update({"claim_checked": True, "zeros_in_delta_r": inside, "roots": roots})
     # derivative relation: d/dx A_{n,i} is proportional to the (n - e_i) component
     if n[i - 1] >= 2:
-        shifted_spec = (
-            JPSpec(
-                alpha=tuple(a + (1 if j == i - 1 else 0) for j, a in enumerate(spec.alpha)),
-                beta=spec.beta + 1,
-            )
-            if family == "jp"
-            else ML1Spec(
-                alpha=tuple(a + (1 if j == i - 1 else 0) for j, a in enumerate(spec.alpha))
-            )
-        )
-        n_minus = tuple(v - (1 if j == i - 1 else 0) for j, v in enumerate(n))
-        deriv = poly.derivative()
-        target = ctor(shifted_spec, n_minus, i)
-        report["derivative_shift"] = deriv.proportional_to(target) is not None
+        target = ctor(shifted(spec, i), tuple(a - b for a, b in zip(n, unit_index(spec.r, i))), i)
+        report["derivative_shift"] = poly.derivative().proportional_to(target) is not None
     return report

@@ -76,17 +76,3 @@ def gauss_laguerre(m: int, a, c=1, prec: int = 256):
         pref = mp.power(cc, -(aa + 1))
         return [t / cc for t in nodes], [w * pref for w in weights]
 
-
-def integrate_poly(poly, nodes, weights, prec: int = 256):
-    """Weighted integral of a Polynomial against a precomputed rule."""
-    with mp.workprec(prec + 32):
-        mono = poly.to_monomial()
-        coeffs = [_to_mpf(c) for c in mono]
-
-        def horner(x):
-            acc = coeffs[-1]
-            for c in reversed(coeffs[:-1]):
-                acc = acc * x + c
-            return acc
-
-        return mp.fsum(w * horner(x) for x, w in zip(nodes, weights))

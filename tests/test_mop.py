@@ -285,3 +285,43 @@ def test_ml2_typeII_routes_r3():
     spec = ML2Spec(alpha=F(1, 3), c=(F(1), F(2), F(7, 2)))
     d, f, l = ml2_typeII_routes(spec, (2, 2, 2))
     assert d == f == l
+
+
+# -- arity of the multi-index ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: jp_typeII(JPSpec(alpha=(F(1, 2), F(1, 3)), beta=0), (2, 2, 2)),  # 3 indices, 2 weights
+        lambda: ml1_typeII(ML1, (4,)),
+        lambda: ml2_typeII(ML2, (2, -1)),  # negative index
+        lambda: jp_typeI(JP, (2,), 1),
+        lambda: ml1_typeI(ML1, (2, 2), 3),  # i beyond r: was an IndexError
+        lambda: ml1_typeI(ML1, (2, 2), 0),
+        lambda: jp_typeI(JP, (0, 2), 1),  # Type I component of degree -1
+        lambda: ml2_typeI(ML2Spec(alpha=F(1, 2), c=()), (2, 2), 1),  # no c: r = 0
+    ],
+)
+def test_constructors_reject_a_multi_index_of_the_wrong_shape(build):
+    with pytest.raises(InvalidParameters):
+        build()
+
+
+def test_oracle_rejects_more_indices_than_weights():
+    # zipping 2 weights with 3 indices used to report max_residual == 0.0
+    spec = JPSpec(alpha=(F(1, 2), F(1, 3)), beta=0)
+    for type_ in ("I", "II"):
+        with pytest.raises(InvalidParameters):
+            verify_orthogonality("jp", spec, (2, 2, 2), type_, prec=128)
+
+
+def test_kind_table_rejects_unknown_kinds():
+    from finfree.errors import UnknownFamily
+    from finfree.mop import constructor
+
+    with pytest.raises(UnknownFamily):
+        verify_orthogonality("jp1", JP, (2, 2), "II")
+    with pytest.raises(UnknownFamily):
+        constructor("laguerre", "I")
+    assert constructor("ml2", "II") is ml2_typeII
