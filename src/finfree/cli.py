@@ -22,12 +22,25 @@ from .hyper import HypergeometricSpec, hyper_poly
 from .poly import Polynomial
 
 
+# argparse `type=` callables: a malformed number is a usage error (exit 2)
+
+
+def _frac(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def _frac_list(text):
-    return tuple(Fraction(t) for t in text.split(",")) if text else ()
+    return tuple(_frac(t) for t in text.split(",")) if text else ()
 
 
 def _int_list(text):
-    return tuple(int(t) for t in text.split(","))
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,10 +111,10 @@ def _write_hist_csv(args, path, rows, precision_bits):
 def _cmd_hyper(args):
     spec = HypergeometricSpec(
         n=args.n,
-        a=_frac_list(args.a),
-        b=_frac_list(args.b),
-        scale=Fraction(args.scale),
-        shift=Fraction(args.shift),
+        a=args.a,
+        b=args.b,
+        scale=args.scale,
+        shift=args.shift,
         sign=args.sign,
     )
     _write_poly(args, args.out, hyper_poly(spec))
@@ -135,10 +148,10 @@ def _cmd_mop(args):
     from .mop import KINDS, constructor
     from .roots import default_precision, find_roots
 
-    fam, n = resolve(args.family), _int_list(args.n)
-    spec = KINDS[fam.kind].spec(_frac_list(args.alpha), Fraction(args.beta), _frac_list(args.c))
+    fam = resolve(args.family)
+    spec = KINDS[fam.kind].spec(args.alpha, args.beta, args.c)
     ctor = constructor(fam.kind, fam.type_)
-    poly = ctor(spec, n, args.i) if fam.type_ == "I" else ctor(spec, n)
+    poly = ctor(spec, args.n, args.i) if fam.type_ == "I" else ctor(spec, args.n)
     if args.out:
         _write_poly(args, args.out, poly)
     if args.emit:
@@ -152,10 +165,10 @@ def _cmd_limit(args):
     from .families import LimitParams, family_curves
 
     params = LimitParams(
-        theta=_frac_list(args.theta),
-        A=_frac_list(args.A),
-        B=Fraction(args.B),
-        c=_frac_list(args.c),
+        theta=args.theta,
+        A=args.A,
+        B=args.B,
+        c=args.c,
         i=args.i,
     )
     lim = family_curves(args.family, params)
@@ -206,7 +219,7 @@ def _cmd_density(args):
 
     from .families import closed_form
 
-    model = closed_form(args.family, "densities")(Fraction(args.theta))
+    model = closed_form(args.family, "densities")(args.theta)
     lo, hi = model.support
     if lo == float("-inf"):
         lo = -10.0
@@ -241,10 +254,10 @@ def build_parser():
 
     p = sub.add_parser("hyper", help="expand a terminating hypergeometric polynomial")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", default="")
-    p.add_argument("--b", default="")
-    p.add_argument("--scale", default="1")
-    p.add_argument("--shift", default="0")
+    p.add_argument("--a", type=_frac_list, default=())
+    p.add_argument("--b", type=_frac_list, default=())
+    p.add_argument("--scale", type=_frac, default=Fraction(1))
+    p.add_argument("--shift", type=_frac, default=Fraction(0))
     p.add_argument("--sign", type=int, default=0, choices=(0, 1))
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_hyper)
@@ -267,10 +280,10 @@ def build_parser():
 
     p = sub.add_parser("mop", help="construct a multiple-orthogonal-polynomial instance")
     p.add_argument("--family", required=True)
-    p.add_argument("--n", required=True, help="multi-index, e.g. 300,600")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", default="0")
-    p.add_argument("--c", default="")
+    p.add_argument("--n", type=_int_list, required=True, help="multi-index, e.g. 300,600")
+    p.add_argument("--alpha", type=_frac_list, required=True)
+    p.add_argument("--beta", type=_frac, default=Fraction(0))
+    p.add_argument("--c", type=_frac_list, default=())
     p.add_argument("--i", type=int, default=1)
     p.add_argument("--out", default="")
     p.add_argument("--emit", default="", help="roots CSV output")
@@ -279,10 +292,10 @@ def build_parser():
 
     p = sub.add_parser("limit", help="asymptotic limit object of a family")
     p.add_argument("--family", required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--A", default="")
-    p.add_argument("--B", default="0")
-    p.add_argument("--c", default="")
+    p.add_argument("--theta", type=_frac_list, required=True)
+    p.add_argument("--A", type=_frac_list, default=())
+    p.add_argument("--B", type=_frac, default=Fraction(0))
+    p.add_argument("--c", type=_frac_list, default=())
     p.add_argument("--i", type=int, default=1)
     p.add_argument("--K", type=int, default=8)
     p.add_argument("--out", required=True)
@@ -295,7 +308,7 @@ def build_parser():
 
     p = sub.add_parser("density", help="closed-form limit density samples")
     p.add_argument("--family", required=True)
-    p.add_argument("--theta", required=True)
+    p.add_argument("--theta", type=_frac, required=True)
     p.add_argument("--grid", type=int, default=400)
     p.add_argument("--emit", required=True)
     p.set_defaults(fn=_cmd_density)

@@ -9,9 +9,17 @@ consumers share it:
 * solve_curve_branch     -- numeric continuation of the branch over a grid;
 * stieltjes_density      -- boundary values y(x + i eps) and the
                             Sokhotski-Plemelj recovery of the density.
+
+Branch points are zeros of the y-discriminant Res_y(F, F_y), a polynomial in
+u of degree <= (2 deg_y - 1) deg_u.  `y_discriminant` computes it exactly by
+evaluation at integer u, fraction-free (Bareiss) determinants of the integer
+Sylvester matrix, and Newton interpolation; `support_candidates` takes the
+real roots of its square-free part.
 """
 
 from fractions import Fraction
+from functools import lru_cache, reduce
+from math import factorial, lcm
 from operator import mul
 
 import numpy as np
@@ -329,75 +337,110 @@ def stieltjes_density(curve: AlgebraicCurve, xs, eps_schedule=(1e-3, 5e-4), poli
 # -- discriminant-based support candidates ----------------------------------------
 
 
-def _upoly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+def _sylvester(f, g, zero):
+    """Sylvester matrix of sum f[i] y^i and sum g[i] y^i; `zero` fills off the bands."""
+    n, m = len(f) - 1, len(g) - 1
+    rows = []
+    for coeffs, copies in ((f, m), (g, n)):
+        for shift in range(copies):
+            row = [zero] * (n + m)
+            row[shift : shift + len(coeffs)] = coeffs[::-1]
+            rows.append(row)
+    return rows
 
 
-def _upoly_add(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x + y for x, y in zip(a, b)]
+def _expansion_length(degs):
+    """Length of a first-row cofactor expansion's list, from the entry degrees
+    (None for a zero entry, skipped unless it is a final 1x1 minor)."""
+    n = len(degs)
+    entries = [[(1 << c, d) for c, d in enumerate(row) if d is not None] for row in degs]
+
+    @lru_cache(maxsize=None)
+    def best(cols):  # largest degree sum over rows n - |cols|.. with columns `cols` left
+        k = n - cols.bit_count()
+        if k == n - 1:
+            return degs[k][cols.bit_length() - 1] or 0
+        return max((d + best(cols ^ bit) for bit, d in entries[k] if cols & bit), default=0)
+
+    return 1 + best((1 << n) - 1)
 
 
-def _det_poly_matrix(m):
-    """Determinant of a matrix with univariate-polynomial entries (cofactors)."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    out = [Fraction(0)]
-    for j in range(n):
-        if all(c == 0 for c in m[0][j]):
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
-        term = _upoly_mul(m[0][j], _det_poly_matrix(minor))
-        if j % 2:
-            term = [-c for c in term]
-        out = _upoly_add(out, term)
-    return out
+def _bareiss_det(m):
+    """Determinant of a square integer matrix by fraction-free elimination: every
+    division is exact, and a zero pivot swaps in a lower row (or the det is 0)."""
+    m, sign, prev = [list(row) for row in m], 1, 1
+    for k in range(len(m) - 1):
+        swap = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if swap is None:
+            return 0
+        if swap != k:
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        piv, tail = m[k][k], m[k][k + 1 :]
+        for row in m[k + 1 :]:
+            row[k + 1 :] = [(x * piv - row[k] * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = piv
+    return sign * m[-1][-1]
 
 
 def y_discriminant(curve: AlgebraicCurve):
-    """Resultant_y(F, dF/dy) as a univariate polynomial in u (ascending)."""
+    """Resultant_y(F, dF/dy) as a univariate polynomial in u (ascending).
+
+    The Sylvester matrix is (2 deg_y - 1)-square with entries of degree <=
+    deg_u, so the degree is <= D = (2 deg_y - 1) deg_u.  With L the lcm of F's
+    denominators, the integer matrix of L F and L F_y is evaluated at u = 0,
+    1, ..., each determinant taken by Bareiss, the values Newton-interpolated
+    and divided by L^(2 deg_y - 1).  The list keeps the cofactor expansion's
+    length (trailing zeros included), at most D + 1: that many points are used.
+    """
     ny = curve.deg_y
-    f = [[Fraction(0)] for _ in range(ny + 1)]  # f[i] = coeff of y^i as u-poly
-    for (i, j), c in curve.coeffs.items():
-        while len(f[i]) <= j:
-            f[i].append(Fraction(0))
-        f[i][j] += c
-    g = [_upoly_mul([Fraction(i)], f[i]) for i in range(1, ny + 1)]  # dF/dy coeffs
-    n, m = ny, ny - 1
-    size = n + m
-    rows = []
-    for shift in range(m):
-        row = [[Fraction(0)] for _ in range(size)]
-        for i in range(n + 1):
-            row[shift + (n - i)] = f[i]
-        rows.append(row)
-    for shift in range(n):
-        row = [[Fraction(0)] for _ in range(size)]
-        for i in range(m + 1):
-            row[shift + (m - i)] = g[i]
-        rows.append(row)
-    return _det_poly_matrix(rows)
+    den = reduce(lcm, (c.denominator for c in curve.coeffs.values()))
+    # f[i]: the coefficient of y^i in L F, an integer polynomial in u
+    f = [[int(den * curve.coeffs.get((i, j), 0)) for j in range(curve.deg_u + 1)] for i in range(ny + 1)]
+    degs = [max((j for j, c in enumerate(fi) if c), default=None) for fi in f]
+    diffs, vals = [], []
+    for u in range(_expansion_length(_sylvester(degs, degs[1:], None))):
+        fu = [sum(c * u**j for j, c in enumerate(fi)) for fi in f]
+        vals.append(_bareiss_det(_sylvester(fu, [i * v for i, v in enumerate(fu)][1:], 0)))
+    while vals:  # forward differences: p(u) = sum_k diffs[k] (u)_k / k!
+        diffs.append(vals[0])
+        vals = [b - a for a, b in zip(vals, vals[1:])]
+    top, acc = len(diffs) - 1, [diffs[-1]]
+    for k in range(top - 1, -1, -1):  # acc <- acc (u - k) + diffs[k] top! / k!
+        acc = [lo - k * hi for lo, hi in zip([0] + acc, acc + [0])]
+        acc[0] += diffs[k] * (factorial(top) // factorial(k))
+    return [Fraction(c, factorial(top) * den ** (2 * ny - 1)) for c in acc]
+
+
+def _divmod_q(a, b):
+    """Quotient and remainder of a by b over Q (descending lists, b[0] != 0)."""
+    a, q = list(a), []
+    for k in range(len(a) - len(b) + 1):
+        c = a[k] / b[0]
+        q.append(c)
+        for j in range(1, len(b)):
+            a[k + j] -= c * b[j]
+    rem = a[len(q) :]
+    return q, rem[next((i for i, c in enumerate(rem) if c), len(rem)) :]
+
+
+def _squarefree(p):
+    """p / gcd(p, p') over Q (descending, p[0] != 0): every root of p once."""
+    a, b = p, [c * k for c, k in zip(p, range(len(p) - 1, 0, -1))]
+    while b:
+        a, b = b, _divmod_q(a, b)[1]
+    return _divmod_q(p, a)[0]
 
 
 def support_candidates(curve: AlgebraicCurve):
     """Real zeros of the u-discriminant: candidate support endpoints.
 
     Heuristic (no certification): branch points of y(u) on the real axis.
+    The exact square-free part of the discriminant is taken first, so a
+    multiple branch point is reported once.
     """
-    disc = y_discriminant(curve)
-    arr = np.array([float(c) for c in disc], dtype=float)
-    if not arr.any():
+    disc = y_discriminant(curve)[::-1]
+    disc = disc[next((i for i, c in enumerate(disc) if c), len(disc)) :]
+    if not disc:
         return []
-    arr = np.trim_zeros(arr, "b")
-    roots = np.roots(arr[::-1])
-    out = sorted({round(r.real, 9) for r in roots if abs(r.imag) < 1e-9})
-    return out
+    roots = np.roots(np.array([float(c) for c in _squarefree(disc)], dtype=float))
+    return sorted({round(r.real, 9) for r in roots if abs(r.imag) < 1e-9})

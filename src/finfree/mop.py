@@ -626,10 +626,15 @@ def theorem_suite_zero_location(family, spec, n, i, precision_bits=None, tau=1e-
     Returns a report dict; when the hypothesis window fails, no location
     claim is asserted (`claim_checked` False), matching the theorem's scope.
     The weakened window is reported separately: it only implies real roots.
+    Only kinds with a Type I derivative relation in KINDS (jp, ml1) are
+    covered; any other kind raises InvalidParameters.
     """
     from .roots import find_roots, real_parts_sorted
 
     shifted, ctor = KINDS[family].shifted, constructor(family, "I")
+    if shifted is None:
+        covered = ", ".join(k for k, kind in KINDS.items() if kind.shifted is not None)
+        raise InvalidParameters(f"the zero-location suite covers kinds {covered}, not {family!r}")
     hyp = jp_condition_window(spec, n, i)
     weak = jp_condition_weak(spec, n, i)
     report = {"hypothesis": hyp, "weak_hypothesis": weak, "claim_checked": False}

@@ -3,6 +3,8 @@ import os
 import subprocess
 from fractions import Fraction as F
 
+import pytest
+
 from finfree import cli
 from finfree.cli import main
 from finfree.poly import Polynomial
@@ -83,6 +85,20 @@ def test_usage_and_error_exit_codes(tmp_path):
     assert run(tmp_path, "bogus-subcommand") == 2
     # numeric failure: unknown mop family exits 1 with a diagnostic
     assert run(tmp_path, "mop", "--family", "nope", "--n", "2,2", "--alpha", "1/2,3/7") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("hyper", "--n", "3", "--a", "5/2,x", "--out", "p.json"),
+    ("hyper", "--n", "3", "--scale", "1/0", "--out", "p.json"),
+    ("mop", "--family", "jp2", "--n", "2,x", "--alpha", "1/2,3/7"),
+    ("mop", "--family", "jp2", "--n", "2,2", "--alpha", "1/2,3/7", "--beta", "one"),
+    ("limit", "--family", "jp1", "--theta", "abc", "--out", "f.json"),
+])
+def test_malformed_numbers_are_usage_errors(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_sidecar_records_the_argv_given_to_main(tmp_path):

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from finfree.curves import (
     y_discriminant,
 )
 from finfree.errors import BranchDegenerate, BranchJump
+from finfree.families import LimitParams, family_curves
 from finfree.partitions import moments_from_cumulants_nc
 
 
@@ -64,6 +67,123 @@ def test_support_candidates_mp():
     disc = y_discriminant(mp_curve())
     # u^2 - 4u up to sign
     assert [c / disc[-1] for c in disc] == [F(0), F(-4), F(1)]
+
+
+def _upoly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _upoly_add(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [F(0)] * (n - len(a))
+    b = list(b) + [F(0)] * (n - len(b))
+    return [x + y for x, y in zip(a, b)]
+
+
+def cofactor_discriminant(curve):
+    """Oracle: Res_y(F, F_y) by cofactor expansion of the polynomial Sylvester
+    matrix along the first row, as finfree computed it before interpolation.
+    Each minor is cached by its column set, which changes no value or length."""
+    ny = curve.deg_y
+    f = [[F(0)] for _ in range(ny + 1)]  # f[i] = coeff of y^i as u-poly
+    for (i, j), c in curve.coeffs.items():
+        while len(f[i]) <= j:
+            f[i].append(F(0))
+        f[i][j] += c
+    g = [_upoly_mul([F(i)], f[i]) for i in range(1, ny + 1)]  # dF/dy coeffs
+    n, m = ny, ny - 1
+    rows = []
+    for shift in range(m):
+        row = [[F(0)] for _ in range(n + m)]
+        for i in range(n + 1):
+            row[shift + (n - i)] = f[i]
+        rows.append(row)
+    for shift in range(n):
+        row = [[F(0)] for _ in range(n + m)]
+        for i in range(m + 1):
+            row[shift + (m - i)] = g[i]
+        rows.append(row)
+
+    @lru_cache(maxsize=None)
+    def det(cols):  # the minor on rows len(rows) - len(cols).. and columns cols
+        top = rows[len(rows) - len(cols)]
+        if len(cols) == 1:
+            return top[cols[0]]
+        out = [F(0)]
+        for idx, j in enumerate(cols):
+            if all(c == 0 for c in top[j]):
+                continue
+            term = _upoly_mul(top[j], det(cols[:idx] + cols[idx + 1 :]))
+            if idx % 2:
+                term = [-c for c in term]
+            out = _upoly_add(out, term)
+        return out
+
+    return det(tuple(range(len(rows))))
+
+
+def random_curve(rng, deg_y, deg_u):
+    coeffs = {
+        (i, j): F(rng.randint(-9, 9), rng.randint(1, 6))
+        for i in range(deg_y + 1)
+        for j in range(deg_u + 1)
+        if rng.random() < 0.6
+    }
+    coeffs[(deg_y, rng.randint(0, deg_u))] = F(rng.randint(1, 9), rng.randint(1, 5))
+    return AlgebraicCurve(coeffs)
+
+
+def test_y_discriminant_matches_cofactor_oracle_on_random_curves():
+    rng = random.Random(20261018)
+    shapes = [(dy, du) for dy in range(1, 6) for du in range(4)]
+    for t in range(200):
+        curve = random_curve(rng, *shapes[t % len(shapes)])
+        disc = y_discriminant(curve)
+        assert disc == cofactor_discriminant(curve) and all(type(c) is F for c in disc), curve
+
+
+def limit_params(family, r):
+    theta = tuple(F(k + 1, r * (r + 1) // 2) for k in range(r))
+    if family.startswith("ml2"):
+        return LimitParams(theta=theta, A=(F(1, 2),), c=tuple(F(k + 1) for k in range(r)))
+    return LimitParams(theta=theta)
+
+
+# ml2-1's limit is R-transform pole data: it has no algebraic curve
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("family", ["jp1", "ml1-1", "jp2", "ml1-2", "ml2-2"])
+def test_y_discriminant_matches_cofactor_oracle_on_families(family, r):
+    curve = family_curves(family, limit_params(family, r)).curve
+    disc = y_discriminant(curve)
+    assert disc == cofactor_discriminant(curve)
+    assert len(disc) <= (2 * curve.deg_y - 1) * curve.deg_u + 1
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_y_discriminant_beyond_the_cofactor_range(r):
+    curve = family_curves("jp2", limit_params("jp2", r)).curve
+    disc = y_discriminant(curve)
+    assert len(disc) <= (2 * curve.deg_y - 1) * curve.deg_u + 1 and any(disc)
+    sup = support_candidates(curve)
+    assert sup
+    for u in sup:
+        val = sum(float(c) * u**k for k, c in enumerate(disc))
+        scale = sum(abs(float(c)) * abs(u) ** k for k, c in enumerate(disc))
+        assert abs(val) <= 1e-6 * scale
+
+
+def test_double_branch_point_reported_once():
+    # at theta = (1/4, 3/4) the jp2 discriminant has a double root at u = 1
+    curve = family_curves("jp2", LimitParams(theta=(F(1, 4), F(3, 4)))).curve
+    disc = y_discriminant(curve)
+    assert sum(disc) == 0 and sum(k * c for k, c in enumerate(disc)) == 0
+    assert len([u for u in support_candidates(curve) if abs(u - 1) < 1e-9]) == 1
 
 
 def jp1_cubic():

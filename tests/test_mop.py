@@ -244,6 +244,11 @@ def test_zero_location_suite():
     assert not rep["hypothesis"] and not rep["claim_checked"]
 
 
+def test_zero_location_suite_rejects_kinds_without_a_derivative_relation():
+    with pytest.raises(InvalidParameters, match="covers kinds jp, ml1"):
+        theorem_suite_zero_location("ml2", ML2, (3, 3), 1)
+
+
 def test_zero_location_r3_odd():
     spec = JPSpec(alpha=(F(2, 5), F(1, 3), F(1, 4)), beta=F(1))
     rep = theorem_suite_zero_location("jp", spec, (2, 3, 3), 1)

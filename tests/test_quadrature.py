@@ -6,7 +6,7 @@ import pytest
 from finfree.mop import _moment_constant, _moment_ratios
 from finfree.quadrature import gauss_jacobi, gauss_laguerre
 
-# (a, b, c) as in finfree.mop._weight: Beta weight when c is None, else Gamma
+# (a, b, c) as the weights of finfree.mop.KINDS: Beta weight when c is None, else Gamma
 WEIGHTS = [
     (F(1, 2), F(1), None),
     (F(3, 7), F(1, 2), None),
