@@ -36,6 +36,16 @@ def _frac_list(text):
     return tuple(_frac(t) for t in text.split(",")) if text else ()
 
 
+def _count(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
 def _int_list(text):
     try:
         return tuple(int(t) for t in text.split(","))
@@ -253,7 +263,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("hyper", help="expand a terminating hypergeometric polynomial")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--a", type=_frac_list, default=())
     p.add_argument("--b", type=_frac_list, default=())
     p.add_argument("--scale", type=_frac, default=Fraction(1))
@@ -264,7 +274,7 @@ def build_parser():
 
     p = sub.add_parser("conv", help="finite free convolution of two polynomial files")
     p.add_argument("--op", choices=("mult", "add"), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--out", required=True)
@@ -272,9 +282,9 @@ def build_parser():
 
     p = sub.add_parser("roots", help="multiprecision roots of a polynomial file")
     p.add_argument("--p", required=True)
-    p.add_argument("--prec", type=int, default=0)
+    p.add_argument("--prec", type=_count, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--hist", type=int, default=0, help="also emit a histogram with this many bins")
+    p.add_argument("--hist", type=_count, default=0, help="also emit a histogram with this many bins")
     p.add_argument("--hist-out", default="hist.csv")
     p.set_defaults(fn=_cmd_roots)
 
@@ -287,7 +297,7 @@ def build_parser():
     p.add_argument("--i", type=int, default=1)
     p.add_argument("--out", default="")
     p.add_argument("--emit", default="", help="roots CSV output")
-    p.add_argument("--prec", type=int, default=0)
+    p.add_argument("--prec", type=_count, default=0)
     p.set_defaults(fn=_cmd_mop)
 
     p = sub.add_parser("limit", help="asymptotic limit object of a family")
@@ -297,26 +307,26 @@ def build_parser():
     p.add_argument("--B", type=_frac, default=Fraction(0))
     p.add_argument("--c", type=_frac_list, default=())
     p.add_argument("--i", type=int, default=1)
-    p.add_argument("--K", type=int, default=8)
+    p.add_argument("--K", type=_count, default=8)
     p.add_argument("--out", required=True)
     p.add_argument("--samples", default="", help="also sample the curve branch to this CSV")
     p.add_argument("--u-from", type=float, default=-3.0)
     p.add_argument("--u-to", type=float, default=-0.05)
-    p.add_argument("--grid", type=int, default=100)
+    p.add_argument("--grid", type=_count, default=100)
     p.add_argument("--imag", type=float, default=1e-3)
     p.set_defaults(fn=_cmd_limit)
 
     p = sub.add_parser("density", help="closed-form limit density samples")
     p.add_argument("--family", required=True)
     p.add_argument("--theta", type=_frac, required=True)
-    p.add_argument("--grid", type=int, default=400)
+    p.add_argument("--grid", type=_count, default=400)
     p.add_argument("--emit", required=True)
     p.set_defaults(fn=_cmd_density)
 
     p = sub.add_parser("verify", help="run an exact verification suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--draws", type=int, default=100)
+    p.add_argument("--n", type=_count, default=8)
+    p.add_argument("--draws", type=_count, default=100)
     p.set_defaults(fn=_cmd_verify)
     return ap
 

@@ -10,6 +10,10 @@ consumers share it:
 * stieltjes_density      -- boundary values y(x + i eps) and the
                             Sokhotski-Plemelj recovery of the density.
 
+`newton_series_branch` expands a branch in integers: after the Taylor shift
+to the root, cleared denominators and u = c Z, v = c^2 w (c the pivot), the
+equation has integer coefficients and Z_n = y_n c^(2n - 1) is an integer.
+
 Branch points are zeros of the y-discriminant Res_y(F, F_y), a polynomial in
 u of degree <= (2 deg_y - 1) deg_u.  `y_discriminant` computes it exactly by
 evaluation at integer u, fraction-free (Bareiss) determinants of the integer
@@ -19,12 +23,12 @@ real roots of its square-free part.
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from operator import mul
 
 import numpy as np
 
-from .errors import BranchDegenerate, BranchJump, NegativeDensity
+from .errors import BranchDegenerate, BranchJump, NegativeDensity, ZeroScale
 from .series import FormalMomentSeries
 
 
@@ -80,19 +84,14 @@ def biv_scale(a, c):
     return {k: c * v for k, v in a.items()}
 
 
-def y_plus(c):
-    """The factor (y + c)."""
-    return {(1, 0): Fraction(1), (0, 0): Fraction(c)}
-
-
 def curve_from_limits(A, B) -> AlgebraicCurve:
     """y * prod(y + B_j) - u (y - 1) * prod(y + A_i) = 0."""
     lhs = {(1, 0): Fraction(1)}
     for bj in B:
-        lhs = biv_mul(lhs, y_plus(bj))
+        lhs = biv_mul(lhs, {(1, 0): Fraction(1), (0, 0): Fraction(bj)})
     rhs = {(1, 1): Fraction(1), (0, 1): Fraction(-1)}  # u (y - 1)
     for ai in A:
-        rhs = biv_mul(rhs, y_plus(ai))
+        rhs = biv_mul(rhs, {(1, 0): Fraction(1), (0, 0): Fraction(ai)})
     return AlgebraicCurve(biv_add(lhs, biv_scale(rhs, -1)))
 
 
@@ -106,8 +105,6 @@ def curve_shifted(A, B, c, d):
 
     Encoded as {(i, j): coeff} with i the power of w and j the power of u.
     """
-    from .errors import ZeroScale
-
     c = Fraction(c)
     d = Fraction(d)
     if c == 0:
@@ -149,37 +146,46 @@ def _v_side_coeffs(curve: AlgebraicCurve):
 
 
 def newton_series_branch(g, y0, K):
-    """Series solution y(v) = y0 + O(v) of G(y, v) = 0, G given as a dict.
+    """Series y(v) = y0 + y_1 v + ... + y_K v^K solving G(y, v) = 0, G a dict.
 
-    G = sum g[(i, k)] y^i v^k must have a simple root at (y0, 0).  Since
-    [v^n] y^i = i y0^(i-1) y_n + (terms in y_1..y_(n-1)), each y_n solves one
-    linear equation with the fixed pivot G_y(y0, 0); the power table
-    powers[i][t] = [v^t] y^i grows by one column per coefficient.
+    G = sum g[(i, k)] y^i v^k must have a simple root at (y0, 0).  With
+    y0 = a/b, L the lcm of G's denominators and D = deg_y G, the shifted
+    H(u, v) = b^D L G(y0 + u, v) = sum h_jk u^j v^k is integral, h_00 = 0 and
+    the pivot c = h_10 is nonzero.  Under u = c Z, v = c^2 w, H = 0 reads
+    Z = -sum h_jk c^(j + 2k - 2) Z^j w^k over j + 2k >= 2: every exponent is
+    >= 0 and, as Z(0) = 0, [w^n] of the right side needs only Z_1..Z_(n-1), so
+    each Z_n is an integer.  The power table powers[j][t] = [w^t] Z^j grows one
+    column per order, and y_n = Z_n / c^(2n - 1) is the only division.
     """
+    if K < 0:
+        raise ValueError(f"truncation order K must be >= 0, got K = {K}")
     y0 = Fraction(y0)
-    max_i = max(i for i, _ in g)
-    terms = [(i, k, c) for (i, k), c in g.items() if k <= K]
-    y = [y0]
-    powers = [[Fraction(1)] + [Fraction(0)] * K] + [[y0**i] for i in range(1, max_i + 1)]
+    a, b = y0.as_integer_ratio()
+    D = max(i for i, _ in g)
+    L = reduce(lcm, (v.denominator for v in g.values()))
+    h = {}
+    for (i, k), v in g.items():  # L g_ik b^(D - i) (a + b u)^i, binomially
+        for j in range(i + 1):
+            h[j, k] = h.get((j, k), 0) + int(L * v) * comb(i, j) * a ** (i - j) * b ** (D - i + j)
+    h00, c = h.get((0, 0), 0), h.get((1, 0), 0)
+    if h00 != 0 or c == 0:
+        G, G_y = Fraction(h00, b**D * L), Fraction(c, b**D * L)
+        raise BranchDegenerate(f"branch not simple at (y={y0}, v=0): G={G}, G_y={G_y}")
+    terms = [(j, k, -v * c ** (j + 2 * k - 2)) for (j, k), v in h.items() if v and k <= K and j + 2 * k >= 2]
+    Z = [0]
+    powers = [[1] + [0] * K, Z] + [[0] for _ in range(D - 1)]
 
-    def coeff(n):
-        return sum(c * powers[i][n - k] for i, k, c in terms if k <= n)
+    def rhs(n):
+        return sum(v * powers[j][n - k] for j, k, v in terms if k <= n)
 
-    val = coeff(0)
-    der = sum(i * c * powers[i - 1][0] for i, k, c in terms if k == 0 and i >= 1)
-    if val != 0 or der == 0:
-        raise BranchDegenerate(f"branch not simple at (y={y0}, v=0): G={val}, G_y={der}")
     for n in range(1, K + 1):
-        # column n of the table with y_n = 0, then the pivot correction
-        y.append(Fraction(0))
-        for i in range(1, max_i + 1):
-            powers[i].append(sum(map(mul, powers[i - 1][n::-1], y)))
-        y[n] = -coeff(n) / der
-        for i in range(1, max_i + 1):
-            powers[i][n] += i * powers[i - 1][0] * y[n]
-    if any(coeff(n) != 0 for n in range(K + 1)):
+        Z.append(0)  # column n of Z^j, j >= 2, needs only Z_1..Z_(n-1)
+        for j in range(2, D + 1):
+            powers[j].append(sum(map(mul, powers[j - 1][n - 1 : 0 : -1], Z[1:n])))
+        Z[n] = rhs(n)
+    if any(Z[n] != rhs(n) for n in range(K + 1)):
         raise BranchDegenerate("series branch failed to close the curve equation")
-    return y
+    return [y0] + [Fraction(Z[n], c ** (2 * n - 1)) for n in range(1, K + 1)]
 
 
 def moments_from_curve(curve: AlgebraicCurve, K: int) -> FormalMomentSeries:
@@ -200,11 +206,8 @@ def branch_mass_candidates(curve: AlgebraicCurve):
     mass |A| < 1, which shows up here as another real slice root.
     """
     slice0 = {i: c for (i, k), c in _v_side_coeffs(curve).items() if k == 0}
-    coeffs = [0.0] * (max(slice0) + 1)
-    for i, c in slice0.items():
-        coeffs[i] = float(c)
-    arr = np.trim_zeros(np.array(coeffs[::-1]), "f")
-    roots = np.roots(arr)
+    coeffs = [float(slice0.get(i, 0)) for i in range(max(slice0), -1, -1)]
+    roots = np.roots(np.trim_zeros(np.array(coeffs), "f"))
     return sorted({round(r.real, 12) for r in roots if abs(r.imag) < 1e-9})
 
 
@@ -310,10 +313,7 @@ def stieltjes_density(curve: AlgebraicCurve, xs, eps_schedule=(1e-3, 5e-4), poli
     if any(x == 0 for x in xs):
         raise ValueError("grid must avoid x = 0")
     eps1, eps2 = sorted(eps_schedule, reverse=True)[:2]
-    vals = {}
-    for eps in (eps1, eps2):
-        ys = solve_curve_branch(curve, [x + 1j * eps for x in xs])
-        vals[eps] = ys
+    vals = {eps: solve_curve_branch(curve, [x + 1j * eps for x in xs]) for eps in (eps1, eps2)}
     out = []
     for i, x in enumerate(xs):
         y1, y2 = vals[eps1][i], vals[eps2][i]

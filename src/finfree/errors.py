@@ -91,7 +91,7 @@ class UnknownFamily(FinfreeError):
 
 
 class InvalidParameters(FinfreeError):
-    """MOP family invariants violated."""
+    """Parameters outside their valid range (family invariants, precision)."""
 
 
 class NonIntegerBetaPath(FinfreeError):

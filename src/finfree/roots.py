@@ -37,6 +37,7 @@ import numpy as np
 from .aberth import _aberth_sweeps, _exact, _from_mp, _horner, _mantissa, _renorm, _to_mpc
 from .errors import (
     DegreeGapTooLarge,
+    InvalidParameters,
     NonConvergence,
     NonRealRoots,
     ZeroDegree,
@@ -45,9 +46,11 @@ from .poly import Polynomial, _ints
 
 
 def default_precision(n: int) -> int:
-    """Precision schedule in bits, overridable via FINFREE_PREC_BITS."""
+    """Precision schedule in bits, overridable via FINFREE_PREC_BITS (a positive integer)."""
     env = os.environ.get("FINFREE_PREC_BITS")
     if env:
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise InvalidParameters(f"FINFREE_PREC_BITS must be a positive integer, got {env!r}")
         return int(env)
     if n <= 100:
         return 256
@@ -142,8 +145,11 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     part exactly 0.  If any of the three fails, the complex path runs from
     complex seeds.  Raises NonConvergence with partial diagnostics if the
     last rung of the complex path fails to converge.  Coefficients must be
-    real: Fractions, ints, floats or mpmath reals.
+    real: Fractions, ints, floats or mpmath reals.  Raises InvalidParameters
+    for precision_bits < 1.
     """
+    if precision_bits is not None and precision_bits < 1:
+        raise InvalidParameters(f"precision_bits must be >= 1, got {precision_bits}")
     deg = p.degree
     if deg < 1:
         raise ZeroDegree("constant polynomial has no roots to find")

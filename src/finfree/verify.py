@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 from .conv import add_conv, check_identity_dilation_additive, check_identity_dilation_distribute, mult_conv
+from .errors import InvalidParameters
 from .hyper import (
     HypergeometricSpec,
     KdFSpec,
@@ -47,6 +48,8 @@ def _rng_poly(rng, n):
 def suite_identities(n_max=8, draws=100, seed=20240811):
     """Exact identity suite: dilations, shift, bilinearity, the convolution
     theorems, the reversed-product trick, and the two KdF factorizations."""
+    if n_max < 2:
+        raise InvalidParameters(f"the identity suite draws degrees 2..n_max, got n_max = {n_max}")
     rng = random.Random(seed)
     results = []
 

@@ -101,6 +101,36 @@ def test_malformed_numbers_are_usage_errors(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ("hyper", "--n", "-3", "--out", "p.json"),
+    ("hyper", "--n", "3.5", "--out", "p.json"),
+    ("conv", "--op", "mult", "--n", "-1", "--p", "p.json", "--q", "q.json", "--out", "r.json"),
+    ("roots", "--p", "p.json", "--prec", "-5", "--out", "roots.csv"),
+    ("roots", "--p", "p.json", "--hist", "-2", "--out", "roots.csv"),
+    ("mop", "--family", "jp2", "--n", "2,2", "--alpha", "1/2,3/7", "--emit", "r.csv", "--prec", "-1"),
+    ("limit", "--family", "jp1", "--theta", "1/3,2/3", "--K", "-1", "--out", "f.json"),
+    ("limit", "--family", "jp1", "--theta", "1/3,2/3", "--grid", "-4", "--out", "f.json"),
+    ("density", "--family", "jp2", "--theta", "1/2", "--grid", "-1", "--emit", "d.csv"),
+    ("verify", "--suite", "identities", "--draws", "-1"),
+    ("verify", "--suite", "identities", "--n", "-3"),
+])
+def test_negative_counts_are_usage_errors(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err and "not a non-negative integer" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_identity_suite_below_degree_two_is_an_error(tmp_path, capsys):
+    assert run(tmp_path, "verify", "--suite", "identities", "--n", "1") == 1
+    assert "n_max = 1" in capsys.readouterr().err
+
+
+def test_limit_at_order_zero_writes_no_moments(tmp_path):
+    assert run(tmp_path, "limit", "--family", "jp1", "--theta", "1/3,2/3", "--K", "0", "--out", "f.json") == 0
+    assert json.loads((tmp_path / "f.json").read_text())["moments"] == []
+
+
 def test_sidecar_records_the_argv_given_to_main(tmp_path):
     argv = ["hyper", "--n", "3", "--a", "5/2", "--b", "7/3", "--out", "p.json"]
     assert run(tmp_path, *argv) == 0

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction as F
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from finfree.curves import (
     curve_shifted,
     mass_branch_moments,
     moments_from_curve,
+    newton_series_branch,
     reciprocal_moments_from_curve,
     solve_curve_branch,
     stieltjes_density,
@@ -226,6 +228,90 @@ def test_degenerate_branch_raises():
     curve = AlgebraicCurve({**lhs, **{(i, j + 1): -c for (i, j), c in rhs.items()}})
     with pytest.raises(BranchDegenerate):
         moments_from_curve(curve, 3)
+
+
+def fraction_series_branch(g, y0, K):
+    """Oracle: the branch series by per-term Fraction arithmetic, as finfree
+    computed it before the integer substitution.  Each y_n solves one linear
+    equation with the pivot G_y(y0, 0); powers[i][t] = [v^t] y^i."""
+    y0 = F(y0)
+    max_i = max(i for i, _ in g)
+    terms = [(i, k, c) for (i, k), c in g.items() if k <= K]
+    y = [y0]
+    powers = [[F(1)] + [F(0)] * K] + [[y0**i] for i in range(1, max_i + 1)]
+
+    def coeff(n):
+        return sum(c * powers[i][n - k] for i, k, c in terms if k <= n)
+
+    val = coeff(0)
+    der = sum(i * c * powers[i - 1][0] for i, k, c in terms if k == 0 and i >= 1)
+    if val != 0 or der == 0:
+        raise BranchDegenerate(f"branch not simple at (y={y0}, v=0): G={val}, G_y={der}")
+    for n in range(1, K + 1):
+        # column n of the table with y_n = 0, then the pivot correction
+        y.append(F(0))
+        for i in range(1, max_i + 1):
+            powers[i].append(sum(map(mul, powers[i - 1][n::-1], y)))
+        y[n] = -coeff(n) / der
+        for i in range(1, max_i + 1):
+            powers[i][n] += i * powers[i - 1][0] * y[n]
+    if any(coeff(n) != 0 for n in range(K + 1)):
+        raise BranchDegenerate("series branch failed to close the curve equation")
+    return y
+
+
+def random_branch_curve(rng, deg_y, deg_v, y0):
+    """G(y, v) as a dict with a simple root at (y0, 0): random rational
+    coefficients, then the constant term that puts y0 on the v = 0 slice."""
+    g = {
+        (i, k): F(rng.randint(-9, 9), rng.randint(1, 6))
+        for i in range(deg_y + 1)
+        for k in range(deg_v + 1)
+        if rng.random() < 0.6
+    }
+    g[(deg_y, rng.randint(0, deg_v))] = F(rng.randint(1, 9), rng.randint(1, 5))
+    if sum(i * c * y0 ** (i - 1) for (i, k), c in g.items() if k == 0 and i) == 0:
+        g[(1, 0)] = g.get((1, 0), 0) + 1
+    g[(0, 0)] = g.get((0, 0), 0) - sum(c * y0**i for (i, k), c in g.items() if k == 0)
+    return {key: c for key, c in g.items() if c}
+
+
+@pytest.mark.parametrize("y0", [F(1), F(0), F(1, 2), F(-3, 2)], ids=str)
+def test_branch_series_matches_fraction_oracle_on_random_curves(y0):
+    rng = random.Random(f"branch {y0}")
+    for deg_y in range(2, 6):
+        for deg_v in (1, 2):
+            g = random_branch_curve(rng, deg_y, deg_v, y0)
+            for K in (0, 1, 2, 48):
+                y = newton_series_branch(g, y0, K)
+                assert y == fraction_series_branch(g, y0, K) and all(type(c) is F for c in y), (g, K)
+
+
+@pytest.mark.parametrize("family", ["jp1", "ml1-1", "jp2", "ml1-2", "ml2-2"])
+def test_branch_series_matches_fraction_oracle_on_families(family):
+    from finfree.curves import _v_side_coeffs
+
+    for r in (2, 3, 4):
+        g = _v_side_coeffs(family_curves(family, limit_params(family, r)).curve)
+        assert newton_series_branch(g, 1, 32) == fraction_series_branch(g, 1, 32)
+
+
+@pytest.mark.parametrize("g, y0, values", [
+    ({(1, 0): F(1), (0, 1): F(1)}, 1, "G=1, G_y=1"),  # y + v: y0 = 1 is off the slice
+    ({(2, 0): F(1), (1, 0): F(-2), (0, 0): F(1), (0, 1): F(1)}, 1, "G=0, G_y=0"),  # (y - 1)^2 + v
+    ({(2, 0): F(4), (1, 0): F(-4), (0, 0): F(1), (0, 1): F(3, 2)}, F(1, 2), "G=0, G_y=0"),
+    ({(3, 0): F(2, 3), (0, 0): F(-9, 4), (1, 1): F(1)}, F(-3, 2), "G=-9/2, G_y=9/2"),
+])
+def test_branch_series_degenerate_modes_raise(g, y0, values):
+    for solve in (newton_series_branch, fraction_series_branch):
+        with pytest.raises(BranchDegenerate, match=f"v=0\\): {values}$"):
+            solve(g, y0, 4)
+
+
+def test_negative_truncation_order_is_a_value_error():
+    with pytest.raises(ValueError, match="K = -2"):
+        moments_from_curve(mp_curve(), -2)
+    assert moments_from_curve(mp_curve(), 0).m == ()
 
 
 def test_reciprocal_moments():

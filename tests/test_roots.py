@@ -6,7 +6,7 @@ import pytest
 
 from finfree import roots as roots_module
 from finfree.conv import mult_conv
-from finfree.errors import DegreeGapTooLarge, NonConvergence, NonRealRoots
+from finfree.errors import DegreeGapTooLarge, InvalidParameters, NonConvergence, NonRealRoots
 from finfree.hyper import HypergeometricSpec, hyper_poly
 from finfree.mop import JPSpec, jp_typeI, jp_typeII
 from finfree.poly import Polynomial
@@ -70,6 +70,19 @@ def test_default_precision_schedule(monkeypatch):
     assert default_precision(900) == 1280
     monkeypatch.setenv("FINFREE_PREC_BITS", "777")
     assert default_precision(900) == 777
+
+
+@pytest.mark.parametrize("bits", [-40, -5, 0])
+def test_non_positive_precision_is_rejected(bits):
+    with pytest.raises(InvalidParameters, match=f"got {bits}"):
+        find_roots(Polynomial.from_roots([1, 2, 3]), bits)
+
+
+@pytest.mark.parametrize("env", ["0", "-5", "abc"])
+def test_non_positive_precision_env_is_rejected(monkeypatch, env):
+    monkeypatch.setenv("FINFREE_PREC_BITS", env)
+    with pytest.raises(InvalidParameters, match="FINFREE_PREC_BITS"):
+        default_precision(50)
 
 
 def test_stability_under_precision_doubling():
