@@ -323,8 +323,10 @@ def build_parser():
     p.add_argument("--emit", required=True)
     p.set_defaults(fn=_cmd_density)
 
+    from .verify import SUITES
+
     p = sub.add_parser("verify", help="run an exact verification suite")
-    p.add_argument("--suite", required=True)
+    p.add_argument("--suite", required=True, choices=tuple(SUITES))
     p.add_argument("--n", type=_count, default=8)
     p.add_argument("--draws", type=_count, default=100)
     p.set_defaults(fn=_cmd_verify)

@@ -49,13 +49,6 @@ class AlgebraicCurve:
     def dy(self, y, u):
         return sum(c * i * y ** (i - 1) * u**j for i, j, c in self._float if i >= 1)
 
-    def y_poly_at(self, u):
-        """Monomial coefficients in y (descending, numpy.roots order) at fixed u."""
-        out = [0j] * (self.deg_y + 1)
-        for i, j, c in self._float:
-            out[self.deg_y - i] += c * u**j
-        return out
-
     def __repr__(self):
         return f"AlgebraicCurve({dict(sorted(self.coeffs.items()))})"
 
@@ -104,6 +97,8 @@ def curve_shifted(A, B, c, d):
         w prod_j [d u w + c(u+1+B_j)] = c^(t-s) (d w + c) prod_i [d u w + c(u+1+A_i)].
 
     Encoded as {(i, j): coeff} with i the power of w and j the power of u.
+    A paper-formula utility: no limit builder uses it, only the tests that
+    check it against the plain relation and the first moment.
     """
     c = Fraction(c)
     d = Fraction(d)
@@ -299,12 +294,16 @@ def solve_curve_branch(curve: AlgebraicCurve, u_grid):
     return out
 
 
-def stieltjes_density(curve: AlgebraicCurve, xs, eps_schedule=(1e-3, 5e-4), polish=True):
+# Sokhotski-Plemelj offsets of stieltjes_density: eps2 = eps1/2 for the extrapolation
+_EPS1, _EPS2 = 1e-3, 5e-4
+
+
+def stieltjes_density(curve: AlgebraicCurve, xs):
     """Density of the limit measure on a real grid via Sokhotski-Plemelj.
 
-    density(x) = -Im y(x + i0) / (pi x), evaluated with the eps-schedule and
-    Richardson extrapolation, then (optionally) polished by a Newton solve
-    directly on the real axis seeded from the extrapolated value.
+    density(x) = -Im y(x + i0) / (pi x), evaluated at x + i eps for the two
+    offsets _EPS1, _EPS2 with Richardson extrapolation, then polished by a
+    Newton solve directly on the real axis seeded from the smaller offset.
 
     The grid must avoid x = 0 and support endpoints; raises NegativeDensity
     when the recovered density dips below -1e-8 (branch selection error).
@@ -312,22 +311,20 @@ def stieltjes_density(curve: AlgebraicCurve, xs, eps_schedule=(1e-3, 5e-4), poli
     xs = [float(x) for x in xs]
     if any(x == 0 for x in xs):
         raise ValueError("grid must avoid x = 0")
-    eps1, eps2 = sorted(eps_schedule, reverse=True)[:2]
-    vals = {eps: solve_curve_branch(curve, [x + 1j * eps for x in xs]) for eps in (eps1, eps2)}
+    ys1 = solve_curve_branch(curve, [x + 1j * _EPS1 for x in xs])
+    ys2 = solve_curve_branch(curve, [x + 1j * _EPS2 for x in xs])
+    # eliminate the O(eps) term: with eps2 = eps1/2 this is 2 d2 - d1
+    w = _EPS1 / (_EPS1 - _EPS2)
     out = []
-    for i, x in enumerate(xs):
-        y1, y2 = vals[eps1][i], vals[eps2][i]
+    for x, y1, y2 in zip(xs, ys1, ys2):
         d1 = -(y1.imag) / (np.pi * x)
         d2 = -(y2.imag) / (np.pi * x)
-        # eliminate the O(eps) term: with eps2 = eps1/2 this is 2 d2 - d1
-        w = eps1 / (eps1 - eps2)
         dens = w * d2 - (w - 1) * d1
-        if polish:
-            y0 = _newton_point(curve, complex(x), vals[eps2][i])
-            if y0 is not None and abs(y0.imag) > 1e-12:
-                cand = -(y0.imag) / (np.pi * x)
-                if abs(cand - dens) < 0.1 * (1 + abs(dens)):
-                    dens = cand
+        y0 = _newton_point(curve, complex(x), y2)
+        if y0 is not None and abs(y0.imag) > 1e-12:
+            cand = -(y0.imag) / (np.pi * x)
+            if abs(cand - dens) < 0.1 * (1 + abs(dens)):
+                dens = cand
         if dens < -1e-8:
             raise NegativeDensity(f"density {dens} < 0 at x={x}")
         out.append(dens)

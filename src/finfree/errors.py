@@ -94,10 +94,6 @@ class InvalidParameters(FinfreeError):
     """Parameters outside their valid range (family invariants, precision)."""
 
 
-class NonIntegerBetaPath(FinfreeError):
-    """Decomposition path requested with non-integer beta."""
-
-
 class DuplicateC(FinfreeError):
     """Multiple Laguerre second kind needs pairwise distinct c_j > 0."""
 

@@ -71,13 +71,8 @@ class RationalSTransform:
 
     def series(self, K):
         """Taylor coefficients of S at 0, exactly."""
-        num = [Fraction(self.scale)]
-        for a in self.A:
-            num = series_mul(num, [a + 1, Fraction(1)], K)
-        den = [Fraction(1)]
-        for b in self.B:
-            den = series_mul(den, [b + 1, Fraction(1)], K)
-        return series_mul(num, series_inv(den, K), K)
+        num = [self.scale * c for c in _shift_product(self.A, K)]
+        return series_mul(num, series_inv(_shift_product(self.B, K), K), K)
 
     def moments(self, K) -> FormalMomentSeries:
         """Moments by series reversion of the S-transform definition."""
@@ -118,18 +113,19 @@ class RationalSTransform:
         )
 
 
+def _shift_product(shifts, K):
+    """Coefficients of prod (z + c + 1) over c in `shifts`, up to z^K."""
+    out = [Fraction(1)]
+    for c in shifts:
+        out = series_mul(out, [c + 1, Fraction(1)], K)
+    return out
+
+
 def rational_s_equal(s1: RationalSTransform, s2: RationalSTransform) -> bool:
     """Equality as rational functions (cross-multiplied polynomial identity)."""
-
-    def poly_from_roots(shifts):
-        out = [Fraction(1)]
-        for c in shifts:
-            out = series_mul(out, [c + 1, Fraction(1)], len(shifts) + 1)
-        return out
-
     K = len(s1.A) + len(s1.B) + len(s2.A) + len(s2.B) + 2
-    lhs = [s1.scale * c for c in series_mul(poly_from_roots(s1.A), poly_from_roots(s2.B), K)]
-    rhs = [s2.scale * c for c in series_mul(poly_from_roots(s2.A), poly_from_roots(s1.B), K)]
+    lhs = [s1.scale * c for c in series_mul(_shift_product(s1.A, K), _shift_product(s2.B, K), K)]
+    rhs = [s2.scale * c for c in series_mul(_shift_product(s2.A, K), _shift_product(s1.B, K), K)]
     return lhs == rhs
 
 
@@ -224,7 +220,7 @@ class FamilyLimit:
 
 # Limit builders of the six families (FAMILIES): each returns FamilyLimit fields.
 def _s_limit(fa, fb, **extra):
-    st = RationalSTransform(A=tuple(fa), B=tuple(fb), flags=degeneracy_flags(fa, fb))
+    st = s_limit_hyper(fa, fb)
     return {"s_transform": st, "curve": st.curve(), "flags": st.flags, **extra}
 
 
@@ -290,54 +286,44 @@ class DensityModel:
         return self.density(np.asarray(x, dtype=float))
 
 
+def _cardano(x, amp, a, b, sign, den):
+    """The shared Cardano form of the r = 2 Jacobi-Pineiro laws,
+
+        sqrt(3) / (2 pi) * amp^(1/3) * (cbrt(a + b) + sign cbrt(a - b)) / (x^(2/3) den):
+
+    the x^(2/3) gives the |x|^(-2/3) law at 0, and b -> 0 the other edge.
+    """
+    scale = np.sqrt(3.0) / (2 * np.pi) * np.cbrt(amp)
+    return scale * (np.cbrt(a + b) + sign * np.cbrt(a - b)) / (np.cbrt(x**2) * den)
+
+
 @lru_cache(maxsize=None)
 def density_jp_typeI_r2(theta) -> DensityModel:
     """Limit density of Type I Jacobi-Pineiro at r = 2, proportions (t, 1-t).
 
-    Supported on [-c*, 0] with c* = 27 (t(1-t) / ((1-2t)(2-t)(1+t)))^2; the
-    boundary case t = 1/2 uses the stated limit form on the whole negative
-    axis.  The density behaves like |x|^(-2/3) at 0 and decays like a square
-    root at -c*.
+    Supported on [-c*, 0] with c* = `endpoints("JP-I-r2", theta=t)`; the
+    boundary case t = 1/2 (c* = infinity) uses the stated limit form on the
+    whole negative axis.  The density behaves like |x|^(-2/3) at 0 and decays
+    like a square root at -c*.
     """
     t = Fraction(theta)
     if not 0 < t <= Fraction(1, 2):
         raise ThetaOutOfRange("need 0 < theta <= 1/2")
-    if t == Fraction(1, 2):
-        nu_lim = 2.0
-
-        def dens_diag(x):
-            x = np.abs(np.asarray(x, dtype=float))
-            s = np.sqrt(1 + x)
-            return (
-                np.sqrt(3.0)
-                / (2 * np.pi)
-                * (np.cbrt(s + 1) - np.cbrt(s - 1))
-                / (np.cbrt(x**2) * s)
-            )
-
-        return DensityModel(support=(-np.inf, 0.0), density=dens_diag, constants={"nu": nu_lim})
     nu = (1 / t) * (1 / t - 1)
-    kappa = Fraction(4, 27) * (1 + nu) ** 3 / nu**2
-    cstar = 1 / (kappa - 1)
-    nu_f, c_f = float(nu), float(cstar)
+    if t == Fraction(1, 2):
+        c_f, constants = np.inf, {"nu": nu}
+    else:
+        cstar = _jp1_cstar(t)
+        c_f, constants = float(cstar), {"nu": nu, "kappa": 1 + 1 / cstar, "cstar": cstar}
+    amp = float(nu) / 2
 
     def dens(x):
-        x = np.abs(np.asarray(x, dtype=float))
+        x = np.abs(x)
         s = np.sqrt(1 + x)
-        q = np.sqrt(np.maximum(c_f - x, 0.0) / c_f)
-        return (
-            np.sqrt(3.0)
-            / (2 * np.pi)
-            * np.cbrt(nu_f / 2)
-            * (np.cbrt(s + q) - np.cbrt(s - q))
-            / (np.cbrt(x**2) * s)
-        )
+        q = 1.0 if c_f == np.inf else np.sqrt(np.maximum(c_f - x, 0.0) / c_f)
+        return _cardano(x, amp, s, q, -1, s)
 
-    return DensityModel(
-        support=(-c_f, 0.0),
-        density=dens,
-        constants={"nu": nu, "kappa": kappa, "cstar": cstar},
-    )
+    return DensityModel(support=(-c_f, 0.0), density=dens, constants=constants)
 
 
 @lru_cache(maxsize=None)
@@ -356,20 +342,11 @@ def density_jp_typeII_r2(theta) -> DensityModel:
     amp = float(t * (1 - t)) / 2.0
 
     def dens(x):
-        x = np.asarray(x, dtype=float)
         a = np.sqrt(1 + (k_f - 1) * x)
         b = np.sqrt(np.maximum(1 - x, 0.0))
-        return (
-            np.sqrt(3.0)
-            / (2 * np.pi)
-            * np.cbrt(amp)
-            * (np.cbrt(a + b) + np.cbrt(a - b))
-            / (np.cbrt(x**2) * b)
-        )
+        return _cardano(x, amp, a, b, 1, b)
 
-    return DensityModel(
-        support=(0.0, 1.0), density=dens, constants={"nu": nu, "kappa": kappa}
-    )
+    return DensityModel(support=(0.0, 1.0), density=dens, constants={"nu": nu, "kappa": kappa})
 
 
 # gauss-legendre mass/cdf helpers with endpoint-absorbing substitutions
@@ -388,43 +365,49 @@ def _gauss_legendre(f, a, b, nodes=96):
     return 0.5 * (b - a) * float(np.sum(w * f(xm)))
 
 
-def jp1_cdf(theta, x) -> float:
-    """CDF of the Type I r=2 density: F(x) = mu([-c*, x]) for x in [-c*, 0]."""
+def _near_zero(model, sgn, t):
+    """Mass of `model` between 0 and sgn*t; x = sgn*s^3 absorbs the |x|^(-2/3) law."""
+    return _gauss_legendre(lambda s: model(sgn * s**3) * 3 * s**2, 0.0, t ** (1 / 3))
+
+
+def _near_edge(model, sgn, edge, t):
+    """Mass of `model` between sgn*t and sgn*edge; x = sgn*(edge - w^2) absorbs
+    the square-root edge (decay or blow-up)."""
+    return _gauss_legendre(lambda w: model(sgn * (edge - w**2)) * 2 * w, 0.0, np.sqrt(edge - t))
+
+
+def _jp1_bounded(theta):
+    """The Type I model and its c*, finite only for theta < 1/2."""
     model = density_jp_typeI_r2(theta)
-    lo, _ = model.support
-    cstar = -lo
+    cstar = -model.support[0]
+    if cstar == np.inf:
+        raise ThetaOutOfRange("need 0 < theta < 1/2: at theta = 1/2 the support is unbounded")
+    return model, cstar
+
+
+def jp1_cdf(theta, x) -> float:
+    """CDF of the Type I r=2 density: F(x) = mu([-c*, x]) for x in [-c*, 0].
+
+    Needs theta < 1/2; the theta = 1/2 support is unbounded (ThetaOutOfRange)."""
+    model, cstar = _jp1_bounded(theta)
     t = min(max(float(-x), 0.0), cstar)
     if t == 0.0:
         return 1.0
-
-    def from_zero(tau):
-        # integral of f over [0, tau] in -x coords, cube-root substitution
-        return _gauss_legendre(lambda s: model(-(s**3)) * 3 * s**2, 0.0, tau ** (1 / 3))
-
     if t <= 0.6 * cstar:
-        return 1.0 - from_zero(t)
-    # tail integral over [t, c*] with the square-root substitution
-    tail = _gauss_legendre(
-        lambda w: model(-(cstar - w**2)) * 2 * w, 0.0, np.sqrt(cstar - t)
-    )
-    return tail
+        return 1.0 - _near_zero(model, -1, t)
+    return _near_edge(model, -1, cstar, t)
 
 
 def jp1_mass(theta) -> float:
-    model = density_jp_typeI_r2(theta)
-    cstar = -model.support[0]
+    model, cstar = _jp1_bounded(theta)
     half = 0.5 * cstar
-    a = _gauss_legendre(lambda s: model(-(s**3)) * 3 * s**2, 0.0, half ** (1 / 3))
-    b = _gauss_legendre(lambda w: model(-(cstar - w**2)) * 2 * w, 0.0, np.sqrt(cstar - half))
-    return a + b
+    return _near_zero(model, -1, half) + _near_edge(model, -1, cstar, half)
 
 
 @lru_cache(maxsize=None)
 def jp2_mass(theta) -> float:
     model = density_jp_typeII_r2(theta)
-    a = _gauss_legendre(lambda s: model(s**3) * 3 * s**2, 0.0, 0.5 ** (1 / 3))
-    b = _gauss_legendre(lambda w: model(1 - w**2) * 2 * w, 0.0, np.sqrt(0.5))
-    return a + b
+    return _near_zero(model, 1, 0.5) + _near_edge(model, 1, 1.0, 0.5)
 
 
 def jp2_cdf(theta, x) -> float:
@@ -434,11 +417,10 @@ def jp2_cdf(theta, x) -> float:
     if x == 0.0:
         return 0.0
     if x <= 0.6:
-        return _gauss_legendre(lambda s: model(s**3) * 3 * s**2, 0.0, x ** (1 / 3))
+        return _near_zero(model, 1, x)
     if x == 1.0:
         return jp2_mass(theta)
-    tail = _gauss_legendre(lambda w: model(1 - w**2) * 2 * w, 0.0, np.sqrt(1 - x))
-    return jp2_mass(theta) - tail
+    return jp2_mass(theta) - _near_edge(model, 1, 1.0, x)
 
 
 # -- support endpoint formulas -----------------------------------------------------

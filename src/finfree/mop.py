@@ -23,8 +23,14 @@ from math import comb, factorial, inf
 import mpmath as mp
 
 from .conv import add_conv, mult_conv
-from .errors import DuplicateC, InvalidParameters, NonIntegerBetaPath, UnknownFamily
-from .hyper import HypergeometricSpec, hyper_poly, pochhammer_falling, pochhammer_rising
+from .errors import DuplicateC, InvalidParameters, UnknownFamily
+from .hyper import (
+    HypergeometricSpec,
+    hyper_poly,
+    pochhammer_falling,
+    pochhammer_rising,
+    reversed_product_representation,
+)
 from .poly import Polynomial
 from .series import series_mul
 
@@ -223,37 +229,37 @@ def ml2_typeI(spec: ML2Spec, n, i) -> Polynomial:
 # -- Type II constructors -----------------------------------------------------------
 
 
-def jp_typeII(spec: JPSpec, n, path="auto") -> Polynomial:
+def jp_typeII(spec: JPSpec, n) -> Polynomial:
     """Monic Type II Jacobi-Pineiro polynomial of degree |n|.
 
-    For beta a nonnegative integer the (1-x)^beta factor is divided out of
-    the degree |n| + beta hypergeometric polynomial, exactly.  Otherwise the
-    reversed-product representation is used (path="reversed"); requesting
-    path="integer" with non-integer beta raises NonIntegerBetaPath.
+    beta alone selects the route: for beta a nonnegative integer the
+    (1-x)^beta factor is divided out of the degree |n| + beta hypergeometric
+    polynomial, exactly; otherwise the reversed-product representation is
+    used, whose first block F(-N; -beta-N+1) is inadmissible at beta = 0, 1.
     """
     _check_index(spec, n)
-    if path == "auto":
-        path = "integer" if spec.beta.denominator == 1 and spec.beta >= 0 else "reversed"
-    if path == "integer":
-        if spec.beta.denominator != 1 or spec.beta < 0:
-            raise NonIntegerBetaPath("integer-beta path needs beta in Z_{>=0}")
-        N = sum(n)
-        beta = int(spec.beta)
-        big = hyper_poly(
-            HypergeometricSpec(
-                n=N + beta,
-                a=tuple(spec.alpha[j] + n[j] + 1 for j in range(spec.r)),
-                b=tuple(spec.alpha[j] + 1 for j in range(spec.r)),
-            )
-        )
-        for _ in range(beta):
-            big = big.divide_linear(Fraction(1))
-        return big.monicized()
+    if spec.beta.denominator == 1 and spec.beta >= 0:
+        return _jp_typeII_integer(spec, n)
     return _jp_typeII_reversed(spec, n)
 
 
+def _jp_typeII_integer(spec: JPSpec, n) -> Polynomial:
+    """Integer-beta route: divide (1-x)^beta out of the degree |n| + beta polynomial."""
+    N, beta = sum(n), int(spec.beta)
+    big = hyper_poly(
+        HypergeometricSpec(
+            n=N + beta,
+            a=tuple(spec.alpha[j] + n[j] + 1 for j in range(spec.r)),
+            b=tuple(spec.alpha[j] + 1 for j in range(spec.r)),
+        )
+    )
+    for _ in range(beta):
+        big = big.divide_linear(Fraction(1))
+    return big.monicized()
+
+
 def _jp_typeII_reversed(spec: JPSpec, n) -> Polynomial:
-    """Reversed-product route, valid for any beta > -1.
+    """Reversed-product route, valid for any beta > -1 outside {0, 1}.
 
     P is (1-x)^(-beta) times a hypergeometric series, so the reversed-product
     trick applies to the factor pair ((1-x)^(-beta), (1-x)^beta P):
@@ -261,22 +267,19 @@ def _jp_typeII_reversed(spec: JPSpec, n) -> Polynomial:
         P* ~ F(-N,1;;x) (x)_N [F(-N; -beta-N+1; x) (+)_N
                                 (F(-N; beta+1; x) (x)_N F(-N, -N-a; -N-n-a; x))]
 
-    and reversing back gives P up to the monic normalization.
+    and reversing back gives P up to the monic normalization.  The (x)_N
+    product of the second block is the parameter-tuple merge
+    F(-N, -N-a; beta+1, -N-n-a; x).
     """
     N = sum(n)
-    q = hyper_poly(
+    return reversed_product_representation(
+        HypergeometricSpec(n=N, b=(-spec.beta - N + 1,)),
         HypergeometricSpec(
             n=N,
             a=tuple(-N - a for a in spec.alpha),
-            b=tuple(-N - n[j] - spec.alpha[j] for j in range(spec.r)),
-        )
-    )
-    inner2 = mult_conv(hyper_poly(HypergeometricSpec(n=N, b=(spec.beta + 1,))), q, N)
-    inner = add_conv(
-        hyper_poly(HypergeometricSpec(n=N, b=(-spec.beta - N + 1,))), inner2, N
-    )
-    p_star = mult_conv(hyper_poly(HypergeometricSpec(n=N, a=(Fraction(1),))), inner, N)
-    return p_star.reverse().monicized()
+            b=(spec.beta + 1, *(-N - n[j] - spec.alpha[j] for j in range(spec.r))),
+        ),
+    ).reverse().monicized()
 
 
 def ml1_typeII(spec: ML1Spec, n) -> Polynomial:
@@ -287,16 +290,13 @@ def ml1_typeII(spec: ML1Spec, n) -> Polynomial:
     """
     _check_index(spec, n)
     N = sum(n)
-    shifted = hyper_poly(
-        HypergeometricSpec(
-            n=N,
-            a=tuple(-N - a for a in spec.alpha),
-            b=tuple(-N - n[j] - spec.alpha[j] for j in range(spec.r)),
-            shift=Fraction(1),
-        )
+    shifted = HypergeometricSpec(
+        n=N,
+        a=tuple(-N - a for a in spec.alpha),
+        b=tuple(-N - n[j] - spec.alpha[j] for j in range(spec.r)),
+        shift=Fraction(1),
     )
-    p_star = mult_conv(hyper_poly(HypergeometricSpec(n=N, a=(Fraction(1),))), shifted, N)
-    return p_star.reverse().monicized()
+    return reversed_product_representation(shifted, None).reverse().monicized()
 
 
 def ml2_typeII_routes(spec: ML2Spec, n):

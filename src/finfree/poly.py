@@ -280,13 +280,6 @@ class Polynomial:
         c = self.e[0]
         return Polynomial(self.n, [v / c for v in self.e])
 
-    def normalized_constant(self):
-        """p scaled so that p(0) = 1; requires p(0) != 0."""
-        c0 = self.coeff(0)
-        if c0 == 0:
-            raise ZeroLeading("constant term vanishes")
-        return self.scaled(Fraction(1) / c0 if isinstance(c0, _EXACT_TYPES) else 1 / c0)
-
     # -- comparisons -------------------------------------------------------------
 
     def __eq__(self, other):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -75,14 +76,26 @@ def test_limit_and_density(tmp_path):
     assert all(float(r.split(",")[1]) >= 0 for r in rows[1:])
 
 
+@pytest.mark.parametrize("family,theta,digest", [
+    ("jp1-r2", "1/3", "d3d6868102779e2556ec341271070f9d1c9cf11a15c4d6425c5b1f03090c3214"),
+    ("jp1-r2", "1/2", "003998fb41fccd64e9d8dc2d7a63dd5c6d6886a40852169beabf9c0c4477e027"),
+    ("jp2-r2", "1/3", "b65fd22e88708b1131e35c7dec606818fd9b1913334bd9e055084527ab103d42"),
+])
+def test_density_csv_keeps_its_bytes(tmp_path, family, theta, digest):
+    assert run(tmp_path, "density", "--family", family, "--theta", theta, "--emit", "d.csv") == 0
+    assert hashlib.sha256((tmp_path / "d.csv").read_bytes()).hexdigest() == digest
+
+
 def test_verify_subcommand(tmp_path, capsys):
     assert run(tmp_path, "verify", "--suite", "identities", "--n", "6", "--draws", "5") == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_usage_and_error_exit_codes(tmp_path):
+def test_usage_and_error_exit_codes(tmp_path, capsys):
     assert run(tmp_path, "bogus-subcommand") == 2
+    assert run(tmp_path, "verify", "--suite", "nope") == 2
+    assert "error: argument --suite: invalid choice: 'nope'" in capsys.readouterr().err
     # numeric failure: unknown mop family exits 1 with a diagnostic
     assert run(tmp_path, "mop", "--family", "nope", "--n", "2,2", "--alpha", "1/2,3/7") == 1
 

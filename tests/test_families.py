@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -156,6 +157,26 @@ def test_density_jp1_diagonal_limit_form():
     assert abs(model(-x) * (2 * x) ** (2 / 3) - np.sqrt(3) / np.pi) < 1e-3
 
 
+def test_jp1_cdf_and_mass_reject_the_unbounded_diagonal():
+    # theta = 1/2 has support (-inf, 0]: no c*, so no edge substitution
+    for call in (lambda: jp1_mass(F(1, 2)), lambda: jp1_cdf(F(1, 2), -1e9), lambda: jp1_cdf(F(1, 2), -1e300)):
+        with pytest.raises(ThetaOutOfRange, match="unbounded"):
+            call()
+    with pytest.raises(ThetaOutOfRange):
+        endpoints("JP-I-r2", theta=F(1, 2))
+
+
+def test_jp1_cstar_is_one_over_kappa_minus_one():
+    # the density's old edge 1/(kappa - 1), kappa = 4/27 (1+nu)^3/nu^2, nu = (1/t)(1/t - 1)
+    for q in range(3, 40):
+        for p in range(1, (q + 1) // 2):
+            t = F(p, q)
+            nu = (1 / t) * (1 / t - 1)
+            kappa = F(4, 27) * (1 + nu) ** 3 / nu**2
+            assert endpoints("JP-I-r2", theta=t) == 1 / (kappa - 1)
+            assert density_jp_typeI_r2(t).constants["kappa"] == kappa
+
+
 def test_density_jp2():
     for th in (F(1, 3), F(1, 2)):
         assert abs(jp2_mass(th) - 1) < 1e-10
@@ -202,6 +223,23 @@ def test_cached_cdfs_equal_the_uncached_computation(monkeypatch):
     for name in ("density_jp_typeI_r2", "density_jp_typeII_r2", "jp2_mass"):
         monkeypatch.setattr(fam, name, getattr(fam, name).__wrapped__)
     assert cached == table()
+
+
+_PIN_THETAS = (F(1, 5), F(2, 7), F(1, 4), F(1, 3), F(2, 5))
+
+
+def test_closed_form_cdfs_and_masses_keep_their_bytes():
+    # SHA-256 of the float hex of both CDFs (past both ends of the support too)
+    # and all masses; any change in the quadrature or the densities shows here
+    vals = []
+    for th in _PIN_THETAS:
+        cstar = float(endpoints("jp1-r2", theta=th))
+        vals += [jp1_cdf(th, x) for x in np.linspace(-1.1 * cstar, 0.1, 53)]
+    for th in _PIN_THETAS + (F(1, 2),):
+        vals += [jp2_cdf(th, x) for x in np.linspace(-0.1, 1.1, 53)]
+    vals += [jp1_mass(th) for th in _PIN_THETAS] + [jp2_mass(th) for th in _PIN_THETAS + (F(1, 2),)]
+    digest = hashlib.sha256("\n".join(float(v).hex() for v in vals).encode()).hexdigest()
+    assert digest == "4c0c7a5f1decab78c33071e24fdd18a2d45102c00829e77968b1b795cab32ea4"
 
 
 def test_stieltjes_matches_closed_forms():

@@ -4,12 +4,14 @@ import mpmath as mp
 import pytest
 
 from finfree.conv import mult_conv
-from finfree.errors import DuplicateC, InvalidParameters, NonIntegerBetaPath
+from finfree.errors import DuplicateC, InvalidParameters
 from finfree.hyper import HypergeometricSpec, hyper_poly
 from finfree.mop import (
     JPSpec,
     ML1Spec,
     ML2Spec,
+    _jp_typeII_integer,
+    _jp_typeII_reversed,
     add_index,
     jp_condition_weak,
     jp_condition_window,
@@ -74,11 +76,9 @@ def test_jp_typeI_decomposition():
 
 def test_jp_typeII_paths_agree():
     spec = JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(2))
-    assert jp_typeII(spec, (2, 2), path="integer") == jp_typeII(spec, (2, 2), path="reversed")
+    assert _jp_typeII_integer(spec, (2, 2)) == _jp_typeII_reversed(spec, (2, 2))
     spec = JPSpec(alpha=(F(2, 3), F(1, 5)), beta=F(3))
-    assert jp_typeII(spec, (3, 2), path="integer") == jp_typeII(spec, (3, 2), path="reversed")
-    with pytest.raises(NonIntegerBetaPath):
-        jp_typeII(JPSpec(alpha=(F(1, 2),), beta=F(1, 2)), (2,), path="integer")
+    assert _jp_typeII_integer(spec, (3, 2)) == _jp_typeII_reversed(spec, (3, 2))
 
 
 def test_jp_typeII_is_monic_full_degree():
