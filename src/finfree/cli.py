@@ -89,8 +89,11 @@ def _write_poly(args, path, poly):
 
 
 def _read_poly(path):
-    with open(path) as fh:
-        return Polynomial.from_json(fh.read())
+    try:
+        with open(path) as fh:
+            return Polynomial.from_json(fh.read())
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise FinfreeError(f"cannot read polynomial file {path}: {exc}") from exc
 
 
 def _write_roots_csv(args, path, poly, roots, precision_bits):

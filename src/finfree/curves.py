@@ -7,8 +7,8 @@ consumers share it:
 
 * moments_from_curve     -- expand y = 1 + m_1/u + m_2/u^2 + ... formally;
 * solve_curve_branch     -- numeric continuation of the branch over a grid;
-* stieltjes_density      -- boundary values y(x + i eps) and the
-                            Sokhotski-Plemelj recovery of the density.
+* stieltjes_density      -- the on-axis root y0(x) reached from y(x + i eps)
+                            and the Sokhotski-Plemelj density -Im y0/(pi x).
 
 `newton_series_branch` expands a branch in integers: after the Taylor shift
 to the root, cleared denominators and u = c Z, v = c^2 w (c the pivot), the
@@ -259,15 +259,15 @@ def _continue_to(curve, u_from, y_from, u_to, jump_tol=0.5, min_step=1e-12):
     return y_cur
 
 
-def _far_start(curve, u_scale):
-    """A reliable far-field seed on the physical branch."""
+def _far_start(curve, x0, u_scale):
+    """A reliable far-field seed on the physical branch, straight above x0."""
     R = 64.0 * max(1.0, u_scale)
     try:
         m1 = float(moments_from_curve(curve, 1).m[0])
     except BranchDegenerate:
         m1 = 0.0
     for radius in (R, 4 * R, 16 * R, 256 * R):
-        u0 = complex(0.0, radius)
+        u0 = complex(x0, radius)
         y0 = _newton_point(curve, u0, 1.0 + m1 / u0)
         if y0 is not None and abs(y0 - 1.0) < 0.5:
             return u0, y0
@@ -277,15 +277,21 @@ def _far_start(curve, u_scale):
 def solve_curve_branch(curve: AlgebraicCurve, u_grid):
     """Physical-branch values y(u) along a grid, by homotopy continuation.
 
-    The grid is followed in the given order; the first point is reached from
-    a far-field seed with y ~ 1.  Raises BranchJump when continuation cannot
-    cross a discriminant neighborhood.
+    The first point u0 is reached straight down from a far-field seed with
+    y ~ 1 at Re u0 + iR, halving the height to Im u0 (to 1e-6 for a real u0):
+    the branch is analytic in the upper half-plane, so no cut is crossed.
+    The rest of the grid is followed in the given order.  Raises BranchJump
+    when continuation cannot cross a discriminant neighborhood.
     """
     u_grid = [complex(u) for u in u_grid]
     if not u_grid:
         return []
-    scale = max(abs(u) for u in u_grid)
-    u_cur, y_cur = _far_start(curve, scale)
+    first = u_grid[0]
+    u_cur, y_cur = _far_start(curve, first.real, max(abs(u) for u in u_grid))
+    while u_cur.imag / 2 > max(first.imag, 1e-6):
+        u_next = complex(first.real, u_cur.imag / 2)
+        y_cur = _continue_to(curve, u_cur, y_cur, u_next)
+        u_cur = u_next
     out = []
     for u in u_grid:
         y_cur = _continue_to(curve, u_cur, y_cur, u)
@@ -294,37 +300,28 @@ def solve_curve_branch(curve: AlgebraicCurve, u_grid):
     return out
 
 
-# Sokhotski-Plemelj offsets of stieltjes_density: eps2 = eps1/2 for the extrapolation
-_EPS1, _EPS2 = 1e-3, 5e-4
+_EPS = 5e-4  # height of the continuation that seeds stieltjes_density's on-axis roots
 
 
 def stieltjes_density(curve: AlgebraicCurve, xs):
     """Density of the limit measure on a real grid via Sokhotski-Plemelj.
 
-    density(x) = -Im y(x + i0) / (pi x), evaluated at x + i eps for the two
-    offsets _EPS1, _EPS2 with Richardson extrapolation, then polished by a
-    Newton solve directly on the real axis seeded from the smaller offset.
-
-    The grid must avoid x = 0 and support endpoints; raises NegativeDensity
-    when the recovered density dips below -1e-8 (branch selection error).
+    density(x) = -Im y0 / (pi x), y0 the root of F(., x) on the real axis
+    reached by Newton from y(x + i _EPS); exactly 0.0 where |Im y0| <= 1e-12.
+    The grid must avoid x = 0 and support endpoints.  Raises BranchJump
+    when Newton finds no on-axis root, NegativeDensity when the density
+    dips below -1e-8 (branch selection error).
     """
     xs = [float(x) for x in xs]
     if any(x == 0 for x in xs):
         raise ValueError("grid must avoid x = 0")
-    ys1 = solve_curve_branch(curve, [x + 1j * _EPS1 for x in xs])
-    ys2 = solve_curve_branch(curve, [x + 1j * _EPS2 for x in xs])
-    # eliminate the O(eps) term: with eps2 = eps1/2 this is 2 d2 - d1
-    w = _EPS1 / (_EPS1 - _EPS2)
+    ys = solve_curve_branch(curve, [x + 1j * _EPS for x in xs])
     out = []
-    for x, y1, y2 in zip(xs, ys1, ys2):
-        d1 = -(y1.imag) / (np.pi * x)
-        d2 = -(y2.imag) / (np.pi * x)
-        dens = w * d2 - (w - 1) * d1
-        y0 = _newton_point(curve, complex(x), y2)
-        if y0 is not None and abs(y0.imag) > 1e-12:
-            cand = -(y0.imag) / (np.pi * x)
-            if abs(cand - dens) < 0.1 * (1 + abs(dens)):
-                dens = cand
+    for x, y in zip(xs, ys):
+        y0 = _newton_point(curve, complex(x), y)
+        if y0 is None:
+            raise BranchJump(f"no on-axis root at x={x}")
+        dens = 0.0 if abs(y0.imag) <= 1e-12 else -(y0.imag) / (np.pi * x)
         if dens < -1e-8:
             raise NegativeDensity(f"density {dens} < 0 at x={x}")
         out.append(dens)

@@ -305,6 +305,8 @@ def kdf_poly(spec: KdFSpec, mode: str = "all") -> Polynomial:
     n = spec.n
     if mode not in ("all", "one"):
         raise ValueError("mode must be 'all' or 'one'")
+    if mode == "one" and not spec.groups:
+        raise ValueError("mode 'one' needs a variable group")
     head = _ratio_table((-n, 1) + spec.a0, spec.b0, 1, n)
     tables = [_ratio_table(a, b, c, n) for (a, b), c in zip(spec.groups, spec.c)]
     first = tables.pop(0) if mode == "one" else None
@@ -376,12 +378,13 @@ def kdf_factorize(spec: KdFSpec, mode: str = "all"):
     Returns (tree, scalar) with kdf_poly == scalar * eval_tree(tree, n),
     exactly; the scalar is recovered by coefficient comparison.
     """
+    target = kdf_poly(spec, mode)  # also validates the mode
     n = spec.n
     if mode == "all":
         q0 = Leaf(_swapped_spec(n, spec.a0, spec.b0, 1))
         qs = tuple(Leaf(_swapped_spec(n, a, b, c)) for (a, b), c in zip(spec.groups, spec.c))
         tree = Rev(Mult(q0, qs[0] if len(qs) == 1 else Add(qs)))
-    elif mode == "one":
+    else:
         q0 = Leaf(HypergeometricSpec(n=n, a=spec.a0, b=spec.b0, sign=1))
         a1, b1 = spec.groups[0]
         q1 = Leaf(HypergeometricSpec(n=n, a=a1, b=b1, scale=spec.c[0], sign=1))
@@ -390,10 +393,7 @@ def kdf_factorize(spec: KdFSpec, mode: str = "all"):
             for (a, b), c in zip(spec.groups[1:], spec.c[1:])
         )
         tree = Mult(q1, Add((q0,) + rest) if rest else q0)
-    else:
-        raise ValueError("mode must be 'all' or 'one'")
     value = eval_tree(tree, n)
-    target = kdf_poly(spec, mode)
     scalar = target.proportional_to(value)
     if scalar is None:
         raise AssertionError("factorization does not match the direct expansion")

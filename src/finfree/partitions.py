@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
 
-from .errors import DegreeMismatch, NotComparable, TooLarge, ZeroLeading
+from .errors import FloatBackendRejected, NotComparable, TooLarge, ZeroLeading
 from .poly import Polynomial
 
 ENUMERATION_GUARD = 12
@@ -226,7 +226,7 @@ def finite_free_cumulants(p: Polynomial, upto=None):
     if p.e[0] == 0:
         raise ZeroLeading("finite free cumulants need degree exactly n")
     if not p.exact:
-        raise DegreeMismatch("exact backend required")
+        raise FloatBackendRejected("finite free cumulants need exact rational coefficients")
     n = p.n
     m = n if upto is None else min(upto, n)
     sigma, falling = [Fraction(1)], 1

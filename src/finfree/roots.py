@@ -405,21 +405,12 @@ def interlaces(p_roots, q_roots, tau=0.0) -> InterlacingVerdict:
     n, m = len(p_roots), len(q_roots)
     if abs(n - m) > 1:
         raise DegreeGapTooLarge(f"cannot interlace lengths {n} and {m}")
-    if m == n:
-        chain = []
-        for i in range(n):
-            chain.append(q_roots[i] - p_roots[i])
-            if i + 1 < n:
-                chain.append(p_roots[i + 1] - q_roots[i])
-        case = "equal-degree"
-    elif m == n - 1:
-        chain = []
-        for i in range(m):
-            chain.append(q_roots[i] - p_roots[i])
-            chain.append(p_roots[i + 1] - q_roots[i])
-        case = "degree-drop"
-    else:  # m == n + 1: q has more roots; p cannot be interlaced by q this way
+    if m == n + 1:  # q has more roots; p cannot be interlaced by q this way
         return InterlacingVerdict("none", "degree-drop", float("-inf"))
+    # the chain is the consecutive gaps of p_1, q_1, p_2, q_2, ... (, p_n)
+    seq = [x for pair in zip(p_roots, q_roots) for x in pair] + p_roots[m:]
+    chain = [b - a for a, b in zip(seq, seq[1:])]
+    case = "equal-degree" if m == n else "degree-drop"
     margin = min(chain) if chain else 0.0
     if margin > 0:
         return InterlacingVerdict("strict", case, margin)

@@ -100,6 +100,26 @@ def test_usage_and_error_exit_codes(tmp_path, capsys):
     assert run(tmp_path, "mop", "--family", "nope", "--n", "2,2", "--alpha", "1/2,3/7") == 1
 
 
+@pytest.mark.parametrize("text", [
+    None,
+    "{not json",
+    '{"n": 1, "e": ["1", "x"]}',
+    '{"n": 1, "e": ["1", "1/0"]}',
+    "[1, 2]",
+], ids=["missing", "bad-json", "bad-fraction", "zero-denominator", "not-an-object"])
+@pytest.mark.parametrize("cmd", ["roots", "conv"])
+def test_unreadable_polynomial_files_are_errors(tmp_path, capsys, text, cmd):
+    if text is not None:
+        (tmp_path / "p.json").write_text(text)
+    if cmd == "roots":
+        argv = ("roots", "--p", "p.json", "--out", "roots.csv")
+    else:
+        argv = ("conv", "--op", "mult", "--n", "1", "--p", "p.json", "--q", "p.json", "--out", "r.json")
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read polynomial file p.json") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("hyper", "--n", "3", "--a", "5/2,x", "--out", "p.json"),
     ("hyper", "--n", "3", "--scale", "1/0", "--out", "p.json"),

@@ -22,7 +22,7 @@ from finfree.curves import (
     y_discriminant,
 )
 from finfree.errors import BranchDegenerate, BranchJump
-from finfree.families import LimitParams, family_curves
+from finfree.families import LimitParams, density_jp_typeI_r2, endpoints, family_curves
 from finfree.partitions import moments_from_cumulants_nc
 
 
@@ -57,9 +57,43 @@ def test_mp_density_closed_form():
     ref = np.sqrt(xs * (4 - xs)) / (2 * np.pi * xs)
     assert np.max(np.abs(dens - ref)) < 1e-10
     assert abs(stieltjes_density(mp_curve(), [2.0])[0] - 1 / (2 * np.pi)) < 1e-10
-    # (near-)zero outside the support
+    # a real on-axis root outside the support gives exactly zero
     outside = stieltjes_density(mp_curve(), [5.0, -1.0, 4.5])
-    assert np.max(np.abs(outside)) < 1e-8
+    assert list(outside) == [0.0, 0.0, 0.0]
+
+
+def _jp1_third():
+    return family_curves("jp1", LimitParams(theta=(F(1, 3), F(2, 3)), i=1)).curve
+
+
+def test_density_value_does_not_depend_on_its_grid():
+    # the first point is reached straight down from above it; a straight line
+    # from the far seed at iR to -0.03 + i eps passes the branch point u = 0
+    model = density_jp_typeI_r2(F(1, 3))
+    for grid in ([-0.03], [-0.1, -0.03], [-2.4, -0.03]):
+        assert abs(stieltjes_density(_jp1_third(), grid)[-1] - model(-0.03)) < 1e-10
+
+
+def test_density_near_the_cube_root_endpoint():
+    model = density_jp_typeI_r2(F(1, 3))
+    for x in (-1e-4, -1e-6):
+        assert abs(stieltjes_density(_jp1_third(), [x])[0] / model(x) - 1) < 1e-8
+
+
+def test_density_is_exactly_zero_outside_the_support():
+    xs = np.linspace(-3.0, -0.05, 60)
+    dens = stieltjes_density(_jp1_third(), xs)
+    model = density_jp_typeI_r2(F(1, 3))
+    assert np.max(np.abs(dens - model(xs))) < 1e-12
+    beyond = xs < -float(endpoints("JP-I-r2", theta=F(1, 3)))
+    assert beyond.any() and np.all(dens[beyond] == 0.0)
+
+
+def test_jp2_r3_density_does_not_depend_on_its_grid():
+    curve = family_curves("jp2", LimitParams(theta=(F(1, 3),) * 3)).curve
+    alone = stieltjes_density(curve, [0.05])[0]
+    inside = stieltjes_density(curve, np.linspace(0.0005, 0.05, 200))[-1]
+    assert alone > 0 and abs(alone - inside) < 1e-12
 
 
 def test_support_candidates_mp():
@@ -202,7 +236,6 @@ def test_jp1_cubic_matches_closed_cubic_solution():
     # boundary value is the root with positive imaginary part, and the
     # closed-form density pins Im y / pi
     from finfree.curves import _newton_point
-    from finfree.families import density_jp_typeI_r2
 
     curve = jp1_cubic()
     seed = solve_curve_branch(curve, [-1.0 + 1e-9j])[0]

@@ -196,6 +196,14 @@ def test_kdf_reciprocal_relation():
     assert lhs.proportional_to(kdf_poly(sB, "one")) is not None
 
 
+def test_kdf_mode_one_needs_a_variable_group():
+    for f in (kdf_poly, kdf_factorize):
+        with pytest.raises(ValueError, match="mode 'one' needs a variable group"):
+            f(KdFSpec(n=2), "one")
+        with pytest.raises(ValueError, match="mode must be"):
+            f(KdFSpec(n=2), "both")
+
+
 def test_kdf_zero_multiplier():
     with pytest.raises(ZeroMultiplier):
         KdFSpec(n=2, groups=(((), ()),), c=(0,))

@@ -127,6 +127,19 @@ def test_interlacing_verdicts():
     with pytest.raises(DegreeGapTooLarge):
         interlaces([1, 2, 3, 4], [1, 2])
 
+    # the margin is the smallest gap of the chain p1, q1, p2, q2, ... (, pn)
+    def verdict(p, q):
+        v = interlaces(p, q)
+        return v.relation, v.case, v.margin
+
+    assert verdict([1, 5, 6], [3, 5.5]) == ("strict", "degree-drop", 0.5)
+    assert verdict([1, 5], [3, 5.25]) == ("strict", "equal-degree", 0.25)
+    assert verdict([1, 3], [0, 4]) == ("none", "equal-degree", -1.0)
+    assert verdict([1, 3], [3]) == ("weak", "degree-drop", 0.0)
+    assert verdict([], []) == ("weak", "equal-degree", 0.0)
+    assert verdict([7], []) == ("weak", "degree-drop", 0.0)
+    assert verdict([2], [1, 3]) == ("none", "degree-drop", float("-inf"))
+
 
 def test_histogram_and_ks():
     dist = EmpiricalDistribution([mp.mpc(k, 0) / 10 for k in range(1, 11)])
