@@ -1,5 +1,5 @@
 """Software floating point on Python integers, and the Aberth-Ehrlich sweeps
-that `roots.find_roots` runs on it.
+that `roots.find_roots` runs on it and, as a first stage, on hardware floats.
 
 Every complex value is a Gaussian-integer mantissa with its own binary
 exponent, (re, im, exp) meaning (re + i im) 2^exp; on the real path every
@@ -102,11 +102,15 @@ _FAR = -(1 << 60)
 
 def _exact(c):
     """A real coefficient as the rational it denotes; floats and mpf are dyadic."""
+    if isinstance(c, (complex, mp.mpc)):
+        raise TypeError(f"coefficients must be real, got {c}")
     if isinstance(c, mp.mpf):
         sign, man, exp, _ = c._mpf_
         if exp and not man:
             raise ValueError(f"coefficient {c} is not finite")
         return Fraction(-man if sign else man) * Fraction(2) ** exp
+    if isinstance(c, float) and not math.isfinite(c):
+        raise ValueError(f"coefficient {c} is not finite")
     return Fraction(c)
 
 
@@ -151,14 +155,6 @@ def _rlog2_abs(a):
     if s > 0:
         m, e = m >> s, e + s
     return math.log2(abs(m)) + e
-
-
-def _from_mp(z, P):
-    """An mpmath real as a pair, an mpmath complex as a triple."""
-    if isinstance(z, mp.mpf):
-        return _mantissa(_exact(z), P)
-    (rm, re_), (im, ie) = (_mantissa(_exact(x), P) for x in (z.real, z.imag))
-    return _add((rm, 0, re_), (0, im, ie), P)
 
 
 def _renorm(a, P):
@@ -347,30 +343,49 @@ def _rstep(x, pv, dv, pts, P):
     return _radd(x, (-step[0], step[1]), P), step[0] != 0
 
 
+# -- hardware floats ---------------------------------------------------------------
+#
+# The real path's first stage runs on Python floats; P is ignored, and a step
+# that would leave the finite doubles is not taken.
+
+
+def _fhorner(coeffs, x, P):
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _fstep(x, pv, dv, pts, P):
+    den = dv - pv * sum(1 / (x - w) for w in pts if w != x)
+    y = x - pv / (den or dv) if dv else x + x / 1024 + 2.0**-20
+    return (y, y != x) if math.isfinite(y) else (x, False)
+
+
 # Horner, log2 |.| and the update, per value shape
 _TRIPLES = (_horner, _log2_abs, _step)
 _PAIRS = (_rhorner, _rlog2_abs, _rstep)
+_FLOATS = (_fhorner, lambda x: math.log2(abs(x)) if x else -math.inf, _fstep)
 
-# sweeps on pairs without a newly converged point before they count as stalled
+# sweeps on pairs or floats without a newly converged point before they count as stalled
 _PATIENCE = 24
 
 
 def _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, max_sweeps):
     """Gauss-Seidel Aberth-Ehrlich sweeps at P = wp + 16 bits on normalized
-    triples or, on the real path, pairs.
+    triples or, on the real path, pairs; or on floats, with wp = 52.
 
-    coeffs and dcoeffs are the (m, e) pairs of p and p' from the top degree
-    down; lcs feeds the Adams bound; pts is updated in place.  Pairs give up
-    once _PATIENCE sweeps in a row converge no further point, as real points
-    chasing complex roots do.
+    coeffs and dcoeffs are the coefficients of p and p' from the top degree
+    down, as (m, e) pairs or floats; lcs feeds the Adams bound; pts is
+    updated in place.  Pairs and floats give up once _PATIENCE sweeps in a
+    row converge no further point, as real points chasing complex roots do.
     """
     P = wp + 16
     n = len(pts)
     # stop at the Horner noise floor: n-step evaluation carries ~n ulps
     log_eps = math.log2(4 * n) - wp
-    real = len(pts[0]) == 2
-    horner, log2_abs, step = _PAIRS if real else _TRIPLES
-    patience = _PATIENCE if real else max_sweeps
+    horner, log2_abs, step = _FLOATS if isinstance(pts[0], float) else _PAIRS if len(pts[0]) == 2 else _TRIPLES
+    patience = max_sweeps if step is _step else _PATIENCE
     converged = [False] * n
     left, last = n, 0
     for sweep in range(max_sweeps):

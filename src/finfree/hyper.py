@@ -379,6 +379,8 @@ def kdf_factorize(spec: KdFSpec, mode: str = "all"):
     exactly; the scalar is recovered by coefficient comparison.
     """
     target = kdf_poly(spec, mode)  # also validates the mode
+    if not spec.groups:
+        raise ValueError("the factorization needs a variable group")
     n = spec.n
     if mode == "all":
         q0 = Leaf(_swapped_spec(n, spec.a0, spec.b0, 1))

@@ -12,8 +12,10 @@ Two paths share one sweep driver:
 * the real path, tried first when Descartes' rule of signs allows every
   root to be real (sign changes of p(x) and p(-x) summing to the degree).
   It seeds real points of the counted signs at the radii of the Newton
-  polygon of the coefficient magnitudes and sweeps on real (m, exp) pairs,
-  one multiplication per Horner step instead of three.  Its result stands
+  polygon of the coefficient magnitudes and first sweeps them on hardware
+  doubles, where p scaled to its root scale fits them; this stage only
+  moves the seeds.  The ladder then sweeps on real (m, exp) pairs, one
+  multiplication per Horner step instead of three.  Its result stands
   only with an exact certificate (real_root_certificate): p, evaluated by
   integer Horner at dyadic separators between the sorted roots and beyond
   both ends, alternates strictly in sign, which proves deg p simple real
@@ -27,6 +29,7 @@ Default precision: 256 bits for degree <= 100, plus 128 bits per additional
 100 degrees; the FINFREE_PREC_BITS environment variable overrides it.
 """
 
+import cmath
 import math
 import os
 from fractions import Fraction
@@ -34,7 +37,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .aberth import _aberth_sweeps, _exact, _from_mp, _horner, _mantissa, _renorm, _to_mpc
+from .aberth import _aberth_sweeps, _exact, _horner, _mantissa, _renorm, _to_mpc
 from .errors import (
     DegreeGapTooLarge,
     InvalidParameters,
@@ -57,52 +60,54 @@ def default_precision(n: int) -> int:
     return 256 + 128 * math.ceil((n - 100) / 100)
 
 
-def _newton_annuli(coeffs_abs, n):
-    """(radius, count) for each edge of the upper convex hull of (k, log |c_k|),
-    innermost first: the Newton polygon's estimate of the root magnitudes.
-
-    coeffs_abs[k] = |monomial coefficient of x^k|.
-    """
-    logs = [mp.log(c) if c > 0 else mp.mpf("-inf") for c in coeffs_abs]
-    hull = []  # indices on the upper hull, left to right
-    for k in range(n + 1):
-        if logs[k] == mp.mpf("-inf"):
-            continue
+def _newton_annuli(lcs):
+    """(log2 radius, count) for each edge of the upper convex hull of the pairs
+    (k, log2 |c_k|), innermost first: the Newton polygon's estimate of the
+    root magnitudes."""
+    hull = []  # vertices on the upper hull, left to right
+    for k, lc in lcs:
         while len(hull) >= 2:
-            i, j = hull[-2], hull[-1]
-            # keep hull upper-convex: slope(i,j) >= slope(j,k)
-            if (logs[j] - logs[i]) * (k - j) <= (logs[k] - logs[j]) * (j - i):
-                hull.pop()
-            else:
+            (i, a), (j, b) = hull[-2:]
+            # keep hull upper-convex: slope(i,j) > slope(j,k)
+            if (b - a) * (k - j) > (lc - b) * (j - i):
                 break
-        hull.append(k)
-    return [(mp.exp((logs[i] - logs[j]) / (j - i)), j - i) for i, j in zip(hull, hull[1:])]
+            hull.pop()
+        hull.append((k, lc))
+    return [((a - b) / (j - i), j - i) for (i, a), (j, b) in zip(hull, hull[1:])]
 
 
-def _initial_points(coeffs_abs, n):
-    """Starting points on Newton-polygon circles (Bini-style): each annulus
+def _dyadic(z, log2_r):
+    """The float or complex z times 2^log2_r as a pair, exactly, or a triple."""
+    e = math.floor(log2_r)
+    z *= 2.0 ** (log2_r - e)
+    if isinstance(z, complex):
+        return int(z.real * 2**53), int(z.imag * 2**53), e - 53
+    m, d = z.as_integer_ratio()
+    return m, e + 1 - d.bit_length()
+
+
+def _initial_points(lcs):
+    """Starting triples on Newton-polygon circles (Bini-style): each annulus
     is seeded with equispaced angles and a rotating offset."""
     points = []
     golden = 0.7639320225
-    for radius, count in _newton_annuli(coeffs_abs, n):
+    for log2_r, count in _newton_annuli(lcs):
         base = len(points)
         for t in range(count):
-            angle = 2 * mp.pi * (t + 0.5 + golden * base) / count + 0.4
-            points.append(radius * mp.exp(1j * angle))
+            angle = 2 * math.pi * (t + 0.5 + golden * base) / count + 0.4
+            points.append(_dyadic(cmath.rect(1.0, angle), log2_r))
     return points
 
 
-def _real_points(coeffs_abs, n, neg):
-    """Distinct real starting points on the Newton-polygon radii, neg of them negative.
+def _real_points(lcs, n, neg):
+    """Distinct real starting pairs on the Newton-polygon radii, neg of them negative.
 
     An annulus holding c roots gets c magnitudes spread geometrically
     within a factor sqrt(2) of its radius; the signs are dealt out evenly
     over all magnitudes in increasing order.
     """
-    mags = []
-    for radius, count in _newton_annuli(coeffs_abs, n):
-        mags += [radius * mp.mpf(2) ** ((t + 0.5) / count - 0.5) for t in range(count)]
-    return [-r if (i + 1) * neg // n > i * neg // n else r for i, r in enumerate(mags)]
+    mags = [log2_r + (t + 0.5) / count - 0.5 for log2_r, count in _newton_annuli(lcs) for t in range(count)]
+    return [_dyadic(-1.0 if (i + 1) * neg // n > i * neg // n else 1.0, r) for i, r in enumerate(mags)]
 
 
 def _sign_changes(cs):
@@ -111,27 +116,41 @@ def _sign_changes(cs):
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _climb(rungs, lcs, seed):
-    """Sweeps up the precision ladder from the points seed(|c_k| as mpf).
+def _climb(rungs, lcs, pts):
+    """Sweeps the points pts up the precision ladder.
 
-    Real seeds sweep as pairs, complex ones as triples.  A failed rung ends
+    Real points sweep as pairs, complex ones as triples.  A failed rung ends
     a real climb, whose stalled points would only stall again; a complex
     climb goes on to polish at the next rung.
     """
-    pts = None
+    real = len(pts[0]) == 2
     for level, (wp, coeffs, dcoeffs) in enumerate(rungs):
-        P = wp + 16
-        if pts is None:
-            with mp.workprec(wp):
-                seeds = seed([mp.mpf((abs(m), e)) for m, e in reversed(coeffs)])
-            real = isinstance(seeds[0], mp.mpf)
-            pts = [_from_mp(z, P) for z in seeds]
-        else:
-            pts = [_renorm(z, P) for z in pts]
-        pts, ok = _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, 500 if level == 0 else 120)
+        pts, ok = _aberth_sweeps(coeffs, dcoeffs, lcs, [_renorm(z, wp + 16) for z in pts], wp, 120 if level else 500)
         if not ok and real:
             break
     return pts, ok
+
+
+def _float_stage(mono, b, lcs, pts):
+    """The real seeds pts, moved by Aberth sweeps on floats at the root scale.
+
+    p is scaled to q(y) = p(2^s y) / 2^t, 2^s the geometric root scale and
+    2^t the largest term at |y| = 1, both read from bit lengths.  The stage
+    is skipped unless every nonzero coefficient of q is a normal double and
+    every term of q stays below 2^1000 out to the outermost seed.  A point
+    that ends coincident with another keeps its seed.
+    """
+    n = len(mono) - 1
+    s = (b[0] - b[n]) // n
+    t = max(bk + k * s for k, bk in enumerate(b) if bk is not None)
+    fc = [(c.numerator << max(k * s - t, 0)) / (c.denominator << max(t - k * s, 0)) for k, c in enumerate(mono)]
+    outer = max(m.bit_length() + e for m, e in pts)
+    if max(lc + k * outer for k, lc in lcs) - t > 1000 or any(c and abs(f) < 2.0**-1022 for c, f in zip(mono, fc)):
+        return pts
+    flcs = [(k, math.log2(abs(f))) for k, f in enumerate(fc) if f]
+    ys = [math.ldexp(m, e - s) for m, e in pts]
+    ys, _ = _aberth_sweeps(fc[::-1], [k * f for k, f in enumerate(fc)][:0:-1], flcs, ys, 52, 500)
+    return [z if ys.count(y) > 1 else _dyadic(y, s) for z, y in zip(pts, ys)]
 
 
 def find_roots(p: Polynomial, precision_bits: int | None = None):
@@ -139,14 +158,16 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
 
     Iterates until every root satisfies the Adams residual criterion at the
     working precision (precision_bits + 32 guard bits), climbing a precision
-    ladder from 64 bits.  When Descartes' rule of signs allows every root to
-    be real, a real path runs first: real seeds, sweeps on real pairs, and
-    the exact certificate of real_root_certificate; its roots have imaginary
-    part exactly 0.  If any of the three fails, the complex path runs from
-    complex seeds.  Raises NonConvergence with partial diagnostics if the
-    last rung of the complex path fails to converge.  Coefficients must be
-    real: Fractions, ints, floats or mpmath reals.  Raises InvalidParameters
-    for precision_bits < 1.
+    ladder whose base rung has max(64, conditioning estimate + 96) bits.
+    When Descartes' rule of signs allows every root to be real, a real path
+    runs first: real seeds, moved by sweeps on doubles where they fit, then
+    sweeps on real pairs and the exact certificate of real_root_certificate;
+    its roots have imaginary part exactly 0.  If the gate, the sweeps or the
+    certificate fails, the complex path runs from complex seeds.  Raises
+    NonConvergence with partial diagnostics if the last rung of the complex
+    path fails to converge.  Coefficients must be real and finite:
+    Fractions, ints, floats or mpmath reals (else TypeError or ValueError).
+    Raises InvalidParameters for precision_bits < 1.
     """
     if precision_bits is not None and precision_bits < 1:
         raise InvalidParameters(f"precision_bits must be >= 1, got {precision_bits}")
@@ -163,7 +184,8 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
         return zero_roots
     prec = default_precision(deg) if precision_bits is None else precision_bits
     target = prec + 32
-    base = min(max(64, _conditioning_bits(mono, deg) + 96), target)
+    b = [abs(c.numerator).bit_length() - c.denominator.bit_length() if c else None for c in mono]
+    base = min(max(64, _conditioning_bits(b, deg) + 96), target)
     ladder = [target] if base * 4 >= target * 3 else [base, target]
     dmono = [k * c for k, c in enumerate(mono)][1:]
     lcs = [(k, math.log2(abs(c.numerator)) - math.log2(c.denominator)) for k, c in enumerate(mono) if c]
@@ -176,10 +198,10 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     neg = _sign_changes([-c if k % 2 else c for k, c in enumerate(mono)])
     ok = False
     if _sign_changes(mono) + neg == deg:
-        pts, ok = _climb(rungs, lcs, lambda mags: _real_points(mags, deg, neg))
+        pts, ok = _climb(rungs, lcs, _float_stage(mono, b, lcs, _real_points(lcs, deg, neg)))
         ok = ok and _isolate(_ints(mono, deg)[0], pts) is not None
     if not ok:
-        pts, ok = _climb(rungs, lcs, lambda mags: _initial_points(mags, deg))
+        pts, ok = _climb(rungs, lcs, _initial_points(lcs))
     with mp.workprec(wp):
         roots = [_to_mpc(z) for z in pts]
         if not ok:
@@ -188,13 +210,13 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     return zero_roots + roots
 
 
-def _conditioning_bits(mono, deg):
-    """Spread of coefficient magnitudes at the geometric root scale.
+def _conditioning_bits(b, deg):
+    """Spread of coefficient magnitudes at the geometric root scale, from the
+    bit lengths b of the coefficients (None for zero).
 
     Evaluating p near its roots cancels roughly this many bits, so the base
     rung of the precision ladder must see past it.
     """
-    b = [abs(c.numerator).bit_length() - c.denominator.bit_length() if c else None for c in mono]
     if b[0] is None or b[deg] is None:
         known = [x for x in b if x is not None]
         return int(max(known) - min(known)) if len(known) > 1 else 0

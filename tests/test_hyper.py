@@ -204,6 +204,13 @@ def test_kdf_mode_one_needs_a_variable_group():
             f(KdFSpec(n=2), "both")
 
 
+def test_kdf_factorize_all_needs_a_variable_group():
+    # the expansion alone is defined without groups; the factorization is not
+    assert isinstance(kdf_poly(KdFSpec(n=2), "all"), Polynomial)
+    with pytest.raises(ValueError, match="the factorization needs a variable group"):
+        kdf_factorize(KdFSpec(n=2), "all")
+
+
 def test_kdf_zero_multiplier():
     with pytest.raises(ZeroMultiplier):
         KdFSpec(n=2, groups=(((), ()),), c=(0,))

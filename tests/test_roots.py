@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
+from finfree import aberth as aberth_module
 from finfree import roots as roots_module
 from finfree.conv import mult_conv
 from finfree.errors import DegreeGapTooLarge, InvalidParameters, NonConvergence, NonRealRoots
@@ -243,6 +245,22 @@ def test_float_and_mpf_coefficients_read_exactly():
     assert from_mpf == find_roots(Polynomial.from_monomial([F(man) * F(2) ** exp, -1, 1]), 256)
 
 
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf"), mp.mpf("inf"), mp.mpf("nan")])
+def test_non_finite_coefficients_are_refused(c):
+    with pytest.raises(ValueError, match=re.escape(f"coefficient {c} is not finite")):
+        roots_module._exact(c)
+    with pytest.raises(ValueError, match="is not finite"):
+        find_roots(Polynomial.from_monomial([c, -1, 1]), 64)
+
+
+@pytest.mark.parametrize("c", [mp.mpc(1, 1), 1j, complex(2, 0)])
+def test_complex_coefficients_are_refused(c):
+    with pytest.raises(TypeError, match="coefficients must be real"):
+        roots_module._exact(c)
+    with pytest.raises(TypeError, match="coefficients must be real"):
+        find_roots(Polynomial.from_monomial([c, -1, 1]), 64)
+
+
 def test_nonconvergence_carries_roots_and_residuals(monkeypatch):
     sweeps = roots_module._aberth_sweeps
     monkeypatch.setattr(
@@ -347,6 +365,35 @@ def test_certificate_isolates_and_rejects():
     assert roots_module.real_root_certificate(p, [1 / 3, 4 / 3, 7 / 3, 10 / 3]) is not None
 
 
+JP2_DEGREE_36 = [
+    "0x1.a2a8d0f348377p-13", "0x1.43f8f1105d644p-10", "0x1.e7786f94eb46bp-9", "0x1.0b15740b36792p-7",
+    "0x1.e99333044f460p-7", "0x1.900a360fc11edp-6", "0x1.2db7cacb9eb85p-5", "0x1.acfb244b33d32p-5",
+    "0x1.2361253e62e6dp-4", "0x1.7dbdf40d1e129p-4", "0x1.e58c17005f7eep-4", "0x1.2d43a938b1937p-3",
+    "0x1.6e190b22fcc6ap-3", "0x1.b4ec597bc1209p-3", "0x1.00a535f0d5c4dp-2", "0x1.295459605028dp-2",
+    "0x1.5433a6ca3862fp-2", "0x1.80e9a6fc78d92p-2", "0x1.af1492b7ddb11p-2", "0x1.de4b9d0d3df95p-2",
+    "0x1.0710275401a70p-1", "0x1.1f0ff7772cb59p-1", "0x1.36ea7bb8b4a7bp-1", "0x1.4e6446e9dcbb4p-1",
+    "0x1.654200075fc8cp-1", "0x1.7b491f6c8d367p-1", "0x1.9040a8edb3481p-1", "0x1.a3f1e0b07f886p-1",
+    "0x1.b628f8a195765p-1", "0x1.c6b5b47795449p-1", "0x1.d56c024c9fc63p-1", "0x1.e22485f781ca5p-1",
+    "0x1.ecbd15747e712p-1", "0x1.f51924da8851cp-1", "0x1.fb22208bebb73p-1", "0x1.fec7b4883c5e3p-1",
+]
+JP1_DEGREE_39 = [
+    "-0x1.a8d6c3e64b610p+0", "-0x1.43827fdd21e56p+0", "-0x1.02a357b1c3223p+0", "-0x1.a7bf4b388b1edp-1",
+    "-0x1.60586c500c5b0p-1", "-0x1.27e72769a0738p-1", "-0x1.f46fb97e9d784p-2", "-0x1.a934e59fd3076p-2",
+    "-0x1.6a76fbcdaa9dep-2", "-0x1.359e4c15dffc7p-2", "-0x1.08c35569104cep-2", "-0x1.c4ec3b84b2ddbp-3",
+    "-0x1.83353265ba9c8p-3", "-0x1.4aa2b2e9a4495p-3", "-0x1.19cf8363d870fp-3", "-0x1.df340c6a7f5cfp-4",
+    "-0x1.9628fd5d5daf6p-4", "-0x1.56f33147a7dedp-4", "-0x1.2047c87e9e25fp-4", "-0x1.e21da5bae8208p-5",
+    "-0x1.90b2f70ed0231p-5", "-0x1.4ab4d7550479ap-5", "-0x1.0ebfa6d0187fbp-5", "-0x1.b73ac4fecd2ecp-6",
+    "-0x1.607c32d3cc3eap-6", "-0x1.1763b2f47ddb9p-6", "-0x1.b48f04e74155cp-7", "-0x1.4f57e02256023p-7",
+    "-0x1.f8f2ea1935ce9p-8", "-0x1.731e4dd75d4c1p-8", "-0x1.08de38887291ep-8", "-0x1.6c8a6aeb230b1p-9",
+    "-0x1.defcd8c16a0a4p-10", "-0x1.281aec44d8c42p-10", "-0x1.50dd1540cadc2p-11", "-0x1.53b5800c22757p-12",
+    "-0x1.1b44a746b0661p-13", "-0x1.4ebd0e61629d1p-15", "-0x1.5c241c9b3caabp-18",
+]
+
+
+def _jp1_degree_39():
+    return jp_typeI(JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1)), (40, 80), 1)
+
+
 def test_jp_typeII_degree_36_takes_the_real_path(monkeypatch):
     _no_complex_path(monkeypatch)
     p = jp_typeII(JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1, 2)), (18, 18))
@@ -354,15 +401,67 @@ def test_jp_typeII_degree_36_takes_the_real_path(monkeypatch):
     assert all(z.imag == 0 for z in rts)
     assert _certify(p, rts, default_precision(36)) > 200
     assert len(roots_module.real_root_certificate(p, rts)) == 37
+    assert sorted(float(z.real) for z in rts) == [float.fromhex(h) for h in JP2_DEGREE_36]
 
 
 def test_jp_typeI_degree_39_takes_the_real_path(monkeypatch):
     _no_complex_path(monkeypatch)
-    p = jp_typeI(JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1)), (40, 80), 1)
+    p = _jp1_degree_39()
     rts = find_roots(p)
     assert all(z.imag == 0 for z in rts)
     assert _certify(p, rts, default_precision(39)) > 200
     assert len(roots_module.real_root_certificate(p, rts)) == 40
+    assert sorted(float(z.real) for z in rts) == [float.fromhex(h) for h in JP1_DEGREE_39]
+
+
+# -- the float stage: seeds swept on doubles before the big-integer rungs ---------
+
+
+def _record_sweeps(monkeypatch):
+    """Per _aberth_sweeps call: (value shape, wp, converged, _rstep calls)."""
+    calls, steps = [], [0]
+    rstep = aberth_module._rstep
+
+    def counting(*args):
+        steps[0] += 1
+        return rstep(*args)
+
+    def sweeps(coeffs, dcoeffs, lcs, pts, wp, budget):
+        before = steps[0]
+        shape = "float" if isinstance(pts[0], float) else len(pts[0])
+        pts, ok = aberth_module._aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, budget)
+        calls.append((shape, wp, ok, steps[0] - before))
+        return pts, ok
+
+    monkeypatch.setattr(aberth_module, "_PAIRS", aberth_module._PAIRS[:2] + (counting,))
+    monkeypatch.setattr(roots_module, "_aberth_sweeps", sweeps)
+    return calls
+
+
+def test_float_stage_seeds_every_big_integer_rung_once(monkeypatch):
+    _no_complex_path(monkeypatch)
+    calls = _record_sweeps(monkeypatch)
+    p = _jp1_degree_39()
+    find_roots(p)
+    (shape, wp, ok, _), *rungs = calls
+    assert (shape, wp, ok) == ("float", 52, True)
+    # the ladder below the float stage is unchanged: one pass per rung, on pairs
+    assert [(shape, wp) for shape, wp, _, _ in rungs] == [(2, 170), (2, default_precision(39) + 32)]
+    assert all(ok for _, _, ok, _ in rungs)
+    # the base rung took 252 Aberth steps from the Newton-polygon seeds alone
+    assert rungs[0][3] <= 0.6 * 252
+
+
+def test_float_stage_is_skipped_where_doubles_overflow(monkeypatch):
+    _no_complex_path(monkeypatch)
+    calls = _record_sweeps(monkeypatch)
+    rts = [F(1, 2**700), F(1, 3), F(2**700)]
+    p = Polynomial.from_roots(rts)
+    got = find_roots(p, 128)
+    assert "float" not in [shape for shape, *_ in calls]
+    assert all(z.imag == 0 for z in got)
+    seps = roots_module.real_root_certificate(p, got)
+    assert seps is not None and all(a < r < b for a, r, b in zip(seps, rts, seps[1:]))
 
 
 def test_real_and_complex_paths_agree_to_the_float():
