@@ -5,9 +5,9 @@ them: the exact moments of the weights x^a (1-x)^b on [0,1] and x^a e^(-c x)
 on [0, inf), each a rational number times one Beta or Gamma value.
 Residuals are scale-free ratios of exact rationals, so every one comes out
 exactly 0.  For Type I the products lambda_j = c_j C_j of the normalizing
-constants and the weight integrals are exact: closed forms for jp/ml1 (the
-Gamma factors cancel, so the normalization integral is exactly 1) and an
-exact calibration for ml2.
+constants and the weight integrals are exact, so every normalization
+integral is exactly 1: closed forms for jp/ml1 (the Gamma factors cancel)
+and, for ml2, the Type I/Type II identity int P_{n-e_j} Q_n = 1.
 """
 
 from fractions import Fraction as F
@@ -35,6 +35,6 @@ for label, family, spec, n, type_ in cases:
     print(f"{label:40s} n={n}: max residual {rep['max_residual']:.2e}{extra}")
 
 print("\n(Every residual is exact: 0 means the moments vanish exactly.")
-print("The jp/ml1 Type I normalization is exactly 1, because their constants")
-print("times the weight integrals are rational; ml2 calibrates its Type I")
-print("constants exactly and reports the normalization integral it gets.)")
+print("Every Type I normalization is exactly 1, because the constants times")
+print("the weight integrals are rational: closed forms for jp/ml1, and for")
+print("ml2 the identity int P_{n-e_j} Q_n = 1 with the Type II polynomial.)")

@@ -96,29 +96,28 @@ def _read_poly(path):
         raise FinfreeError(f"cannot read polynomial file {path}: {exc}") from exc
 
 
+def _write_csv(args, path, header, rows, precision_bits, **extra):
+    """The header, then each row comma-joined by repr, then the sidecar.
+
+    Rows hold ints and Python floats: numpy 2 reprs its own scalars otherwise.
+    """
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
+    _sidecar(args, path, precision_bits, **extra)
+
+
 def _write_roots_csv(args, path, poly, roots, precision_bits):
     """The roots as `index,re,im` rows; the sidecar carries their real-root
     certificate, or null when none holds (the complex path ran)."""
     from .roots import real_root_certificate
 
-    rows = sorted(
-        ((float(z.real), float(z.imag)) for z in roots), key=lambda t: (t[0], t[1])
-    )
-    with open(path, "w") as fh:
-        fh.write("index,re,im\n")
-        for idx, (re, im) in enumerate(rows):
-            fh.write(f"{idx},{re!r},{im!r}\n")
+    rows = sorted((float(z.real), float(z.imag)) for z in roots)
     seps = real_root_certificate(poly, roots)
     cert = None if seps is None else {"real": True, "isolated": len(seps) - 1}
-    _sidecar(args, path, precision_bits, certificate=cert)
-
-
-def _write_hist_csv(args, path, rows, precision_bits):
-    with open(path, "w") as fh:
-        fh.write("bin_lo,bin_hi,count,density\n")
-        for lo, hi, count, dens in rows:
-            fh.write(f"{lo!r},{hi!r},{count},{dens!r}\n")
-    _sidecar(args, path, precision_bits)
+    _write_csv(args, path, "index,re,im", ((idx, *z) for idx, z in enumerate(rows)),
+               precision_bits, certificate=cert)
 
 
 def _cmd_hyper(args):
@@ -152,7 +151,7 @@ def _cmd_roots(args):
     _write_roots_csv(args, args.out, p, roots, prec)
     if args.hist:
         dist = EmpiricalDistribution(roots)
-        _write_hist_csv(args, args.hist_out, dist.histogram(args.hist), prec)
+        _write_csv(args, args.hist_out, "bin_lo,bin_hi,count,density", dist.histogram(args.hist), prec)
     return 0
 
 
@@ -219,11 +218,8 @@ def _cmd_limit(args):
 
         us = [complex(u, args.imag) for u in np.linspace(args.u_from, args.u_to, args.grid)]
         ys = solve_curve_branch(lim.curve, us)
-        with open(args.samples, "w") as fh:
-            fh.write("u,re_y,im_y\n")
-            for u, y in zip(us, ys):
-                fh.write(f"{u.real!r},{y.real!r},{y.imag!r}\n")
-        _sidecar(args, args.samples, None)
+        rows = ((u.real, float(y.real), float(y.imag)) for u, y in zip(us, ys))
+        _write_csv(args, args.samples, "u,re_y,im_y", rows, None)
     return 0
 
 
@@ -238,12 +234,8 @@ def _cmd_density(args):
         lo = -10.0
     pad = 0.01 * (hi - lo)
     xs = np.linspace(lo + pad, hi - pad, args.grid)
-    ys = model(xs)
-    with open(args.emit, "w") as fh:
-        fh.write("x,density\n")
-        for x, y in zip(xs, ys):
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
-    _sidecar(args, args.emit, None)
+    rows = ((float(x), float(y)) for x, y in zip(xs, model(xs)))
+    _write_csv(args, args.emit, "x,density", rows, None)
     return 0
 
 

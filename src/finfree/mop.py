@@ -12,12 +12,13 @@ expansion; the orthogonality oracle integrates the results against the
 weights through their exact Beta/Gamma moments, which is the one check that
 does not reuse the hypergeometric identities being exercised.  Its verdicts
 are exact: each moment is C_j times a rational, and the Type I constants
-enter only as the rationals lambda_j = c_j C_j (up to one common factor).
+enter only as the rationals lambda_j = c_j C_j.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, inf
 
 import mpmath as mp
@@ -139,7 +140,7 @@ def jp_typeI(spec: JPSpec, n, i) -> Polynomial:
     """Type I Jacobi-Pineiro component, hypergeometric normalization.
 
     Degree n_i - 1; the orthogonality normalizing constant is not applied
-    (see jp_typeI_constant).
+    (verify_orthogonality reports it).
     """
     _check_index(spec, n, i)
     return hyper_poly(jp_typeI_spec(spec, n, i))
@@ -161,13 +162,6 @@ def jp_typeI_blocks(spec: JPSpec, n, i):
     return out
 
 
-def jp_typeI_constant(spec: JPSpec, n, i, prec=256):
-    """Normalizing constant c_i = lambda_i / B(alpha_i + 1, beta + 1) making the
-    Type I vector satisfy the unit moment; lambda_i is exact (_jp_lambda)."""
-    with mp.workprec(prec):
-        return _to_mpf(_jp_lambda(spec, n, i)) / _moment_constant(KINDS["jp"].weight(spec, i - 1))
-
-
 def ml1_typeI_spec(spec: ML1Spec, n, i) -> HypergeometricSpec:
     al, N = spec.alpha, sum(n)
     ai = al[i - 1]
@@ -180,12 +174,6 @@ def ml1_typeI(spec: ML1Spec, n, i) -> Polynomial:
     """Type I multiple Laguerre (first kind) component, degree n_i - 1."""
     _check_index(spec, n, i)
     return hyper_poly(ml1_typeI_spec(spec, n, i))
-
-
-def ml1_typeI_constant(spec: ML1Spec, n, i, prec=256):
-    """Normalizing constant c_i = lambda_i / Gamma(alpha_i + 1), see _ml1_lambda."""
-    with mp.workprec(prec):
-        return _to_mpf(_ml1_lambda(spec, n, i)) / _moment_constant(KINDS["ml1"].weight(spec, i - 1))
 
 
 def ml1_laguerre_factor(spec, n, i) -> HypergeometricSpec:
@@ -448,6 +436,22 @@ def _jp_lambda(spec, n, i):
     return lam
 
 
+def _typeII_lambda(family, spec, n, i, A):
+    """lambda_i = c_i C_i from the Type I / Type II biorthogonality.
+
+    With P the monic Type II polynomial of index n - e_i and Q_n normalized by
+    int x^{|n|-1} Q_n = 1, int P Q_n = 1.  Against P every term of Q_n but
+    c_i lc(A_i) x^{n_i-1} w_i integrates to 0, so lambda_i = 1 / (lc(A_i)
+    R_P(n_i - 1)); A is the component A_i already built.
+    """
+    ni = n[i - 1]
+    P = constructor(family, "II")(spec, tuple(a - b for a, b in zip(n, unit_index(spec.r, i))))
+    pivot = A.to_monomial()[ni - 1] * _moment_rows(P, KINDS[family].weight(spec, i - 1), ni)[-1]
+    if pivot == 0:
+        raise InvalidParameters(f"Type I component {i} has degree below n_i - 1 = {ni - 1}")
+    return 1 / pivot
+
+
 def _ml2_spec(alpha, beta, c):
     if len(alpha) != 1:
         raise InvalidParameters(f"ml2 takes one alpha, shared by all weights, got {len(alpha)}")
@@ -456,10 +460,11 @@ def _ml2_spec(alpha, beta, c):
 
 # The kind table.  Per kind: the spec from raw (alpha, beta, c); weight j as
 # (a, b, c), x^a (1-x)^b on [0, 1] if c is None, else x^a e^(-c x); the weights'
-# interval; the exact Type I lambda_i(spec, n, i), or None to calibrate; the spec
-# of the Type I derivative relation.  `constructor` looks up <kind>_typeI/_typeII
-# when called, so a rebinding (a test's patch, a tracer) is seen.
-_Kind = namedtuple("_Kind", "spec weight support lam shifted", defaults=(None, None))
+# interval; the exact Type I lambda_i(spec, n, i, A_i), in closed form for jp
+# and ml1 and from the Type II identity for ml2; the spec of the Type I
+# derivative relation.  `constructor` looks up <kind>_typeI/_typeII when
+# called, so a rebinding (a test's patch, a tracer) is seen.
+_Kind = namedtuple("_Kind", "spec weight support lam shifted", defaults=(None,))
 
 
 class _Kinds(dict):
@@ -469,55 +474,29 @@ class _Kinds(dict):
 
 KINDS = _Kinds({
     "jp": _Kind(lambda al, beta, c: JPSpec(al, beta), lambda s, j: (s.alpha[j], s.beta, None), (0.0, 1.0),
-                _jp_lambda, lambda s, i: JPSpec(add_index(s.alpha, unit_index(s.r, i)), s.beta + 1)),
+                lambda s, n, i, A: _jp_lambda(s, n, i),
+                lambda s, i: JPSpec(add_index(s.alpha, unit_index(s.r, i)), s.beta + 1)),
     "ml1": _Kind(lambda al, beta, c: ML1Spec(al), lambda s, j: (s.alpha[j], None, Fraction(1)), (0.0, inf),
-                 _ml1_lambda, lambda s, i: ML1Spec(add_index(s.alpha, unit_index(s.r, i)))),
-    "ml2": _Kind(_ml2_spec, lambda s, j: (s.alpha, None, s.c[j]), (0.0, inf)),
+                 lambda s, n, i, A: _ml1_lambda(s, n, i),
+                 lambda s, i: ML1Spec(add_index(s.alpha, unit_index(s.r, i)))),
+    "ml2": _Kind(_ml2_spec, lambda s, j: (s.alpha, None, s.c[j]), (0.0, inf), partial(_typeII_lambda, "ml2")),
 })
 
 
 def constructor(family, type_):
     """The Type I (spec, n, i) or Type II (spec, n) constructor of kind `family`."""
     KINDS[family]  # unknown kinds raise UnknownFamily
+    if type_ not in ("I", "II"):
+        raise InvalidParameters(f"type must be 'I' or 'II', got {type_!r}")
     return globals()[f"{family}_type{type_}"]
 
 
-def _type1_components(family, spec, n, weights, C, count):
-    """Type I vector (A_1, ..., A_r), its rows R_j(k) for k < count, and exact
-    lam with a scale s: the constant on A_j is c_j = lam_j s / C_j.
-
-    jp/ml1: lam_j = c_j C_j in closed form, s = 1.  ml2: lam = q calibrated on
-    the first r-1 rows, s = C_r; the other |n|-r conditions stay genuine checks.
-    """
+def _type1_components(family, spec, n):
+    """Type I vector (A_1, ..., A_r) and the exact lambda_j = c_j C_j: the
+    constant on A_j is c_j = lambda_j / C_j, and int x^{|n|-1} Q_n = 1."""
     ctor, lam = constructor(family, "I"), KINDS[family].lam
-    idx = range(1, spec.r + 1)
-    polys = [ctor(spec, n, i) for i in idx]
-    rows = [_moment_rows(p, w, count) for p, w in zip(polys, weights)]
-    if lam is None:
-        return polys, rows, _calibrate_type1(rows), C[-1]
-    return polys, rows, [lam(spec, n, i) for i in idx], 1
-
-
-def _calibrate_type1(rows):
-    """Relative Type I weights q from the first r-1 moment rows, solved over Q.
-
-    rows[j][k] = R_j(k).  Gauss-Jordan elimination gives q with q_r = 1 and
-    sum_j q_j R_j(k) = 0 for k < r-1.
-    """
-    m = len(rows) - 1
-    aug = [[rows[j][k] for j in range(m)] + [-rows[m][k]] for k in range(m)]
-    for col in range(m):
-        piv = next((i for i in range(col, m) if aug[i][col] != 0), None)
-        if piv is None:
-            raise InvalidParameters("Type I calibration rows are singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        head = aug[col][col]
-        aug[col] = [v / head for v in aug[col]]
-        for i in range(m):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-    return [aug[k][m] for k in range(m)] + [Fraction(1)]
+    polys = [ctor(spec, n, i) for i in range(1, spec.r + 1)]
+    return polys, [lam(spec, n, i, A) for i, A in enumerate(polys, 1)]
 
 
 def verify_orthogonality(family, spec, n, type_, prec=256):
@@ -525,37 +504,39 @@ def verify_orthogonality(family, spec, n, type_, prec=256):
 
     type_="II": per weight j, residual_k = |int P x^k w_j| / |int P x^{n_j} w_j|
     for k < n_j.  type_="I": residual_k = |M_k| / |M_{|n|-1}| for k <= |n|-2,
-    M_k = sum_j c_j int A_j x^k w_j = s sum_j lam_j R_j(k) with lam_j exact
-    (see _type1_components; s = 1 makes the jp/ml1 normalization exactly 1).
+    M_k = sum_j c_j int A_j x^k w_j = sum_j lam_j R_j(k) with lam_j exact
+    (see _type1_components), so the normalization M_{|n|-1} is exactly 1.
     Every residual is a ratio of exact rationals, so a correct constructor
     gives 0.0.  Returns a dict with the max residual, the normalization datum
     (nonzero is part of the contract) and, for Type I, the constants c_j.
+    Any type_ but "I" or "II" raises InvalidParameters.
     """
+    ctor = constructor(family, type_)
     _check_index(spec, n)
     N = sum(n)
     weights = [KINDS[family].weight(spec, j) for j in range(spec.r)]
     with mp.workprec(prec + 32):
         C = [_moment_constant(w) for w in weights]
         if type_ == "II":
-            P = constructor(family, "II")(spec, n)
+            P = ctor(spec, n)
             rows = [_moment_rows(P, w, nj + 1) for w, nj in zip(weights, n)]
             worst = max(_scale_free_residual(row, nj, "first non-forced") for row, nj in zip(rows, n))
             norms = [Cj * _to_mpf(row[nj]) for Cj, row, nj in zip(C, rows, n)]
             return {"max_residual": worst, "normalization": norms}
-        _, rows, lam, scale = _type1_components(family, spec, n, weights, C, N)
+        polys, lam = _type1_components(family, spec, n)
+        rows = [_moment_rows(p, w, N) for p, w in zip(polys, weights)]
         moments = [sum(l * row[k] for l, row in zip(lam, rows)) for k in range(N)]
         worst = _scale_free_residual(moments, N - 1, "Type I normalization")
-        consts = [scale * _to_mpf(l) / Cj for l, Cj in zip(lam, C)]
-        return {"max_residual": worst, "normalization": scale * _to_mpf(moments[N - 1]), "constants": consts}
+        consts = [_to_mpf(l) / Cj for l, Cj in zip(lam, C)]
+        return {"max_residual": worst, "normalization": _to_mpf(moments[N - 1]), "constants": consts}
 
 
 def typeI_function_eval(family, spec, n, xs, prec=256):
     """Values of Q_n(x) = sum_j c_j A_j(x) w_j(x) on a grid (mpmath), and the c_j."""
     weights = [KINDS[family].weight(spec, j) for j in range(spec.r)]
     with mp.workprec(prec):
-        C = [_moment_constant(w) for w in weights]
-        polys, _, lam, scale = _type1_components(family, spec, n, weights, C, spec.r - 1)
-        consts = [scale * _to_mpf(l) / Cj for l, Cj in zip(lam, C)]
+        polys, lam = _type1_components(family, spec, n)
+        consts = [_to_mpf(l) / _moment_constant(w) for l, w in zip(lam, weights)]
         coeffs = [[_to_mpf(c) for c in reversed(p.to_monomial())] for p in polys]
 
         def weight(j, x):
@@ -631,6 +612,7 @@ def theorem_suite_zero_location(family, spec, n, i, precision_bits=None, tau=1e-
     """
     from .roots import find_roots, real_parts_sorted
 
+    _check_index(spec, n, i)
     shifted, ctor = KINDS[family].shifted, constructor(family, "I")
     if shifted is None:
         covered = ", ".join(k for k, kind in KINDS.items() if kind.shifted is not None)

@@ -72,10 +72,13 @@ def series_reversion(f, K):
     """g with f(g(w)) = w + O(w^{K+1}); needs f[0] = 0, f[1] != 0.
 
     Lagrange inversion: g_n = (1/n) [z^(n-1)] h(z)^n with h = z / f(z).
+    At K = 0 the result is [0].
     """
-    fn, fd = _ints(f, K)
+    fn, fd = _ints(f, max(K, 1))
     if fn[0] != 0 or fn[1] == 0:
         raise ValueError("reversion needs f(0) = 0 and f'(0) != 0")
+    if K == 0:
+        return [Fraction(0)]
     inv, hd = _inv_ints(fn[1:], K - 1)
     h = [fd * c for c in inv]  # h = z/f over hd
     g = [Fraction(0)]
@@ -160,8 +163,10 @@ def moments_from_r(kappa, K=None):
 
 
 def s_coefficients(moments: FormalMomentSeries, K=None):
-    """Coefficients s_0..s_{K-1} of S(w) = (w+1)/w * Minv(w)."""
+    """Coefficients s_0..s_{K-1} of S(w) = (w+1)/w * Minv(w); none at K = 0."""
     K = moments.K if K is None else K
+    if K == 0:
+        return []
     if moments.m[0] == 0:
         raise VanishingFirstMoment("S-transform needs m_1 != 0")
     minv = series_reversion(m_series(moments, K), K)
@@ -171,9 +176,11 @@ def s_coefficients(moments: FormalMomentSeries, K=None):
 
 
 def moments_from_s(s, K=None):
-    """Invert s_coefficients: moments from a truncated S series."""
+    """Invert s_coefficients: moments from a truncated S series (none at K = 0)."""
     K = len(s) if K is None else K
-    if s[0] == 0:
+    if K == 0:
+        return FormalMomentSeries(())
+    if not s or s[0] == 0:
         raise VanishingFirstMoment("S(0) = 1/m_1 must be nonzero")
     # Minv(w) = w/(w+1) * S(w)
     one_over = series_inv([Fraction(1), Fraction(1)], K)
@@ -187,14 +194,13 @@ def series_bridge(moments: FormalMomentSeries):
 
     Returns a dict with keys "cauchy" (the 1/z-expansion coefficients,
     starting with m_0 = 1), "r" (free cumulants), and "s" (S series, or None
-    when m_1 = 0).  Consistency of R and S through w S(w) = (w R(w))^{-1}
-    holds to the truncation order and is exercised by the tests.
+    when m_1 = 0; empty for an empty series).  Consistency of R and S through
+    w S(w) = (w R(w))^{-1} holds to the truncation order and is exercised by
+    the tests.
     """
     K = moments.K
     r = r_coefficients(moments)
-    s = None
-    if moments.m[0] != 0:
-        s = s_coefficients(moments)
+    s = None if K and moments.m[0] == 0 else s_coefficients(moments)
     return {
         "cauchy": [Fraction(1)] + list(moments.m),
         "r": r,
@@ -206,7 +212,7 @@ def series_bridge(moments: FormalMomentSeries):
 def r_s_consistent(r, s, K):
     """Check w S(w) and w R(w) are functional inverses to order K."""
     comp = series_compose([0] + list(r), [0] + list(s), K)
-    target = [Fraction(0), Fraction(1)] + [Fraction(0)] * (K - 1)
+    target = [Fraction(int(k == 1)) for k in range(K + 1)]
     return comp == target
 
 
@@ -226,6 +232,8 @@ def free_mult(ma: FormalMomentSeries, mb: FormalMomentSeries) -> FormalMomentSer
     """S-transforms multiply: the free multiplicative convolution."""
     if ma.K != mb.K:
         raise ValueError("truncation orders differ")
+    if ma.K == 0:
+        return FormalMomentSeries(())
     sa = s_coefficients(ma)
     sb = s_coefficients(mb)
     return moments_from_s(series_mul(sa, sb, ma.K - 1), ma.K)

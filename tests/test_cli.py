@@ -86,6 +86,40 @@ def test_density_csv_keeps_its_bytes(tmp_path, family, theta, digest):
     assert hashlib.sha256((tmp_path / "d.csv").read_bytes()).hexdigest() == digest
 
 
+# roots (complex and real path), a histogram and curve samples: the CSV bytes
+# and the sidecar's certificate and precision, pinned before the CSV writers
+# were merged into one
+PRODUCT = (("hyper", "--n", "4", "--a", "3,5/2", "--b", "1,7/3", "--out", "p.json"),
+           ("hyper", "--n", "4", "--a", "2", "--b", "3", "--out", "q.json"),
+           ("conv", "--op", "mult", "--n", "4", "--p", "p.json", "--q", "q.json", "--out", "r.json"))
+LAGUERRE = (("hyper", "--n", "6", "--b", "2", "--out", "lag.json"),)
+
+
+@pytest.mark.parametrize("setup,argv,name,digest,meta", [
+    (PRODUCT, ("roots", "--p", "r.json", "--out", "roots.csv"), "roots.csv",
+     "849d997b3e08fc2b7773aa50ff034a29a951e2852287e6de12c6a04e5e672c66",
+     {"certificate": None, "precision_bits": 256}),
+    (LAGUERRE, ("roots", "--p", "lag.json", "--out", "lroots.csv", "--hist", "4", "--hist-out", "h.csv"), "lroots.csv",
+     "ae2e63ae9d9fb1a95d26474e5f8f3bb6459ffc44ae9aa8e39e1aed671c67e8e7",
+     {"certificate": {"isolated": 6, "real": True}, "precision_bits": 256}),
+    (LAGUERRE, ("roots", "--p", "lag.json", "--out", "lroots.csv", "--hist", "4", "--hist-out", "h.csv"), "h.csv",
+     "1e022b9ca6e4af650d922d3f2230a0a181abf33a87da89cd0b3a9daee0c14e6f",
+     {"precision_bits": 256}),
+    ((), ("limit", "--family", "jp1", "--theta", "1/3,2/3", "--K", "4", "--out", "fam.json",
+          "--samples", "s.csv", "--grid", "7"), "s.csv",
+     "af0f1417988c94ff3b431fa1427a8061e76ae1af4d14a8add41e7e0c46293945",
+     {"precision_bits": None}),
+], ids=["roots-complex", "roots-real", "hist", "limit-samples"])
+def test_csv_outputs_keep_their_bytes(tmp_path, setup, argv, name, digest, meta):
+    for step in (*setup, argv):
+        assert run(tmp_path, *step) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    sidecar = json.loads((tmp_path / f"{name}.meta.json").read_text())
+    assert set(sidecar) == {"command", "revision", *meta}
+    assert {k: sidecar[k] for k in meta} == meta
+    assert sidecar["command"] == "finfree " + " ".join(argv)
+
+
 def test_verify_subcommand(tmp_path, capsys):
     assert run(tmp_path, "verify", "--suite", "identities", "--n", "6", "--draws", "5") == 0
     out = capsys.readouterr().out

@@ -106,13 +106,12 @@ def test_orthogonality_all_six_families_small():
         assert rep["max_residual"] == 0.0, (family, n, type_, rep["max_residual"])
 
 
-def test_ml2_three_weights_calibrated_exactly():
-    # r = 3 exercises the 2 x 2 exact calibration; residuals are then exact too
+def test_ml2_three_weights_exact():
+    # r = 3: the Type II identity gives every lambda_j exactly; residuals are exact too
     spec = ML2Spec(alpha=F(1, 3), c=(F(1), F(2), F(3)))
     rep = verify_orthogonality("ml2", spec, (2, 2, 2), "I", prec=256)
     assert rep["max_residual"] == 0.0
-    assert rep["constants"][-1] == 1 and all(c != 0 for c in rep["constants"])
-    assert abs(rep["normalization"]) > 1e-10
+    assert rep["normalization"] == 1 and all(c != 0 for c in rep["constants"])
     rep = verify_orthogonality("ml2", spec, (2, 1, 2), "II", prec=256)
     assert rep["max_residual"] == 0.0
 
@@ -134,11 +133,50 @@ def test_oracle_reports_a_wrong_polynomial(monkeypatch):
     assert verify_orthogonality("jp", JP, (2, 2), "I", prec=256)["max_residual"] >= 1e-25
 
 
+@pytest.mark.parametrize("spec,n", [(ML2, (2, 2)), (ML2Spec(alpha=F(1, 3), c=(F(1), F(2), F(3))), (2, 2, 2))])
+def test_oracle_reports_a_wrong_ml2_typeI(monkeypatch, spec, n):
+    # every condition k <= |n| - 2 is checked: no lambda is solved from them
+    import finfree.mop as mop
+
+    true_I = mop.ml2_typeI
+    monkeypatch.setattr(mop, "ml2_typeI", lambda *a, **k: _perturbed(true_I(*a, **k)))
+    assert verify_orthogonality("ml2", spec, n, "I", prec=256)["max_residual"] >= 1e-25
+
+
 def test_typeI_normalization_is_unit():
     # with the exact constants lambda_j = c_j C_j the defining moment integral is 1
-    for family, spec in (("jp", JP), ("ml1", ML1)):
-        rep = verify_orthogonality(family, spec, (2, 2), "I", prec=256)
-        assert rep["normalization"] == 1
+    ml2_r3 = ML2Spec(alpha=F(1, 3), c=(F(1), F(5, 2), F(3)))
+    cases = [("jp", JP, (2, 2)), ("ml1", ML1, (2, 2)), ("ml2", ML2, (2, 2)), ("ml2", ML2, (3, 3)),
+             ("ml2", ML2, (4, 2)), ("ml2", ml2_r3, (2, 2, 2)), ("ml2", ml2_r3, (2, 3, 2))]
+    for family, spec, n in cases:
+        rep = verify_orthogonality(family, spec, n, "I", prec=256)
+        assert rep["normalization"] == 1 and rep["max_residual"] == 0.0, (family, n)
+
+
+@pytest.mark.parametrize("family,spec,n", [
+    ("jp", JP, (2, 2)), ("jp", JP, (3, 4)), ("jp", JPSpec(alpha=(F(2, 5), F(1, 3), F(1, 4)), beta=F(1, 2)), (2, 3, 2)),
+    ("ml1", ML1, (2, 2)), ("ml1", ML1, (5, 3)), ("ml1", ML1Spec(alpha=(F(1, 2), F(1, 3), F(1, 5))), (2, 3, 2)),
+])
+def test_typeII_identity_reproduces_the_closed_form_lambdas(family, spec, n):
+    # int P_{n-e_j} Q_n = 1 gives lambda_j from the Type II polynomial; for jp and
+    # ml1 it must equal the closed form exactly
+    import finfree.mop as mop
+
+    polys, lam = mop._type1_components(family, spec, n)
+    assert [mop._typeII_lambda(family, spec, n, i, A) for i, A in enumerate(polys, 1)] == lam
+
+
+def test_ml2_lambdas_are_the_normalized_calibration():
+    # lambda from the identity equals the solution q of the first r-1 conditions
+    # (q_r = 1), scaled so that the normalization moment is 1
+    import finfree.mop as mop
+
+    spec, n = ML2Spec(alpha=F(1, 2), c=(F(1), F(2))), (3, 2)
+    polys, lam = mop._type1_components("ml2", spec, n)
+    rows = [mop._moment_rows(p, mop.KINDS["ml2"].weight(spec, j), sum(n)) for j, p in enumerate(polys)]
+    q = [-rows[1][0] / rows[0][0], F(1)]
+    norm = sum(qj * row[-1] for qj, row in zip(q, rows))
+    assert lam == [qj / norm for qj in q]
 
 
 def test_jp_typeII_classical_orthogonality_r1():
@@ -330,3 +368,21 @@ def test_kind_table_rejects_unknown_kinds():
     with pytest.raises(UnknownFamily):
         constructor("laguerre", "I")
     assert constructor("ml2", "II") is ml2_typeII
+
+
+@pytest.mark.parametrize("type_", ["2", "ii", "i", "III", ""])
+def test_unknown_types_are_rejected(type_):
+    from finfree.mop import constructor
+
+    with pytest.raises(InvalidParameters, match="type must be 'I' or 'II'"):
+        verify_orthogonality("jp", JP, (2, 2), type_)
+    with pytest.raises(InvalidParameters, match="type must be 'I' or 'II'"):
+        constructor("jp", type_)
+
+
+def test_zero_location_suite_checks_the_index_first():
+    # i = 3 with two weights used to end in an IndexError
+    with pytest.raises(InvalidParameters, match="1 <= i <= 2"):
+        theorem_suite_zero_location("jp", JP, (3, 3), 3)
+    with pytest.raises(InvalidParameters):
+        theorem_suite_zero_location("jp", JP, (0, 3), 1)

@@ -112,6 +112,28 @@ def test_vanishing_first_moment():
         s_coefficients(m)
 
 
+def test_order_zero_gives_empty_results():
+    # every map truncated at order 0 returns no coefficients ([0] for a reversion)
+    empty = FormalMomentSeries(())
+    assert s_limit_hyper(A=(F(2, 3),), B=(F(3, 2),)).moments(0) == empty
+    assert free_add(empty, empty) == empty and free_mult(empty, empty) == empty
+    assert series_reversion([F(0), F(2)], 0) == [F(0)]
+    assert s_coefficients(FormalMomentSeries((F(1), F(3))), 0) == []
+    assert moments_from_s([]) == empty
+    br = series_bridge(empty)
+    assert br == {"cauchy": [F(1)], "r": [], "s": [], "K": 0}
+    assert r_s_consistent(br["r"], br["s"], 0)
+
+
+def test_order_zero_keeps_the_first_coefficient_checks():
+    for f in ([F(1), F(2)], [F(0)]):
+        with pytest.raises(ValueError, match="f\\(0\\) = 0 and f'\\(0\\) != 0"):
+            series_reversion(f, 0)
+    for s in ([F(0), F(1)], []):
+        with pytest.raises(VanishingFirstMoment):
+            moments_from_s(s, 2)
+
+
 def test_free_add_point_masses():
     da = FormalMomentSeries.point_mass(F(2), 5)
     db = FormalMomentSeries.point_mass(F(1, 3), 5)
