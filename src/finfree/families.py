@@ -32,6 +32,7 @@ from .curves import (
     reciprocal_moments_from_curve,
 )
 from .errors import InvalidParameters, ThetaOutOfRange, UnknownFamily, VanishingFirstMoment
+from .mop import _check_rates
 from .series import FormalMomentSeries, moments_from_r, moments_from_s, s_coefficients, series_inv, series_mul
 
 # -- rational S-transforms ------------------------------------------------------
@@ -544,15 +545,20 @@ def family_curves(family: str, params: LimitParams) -> FamilyLimit:
                    plain limit measure are (1+B) times the curve moments.
     ml1-2, ml2-2:  algebraic curve (rescaled Type II; compound free Poisson).
     ml2-1:         rational R-transform (pole/weight data).
-    A holds 0 or r = len(theta) values (ml2: 0 or 1), ml2 needs r values c
-    and Type I 1 <= i <= r.  Degenerate assumptions are flagged, not fatal.
+    theta holds r >= 1 values, A 0 or r values (ml2: 0 or 1), ml2 needs r
+    rates c_j > 0, pairwise distinct (the rule of ML2Spec), and Type I
+    1 <= i <= r.  Degenerate assumptions are flagged, not fatal.
     """
     fam, r = resolve(family), len(params.theta)
+    if r == 0:
+        raise InvalidParameters(f"{fam.name} needs at least one theta_j")
     nA = 1 if fam.kind == "ml2" else r
     if len(params.A) not in (0, nA):
         raise InvalidParameters(f"{fam.name} takes 0 or {nA} values A, got {len(params.A)}")
-    if fam.kind == "ml2" and len(params.c) != r:
-        raise InvalidParameters(f"{fam.name} needs one c per weight: {r}, got {len(params.c)}")
+    if fam.kind == "ml2":
+        if len(params.c) != r:
+            raise InvalidParameters(f"{fam.name} needs one c per weight: {r}, got {len(params.c)}")
+        _check_rates(params.c)
     if fam.type_ == "I" and not 1 <= params.i <= r:
         raise InvalidParameters(f"{fam.name} needs 1 <= i <= {r}, got i = {params.i}")
     return FamilyLimit(family=fam.name, **fam.limit(params))

@@ -7,7 +7,9 @@ Families (r weights on an interval):
 
 Type I delivers the vector (A_{n,1}, ..., A_{n,r}) with deg A_j <= n_j - 1
 through hypergeometric formulas per component; Type II the single monic
-polynomial of degree |n|.  Every constructor here is an exact rational
+polynomial of degree |n|, by one route per family: the Rodrigues series for
+Jacobi-Pineiro (every beta), the reversed-product representation for ml1,
+generating functions for ml2.  Every constructor here is an exact rational
 expansion; the orthogonality oracle integrates the results against the
 weights through their exact Beta/Gamma moments, which is the one check that
 does not reuse the hypergeometric identities being exercised.  Its verdicts
@@ -27,6 +29,8 @@ from .conv import add_conv, mult_conv
 from .errors import DuplicateC, InvalidParameters, UnknownFamily
 from .hyper import (
     HypergeometricSpec,
+    _ratio_table,
+    _tuple_of_fractions,
     hyper_poly,
     pochhammer_falling,
     pochhammer_rising,
@@ -38,10 +42,6 @@ from .series import series_mul
 # -- family specs ----------------------------------------------------------------
 
 
-def _frac_tuple(xs):
-    return tuple(Fraction(x) for x in xs)
-
-
 @dataclass(frozen=True)
 class JPSpec:
     """Jacobi-Pineiro data: alpha_j > -1 pairwise non-integer-differing, beta > -1."""
@@ -50,7 +50,7 @@ class JPSpec:
     beta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _frac_tuple(self.alpha))
+        object.__setattr__(self, "alpha", _tuple_of_fractions(self.alpha))
         object.__setattr__(self, "beta", Fraction(self.beta))
         _check_alphas(self.alpha)
         if self.beta <= -1:
@@ -68,7 +68,7 @@ class ML1Spec:
     alpha: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _frac_tuple(self.alpha))
+        object.__setattr__(self, "alpha", _tuple_of_fractions(self.alpha))
         _check_alphas(self.alpha)
 
     @property
@@ -85,17 +85,22 @@ class ML2Spec:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "c", _frac_tuple(self.c))
+        object.__setattr__(self, "c", _tuple_of_fractions(self.c))
         if self.alpha <= -1:
             raise InvalidParameters("alpha must exceed -1")
-        if any(cj <= 0 for cj in self.c):
-            raise DuplicateC("all c_j must be positive")
-        if len(set(self.c)) != len(self.c):
-            raise DuplicateC("c_j must be pairwise distinct")
+        _check_rates(self.c)
 
     @property
     def r(self):
         return len(self.c)
+
+
+def _check_rates(c):
+    """The rule on multiple Laguerre (second kind) rates, finite n or limit: c_j > 0, pairwise distinct."""
+    if any(cj <= 0 for cj in c):
+        raise DuplicateC("all c_j must be positive")
+    if len(set(c)) != len(c):
+        raise DuplicateC("c_j must be pairwise distinct")
 
 
 def _check_alphas(alpha):
@@ -218,56 +223,23 @@ def ml2_typeI(spec: ML2Spec, n, i) -> Polynomial:
 
 
 def jp_typeII(spec: JPSpec, n) -> Polynomial:
-    """Monic Type II Jacobi-Pineiro polynomial of degree |n|.
+    """Monic Type II Jacobi-Pineiro polynomial of degree N = |n|, one route for every beta.
 
-    beta alone selects the route: for beta a nonnegative integer the
-    (1-x)^beta factor is divided out of the degree |n| + beta hypergeometric
-    polynomial, exactly; otherwise the reversed-product representation is
-    used, whose first block F(-N; -beta-N+1) is inadmissible at beta = 0, 1.
+    The Rodrigues formula gives, for every beta > -1,
+
+        (1-x)^beta P_n  ~  prod_j x^(-alpha_j) D^(n_j) x^(alpha_j + n_j) (1-x)^(beta + N)
+                        ~  F(-beta-N, alpha_j+n_j+1; alpha_j+1; x),
+
+    so P_n is the series (1-x)^(-beta) times that F, cut at x^N: one exact
+    series product of two term-ratio tables.
     """
     _check_index(spec, n)
-    if spec.beta.denominator == 1 and spec.beta >= 0:
-        return _jp_typeII_integer(spec, n)
-    return _jp_typeII_reversed(spec, n)
-
-
-def _jp_typeII_integer(spec: JPSpec, n) -> Polynomial:
-    """Integer-beta route: divide (1-x)^beta out of the degree |n| + beta polynomial."""
-    N, beta = sum(n), int(spec.beta)
-    big = hyper_poly(
-        HypergeometricSpec(
-            n=N + beta,
-            a=tuple(spec.alpha[j] + n[j] + 1 for j in range(spec.r)),
-            b=tuple(spec.alpha[j] + 1 for j in range(spec.r)),
-        )
-    )
-    for _ in range(beta):
-        big = big.divide_linear(Fraction(1))
-    return big.monicized()
-
-
-def _jp_typeII_reversed(spec: JPSpec, n) -> Polynomial:
-    """Reversed-product route, valid for any beta > -1 outside {0, 1}.
-
-    P is (1-x)^(-beta) times a hypergeometric series, so the reversed-product
-    trick applies to the factor pair ((1-x)^(-beta), (1-x)^beta P):
-
-        P* ~ F(-N,1;;x) (x)_N [F(-N; -beta-N+1; x) (+)_N
-                                (F(-N; beta+1; x) (x)_N F(-N, -N-a; -N-n-a; x))]
-
-    and reversing back gives P up to the monic normalization.  The (x)_N
-    product of the second block is the parameter-tuple merge
-    F(-N, -N-a; beta+1, -N-n-a; x).
-    """
     N = sum(n)
-    return reversed_product_representation(
-        HypergeometricSpec(n=N, b=(-spec.beta - N + 1,)),
-        HypergeometricSpec(
-            n=N,
-            a=tuple(-N - a for a in spec.alpha),
-            b=(spec.beta + 1, *(-N - n[j] - spec.alpha[j] for j in range(spec.r))),
-        ),
-    ).reverse().monicized()
+    inverse_power = _ratio_table((spec.beta,), (), 1, N)
+    rodrigues = _ratio_table(
+        (-spec.beta - N, *(a + nj + 1 for a, nj in zip(spec.alpha, n))), tuple(a + 1 for a in spec.alpha), 1, N
+    )
+    return Polynomial.from_monomial(series_mul(inverse_power, rodrigues, N), N).monicized()
 
 
 def ml1_typeII(spec: ML1Spec, n) -> Polynomial:
@@ -340,11 +312,8 @@ def ml2_typeII(spec: ML2Spec, n) -> Polynomial:
     gen = [Fraction(1)]
     for nj, cj in zip(n, spec.c):
         gen = series_mul(gen, [comb(nj, k) / cj**k for k in range(nj + 1)], N)
-    e, falling = [], Fraction(1)
-    for k in range(N + 1):
-        e.append(falling * gen[k])
-        falling *= N + spec.alpha - k
-    return Polynomial(N, e).monicized()
+    falling = _ratio_table((-spec.alpha - N, 1), (), -1, N)
+    return Polynomial(N, [f * g for f, g in zip(falling, gen)]).monicized()
 
 
 def _ml2_direct(spec: ML2Spec, n) -> Polynomial:

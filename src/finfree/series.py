@@ -113,14 +113,21 @@ class FormalMomentSeries:
         return cls(tuple(c**k for k in range(1, K + 1)))
 
     def truncated(self, K):
-        if K > self.K:
-            raise ValueError("cannot extend a truncated series")
-        return FormalMomentSeries(self.m[:K])
+        return FormalMomentSeries(self.m[: _order(K, self.K)])
+
+
+def _order(K, known):
+    """The order of a map whose input fixes `known` coefficients: K, or `known` when K
+    is None.  A larger K would read coefficients nobody gave as 0, so it raises."""
+    if K is None:
+        return known
+    if K > known:
+        raise ValueError(f"cannot extend a truncated series: order {K} exceeds the {known} given")
+    return K
 
 
 def m_series(moments: FormalMomentSeries, K=None):
-    K = moments.K if K is None else K
-    return [Fraction(0)] + list(moments.m[:K])
+    return [Fraction(0)] + list(moments.m[: _order(K, moments.K)])
 
 
 def _nc_solve(known, to_cumulants):
@@ -153,18 +160,18 @@ def _nc_solve(known, to_cumulants):
 
 def r_coefficients(moments: FormalMomentSeries, K=None):
     """Free cumulants kappa_1..kappa_K of a moment series."""
-    K = moments.K if K is None else K
+    K = _order(K, moments.K)
     return _nc_solve(moments.m[:K], to_cumulants=True)
 
 
 def moments_from_r(kappa, K=None):
-    K = len(kappa) if K is None else K
+    K = _order(K, len(kappa))
     return FormalMomentSeries(tuple(_nc_solve(kappa[:K], to_cumulants=False)))
 
 
 def s_coefficients(moments: FormalMomentSeries, K=None):
     """Coefficients s_0..s_{K-1} of S(w) = (w+1)/w * Minv(w); none at K = 0."""
-    K = moments.K if K is None else K
+    K = _order(K, moments.K)
     if K == 0:
         return []
     if moments.m[0] == 0:
@@ -182,6 +189,7 @@ def moments_from_s(s, K=None):
         return FormalMomentSeries(())
     if not s or s[0] == 0:
         raise VanishingFirstMoment("S(0) = 1/m_1 must be nonzero")
+    _order(K, len(s))
     # Minv(w) = w/(w+1) * S(w)
     one_over = series_inv([Fraction(1), Fraction(1)], K)
     minv = series_mul([Fraction(0), Fraction(1)], series_mul(one_over, s, K), K)

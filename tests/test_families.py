@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from finfree.curves import moments_from_curve, stieltjes_density
-from finfree.errors import BranchDegenerate, ThetaOutOfRange, UnknownFamily, VanishingFirstMoment
+from finfree.errors import (
+    BranchDegenerate,
+    DuplicateC,
+    InvalidParameters,
+    ThetaOutOfRange,
+    UnknownFamily,
+    VanishingFirstMoment,
+)
 from finfree.families import (
     LimitParams,
     RationalSTransform,
@@ -22,6 +29,7 @@ from finfree.families import (
     s_limit_hyper,
     s_reverse_check,
 )
+from finfree.mop import ML2Spec
 
 
 def test_s_limit_basic_shapes():
@@ -115,6 +123,23 @@ def test_family_jp2_moment_scale():
     limB = family_curves("jp2", LimitParams(theta=(F(1, 2), F(1, 2)), B=F(1)))
     assert lim0.moment_scale == 1 and limB.moment_scale == 2
     assert limB.moments(1).m[0] == 2 * moments_from_curve(limB.curve, 1).m[0]
+
+
+@pytest.mark.parametrize("c", [(F(1), F(1)), (F(0), F(2)), (F(-1), F(2))])
+@pytest.mark.parametrize("family", ["ml2-1", "ml2-2"])
+def test_family_curves_apply_the_ml2_rate_rule(family, c):
+    # the limit takes the rates of ML2Spec: c_j > 0 and pairwise distinct
+    params = LimitParams(theta=(F(1, 2), F(1, 2)), c=c, i=1)
+    with pytest.raises(DuplicateC):
+        family_curves(family, params)
+    with pytest.raises(DuplicateC):
+        ML2Spec(alpha=F(0), c=c)
+
+
+@pytest.mark.parametrize("family", ["jp1", "jp2", "ml1-1", "ml1-2", "ml2-1", "ml2-2"])
+def test_family_curves_reject_an_empty_theta(family):
+    with pytest.raises(InvalidParameters, match="at least one theta_j"):
+        family_curves(family, LimitParams())
 
 
 def test_unknown_family():

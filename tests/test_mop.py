@@ -1,17 +1,17 @@
+import random
 from fractions import Fraction as F
+from math import factorial
 
 import mpmath as mp
 import pytest
 
 from finfree.conv import mult_conv
-from finfree.errors import DuplicateC, InvalidParameters
-from finfree.hyper import HypergeometricSpec, hyper_poly
+from finfree.errors import DuplicateC, InadmissibleDenominator, InvalidParameters
+from finfree.hyper import HypergeometricSpec, hyper_poly, pochhammer_rising, reversed_product_representation
 from finfree.mop import (
     JPSpec,
     ML1Spec,
     ML2Spec,
-    _jp_typeII_integer,
-    _jp_typeII_reversed,
     add_index,
     jp_condition_weak,
     jp_condition_window,
@@ -31,6 +31,7 @@ from finfree.mop import (
 )
 from finfree.poly import Polynomial
 from finfree.roots import find_roots, interlaces, real_parts_sorted
+from finfree.series import series_mul
 
 JP = JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1))
 ML1 = ML1Spec(alpha=(F(1, 2), F(3, 7)))
@@ -74,11 +75,110 @@ def test_jp_typeI_decomposition():
     assert jp_typeI(JP, (1, 3), 1).degree == 0
 
 
-def test_jp_typeII_paths_agree():
-    spec = JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(2))
-    assert _jp_typeII_integer(spec, (2, 2)) == _jp_typeII_reversed(spec, (2, 2))
-    spec = JPSpec(alpha=(F(2, 3), F(1, 5)), beta=F(3))
-    assert _jp_typeII_integer(spec, (3, 2)) == _jp_typeII_reversed(spec, (3, 2))
+def _jp_reversed_product(spec, n):
+    """The paper's reversed-product representation of jp Type II; beta outside {0, 1}."""
+    N = sum(n)
+    return reversed_product_representation(
+        HypergeometricSpec(n=N, b=(-spec.beta - N + 1,)),
+        HypergeometricSpec(
+            n=N,
+            a=tuple(-N - a for a in spec.alpha),
+            b=(spec.beta + 1, *(-N - nj - a for a, nj in zip(spec.alpha, n))),
+        ),
+    ).reverse().monicized()
+
+
+def _jp_divided(spec, n):
+    """Integer beta: (1-x)^beta divided out of the degree |n| + beta hypergeometric polynomial."""
+    N, beta = sum(n), int(spec.beta)
+    big = hyper_poly(
+        HypergeometricSpec(
+            n=N + beta,
+            a=tuple(a + nj + 1 for a, nj in zip(spec.alpha, n)),
+            b=tuple(a + 1 for a in spec.alpha),
+        )
+    )
+    for _ in range(beta):
+        big = big.divide_linear(F(1))
+    return big.monicized()
+
+
+def _non_integer_alphas(rng, r):
+    """r values alpha_j > -1 with no integer among them or their differences; an integer
+    alpha_j = 0 with n_j = 0 would make the reversed product inadmissible."""
+    out = []
+    while len(out) < r:
+        a = F(rng.randint(-4, 20), rng.choice((2, 3, 5, 7)))
+        if a > -1 and a.denominator > 1 and all((a - b).denominator > 1 for b in out):
+            out.append(a)
+    return tuple(out)
+
+
+JP_TYPEII_CASES = [
+    (JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(2)), (2, 2)),
+    (JPSpec(alpha=(F(2, 3), F(1, 5)), beta=F(3)), (3, 2)),
+    (JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1, 2)), (3, 0)),
+    (JPSpec(alpha=(F(1, 3), F(5, 2), F(-1, 5)), beta=F(-2, 3)), (0, 2, 3)),
+    (JPSpec(alpha=(F(1, 2),), beta=F(0)), (4,)),
+    (JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1)), (0, 0)),
+    (JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(5, 2)), (0, 0)),
+]
+
+
+def test_jp_typeII_matches_the_reversed_product_and_the_division_form():
+    # the monic Type II polynomial is unique: the one Rodrigues route must
+    # reproduce the paper's reversed product (beta outside {0, 1}) and the
+    # division of (1-x)^beta out of a degree |n| + beta pFq (integer beta)
+    rng = random.Random(2026)
+    draws = []
+    for _ in range(30):
+        r = rng.randint(1, 3)
+        beta = rng.choice((F(0), F(1), F(2), F(3), F(1, 2), F(-1, 3), F(5, 2), F(7, 3), F(-2, 3)))
+        draws.append((JPSpec(alpha=_non_integer_alphas(rng, r), beta=beta), tuple(rng.randint(0, 4) for _ in range(r))))
+    compared = {"reversed": 0, "divided": 0}
+    for spec, n in JP_TYPEII_CASES + draws:
+        P = jp_typeII(spec, n)
+        assert P.monic and P.degree == sum(n)
+        if spec.beta not in (0, 1):
+            assert P.e == _jp_reversed_product(spec, n).e, (spec, n)
+            compared["reversed"] += 1
+        if spec.beta in (0, 1, 2, 3):
+            assert P.e == _jp_divided(spec, n).e, (spec, n)
+            compared["divided"] += 1
+    assert min(compared.values()) >= 10
+
+
+def test_jp_typeII_admits_a_zero_index_on_alpha_zero():
+    # alpha_j = 0 with n_j = 0 puts the reversed product's denominator
+    # parameter -|n| - n_j - alpha_j in -Z_{|n|+1}; the Rodrigues route needs
+    # only beta > -1
+    for beta, n in ((F(1, 2), (5, 0)), (F(-1, 3), (2, 0)), (F(2), (3, 0))):
+        spec = JPSpec(alpha=(F(7, 5), F(0)), beta=beta)
+        with pytest.raises(InadmissibleDenominator):
+            _jp_reversed_product(spec, n)
+        assert verify_orthogonality("jp", spec, n, "II")["max_residual"] == 0.0
+    spec = JPSpec(alpha=(F(7, 5), F(0)), beta=F(2))
+    assert jp_typeII(spec, (3, 0)) == _jp_divided(spec, (3, 0))
+
+
+def test_ml1_typeII_matches_its_rodrigues_series():
+    # e^x prod_j x^(-alpha_j) D^(n_j) x^(alpha_j + n_j) e^(-x)
+    #   = e^x rF_r(alpha_j + n_j + 1; alpha_j + 1; -x), a polynomial of degree |n|
+    rng = random.Random(41)
+    for draw in range(24):
+        r = draw % 3 + 1
+        spec = ML1Spec(alpha=_non_integer_alphas(rng, r))
+        n = tuple(rng.randint(0, 5) for _ in range(r))
+        N = sum(n)
+        terms = []
+        for k in range(N + 1):
+            t = F((-1) ** k, factorial(k))
+            for a, nj in zip(spec.alpha, n):
+                t *= pochhammer_rising(a + nj + 1, k) / pochhammer_rising(a + 1, k)
+            terms.append(t)
+        exp = [F(1, factorial(k)) for k in range(N + 1)]
+        rodrigues = Polynomial.from_monomial(series_mul(exp, terms, N), N).monicized()
+        assert ml1_typeII(spec, n).e == rodrigues.e, (spec, n)
 
 
 def test_jp_typeII_is_monic_full_degree():

@@ -15,6 +15,7 @@ from finfree.series import (
     free_add,
     free_mult,
     free_mult_via_kreweras,
+    m_series,
     moments_from_r,
     moments_from_s,
     r_coefficients,
@@ -132,6 +133,29 @@ def test_order_zero_keeps_the_first_coefficient_checks():
     for s in ([F(0), F(1)], []):
         with pytest.raises(VanishingFirstMoment):
             moments_from_s(s, 2)
+
+
+def test_maps_refuse_an_order_past_their_input():
+    # a series known to order 2 says nothing about m_3, m_4: no map may pad with zeros
+    m = FormalMomentSeries((F(1), F(2)))
+    calls = [
+        lambda: m_series(m, 4),
+        lambda: r_coefficients(m, 3),
+        lambda: s_coefficients(m, 4),
+        lambda: s_coefficients(FormalMomentSeries(()), 3),
+        lambda: moments_from_r([F(1), F(2)], 4),
+        lambda: moments_from_s([F(1), F(-1)], 4),
+        lambda: m.truncated(3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="cannot extend a truncated series"):
+            call()
+    # up to the given order every map still answers, and agrees with the default
+    assert m_series(m, 2) == m_series(m) == [F(0), F(1), F(2)]
+    assert r_coefficients(m, 2) == r_coefficients(m) and r_coefficients(m, 1) == [F(1)]
+    assert s_coefficients(m, 2) == s_coefficients(m)
+    assert moments_from_r([F(1), F(1)], 2).m == (F(1), F(2))
+    assert moments_from_s([F(1), F(-1)], 2).m == (F(1), F(2)) == moments_from_s([F(1), F(-1)]).m
 
 
 def test_free_add_point_masses():
