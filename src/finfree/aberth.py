@@ -220,7 +220,7 @@ def _adams_holds(log_pv, log_eps, lcs, lz):
     top = max(t)
     if log_pv > log_eps + top + math.log2(len(t)):  # above even the largest bound
         return False
-    return log_pv <= log_eps + top + math.log2(sum(math.exp2(x - top) for x in t))
+    return log_pv <= log_eps + top + math.log2(sum(2.0 ** (x - top) for x in t))
 
 
 def _aberth_sum(z, pts, P):

@@ -5,22 +5,21 @@ Families (r weights on an interval):
   multiple Laguerre, 1st  w_j = x^alpha_j e^(-x)       on [0, inf)
   multiple Laguerre, 2nd  w_j = x^alpha  e^(-c_j x)    on [0, inf)
 
-Type I delivers the vector (A_{n,1}, ..., A_{n,r}) with deg A_j <= n_j - 1
-through hypergeometric formulas per component; Type II the single monic
-polynomial of degree |n|, by one route per family: the Rodrigues series for
-Jacobi-Pineiro (every beta), the reversed-product representation for ml1,
-generating functions for ml2.  Every constructor here is an exact rational
-expansion; the orthogonality oracle integrates the results against the
-weights through their exact Beta/Gamma moments, which is the one check that
-does not reuse the hypergeometric identities being exercised.  Its verdicts
-are exact: each moment is C_j times a rational, and the Type I constants
-enter only as the rationals lambda_j = c_j C_j.
+Type I delivers the vector (A_{n,1}, ..., A_{n,r}) with deg A_j <= n_j - 1:
+a pFq per component for Jacobi-Pineiro and ml1, a product of binomial series
+for ml2.  Type II is the single monic polynomial of degree |n|, by one route
+per family: the Rodrigues series for Jacobi-Pineiro, the reversed-product
+representation for ml1, generating functions for ml2.  Every constructor here
+is an exact rational expansion; the orthogonality oracle integrates the
+results against the weights through their exact Beta/Gamma moments, which is
+the one check that does not reuse the hypergeometric identities being
+exercised.  Its verdicts are exact: each moment is C_j times a rational, and
+the Type I constants enter only as closed-form rationals lambda_j = c_j C_j.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import comb, factorial, inf
 
 import mpmath as mp
@@ -188,34 +187,39 @@ def ml1_laguerre_factor(spec, n, i) -> HypergeometricSpec:
 
 
 def ml2_typeI(spec: ML2Spec, n, i) -> Polynomial:
-    """Type I multiple Laguerre (second kind) via the additive decomposition.
+    """Type I multiple Laguerre (second kind) component, degree m = n_i - 1.
 
-    The i-th component is the (+)-convolution over j of
+    The paper's additive decomposition is the (+)_m-convolution over j with
+    n_j > 0 of 1F1(-m; alpha + 1 + |n| - n_i; c_i x) (j = i) and
+    1F1(-m; 2 - n_j - n_i; (c_i - c_j) x) (j != i).  In e_k / falling(m, k) it
+    is a product of binomial series: with N = |n| and L_i = e_0 (_ml2_leading),
 
-        j = i:   1F1(-(n_i - 1); alpha + 1 + |n| - n_i; c_i x)
-        j != i:  1F1(-(n_i - 1); -n_j - n_i + 2; (c_i - c_j) x)
+        e_k = L_i falling(m, k) [t^k] (1 + t/c_i)^(alpha+N-1) prod_{j != i, n_j > 0} (1 + t/(c_i - c_j))^(-n_j),
 
-    which needs n_j >= 2 for j != i (otherwise the denominator parameter is
-    inadmissible).
+    which holds for every n_j >= 0, j != i.
     """
     _check_index(spec, n, i)
-    N = sum(n)
-    m = n[i - 1] - 1
-    blocks = []
-    for j in range(spec.r):
-        if j == i - 1:
-            blocks.append(
-                HypergeometricSpec(n=m, b=(spec.alpha + 1 + N - n[i - 1],), scale=spec.c[i - 1])
-            )
-        else:
-            if n[j] < 2:
-                raise InvalidParameters("additive blocks need n_j >= 2 for j != i")
-            blocks.append(
-                HypergeometricSpec(n=m, b=(Fraction(-n[j] - n[i - 1] + 2),), scale=spec.c[i - 1] - spec.c[j])
-            )
-    out = hyper_poly(blocks[0])
-    for blk in blocks[1:]:
-        out = add_conv(out, hyper_poly(blk), m)
+    m, ci = n[i - 1] - 1, spec.c[i - 1]
+    others = [(ci - cj, -nj) for j, (cj, nj) in enumerate(zip(spec.c, n)) if j != i - 1 and nj]
+    lead, gen = _ml2_leading(spec, n, i), _binomial_series([(ci, spec.alpha + sum(n) - 1)] + others, m)
+    return Polynomial(m, [lead * f * g for f, g in zip(_ratio_table((-m, 1), (), -1, m), gen)])
+
+
+def _ml2_leading(spec, n, i):
+    """L_i = (-c_i)^m / (alpha+N-m)_m prod_{j != i, n_j > 0} (c_j - c_i)^m / (1-n_j-m)_m, m = n_i - 1."""
+    m, ci = n[i - 1] - 1, spec.c[i - 1]
+    lead = (-ci) ** m / pochhammer_rising(spec.alpha + sum(n) - m, m)
+    for j, (cj, nj) in enumerate(zip(spec.c, n)):
+        if j != i - 1 and nj:
+            lead *= (cj - ci) ** m / pochhammer_rising(1 - nj - m, m)
+    return lead
+
+
+def _binomial_series(powers, K):
+    """prod (1 + t/x)^p over the pairs (x, p), as exact series coefficients of t^0..t^K."""
+    out = [Fraction(1)]
+    for x, p in powers:
+        out = series_mul(out, _ratio_table((-p,), (), -1 / x, K), K)
     return out
 
 
@@ -246,15 +250,14 @@ def ml1_typeII(spec: ML1Spec, n) -> Polynomial:
     """Monic Type II multiple Laguerre (first kind), degree |n|.
 
     Built as the reversal of F(-|n|, 1; ; x) (x)_N F(-|n|, -|n|-alpha;
-    -|n|-n-alpha; x+1), the reciprocal representation.
+    -|n|-n-alpha; x+1), the reciprocal representation.  A weight with n_j = 0
+    is left out: its pair (-|n|-alpha_j, -|n|-alpha_j) cancels in every ratio.
     """
     _check_index(spec, n)
     N = sum(n)
+    kept = [(a, nj) for a, nj in zip(spec.alpha, n) if nj]
     shifted = HypergeometricSpec(
-        n=N,
-        a=tuple(-N - a for a in spec.alpha),
-        b=tuple(-N - n[j] - spec.alpha[j] for j in range(spec.r)),
-        shift=Fraction(1),
+        n=N, a=tuple(-N - a for a, _ in kept), b=tuple(-N - nj - a for a, nj in kept), shift=Fraction(1)
     )
     return reversed_product_representation(shifted, None).reverse().monicized()
 
@@ -309,11 +312,8 @@ def ml2_typeII(spec: ML2Spec, n) -> Polynomial:
     """
     _check_index(spec, n)
     N = sum(n)
-    gen = [Fraction(1)]
-    for nj, cj in zip(n, spec.c):
-        gen = series_mul(gen, [comb(nj, k) / cj**k for k in range(nj + 1)], N)
     falling = _ratio_table((-spec.alpha - N, 1), (), -1, N)
-    return Polynomial(N, [f * g for f, g in zip(falling, gen)]).monicized()
+    return Polynomial(N, [f * g for f, g in zip(falling, _binomial_series(zip(spec.c, n), N))]).monicized()
 
 
 def _ml2_direct(spec: ML2Spec, n) -> Polynomial:
@@ -405,20 +405,14 @@ def _jp_lambda(spec, n, i):
     return lam
 
 
-def _typeII_lambda(family, spec, n, i, A):
-    """lambda_i = c_i C_i from the Type I / Type II biorthogonality.
-
-    With P the monic Type II polynomial of index n - e_i and Q_n normalized by
-    int x^{|n|-1} Q_n = 1, int P Q_n = 1.  Against P every term of Q_n but
-    c_i lc(A_i) x^{n_i-1} w_i integrates to 0, so lambda_i = 1 / (lc(A_i)
-    R_P(n_i - 1)); A is the component A_i already built.
-    """
-    ni = n[i - 1]
-    P = constructor(family, "II")(spec, tuple(a - b for a, b in zip(n, unit_index(spec.r, i))))
-    pivot = A.to_monomial()[ni - 1] * _moment_rows(P, KINDS[family].weight(spec, i - 1), ni)[-1]
-    if pivot == 0:
-        raise InvalidParameters(f"Type I component {i} has degree below n_i - 1 = {ni - 1}")
-    return 1 / pivot
+def _ml2_lambda(spec, n, i):
+    """lambda_i = c_i C_i for ml2: c_i^(N+n_i-2) / (L_i (alpha+1)_{N-1} (n_i-1)! prod_{j != i} (1 - c_i/c_j)^{n_j})."""
+    ni, ci, N = n[i - 1], spec.c[i - 1], sum(n)
+    den = _ml2_leading(spec, n, i) * pochhammer_rising(spec.alpha + 1, N - 1) * factorial(ni - 1)
+    for j, (cj, nj) in enumerate(zip(spec.c, n)):
+        if j != i - 1:
+            den *= (1 - ci / cj) ** nj
+    return ci ** (N + ni - 2) / den
 
 
 def _ml2_spec(alpha, beta, c):
@@ -429,10 +423,10 @@ def _ml2_spec(alpha, beta, c):
 
 # The kind table.  Per kind: the spec from raw (alpha, beta, c); weight j as
 # (a, b, c), x^a (1-x)^b on [0, 1] if c is None, else x^a e^(-c x); the weights'
-# interval; the exact Type I lambda_i(spec, n, i, A_i), in closed form for jp
-# and ml1 and from the Type II identity for ml2; the spec of the Type I
-# derivative relation.  `constructor` looks up <kind>_typeI/_typeII when
-# called, so a rebinding (a test's patch, a tracer) is seen.
+# interval; the exact Type I lambda_i(spec, n, i), in closed form for every
+# kind; the spec of the Type I derivative relation.  `constructor` looks up
+# <kind>_typeI/_typeII when called, so a rebinding (a test's patch, a tracer)
+# is seen.
 _Kind = namedtuple("_Kind", "spec weight support lam shifted", defaults=(None,))
 
 
@@ -443,12 +437,10 @@ class _Kinds(dict):
 
 KINDS = _Kinds({
     "jp": _Kind(lambda al, beta, c: JPSpec(al, beta), lambda s, j: (s.alpha[j], s.beta, None), (0.0, 1.0),
-                lambda s, n, i, A: _jp_lambda(s, n, i),
-                lambda s, i: JPSpec(add_index(s.alpha, unit_index(s.r, i)), s.beta + 1)),
+                _jp_lambda, lambda s, i: JPSpec(add_index(s.alpha, unit_index(s.r, i)), s.beta + 1)),
     "ml1": _Kind(lambda al, beta, c: ML1Spec(al), lambda s, j: (s.alpha[j], None, Fraction(1)), (0.0, inf),
-                 lambda s, n, i, A: _ml1_lambda(s, n, i),
-                 lambda s, i: ML1Spec(add_index(s.alpha, unit_index(s.r, i)))),
-    "ml2": _Kind(_ml2_spec, lambda s, j: (s.alpha, None, s.c[j]), (0.0, inf), partial(_typeII_lambda, "ml2")),
+                 _ml1_lambda, lambda s, i: ML1Spec(add_index(s.alpha, unit_index(s.r, i)))),
+    "ml2": _Kind(_ml2_spec, lambda s, j: (s.alpha, None, s.c[j]), (0.0, inf), _ml2_lambda),
 })
 
 
@@ -461,11 +453,14 @@ def constructor(family, type_):
 
 
 def _type1_components(family, spec, n):
-    """Type I vector (A_1, ..., A_r) and the exact lambda_j = c_j C_j: the
-    constant on A_j is c_j = lambda_j / C_j, and int x^{|n|-1} Q_n = 1."""
+    """Type I vector (A_1, ..., A_r) and the exact lambda_j = c_j C_j: the constant on
+    A_j is c_j = lambda_j / C_j, and int x^{|n|-1} Q_n = 1; n_j = 0 gives A_j = lambda_j = 0."""
+    _check_index(spec, n)
+    if not sum(n):
+        raise InvalidParameters(f"Type I needs |n| >= 1, got n = {tuple(n)}")
     ctor, lam = constructor(family, "I"), KINDS[family].lam
-    polys = [ctor(spec, n, i) for i in range(1, spec.r + 1)]
-    return polys, [lam(spec, n, i, A) for i, A in enumerate(polys, 1)]
+    polys = [ctor(spec, n, i) if nj else Polynomial.zero(0) for i, nj in enumerate(n, 1)]
+    return polys, [lam(spec, n, i) if nj else Fraction(0) for i, nj in enumerate(n, 1)]
 
 
 def verify_orthogonality(family, spec, n, type_, prec=256):
@@ -477,7 +472,8 @@ def verify_orthogonality(family, spec, n, type_, prec=256):
     (see _type1_components), so the normalization M_{|n|-1} is exactly 1.
     Every residual is a ratio of exact rationals, so a correct constructor
     gives 0.0.  Returns a dict with the max residual, the normalization datum
-    (nonzero is part of the contract) and, for Type I, the constants c_j.
+    (nonzero is part of the contract) and, for Type I, the constants c_j
+    (c_j = 0 where n_j = 0: that A_j is the zero polynomial).
     Any type_ but "I" or "II" raises InvalidParameters.
     """
     ctor = constructor(family, type_)

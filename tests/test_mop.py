@@ -5,7 +5,7 @@ from math import factorial
 import mpmath as mp
 import pytest
 
-from finfree.conv import mult_conv
+from finfree.conv import add_conv, mult_conv
 from finfree.errors import DuplicateC, InadmissibleDenominator, InvalidParameters
 from finfree.hyper import HypergeometricSpec, hyper_poly, pochhammer_rising, reversed_product_representation
 from finfree.mop import (
@@ -36,6 +36,7 @@ from finfree.series import series_mul
 JP = JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1))
 ML1 = ML1Spec(alpha=(F(1, 2), F(3, 7)))
 ML2 = ML2Spec(alpha=F(1, 2), c=(F(1), F(2)))
+ML2_R3 = ML2Spec(alpha=F(1, 3), c=(F(1), F(5, 2), F(3)))
 
 
 def roots_of(p, prec=256):
@@ -163,12 +164,16 @@ def test_jp_typeII_admits_a_zero_index_on_alpha_zero():
 
 def test_ml1_typeII_matches_its_rodrigues_series():
     # e^x prod_j x^(-alpha_j) D^(n_j) x^(alpha_j + n_j) e^(-x)
-    #   = e^x rF_r(alpha_j + n_j + 1; alpha_j + 1; -x), a polynomial of degree |n|
+    #   = e^x rF_r(alpha_j + n_j + 1; alpha_j + 1; -x), a polynomial of degree |n|;
+    # the last 8 draws put alpha_j = 0 with n_j = 0 on their last weight
     rng = random.Random(41)
-    for draw in range(24):
+    for draw in range(32):
         r = draw % 3 + 1
         spec = ML1Spec(alpha=_non_integer_alphas(rng, r))
         n = tuple(rng.randint(0, 5) for _ in range(r))
+        if draw >= 24:
+            spec = ML1Spec(alpha=spec.alpha[:-1] + (F(0),))
+            n = n[:-1] + (0,)
         N = sum(n)
         terms = []
         for k in range(N + 1):
@@ -179,6 +184,16 @@ def test_ml1_typeII_matches_its_rodrigues_series():
         exp = [F(1, factorial(k)) for k in range(N + 1)]
         rodrigues = Polynomial.from_monomial(series_mul(exp, terms, N), N).monicized()
         assert ml1_typeII(spec, n).e == rodrigues.e, (spec, n)
+
+
+def test_ml1_typeII_drops_a_weight_with_a_zero_index():
+    # a weight with n_j = 0 imposes no condition: the polynomial is the one of
+    # the reduced system, also when alpha_j = 0 (the reversed product's
+    # denominator parameter -|n| - n_j - alpha_j would sit in -Z_{|n|+1})
+    assert ml1_typeII(ML1Spec(alpha=(F(7, 5), F(0))), (3, 0)) == ml1_typeII(ML1Spec(alpha=(F(7, 5),)), (3,))
+    spec = ML1Spec(alpha=(F(1, 3), F(0), F(1, 2)))
+    assert ml1_typeII(spec, (2, 0, 3)) == ml1_typeII(ML1Spec(alpha=(F(1, 3), F(1, 2))), (2, 3))
+    assert verify_orthogonality("ml1", spec, (2, 0, 3), "II")["max_residual"] == 0.0
 
 
 def test_jp_typeII_is_monic_full_degree():
@@ -207,7 +222,7 @@ def test_orthogonality_all_six_families_small():
 
 
 def test_ml2_three_weights_exact():
-    # r = 3: the Type II identity gives every lambda_j exactly; residuals are exact too
+    # r = 3: the closed form gives every lambda_j exactly; residuals are exact too
     spec = ML2Spec(alpha=F(1, 3), c=(F(1), F(2), F(3)))
     rep = verify_orthogonality("ml2", spec, (2, 2, 2), "I", prec=256)
     assert rep["max_residual"] == 0.0
@@ -245,25 +260,45 @@ def test_oracle_reports_a_wrong_ml2_typeI(monkeypatch, spec, n):
 
 def test_typeI_normalization_is_unit():
     # with the exact constants lambda_j = c_j C_j the defining moment integral is 1
-    ml2_r3 = ML2Spec(alpha=F(1, 3), c=(F(1), F(5, 2), F(3)))
+    # ml2 includes n_j in {0, 1} for j != i, where the paper's (+)-chain has no admissible block
     cases = [("jp", JP, (2, 2)), ("ml1", ML1, (2, 2)), ("ml2", ML2, (2, 2)), ("ml2", ML2, (3, 3)),
-             ("ml2", ML2, (4, 2)), ("ml2", ml2_r3, (2, 2, 2)), ("ml2", ml2_r3, (2, 3, 2))]
+             ("ml2", ML2, (4, 2)), ("ml2", ML2_R3, (2, 2, 2)), ("ml2", ML2_R3, (2, 3, 2)),
+             ("ml2", ML2, (3, 1)), ("ml2", ML2, (1, 4)), ("ml2", ML2, (3, 0)), ("ml2", ML2_R3, (1, 1, 1)),
+             ("ml2", ML2_R3, (2, 1, 3)), ("ml2", ML2_R3, (0, 2, 1))]
     for family, spec, n in cases:
         rep = verify_orthogonality(family, spec, n, "I", prec=256)
         assert rep["normalization"] == 1 and rep["max_residual"] == 0.0, (family, n)
 
 
+def _typeII_identity_lambda(family, spec, n, i, A):
+    """lambda_i = c_i C_i from the Type I / Type II biorthogonality.
+
+    With P the monic Type II polynomial of index n - e_i and Q_n normalized by
+    int x^{|n|-1} Q_n = 1, int P Q_n = 1.  Against P every term of Q_n but
+    c_i lc(A_i) x^{n_i-1} w_i integrates to 0, so lambda_i = 1 / (lc(A_i)
+    R_P(n_i - 1)), A = A_i.
+    """
+    import finfree.mop as mop
+
+    ni = n[i - 1]
+    P = mop.constructor(family, "II")(spec, tuple(a - b for a, b in zip(n, unit_index(spec.r, i))))
+    return 1 / (A.to_monomial()[ni - 1] * mop._moment_rows(P, mop.KINDS[family].weight(spec, i - 1), ni)[-1])
+
+
 @pytest.mark.parametrize("family,spec,n", [
     ("jp", JP, (2, 2)), ("jp", JP, (3, 4)), ("jp", JPSpec(alpha=(F(2, 5), F(1, 3), F(1, 4)), beta=F(1, 2)), (2, 3, 2)),
     ("ml1", ML1, (2, 2)), ("ml1", ML1, (5, 3)), ("ml1", ML1Spec(alpha=(F(1, 2), F(1, 3), F(1, 5))), (2, 3, 2)),
+    ("ml2", ML2, (2, 2)), ("ml2", ML2, (5, 3)), ("ml2", ML2, (3, 1)), ("ml2", ML2, (1, 1)),
+    ("ml2", ML2Spec(alpha=F(0), c=(F(1, 2), F(7, 3))), (4, 6)), ("ml2", ML2Spec(alpha=F(-2, 3), c=(F(3),)), (5,)),
+    ("ml2", ML2_R3, (2, 2, 2)), ("ml2", ML2_R3, (1, 1, 1)), ("ml2", ML2_R3, (2, 1, 3)),
 ])
 def test_typeII_identity_reproduces_the_closed_form_lambdas(family, spec, n):
-    # int P_{n-e_j} Q_n = 1 gives lambda_j from the Type II polynomial; for jp and
-    # ml1 it must equal the closed form exactly
+    # int P_{n-e_j} Q_n = 1 gives lambda_j from the Type II polynomial; for every
+    # kind it must equal the closed form exactly
     import finfree.mop as mop
 
     polys, lam = mop._type1_components(family, spec, n)
-    assert [mop._typeII_lambda(family, spec, n, i, A) for i, A in enumerate(polys, 1)] == lam
+    assert [_typeII_identity_lambda(family, spec, n, i, A) for i, A in enumerate(polys, 1)] == lam
 
 
 def test_ml2_lambdas_are_the_normalized_calibration():
@@ -346,8 +381,57 @@ def test_ml2_typeI_r1_reduction():
     spec = ML2Spec(alpha=F(1, 2), c=(F(3),))
     out = ml2_typeI(spec, (4,), 1)
     assert out == hyper_poly(HypergeometricSpec(n=3, b=(F(3, 2),), scale=F(3)))
-    with pytest.raises(InvalidParameters):
-        ml2_typeI(ML2, (3, 1), 1)  # n_j = 1 for j != i is inadmissible
+    # n_j = 1 for j != i has no additive block, but the component exists
+    rep = verify_orthogonality("ml2", ML2, (3, 1), "I")
+    assert rep["max_residual"] == 0.0 and rep["normalization"] == 1
+
+
+def _ml2_additive_decomposition(spec, n, i):
+    """The paper's form of ml2 Type I: the (+)_{n_i - 1}-convolution over j of
+    1F1(-(n_i - 1); alpha + 1 + |n| - n_i; c_i x) (j = i) and
+    1F1(-(n_i - 1); 2 - n_j - n_i; (c_i - c_j) x) (j != i, needs n_j >= 2)."""
+    N, m, ci = sum(n), n[i - 1] - 1, spec.c[i - 1]
+    out = hyper_poly(HypergeometricSpec(n=m, b=(spec.alpha + 1 + N - n[i - 1],), scale=ci))
+    for j, (cj, nj) in enumerate(zip(spec.c, n)):
+        if j != i - 1:
+            out = add_conv(out, hyper_poly(HypergeometricSpec(n=m, b=(F(2 - nj - n[i - 1]),), scale=ci - cj)), m)
+    return out
+
+
+def test_ml2_typeI_matches_the_additive_decomposition():
+    # the generating-function product is the (+)-chain coefficient for coefficient
+    rng = random.Random(16)
+    rates = (F(1), F(2), F(3), F(1, 2), F(5, 2), F(7, 3), F(2, 5))
+    cases = []
+    for draw in range(45):
+        r = draw % 3 + 1
+        alpha = F(rng.randint(0, 9)) if draw % 2 else F(rng.randint(-1, 40), rng.choice((2, 3, 5)))
+        spec = ML2Spec(alpha=alpha, c=rng.sample(rates, r))
+        cases.append((spec, tuple(rng.randint(2, 8) for _ in range(r)), rng.randint(1, r)))
+    # the benchmark's exact pool at (60, 60)
+    for alpha, c in ((F(2, 3), (1, 2)), (F(1, 3), (1, 2)), (F(1, 3), (2, 3)), (F(1, 4), (1, 3))):
+        cases += [(ML2Spec(alpha=alpha, c=c), (60, 60), i) for i in (1, 2)]
+    for spec, n, i in cases:
+        assert ml2_typeI(spec, n, i).e == _ml2_additive_decomposition(spec, n, i).e, (spec, n, i)
+
+
+@pytest.mark.parametrize("family,spec,n", [
+    ("jp", JP, (4, 0)), ("ml1", ML1, (3, 0)), ("ml2", ML2, (0, 3)),
+    ("jp", JPSpec(alpha=(F(2, 5), F(1, 3), F(1, 4)), beta=F(1, 2)), (2, 0, 3)),
+])
+def test_typeI_oracle_admits_a_zero_index(family, spec, n):
+    # A_{n,j} = 0 when n_j = 0: the component is the zero polynomial and its
+    # constant is reported as 0
+    rep = verify_orthogonality(family, spec, n, "I")
+    assert rep["max_residual"] == 0.0 and rep["normalization"] == 1
+    assert [c == 0 for c in rep["constants"]] == [nj == 0 for nj in n]
+    vals, consts = typeI_function_eval(family, spec, n, [0.3])
+    assert [c == 0 for c in consts] == [nj == 0 for nj in n] and mp.isfinite(vals[0])
+
+
+def test_typeI_oracle_needs_a_positive_total_index():
+    with pytest.raises(InvalidParameters, match=r"\|n\| >= 1"):
+        verify_orthogonality("jp", JP, (0, 0), "I")
 
 
 def test_typeI_function_sign_changes():

@@ -28,6 +28,17 @@ def test_factored_quadratic():
     assert rts == pytest.approx([1.0, 2.0], abs=1e-30)
 
 
+def test_roots_need_no_math_exp2(monkeypatch):
+    # math.exp2 is Python 3.11+; the package supports 3.10
+    import math
+
+    monkeypatch.delattr(math, "exp2")
+    rts = sorted(float(z.real) for z in find_roots(Polynomial.from_monomial([6, -5, 1]), 128))
+    assert rts == pytest.approx([2.0, 3.0], abs=1e-30)
+    rts = find_roots(jp_typeII(JPSpec(alpha=(F(1, 2),), beta=F(1)), (6,)), 128)
+    assert len(rts) == 6 and all(z.imag == 0 and 0 < z.real < 1 for z in rts)
+
+
 def test_laguerre_quadratic_roots():
     p = hyper_poly(HypergeometricSpec(n=2, b=(1,)))  # 1 - 2x + x^2/2
     rts = sorted(float(z.real) for z in find_roots(p, 128))
