@@ -27,7 +27,10 @@ def _check(p, q, n):
 def mult_conv(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
     """n-th multiplicative finite free convolution of p and q."""
     _check(p, q, n)
-    e = [Fraction(p.e[k] * q.e[k], comb(n, k)) for k in range(n + 1)]
+    e = [
+        Fraction(a.numerator * b.numerator, a.denominator * b.denominator * comb(n, k))
+        for k, (a, b) in enumerate(zip(p.e, q.e))
+    ]
     return Polynomial(n, e)
 
 

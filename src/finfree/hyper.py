@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import perm
+from math import perm, prod
 
 from .conv import add_conv, mult_conv
 from .errors import (
@@ -40,19 +40,15 @@ from .series import series_mul
 def pochhammer_rising(a, k: int) -> Fraction:
     """(a)^rising_k = a (a+1) ... (a+k-1); empty product for k = 0."""
     a = Fraction(a)
-    out = Fraction(1)
-    for i in range(k):
-        out *= a + i
-    return out
+    u, v = a.numerator, a.denominator
+    return Fraction(prod(u + i * v for i in range(k)), v**k)
 
 
 def pochhammer_falling(a, k: int) -> Fraction:
     """(a)^falling_k = a (a-1) ... (a-k+1); empty product for k = 0."""
     a = Fraction(a)
-    out = Fraction(1)
-    for i in range(k):
-        out *= a - i
-    return out
+    u, v = a.numerator, a.denominator
+    return Fraction(prod(u - i * v for i in range(k)), v**k)
 
 
 def _tuple_of_fractions(xs):
@@ -60,18 +56,35 @@ def _tuple_of_fractions(xs):
 
 
 def _ratio_table(num, den, c, n):
-    """t_k = c^k prod (num)_k / (prod (den)_k k!) for k = 0..n, by the term ratio."""
-    out = [Fraction(1)]
+    """t_k = c^k prod (num)_k / (prod (den)_k k!) for k = 0..n, by the term ratio.
+
+    With each parameter read once as u/v, the ratio t_{k+1}/t_k is one
+    integer quotient,
+
+        c_u prod_den v prod_num (u + k v) / (c_v prod_num v (k+1) prod_den (u + k v)),
+
+    so each step costs one Fraction.  Once a term vanishes the rest are zero,
+    but every denominator is still checked.
+    """
+    c = Fraction(c)
+    num = [(x.numerator, x.denominator) for x in map(Fraction, num)]
+    den = [(y.numerator, y.denominator) for y in map(Fraction, den)]
+    top0 = c.numerator * prod(v for _, v in den)
+    bot0 = c.denominator * prod(v for _, v in num)
+    last = Fraction(1)
+    out = [last]
     for k in range(n):
-        top = Fraction(c)
-        for x in num:
-            top *= x + k
-        bot = Fraction(k + 1)
-        for x in den:
-            bot *= x + k
+        bot = bot0 * (k + 1)
+        for u, v in den:
+            bot *= u + k * v
         if bot == 0:
             raise InadmissibleDenominator("coefficient table hits a vanishing denominator; spec not full-degree")
-        out.append(out[-1] * top / bot)
+        if last:
+            top = top0
+            for u, v in num:
+                top *= u + k * v
+            last = last * Fraction(top, bot)
+        out.append(last)
     return out
 
 
@@ -110,29 +123,19 @@ class HypergeometricSpec:
         """True iff the expanded polynomial has degree exactly n."""
         return all(not (ak.denominator == 1 and -(self.n - 1) <= ak <= 0) for ak in self.a)
 
-    def term_coefficients(self):
-        """r_k = (-n)_k (a)_k / ((b)_k k!) for k = 0..n, exactly."""
-        return _ratio_table((-self.n,) + self.a, self.b, 1, self.n)
-
 
 def hyper_poly(spec: HypergeometricSpec) -> Polynomial:
     """Expand the spec to a Polynomial in x (hypergeometric normalization).
 
     The constant term is 1 whenever shift = 0; monicization is a separate,
-    explicit call on the result.  The series in w = scale x + shift is
-    Taylor-shifted to y = w - shift, then y = scale x is substituted.
+    explicit call on the result.  The sign and the scale ride in the term
+    ratio, which gives F((-1)^sign scale x); the shift is then one Taylor
+    shift, x -> x + shift/scale.
     """
     n = spec.n
-    s = -1 if spec.sign else 1
-    mono = [rk * s**k for k, rk in enumerate(spec.term_coefficients())]
-    if spec.shift:
-        mono = Polynomial.from_monomial(mono, n).shift(-spec.shift).to_monomial()
-    c_pow = Fraction(1)
-    out = []
-    for c in mono:
-        out.append(c * c_pow)
-        c_pow *= spec.scale
-    return Polynomial.from_monomial(out, n)
+    c = -spec.scale if spec.sign else spec.scale
+    table = Polynomial.from_monomial(_ratio_table((-n,) + spec.a, spec.b, c, n), n)
+    return table.shift(-spec.shift / spec.scale) if spec.shift else table
 
 
 def hyper_derivative(spec: HypergeometricSpec) -> HypergeometricSpec:

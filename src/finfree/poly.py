@@ -194,7 +194,10 @@ class Polynomial:
         a = _as_coeff(alpha)
         if a == 0:
             raise ZeroDilation("dilation scale must be nonzero")
-        return Polynomial(self.n, [a**j * c for j, c in enumerate(self.e)])
+        if not (isinstance(a, Fraction) and self.exact):
+            return Polynomial(self.n, [a**j * c for j, c in enumerate(self.e)])
+        u, v = a.numerator, a.denominator
+        return Polynomial(self.n, [Fraction(c.numerator * u**j, c.denominator * v**j) for j, c in enumerate(self.e)])
 
     def shift(self, alpha):
         """p(x - alpha), expanded exactly (Taylor shift).
@@ -320,7 +323,7 @@ class Polynomial:
         if self.e[0] == 0:
             raise ZeroLeading("power sums need e_0 != 0")
         n = self.n
-        sig = [c / self.e[0] for c in self.e]  # sigma_j of the root multiset
+        sig = [c / self.e[0] for c in self.e[: min(kmax, n) + 1]]  # sigma_j of the root multiset
         ps = []
         for k in range(1, kmax + 1):
             acc = (-1) ** (k - 1) * k * (sig[k] if k <= n else 0)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import perm
+from math import comb, perm
 
 import pytest
 
@@ -149,3 +149,16 @@ def test_add_conv_matches_per_term_oracle():
             assert out == add_conv_oracle(p, q, n)
             assert out.is_zero == (p.degree + q.degree < n)
         assert add_conv(Polynomial.zero(n), mixed(n, n), n) == Polynomial.zero(n)
+
+
+def test_mult_conv_and_dilate_match_their_fraction_products():
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        p, q = (
+            Polynomial(n, [F(rng.randint(-99, 99), rng.choice((1, 3, 64, 10**9 + 7))) for _ in range(n + 1)])
+            for _ in range(2)
+        )
+        assert mult_conv(p, q, n).e == tuple(F(p.e[k] * q.e[k], comb(n, k)) for k in range(n + 1))
+        alpha = rng.choice((F(rng.randint(-9, 9) or 1, rng.randint(1, 9)), rng.randint(1, 5)))
+        assert p.dilate(alpha).e == tuple(F(alpha) ** j * c for j, c in enumerate(p.e))

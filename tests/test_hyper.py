@@ -9,6 +9,7 @@ from finfree.errors import DegreeDeficient, InadmissibleDenominator, ZeroDegree,
 from finfree.hyper import (
     HypergeometricSpec,
     KdFSpec,
+    _ratio_table,
     additive_hg_verify,
     eval_tree,
     hyper_derivative,
@@ -251,7 +252,8 @@ def kdf_poly_oracle(spec, mode):
 
 def hyper_poly_oracle(spec):
     """The binomial double sum of ((-1)^sign (scale x + shift))^k."""
-    n, r, s = spec.n, spec.term_coefficients(), -1 if spec.sign else 1
+    n, s = spec.n, -1 if spec.sign else 1
+    r = ratio_table_oracle((-n,) + spec.a, spec.b, 1, n)
     mono = [F(0)] * (n + 1)
     for k in range(n + 1):
         for m in range(k + 1):
@@ -288,3 +290,104 @@ def test_kdf_poly_matches_composition_oracle():
     spec = KdFSpec(n=6, a0=(F(-2),), b0=(F(1, 2),), groups=groups, c=(F(2), F(-1, 5)))
     for mode in ("all", "one"):
         assert kdf_poly(spec, mode) == kdf_poly_oracle(spec, mode)
+
+
+# -- the integer term-ratio kernel against the Fraction recurrence ------------
+
+
+def ratio_table_oracle(num, den, c, n):
+    """The term-ratio recurrence stepped in Fraction arithmetic, term by term."""
+    out = [F(1)]
+    for k in range(n):
+        top = F(c)
+        for x in num:
+            top *= x + k
+        bot = F(k + 1)
+        for x in den:
+            bot *= x + k
+        if bot == 0:
+            raise InadmissibleDenominator("vanishing denominator")
+        out.append(out[-1] * top / bot)
+    return out
+
+
+def hyper_poly_per_power(spec):
+    """Signed table times s^k, Taylor shift by the shift, then scale^k per coefficient."""
+    n, s = spec.n, -1 if spec.sign else 1
+    mono = [rk * s**k for k, rk in enumerate(ratio_table_oracle((-n,) + spec.a, spec.b, 1, n))]
+    if spec.shift:
+        mono = Polynomial.from_monomial(mono, n).shift(-spec.shift).to_monomial()
+    return Polynomial.from_monomial([c * spec.scale**k for k, c in enumerate(mono)], n)
+
+
+def _draw_ratio_case(rng, kind):
+    """(num, den, c, n) of one of three kinds: generic; an integer numerator
+    parameter that reaches 0; a denominator that vanishes after a numerator did."""
+    n = rng.randint(0, 40)
+    num = [_rand_param(rng) for _ in range(rng.randint(0, 3))]
+    den = [_rand_param(rng) + rng.choice((0, 50)) for _ in range(rng.randint(0, 2))]
+    c = rng.choice((F(0), F(-1), F(1), F(rng.randint(-9, 9), rng.randint(1, 12)), -_rand_param(rng)))
+    if kind >= 1:
+        n = rng.randint(3, 40)
+        zero_at = rng.randint(0, n - 2)
+        num.insert(rng.randint(0, len(num)), -zero_at)
+        if kind == 2:
+            den.insert(rng.randint(0, len(den)), -rng.randint(zero_at + 1, n - 1))
+        elif rng.random() < 0.5:
+            # a vanishing denominator factor never hit within the table
+            den.append(F(-n - rng.randint(0, 3)))
+    rng.shuffle(num)
+    return tuple(num), tuple(den), c, n
+
+
+def test_ratio_table_matches_the_fraction_recurrence():
+    rng = random.Random(17)
+    seen = {"equal": 0, "zero tail": 0, "raised": 0}
+    for i in range(360):
+        num, den, c, n = _draw_ratio_case(rng, i % 3)
+        try:
+            expected = ratio_table_oracle(num, den, c, n)
+        except InadmissibleDenominator:
+            with pytest.raises(InadmissibleDenominator):
+                _ratio_table(num, den, c, n)
+            seen["raised"] += 1
+            continue
+        got = _ratio_table(num, den, c, n)
+        assert got == expected and all(type(t) is F for t in got)
+        seen["equal"] += 1
+        seen["zero tail"] += n > 0 and got[-1] == 0
+    assert seen["raised"] >= 100 and seen["zero tail"] >= 100 and seen["equal"] >= 200
+
+
+def test_ratio_table_checks_every_denominator_past_a_zero_term():
+    # the numerator -2 ends the table at t_2; the denominator -5 vanishes at k = 5
+    assert _ratio_table((-2,), (F(1, 2),), 1, 8)[3:] == [0] * 6
+    with pytest.raises(InadmissibleDenominator):
+        _ratio_table((-2,), (-5,), 1, 8)
+    with pytest.raises(InadmissibleDenominator):
+        _ratio_table((), (-3,), 0, 4)
+
+
+def test_hyper_poly_matches_the_per_power_formula():
+    rng = random.Random(18)
+    scales = (F(1), F(-1), F(3), F(-5, 3), F(7, 4), F(-1, 10**9 + 7))
+    shifts = (F(0), F(1), F(-3, 7), F(5, 2))
+    for n in (0, 1, 5, 24):
+        a = tuple(_rand_param(rng) for _ in range(rng.randint(0, 2))) + (F(-rng.randint(0, n)),) * (n % 2)
+        b = (F(5, 2), _rand_param(rng) + 200)
+        for sign in (0, 1):
+            for scale in scales:
+                for shift in shifts:
+                    spec = HypergeometricSpec(n=n, a=a, b=b, scale=scale, shift=shift, sign=sign)
+                    assert hyper_poly(spec) == hyper_poly_per_power(spec)
+
+
+def test_pochhammer_matches_the_fraction_products():
+    rng = random.Random(19)
+    for _ in range(300):
+        a, k = rng.choice((_rand_param(rng), F(rng.randint(-12, 12)), rng.randint(-12, 12))), rng.randint(0, 30)
+        rising, falling = F(1), F(1)
+        for i in range(k):
+            rising *= F(a) + i
+            falling *= F(a) - i
+        assert pochhammer_rising(a, k) == rising and pochhammer_falling(a, k) == falling

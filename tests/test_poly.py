@@ -37,6 +37,7 @@ def test_dilate_examples():
     assert p.dilate(1) == p
     # dilate(x-1, 2) = 2((x/2) - 1) = x - 2
     assert Polynomial.from_monomial([-1, 1]).dilate(2).to_monomial() == (F(-2), F(1))
+    assert Polynomial.from_monomial([-1.0, 1.0]).dilate(2).to_monomial() == (-2.0, 1.0)  # float backend
     with pytest.raises(ZeroDilation):
         p.dilate(0)
 
