@@ -6,12 +6,14 @@ Additive:        e_k(p (+)_n q) = n^(k)_falling * sum_{i+j=k} e_i(p)/n^(i) * e_j
 Both are defined relative to the shared ambient degree n and require exact
 rational coefficients: the binomial ratio amplifies float error by
 C(n, n/2), so float-backend inputs are rejected outright.  The additive
-convolution runs on the integer kernel of `poly`: one integer product of
-factorial-scaled numerators, then one Fraction per output coefficient.
+convolution runs on the integer kernel of `poly`: factorial-scaled
+numerators, each vector divided by its content (the gcd of its entries),
+one integer product, then one Fraction per output coefficient.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from functools import reduce
+from math import comb, gcd
 
 from .errors import DegreeMismatch, FloatBackendRejected
 from .poly import Polynomial, _ints, _mul_ints
@@ -41,15 +43,27 @@ def add_conv(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
     (that is the exact vanishing locus of the operation).
 
     With e_i(p) = pn_i / pd, a_i = pn_i (n-i)! and b_j likewise for q, the
-    formula becomes e_k = (a * b)_k / (pd qd n! (n-k)!).
+    formula becomes e_k = (a * b)_k / (pd qd n! (n-k)!).  The factorials give
+    a and b a large content (g_b = gcd(b) has ~800 bits for F(-n; b'; x) at
+    n = 160), so the product runs on a' = a/g_a and b' = b/g_b,
+    and e_k = (a' * b')_k u / (v (n-k)!) with u/v = g_a g_b / (pd qd n!).
     """
-    _check(p, q, n)
-    fact = [factorial(k) for k in range(n + 1)]
-    (a, pd), (b, qd) = _ints(p.e, n), _ints(q.e, n)
+    if p.n != n or q.n != n:
+        raise DegreeMismatch(f"ambient degrees ({p.n}, {q.n}) do not match n={n}")
+    (a, pd), (b, qd) = _ints(p.e, n), _ints(q.e, n)  # rejects float coefficients
+    fact = [1]
+    for k in range(1, n + 1):
+        fact.append(fact[-1] * k)
     a = [c * fact[n - i] for i, c in enumerate(a)]
     b = [c * fact[n - j] for j, c in enumerate(b)]
-    den = pd * qd * fact[n]
-    return Polynomial(n, [Fraction(c, den * fact[n - k]) for k, c in enumerate(_mul_ints(a, b, n))])
+    ga, gb = reduce(gcd, a), reduce(gcd, b)
+    if not (ga and gb):  # an all-zero operand has content 0
+        return Polynomial.zero(n)
+    u, v = ga * gb, pd * qd * fact[n]
+    g = gcd(u, v)
+    u, v = u // g, v // g
+    ab = _mul_ints([c // ga for c in a], [c // gb for c in b], n)
+    return Polynomial(n, [Fraction(c * u, v * fact[n - k]) for k, c in enumerate(ab)])
 
 
 def check_identity_dilation_distribute(p, q, n, alpha) -> bool:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
-from math import comb, perm
+from functools import reduce
+from math import comb, factorial, gcd, perm
 
 import pytest
 
@@ -11,7 +12,8 @@ from finfree.conv import (
     mult_conv,
 )
 from finfree.errors import DegreeMismatch, FloatBackendRejected
-from finfree.poly import Polynomial
+from finfree.hyper import HypergeometricSpec, hyper_poly
+from finfree.poly import Polynomial, _ints
 from finfree.roots import find_roots, interlaces, is_real_rooted, real_parts_sorted
 
 
@@ -133,6 +135,17 @@ def add_conv_oracle(p, q, n):
     return Polynomial(n, [perm(n, k) * sum((ep[i] * eq[k - i] for i in range(k + 1)), F(0)) for k in range(n + 1)])
 
 
+def scaled_content_bits(p, n):
+    """Bits of the gcd of p's integer numerators times (n-i)!: the content add_conv divides out."""
+    nums, _ = _ints(p.e, n)
+    return reduce(gcd, (c * factorial(n - i) for i, c in enumerate(nums))).bit_length()
+
+
+def padded_hyper(n, m, a, b):
+    """F(-m, a; b; x) of degree m in ambient degree n >= m."""
+    return Polynomial(n, [F(0)] * (n - m) + list(hyper_poly(HypergeometricSpec(m, a, b)).e))
+
+
 def test_add_conv_matches_per_term_oracle():
     rng = random.Random(17)
     denoms = (1, 2, 3, 7, 12, 97, 1024, 3**9, 10**12 + 39)
@@ -149,6 +162,28 @@ def test_add_conv_matches_per_term_oracle():
             assert out == add_conv_oracle(p, q, n)
             assert out.is_zero == (p.degree + q.degree < n)
         assert add_conv(Polynomial.zero(n), mixed(n, n), n) == Polynomial.zero(n)
+
+    # F(-n, a; b; +-x) (+)_n F(-n; b'; +-x), as in the benchmark's exact pool: the
+    # factorial-scaled numerators share hundreds of bits, which add_conv divides out.
+    pairs = [(F(3, 7), F(5, 2), F(7, 3)), (F(5, 11), F(11, 4), F(13, 5)), (F(-2, 9), F(7, 3), F(1, 2))]
+    for n in (24, 40, 60):
+        zero = Polynomial.zero(n)
+        for (a, b, b2), (s1, s2) in zip(pairs, ((0, 0), (1, 0), (0, 1))):
+            p = hyper_poly(HypergeometricSpec(n, (a,), (b,), sign=s1))
+            q = hyper_poly(HypergeometricSpec(n, (), (b2,), sign=s2))
+            assert scaled_content_bits(q, n) > 2 * n
+            for x, y in ((p, q), (q, p), (zero, q), (p, zero)):
+                assert add_conv(x, y, n) == add_conv_oracle(x, y, n)
+            assert add_conv(zero, q, n) == add_conv(p, zero, n) == zero
+
+    # degree-deficient (15 + 24 < 40) gives zero; one degree more leaves only e_n
+    p = padded_hyper(40, 15, (F(3, 7),), (F(5, 2),))
+    q = padded_hyper(40, 24, (), (F(7, 3),))
+    assert add_conv(p, q, 40) == add_conv_oracle(p, q, 40) == Polynomial.zero(40)
+    q = padded_hyper(40, 25, (), (F(7, 3),))
+    out = add_conv(p, q, 40)
+    assert out == add_conv_oracle(p, q, 40)
+    assert out.degree == 0
 
 
 def test_mult_conv_and_dilate_match_their_fraction_products():
