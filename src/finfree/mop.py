@@ -354,10 +354,9 @@ def _bounded_compositions(total, bounds):
 def _moment_ratios(weight, top):
     """rho(0..top): (a+1)_m / (a+b+2)_m for the Beta weight, (a+1)_m / c^m for Gamma."""
     a, b, c = weight
-    out = [Fraction(1)]
-    for m in range(top):
-        out.append(out[-1] * (a + 1 + m) / ((a + b + 2 + m) if c is None else c))
-    return out
+    if c is None:
+        return _ratio_table((a + 1, 1), (a + b + 2,), 1, top)
+    return _ratio_table((a + 1, 1), (), 1 / c, top)
 
 
 def _moment_constant(weight):

@@ -5,21 +5,25 @@ full and non-crossing partition enumeration, the Moebius function of the
 partition lattice, the Kreweras complement, the finite free cumulants of a
 polynomial, and the non-crossing moment-cumulant transforms.
 
-The finite free cumulants come from a generating function and enumerate
-nothing.  The enumeration routines are oracles (for `verify`, the tests and
-`series.free_mult_via_kreweras`); `series` computes the non-crossing maps by
-power series.  Everything is exact; enumeration is guarded at k <= 12
-(Bell(12) ~ 4.2e6 is the practical wall for the full lattice in pure Python;
-the non-crossing ones, Catalan(12) = 208012, are generated directly).
+Each dictionary is one triangular solve that runs either way: the finite
+free cumulants are Newton's identities (`poly._newton_solve`), and the
+non-crossing maps share one loop over NC(k).  The Kreweras complement of pi
+is the cycles of P_pi^-1 gamma, and pi is non-crossing iff |pi| + |Kr(pi)| =
+k + 1 (Nica-Speicher, Lecture 18).  The enumeration routines are oracles (for
+`verify`, the tests and `series.free_mult_via_kreweras`); `series` computes
+the non-crossing maps by power series.  Everything is exact; enumeration is
+guarded at k <= 12 (Bell(12) ~ 4.2e6 is the practical wall for the full
+lattice in pure Python; Catalan(12) = 208012 NC ones are generated directly).
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
 
 from .errors import FloatBackendRejected, NotComparable, TooLarge, ZeroLeading
-from .poly import Polynomial
+from .poly import Polynomial, _newton_solve, _order
 
 ENUMERATION_GUARD = 12
 
@@ -58,23 +62,8 @@ def _canon(blocks):
 
 
 def is_noncrossing(partition) -> bool:
-    """No a < b < c < d with {a, c} and {b, d} in different blocks."""
-    blocks = [sorted(b) for b in partition]
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if _blocks_cross(blocks[i], blocks[j]):
-                return False
-    return True
-
-
-def _blocks_cross(b, c):
-    """True iff the two blocks interleave (pattern B C B C or C B C B)."""
-    merged = sorted([(x, 0) for x in b] + [(x, 1) for x in c])
-    runs = []
-    for _, tag in merged:
-        if not runs or runs[-1] != tag:
-            runs.append(tag)
-    return len(runs) >= 4
+    """Genus zero: |pi| + |Kr(pi)| = k + 1 on a k-element ground set (a crossing pi falls short)."""
+    return not partition or len(partition) + len(_complement_cycles(partition)) == _size(partition) + 1
 
 
 def enumerate_nc(k):
@@ -107,17 +96,18 @@ def _nc_cached(k):
     return tuple(enumerate_nc(k))
 
 
+def _owners(sigma, pi):
+    """Per block of sigma, the index of the block of pi holding it; None unless sigma refines pi."""
+    owner = {x: idx for idx, block in enumerate(pi) for x in block}
+    if owner.keys() != {x for block in sigma for x in block}:
+        return None
+    ids = [{owner[x] for x in block} for block in sigma]
+    return [i.pop() for i in ids] if all(len(i) == 1 for i in ids) else None
+
+
 def refines(sigma, pi) -> bool:
-    """True iff every block of sigma is contained in some block of pi."""
-    cover = {}
-    for idx, block in enumerate(pi):
-        for x in block:
-            cover[x] = idx
-    for block in sigma:
-        ids = {cover[x] for x in block}
-        if len(ids) != 1:
-            return False
-    return True
+    """True iff sigma and pi partition the same set and every block of sigma lies in a block of pi."""
+    return _owners(sigma, pi) is not None
 
 
 def mobius(sigma, pi):
@@ -126,18 +116,11 @@ def mobius(sigma, pi):
     sigma must refine pi.  Uses the product formula: for each block V of pi
     containing n_V blocks of sigma, the factor is (-1)^(n_V - 1) (n_V - 1)!.
     """
-    sigma, pi = _canon(sigma), _canon(pi)
-    if not refines(sigma, pi):
+    owners = _owners(sigma, pi)
+    if owners is None:
         raise NotComparable("sigma does not refine pi")
-    cover = {}
-    for idx, block in enumerate(pi):
-        for x in block:
-            cover[x] = idx
-    counts = {}
-    for block in sigma:
-        counts[cover[block[0]]] = counts.get(cover[block[0]], 0) + 1
     out = 1
-    for n_v in counts.values():
+    for n_v in Counter(owners).values():
         out *= (-1) ** (n_v - 1) * factorial(n_v - 1)
     return out
 
@@ -149,9 +132,8 @@ def mobius_zeta_inverse(sigma, pi):
         raise NotComparable("sigma does not refine pi")
     if sigma == pi:
         return 1
-    k = sum(len(b) for b in pi)
     total = 0
-    for rho in _partitions_cached(k):
+    for rho in _partitions_cached(_size(pi)):
         if rho != pi and refines(sigma, rho) and refines(rho, pi):
             total += mobius_zeta_inverse(sigma, rho)
     return -total
@@ -165,43 +147,44 @@ def one_block(k):
     return (tuple(range(1, k + 1)),)
 
 
-def kreweras(pi):
-    """Kreweras complement of a non-crossing partition of {1..k}.
+def _size(pi):
+    return sum(len(b) for b in pi)
 
-    Points 1..k are interleaved with 1'..k' on a circle (j' sits between j
-    and j+1); Kr(pi) is the largest non-crossing partition of the primed
-    points whose union with pi is non-crossing on all 2k points.  Two primed
-    points j' and m' (j < m) end up in the same block exactly when no block
-    of pi has some elements inside {j+1, ..., m} and some outside.
-    Always |pi| + |Kr(pi)| = k + 1.
+
+def _complement_cycles(pi):
+    """The cycles of P_pi^-1 gamma on the ground set of pi (Nica-Speicher, Lecture 18).
+
+    P_pi sends each element to the next one of its block and gamma to the
+    next one of the ground set, both cyclically in increasing order.
     """
-    pi = _canon(pi)
-    k = sum(len(b) for b in pi)
-    parent = list(range(k + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for j in range(1, k + 1):
-        for m in range(j + 1, k + 1):
-            if _primed_joinable(pi, j, m):
-                parent[find(j)] = find(m)
-    groups = {}
-    for j in range(1, k + 1):
-        groups.setdefault(find(j), []).append(j)
-    return _canon(list(groups.values()))
-
-
-def _primed_joinable(pi, j, m):
-    """No block of pi separates j' from m': none meets {j+1..m} partially."""
+    before = {}  # P_pi^-1
     for block in pi:
-        inside = sum(1 for x in block if j + 1 <= x <= m)
-        if 0 < inside < len(block):
-            return False
-    return True
+        block = sorted(block)
+        before.update(zip(block[1:] + block[:1], block))
+    ground = sorted(before)
+    step = {x: before[y] for x, y in zip(ground, ground[1:] + ground[:1])}
+    cycles = []
+    while step:
+        x, cycle = next(iter(step)), []
+        while x in step:
+            cycle.append(x)
+            x = step.pop(x)
+        cycles.append(cycle)
+    return cycles
+
+
+def kreweras(pi):
+    """Kreweras complement of a non-crossing partition: the cycles of P_pi^-1 gamma.
+
+    On {1..k}, j labels the point j' between j and j+1 on the circle, and
+    Kr(pi) is the largest partition of the primed points whose union with pi
+    is non-crossing.  Always |pi| + |Kr(pi)| = k + 1; a crossing pi, whose
+    cycle count falls short, raises ValueError.
+    """
+    cycles = _complement_cycles(pi)
+    if pi and len(pi) + len(cycles) != _size(pi) + 1:
+        raise ValueError(f"{pi} is crossing: it has no Kreweras complement")
+    return _canon(cycles)
 
 
 def partition_product(values, pi):
@@ -213,7 +196,7 @@ def partition_product(values, pi):
 
 
 def finite_free_cumulants(p: Polynomial, upto=None):
-    """Finite free cumulants kappa_1..kappa_m of a degree-n polynomial.
+    """Finite free cumulants kappa_1..kappa_m of a degree-n polynomial, m = min(upto, n).
 
     kappa_j = -j n^(j-1) [t^j] log sum_k (-1)^k e_k / n^(k)_falling t^k with
     e_0 = 1 (Marcus, arXiv:2108.07054; Arizmendi-Perales, JCTA 2018), i.e.
@@ -228,51 +211,55 @@ def finite_free_cumulants(p: Polynomial, upto=None):
     if not p.exact:
         raise FloatBackendRejected("finite free cumulants need exact rational coefficients")
     n = p.n
-    m = n if upto is None else min(upto, n)
-    sigma, falling = [Fraction(1)], 1
+    m = n if upto is None else _order(min(upto, n), n)
+    sigma, falling = [], 1
     for k in range(1, m + 1):
         falling *= n - k + 1
         sigma.append(p.e[k] / (p.e[0] * falling))
-    return [n ** (j - 1) * s for j, s in enumerate(Polynomial(m, sigma).power_sums(m), start=1)]
+    return [n ** (j - 1) * s for j, s in enumerate(_newton_solve(sigma, to_power_sums=True), start=1)]
 
 
 def cumulants_to_elementary(kappa, n):
-    """Inverse of finite_free_cumulants: rebuild e_1..e_m from kappa (e_0 = 1).
+    """Inverse of finite_free_cumulants: rebuild e_0..e_m from kappa (e_0 = 1).
 
     Newton's identities backwards: from the power sums kappa_j / n^(j-1) to
     the elementary values sigma_j, then e_j = n^(j)_falling sigma_j.
     """
-    power = [None] + [Fraction(k) / n ** (j - 1) for j, k in enumerate(kappa, start=1)]
-    sigma, e, falling = [Fraction(1)], [Fraction(1)], 1
-    for j in range(1, len(kappa) + 1):
-        sigma.append(sum((-1) ** (i - 1) * sigma[j - i] * power[i] for i in range(1, j + 1)) / j)
+    if kappa and n < 1:
+        raise ValueError(f"cumulants of order {len(kappa)} need degree n >= 1, got n = {n}")
+    power = [Fraction(k) / n ** (j - 1) for j, k in enumerate(kappa, start=1)]
+    e, falling = [Fraction(1)], 1
+    for j, s in enumerate(_newton_solve(power, to_power_sums=False), start=1):
         falling *= n - j + 1
-        e.append(falling * sigma[j])
+        e.append(falling * s)
     return e
+
+
+def _nc_solve(known, kmax, to_cumulants):
+    """One side of m_k = sum_{pi in NC(k)} r_pi from the other, k = 1..kmax, by enumeration.
+
+    With rest = sum_{pi != 1_k} r_pi (blocks shorter than k only), m_k = r_k + rest.
+    """
+    r, m = [None], [None]
+    for k in range(1, _order(kmax, len(known)) + 1):
+        rest = sum((partition_product(r, pi) for pi in _nc_cached(k) if len(pi) > 1), start=Fraction(0))
+        if to_cumulants:
+            m.append(known[k - 1])
+            r.append(m[k] - rest)
+        else:
+            r.append(known[k - 1])
+            m.append(r[k] + rest)
+    return (r if to_cumulants else m)[1:]
 
 
 def moments_from_cumulants_nc(r, kmax=None):
     """m_k = sum over non-crossing partitions of prod r_{|V|}, k = 1..kmax."""
-    kmax = len(r) if kmax is None else kmax
-    values = [None] + list(r)
-    out = []
-    for k in range(1, kmax + 1):
-        out.append(sum((partition_product(values, pi) for pi in _nc_cached(k)), start=Fraction(0)))
-    return out
+    return _nc_solve(r, kmax, to_cumulants=False)
 
 
 def cumulants_from_moments_nc(m, kmax=None):
-    """Inverse of the non-crossing moment formula, by triangular solve."""
-    kmax = len(m) if kmax is None else kmax
-    r = [None]
-    for k in range(1, kmax + 1):
-        acc = Fraction(0)
-        for pi in _nc_cached(k):
-            if len(pi) == 1:
-                continue
-            acc += partition_product(r, pi)
-        r.append(m[k - 1] - acc)
-    return r[1:]
+    """Inverse of the non-crossing moment formula, by the same triangular solve."""
+    return _nc_solve(m, kmax, to_cumulants=True)
 
 
 def multiplicative_cumulant_product(r_alpha, r_beta, jmax=None):
@@ -281,13 +268,13 @@ def multiplicative_cumulant_product(r_alpha, r_beta, jmax=None):
     The free-cumulant rule for a free multiplicative product; symmetric in
     its arguments through the Kreweras bijection.
     """
-    jmax = min(len(r_alpha), len(r_beta)) if jmax is None else jmax
+    jmax = _order(jmax, min(len(r_alpha), len(r_beta)))
     va = [None] + list(r_alpha)
     vb = [None] + list(r_beta)
     out = []
     for j in range(1, jmax + 1):
         acc = Fraction(0)
         for pi in _nc_cached(j):
-            acc += partition_product(va, pi) * partition_product(vb, kreweras(pi))
+            acc += partition_product(va, pi) * partition_product(vb, _complement_cycles(pi))
         out.append(acc)
     return out

@@ -64,6 +64,36 @@ def _mul_ints(a, b, K):
     return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(K + 1)]
 
 
+def _order(K, known):
+    """The order of a map whose input fixes `known` coefficients: K, or `known` when K
+    is None.  A larger K would read coefficients nobody gave as 0, and a negative one
+    would slice from the end, so both raise."""
+    if K is None:
+        return known
+    if K < 0:
+        raise ValueError(f"order {K} is negative")
+    if K > known:
+        raise ValueError(f"cannot extend a truncated series: order {K} exceeds the {known} given")
+    return K
+
+
+def _newton_solve(known, to_power_sums):
+    """Newton's identities k s_k = sum_{i=1..k} (-1)^(i-1) s_{k-i} p_i (s_0 = 1), solved for
+    the power sums p_1.. from the elementary values s_1.. in `known` (to_power_sums), or
+    back.  s_0 is the int 1, so floats stay floats."""
+    s, p = [1], [None]
+    for k, x in enumerate(known, start=1):
+        # rest = sum_{i<k} (-1)^(i-1) s_{k-i} p_i: odd i minus even i
+        rest = sum(map(mul, s[k - 1 : 0 : -2], p[1:k:2])) - sum(map(mul, s[k - 2 : 0 : -2], p[2:k:2]))
+        if to_power_sums:
+            s.append(x)
+            p.append(k * x - rest if k % 2 else rest - k * x)
+        else:
+            p.append(x)
+            s.append((rest + x if k % 2 else rest - x) / k)
+    return p[1:] if to_power_sums else s[1:]
+
+
 def _signed(c, j):
     """(-1)^j c, exactly: an mpf keeps all its bits whatever mp.prec is."""
     if j % 2 == 0:
@@ -322,16 +352,8 @@ class Polynomial:
         """
         if self.e[0] == 0:
             raise ZeroLeading("power sums need e_0 != 0")
-        n = self.n
-        sig = [c / self.e[0] for c in self.e[: min(kmax, n) + 1]]  # sigma_j of the root multiset
-        ps = []
-        for k in range(1, kmax + 1):
-            acc = (-1) ** (k - 1) * k * (sig[k] if k <= n else 0)
-            for i in range(1, k):
-                if i <= n:
-                    acc += (-1) ** (i - 1) * sig[i] * ps[k - i - 1]
-            ps.append(acc)
-        return ps
+        sigma = [c / self.e[0] for c in self.e[1 : kmax + 1]]  # sigma_j of the root multiset
+        return _newton_solve(sigma + [0] * (kmax - len(sigma)), to_power_sums=True)
 
     def root_moments(self, kmax):
         """Normalized moments m_k = (1/n) sum lambda^k, k = 1..kmax, exactly."""

@@ -22,7 +22,7 @@ from operator import mul
 
 from .errors import FloatBackendRejected, VanishingFirstMoment
 from .partitions import multiplicative_cumulant_product
-from .poly import _ints, _mul_ints, _reduced
+from .poly import _ints, _mul_ints, _order, _reduced
 
 # -- truncated power series kernel (coefficient lists c[0]..c[K]) -------------
 
@@ -114,16 +114,6 @@ class FormalMomentSeries:
 
     def truncated(self, K):
         return FormalMomentSeries(self.m[: _order(K, self.K)])
-
-
-def _order(K, known):
-    """The order of a map whose input fixes `known` coefficients: K, or `known` when K
-    is None.  A larger K would read coefficients nobody gave as 0, so it raises."""
-    if K is None:
-        return known
-    if K > known:
-        raise ValueError(f"cannot extend a truncated series: order {K} exceeds the {known} given")
-    return K
 
 
 def m_series(moments: FormalMomentSeries, K=None):

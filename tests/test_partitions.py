@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -114,6 +115,91 @@ def test_kreweras():
         assert all(is_noncrossing(q) for q in images)
         assert len(set(images)) == len(ncs)  # bijection
         assert all(len(p) + len(kreweras(p)) == k + 1 for p in ncs)
+
+
+def kreweras_interval_oracle(pi):
+    """Kr(pi) on {1..k} by the interval rule: j' and m' (j < m) share a block iff no
+    block of pi has some elements in {j+1..m} and some outside."""
+    k = sum(len(b) for b in pi)
+    group = list(range(k + 1))
+    for j in range(1, k + 1):
+        for m in range(j + 1, k + 1):
+            if all(sum(j < x <= m for x in b) in (0, len(b)) for b in pi):
+                old = group[m]
+                group = [group[j] if g == old else g for g in group]
+    blocks = {}
+    for j in range(1, k + 1):
+        blocks.setdefault(group[j], []).append(j)
+    return tuple(sorted(tuple(b) for b in blocks.values()))
+
+
+def crosses_oracle(pi):
+    """Some a < b < c < d with a, c in one block and b, d in another."""
+    where = {x: i for i, b in enumerate(pi) for x in b}
+    xs = sorted(where)
+    for a, b, c, d in combinations(xs, 4):
+        if where[a] == where[c] != where[b] == where[d]:
+            return True
+    return False
+
+
+def test_kreweras_matches_the_interval_rule():
+    for k in range(1, 9):
+        for pi in enumerate_nc(k):
+            assert kreweras(pi) == kreweras_interval_oracle(pi), pi
+
+
+def test_kreweras_twice_rotates_the_labels():
+    for k in range(1, 9):
+        for pi in enumerate_nc(k):
+            rotated = tuple(sorted(tuple(sorted((x - 2) % k + 1 for x in b)) for b in pi))
+            assert kreweras(kreweras(pi)) == rotated, pi
+
+
+def test_kreweras_refuses_a_crossing_partition():
+    with pytest.raises(ValueError, match="crossing"):
+        kreweras(((1, 3), (2, 4)))
+    for pi in enumerate_partitions(6):
+        if not is_noncrossing(pi):
+            with pytest.raises(ValueError):
+                kreweras(pi)
+
+
+def test_noncrossing_is_genus_zero():
+    for k in range(1, 8):
+        for pi in enumerate_partitions(k):
+            assert is_noncrossing(pi) == (not crosses_oracle(pi)), pi
+    assert not is_noncrossing(((1, 5), (3, 7)))
+    assert is_noncrossing(((1, 7), (3, 5)))
+    assert kreweras(((1, 7), (3, 5))) == ((1, 5), (3,), (7,))
+
+
+def test_partitions_of_different_ground_sets_are_not_comparable():
+    for sigma, pi in [(((1,), (4,)), ((1, 2),)), (((1,), (2,)), ((1, 2, 3),)), (((1, 2, 3),), ((1, 2),))]:
+        assert not refines(sigma, pi)
+        with pytest.raises(NotComparable):
+            mobius(sigma, pi)
+    assert mobius(singletons(2), one_block(2)) == -1
+    assert mobius(((4,), (9,)), ((4, 9),)) == -1  # labels need not be 1..k
+
+
+def test_orders_past_the_input_raise_value_errors():
+    r = [F(1), F(2)]
+    for call in (
+        lambda: moments_from_cumulants_nc(r, 3),
+        lambda: cumulants_from_moments_nc(r, 3),
+        lambda: multiplicative_cumulant_product(r, r + [F(1)], 3),
+    ):
+        with pytest.raises(ValueError, match="order 3 exceeds the 2 given"):
+            call()
+    with pytest.raises(ValueError, match="order -1 is negative"):
+        moments_from_cumulants_nc(r, -1)
+    with pytest.raises(ValueError, match="n = 0"):
+        cumulants_to_elementary([F(1), F(2)], 0)
+    with pytest.raises(ValueError, match="order -1 is negative"):
+        finite_free_cumulants(Polynomial.from_roots([1, 2]), upto=-1)
+    assert finite_free_cumulants(Polynomial.from_roots([1, 2]), upto=0) == []
+    assert moments_from_cumulants_nc(r, 0) == [] and cumulants_to_elementary([], 0) == [1]
 
 
 def test_finite_free_cumulants_point_mass():

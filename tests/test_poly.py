@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from finfree.errors import FloatBackendRejected, ZeroDilation, ZeroLeading
-from finfree.poly import Polynomial
+from finfree.poly import Polynomial, _newton_solve
 
 
 def rand_poly(rng, n):
@@ -107,6 +107,22 @@ def test_power_sums_newton_identities():
     # point mass: m_k = c^k
     pm = Polynomial.from_roots([F(5, 3)] * 4)
     assert pm.root_moments(3) == [F(5, 3), F(25, 9), F(125, 27)]
+
+
+def test_newton_identities_round_trip_past_the_degree():
+    # power sums -> elementary values -> power sums; past n the elementary values vanish
+    rng = random.Random(6)
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        p = rand_poly(rng, n).scaled(F(rng.randint(1, 9), rng.randint(1, 9)))
+        for kmax in (1, n, n + 4):
+            ps = p.power_sums(kmax)
+            sigma = _newton_solve(ps, to_power_sums=False)
+            assert sigma == ([c / p.e[0] for c in p.e[1:]] + [0] * kmax)[:kmax]
+            assert _newton_solve(sigma, to_power_sums=True) == ps
+    assert _newton_solve([], to_power_sums=True) == []
+    # floats stay floats: x^2 - 3x + 2 has power sums 3, 5, 9
+    assert Polynomial(2, [1.0, 3.0, 2.0]).power_sums(3) == [3.0, 5.0, 9.0]
 
 
 def test_json_roundtrip_bit_exact():

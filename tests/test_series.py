@@ -150,6 +150,8 @@ def test_maps_refuse_an_order_past_their_input():
     for call in calls:
         with pytest.raises(ValueError, match="cannot extend a truncated series"):
             call()
+    with pytest.raises(ValueError, match="order -1 is negative"):
+        m.truncated(-1)  # a slice m[:-1] would drop the last moment silently
     # up to the given order every map still answers, and agrees with the default
     assert m_series(m, 2) == m_series(m) == [F(0), F(1), F(2)]
     assert r_coefficients(m, 2) == r_coefficients(m) and r_coefficients(m, 1) == [F(1)]
