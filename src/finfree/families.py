@@ -16,7 +16,7 @@ S(z) S_rev(-z-1) = 1 against reciprocal moments read off the curve.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
@@ -32,7 +32,7 @@ from .curves import (
     reciprocal_moments_from_curve,
 )
 from .errors import InvalidParameters, ThetaOutOfRange, UnknownFamily, VanishingFirstMoment
-from .mop import _check_rates
+from .mop import _check_rates, _jp_rodrigues, _ml2_factors, _typeI_blocks
 from .series import FormalMomentSeries, moments_from_r, moments_from_s, s_coefficients, series_inv, series_mul
 
 # -- rational S-transforms ------------------------------------------------------
@@ -219,46 +219,46 @@ class FamilyLimit:
         return self.s_transform.moments(K)
 
 
-# Limit builders of the six families (FAMILIES): each returns FamilyLimit fields.
+# Limit builders of the six families (FAMILIES): each returns FamilyLimit fields.  The rational
+# ones read `mop`'s parameter tables at the growth rates, over the growth rate of the degree.
 def _s_limit(fa, fb, **extra):
     st = s_limit_hyper(fa, fb)
     return {"s_transform": st, "curve": st.curve(), "flags": st.flags, **extra}
 
 
 def _jp1_limit(params, ml1=False):
-    """S-transform with the frak a/b parameters at component i; ml1-1 drops a_i."""
-    i, th = params.i - 1, params.theta
-    A = params.A or (Fraction(0),) * len(th)
-    fa = [(A[i] + params.B + 1 if j == i else A[i] - A[j] - th[j]) / th[i] for j in range(len(th))]
-    fb = [(A[i] if j == i else A[i] - A[j]) / th[i] for j in range(len(th))]
-    return _s_limit(fa[:i] + fa[i + 1 :] if ml1 else fa, fb)
+    """S-transform of Type I component i: its 2F1-block parameters over theta_i; ml1-1 has no beta."""
+    th = params.theta[params.i - 1]
+    blocks = _typeI_blocks(params.A, None if ml1 else params.B, params.theta, params.i, one=0)
+    return _s_limit([a / th for nums, _ in blocks for a in nums], [b / th for _, b in blocks])
 
 
 def _jp2_limit(params):
-    A, B = params.A or (Fraction(0),) * len(params.theta), params.B
-    fa = [(a + t) / (1 + B) for a, t in zip(A, params.theta)]
-    return _s_limit(fa, [a / (1 + B) for a in A], moment_scale=1 + B)
+    """S-transform of the delta_0-mixed measure: the Rodrigues parameters over 1 + B."""
+    scale = 1 + params.B
+    fa, fb = _jp_rodrigues(params.A, params.theta, one=0)
+    return _s_limit([a / scale for a in fa], [b / scale for b in fb], moment_scale=scale)
 
 
 def _ml1_2_limit(params):
     # u prod_i (y + A_i + theta_i - u) = (u - y) prod_i (y + A_i - u)
     lhs, rhs = {(0, 1): Fraction(1)}, {(0, 1): Fraction(1), (1, 0): Fraction(-1)}
-    for a, t in zip(params.A or (Fraction(0),) * len(params.theta), params.theta):
+    for a, t in zip(params.A, params.theta):
         lhs = biv_mul(lhs, {(1, 0): Fraction(1), (0, 0): a + t, (0, 1): Fraction(-1)})
         rhs = biv_mul(rhs, {(1, 0): Fraction(1), (0, 0): a, (0, 1): Fraction(-1)})
     return {"curve": AlgebraicCurve(biv_add(lhs, biv_scale(rhs, -1)))}
 
 
 def _ml2_1_limit(params):
-    i, th, c = params.i - 1, params.theta, params.c
-    A = params.A[0] if params.A else Fraction(0)
-    poles = [((A + 1) / th[i], c[i])] + [(-th[j] / th[i], c[i] - c[j]) for j in range(len(th)) if j != i]
-    return {"r_poles": tuple(poles)}
+    """R-transform poles: the binomial-series factors (x, p) as weights p / theta_i at x."""
+    th = params.theta[params.i - 1]
+    factors = _ml2_factors(params.A[0], params.c, params.theta, params.i, one=0)
+    return {"r_poles": tuple((p / th, x) for x, p in factors)}
 
 
 def _ml2_2_limit(params):
     # (y+A) sum_j theta_j prod_{k != j} (c_k u - y - A) = (y-1) prod_j (c_j u - y - A)
-    th, A = params.theta, params.A[0] if params.A else Fraction(0)
+    th, A = params.theta, params.A[0]
     bracket = [{(0, 1): ck, (1, 0): Fraction(-1), (0, 0): -A} for ck in params.c]
     lhs = {}
     for j in range(len(th)):
@@ -545,7 +545,7 @@ def family_curves(family: str, params: LimitParams) -> FamilyLimit:
                    plain limit measure are (1+B) times the curve moments.
     ml1-2, ml2-2:  algebraic curve (rescaled Type II; compound free Poisson).
     ml2-1:         rational R-transform (pole/weight data).
-    theta holds r >= 1 values, A 0 or r values (ml2: 0 or 1), ml2 needs r
+    theta holds r >= 1 values, A 0 (read as zeros) or r values (ml2: 0 or 1), ml2 needs r
     rates c_j > 0, pairwise distinct (the rule of ML2Spec), and Type I
     1 <= i <= r.  Degenerate assumptions are flagged, not fatal.
     """
@@ -561,6 +561,7 @@ def family_curves(family: str, params: LimitParams) -> FamilyLimit:
         _check_rates(params.c)
     if fam.type_ == "I" and not 1 <= params.i <= r:
         raise InvalidParameters(f"{fam.name} needs 1 <= i <= {r}, got i = {params.i}")
+    params = params if params.A else replace(params, A=(Fraction(0),) * nA)
     return FamilyLimit(family=fam.name, **fam.limit(params))
 
 

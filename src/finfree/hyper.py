@@ -168,45 +168,47 @@ def hyper_mult_conv(spec1: HypergeometricSpec, spec2: HypergeometricSpec) -> Hyp
     """
     if spec1.n != spec2.n:
         raise DegreeMismatch("specs must share the degree")
-    for s in (spec1, spec2):
-        if s.scale != 1 or s.shift != 0 or s.sign != 0:
-            raise ValueError("tuple merge is stated for plain argument x")
+    if _argument_parity(spec1) or _argument_parity(spec2):
+        raise ValueError("tuple merge is stated for plain argument x")
     return HypergeometricSpec(n=spec1.n, a=spec1.a + spec2.a, b=spec1.b + spec2.b)
 
 
 # -- Differential-operator route for the additive convolution -----------------
 
 
-def _operator_series(n: int, a: tuple, b: tuple, l: int):
-    """Truncated symbol of F(-b-n+1; -a-n+1; (-1)^(i+j+l+1) t) to order n.
+def _argument_parity(spec: HypergeometricSpec) -> int:
+    """The l of an argument (-1)^l x: sign XOR (scale == -1).  The operator-series
+    theorems are stated for these two arguments only; any other raises ValueError."""
+    if abs(spec.scale) != 1 or spec.shift:
+        raise ValueError("the operator series are stated for arguments (+-) x")
+    return spec.sign ^ (spec.scale == -1)
+
+
+def _operator_series(spec: HypergeometricSpec):
+    """Truncated symbol of F(-b-n+1; -a-n+1; (-1)^(i+j+l+1) t) to order n,
+    for the factor F(-n, a; b; (-1)^l x) that `spec` describes.
 
     Only the first n+1 coefficients act on x^n, so the (generally
     non-terminating) series is cut there.
     """
-    sgn = (-1) ** (len(a) + len(b) + l + 1)
-    return _ratio_table(tuple(-bk - n + 1 for bk in b), tuple(-ak - n + 1 for ak in a), sgn, n)
+    n, sgn = spec.n, (-1) ** (len(spec.a) + len(spec.b) + _argument_parity(spec) + 1)
+    return _ratio_table(tuple(-bk - n + 1 for bk in spec.b), tuple(-ak - n + 1 for ak in spec.a), sgn, n)
 
 
 def theorem_b_rhs(spec1: HypergeometricSpec, spec2: HypergeometricSpec) -> Polynomial:
-    """Apply the two operator symbols to x^n; equals p (+)_n q up to scalar."""
+    """Apply the two operator symbols to x^n; equals p (+)_n q up to scalar (arguments (+-) x only)."""
     if spec1.n != spec2.n:
         raise DegreeMismatch("specs must share the degree")
     n = spec1.n
-    s1 = _operator_series(n, spec1.a, spec1.b, spec1.sign)
-    s2 = _operator_series(n, spec2.a, spec2.b, spec2.sign)
-    prod = series_mul(s1, s2, n)
+    prod = series_mul(_operator_series(spec1), _operator_series(spec2), n)
     # S(d/dx)[x^n] = sum_k s_k n^(k)_falling x^(n-k)
     return Polynomial.from_monomial([prod[n - m] * perm(n, n - m) for m in range(n + 1)], n)
 
 
 def additive_hg_verify(spec1: HypergeometricSpec, spec2: HypergeometricSpec) -> bool:
-    """Check the coefficient formula against the operator route, up to scalar."""
-    for s in (spec1, spec2):
-        if s.scale != 1 or s.shift != 0:
-            raise ValueError("verification is stated for arguments (+-) x")
-    n = spec1.n
-    direct = add_conv(hyper_poly(spec1), hyper_poly(spec2), n)
+    """Check the coefficient formula against the operator route, up to scalar (arguments (+-) x only)."""
     operator = theorem_b_rhs(spec1, spec2)
+    direct = add_conv(hyper_poly(spec1), hyper_poly(spec2), spec1.n)
     if direct.is_zero and operator.is_zero:
         return True
     return direct.proportional_to(operator) is not None
@@ -244,11 +246,12 @@ def reversed_product_lhs(spec1: HypergeometricSpec, spec2: HypergeometricSpec | 
     Multiplies the two symbol series mod x^(n+1) and reverses; raises
     DegreeDeficient when the (truncated) product has degree < n, in which
     case p* would drop degree and the representation does not apply.
+    Arguments (+-) x only, as in theorem_b_rhs.
     """
     n = spec1.n
-    prod = _operator_series(n, spec1.a, spec1.b, spec1.sign)
+    prod = _operator_series(spec1)
     if spec2 is not None:
-        prod = series_mul(prod, _operator_series(n, spec2.a, spec2.b, spec2.sign), n)
+        prod = series_mul(prod, _operator_series(spec2), n)
     if prod[n] == 0:
         raise DegreeDeficient("product has degree < n; reversal drops degree")
     return Polynomial.from_monomial(prod, n).reverse()
@@ -399,6 +402,8 @@ def kdf_factorize(spec: KdFSpec, mode: str = "all"):
         )
         tree = Mult(q1, Add((q0,) + rest) if rest else q0)
     value = eval_tree(tree, n)
+    if target.is_zero and value.is_zero:
+        return tree, Fraction(1)  # any scalar satisfies the identity
     scalar = target.proportional_to(value)
     if scalar is None:
         raise AssertionError("factorization does not match the direct expansion")

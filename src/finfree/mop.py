@@ -20,7 +20,7 @@ the Type I constants enter only as closed-form rationals lambda_j = c_j C_j.
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, inf
+from math import comb, factorial, inf, prod
 
 import mpmath as mp
 
@@ -131,13 +131,26 @@ def _check_index(spec, n, i=None):
 # -- Type I constructors -----------------------------------------------------------
 
 
+def _typeI_blocks(alpha, beta, n, i, one=1):
+    """Per j, the (numerators; denominator) of the 2F1 blocks of Type I component i: (a_i + beta + |n|;
+    a_i + one) at j = i, no numerator when beta is None (ml1), (a_i - a_j - n_j + one; a_i - a_j + one)
+    at j != i.  one = 1 at a multi-index; one = 0 at the growth rates (A, B, theta) gives the leading parts."""
+    ai = alpha[i - 1]
+    lead = () if beta is None else (ai + beta + sum(n),)
+    return [
+        (lead, ai + one) if j == i - 1 else ((ai - aj - nj + one,), ai - aj + one)
+        for j, (aj, nj) in enumerate(zip(alpha, n))
+    ]
+
+
+def _merged_blocks(blocks, m):
+    """The tuple merge of the degree-m blocks: their multiplicative convolution."""
+    return HypergeometricSpec(n=m, a=tuple(x for nums, _ in blocks for x in nums), b=tuple(b for _, b in blocks))
+
+
 def jp_typeI_spec(spec: JPSpec, n, i) -> HypergeometricSpec:
     """Hypergeometric data of the i-th Type I Jacobi-Pineiro component."""
-    al, beta, N = spec.alpha, spec.beta, sum(n)
-    ai = al[i - 1]
-    a = [ai + beta + N] + [ai + 1 - al[j] - n[j] for j in range(spec.r) if j != i - 1]
-    b = [ai + 1] + [ai + 1 - al[j] for j in range(spec.r) if j != i - 1]
-    return HypergeometricSpec(n=n[i - 1] - 1, a=tuple(a), b=tuple(b))
+    return _merged_blocks(_typeI_blocks(spec.alpha, spec.beta, n, i), n[i - 1] - 1)
 
 
 def jp_typeI(spec: JPSpec, n, i) -> Polynomial:
@@ -152,26 +165,11 @@ def jp_typeI(spec: JPSpec, n, i) -> Polynomial:
 
 def jp_typeI_blocks(spec: JPSpec, n, i):
     """The 2F1 building blocks whose multiplicative convolution gives jp_typeI."""
-    al, beta, N = spec.alpha, spec.beta, sum(n)
-    m = n[i - 1] - 1
-    ai = al[i - 1]
-    out = []
-    for j in range(spec.r):
-        if j == i - 1:
-            out.append(HypergeometricSpec(n=m, a=(ai + beta + N,), b=(ai + 1,)))
-        else:
-            out.append(
-                HypergeometricSpec(n=m, a=(ai - al[j] - n[j] + 1,), b=(ai - al[j] + 1,))
-            )
-    return out
+    return [HypergeometricSpec(n=n[i - 1] - 1, a=a, b=(b,)) for a, b in _typeI_blocks(spec.alpha, spec.beta, n, i)]
 
 
 def ml1_typeI_spec(spec: ML1Spec, n, i) -> HypergeometricSpec:
-    al, N = spec.alpha, sum(n)
-    ai = al[i - 1]
-    a = [ai + 1 - al[j] - n[j] for j in range(spec.r) if j != i - 1]
-    b = [ai + 1] + [ai + 1 - al[j] for j in range(spec.r) if j != i - 1]
-    return HypergeometricSpec(n=n[i - 1] - 1, a=tuple(a), b=tuple(b))
+    return _merged_blocks(_typeI_blocks(spec.alpha, None, n, i), n[i - 1] - 1)
 
 
 def ml1_typeI(spec: ML1Spec, n, i) -> Polynomial:
@@ -181,9 +179,16 @@ def ml1_typeI(spec: ML1Spec, n, i) -> Polynomial:
 
 
 def ml1_laguerre_factor(spec, n, i) -> HypergeometricSpec:
-    """The Laguerre block linking jp_typeI and ml1_typeI multiplicatively."""
-    al, beta, N = spec.alpha, spec.beta, sum(n)
-    return HypergeometricSpec(n=n[i - 1] - 1, a=(), b=(al[i - 1] + beta + N,))
+    """The Laguerre block linking jp_typeI and ml1_typeI multiplicatively: F(-m; ; a_i + beta + |n|)."""
+    lead, _ = _typeI_blocks(spec.alpha, spec.beta, n, i)[i - 1]
+    return HypergeometricSpec(n=n[i - 1] - 1, a=(), b=lead)
+
+
+def _ml2_factors(alpha, c, n, i, one=1):
+    """The (x, p) of the factors (1 + t/x)^p of ml2 Type I component i: (c_i, alpha + |n| - one), then
+    (c_i - c_j, -n_j) for j != i with n_j > 0.  one = 0 at the growth rates (A, theta) gives the leading p."""
+    ci = c[i - 1]
+    return [(ci, alpha + sum(n) - one)] + [(ci - cj, -nj) for j, (cj, nj) in enumerate(zip(c, n)) if j != i - 1 and nj]
 
 
 def ml2_typeI(spec: ML2Spec, n, i) -> Polynomial:
@@ -196,23 +201,17 @@ def ml2_typeI(spec: ML2Spec, n, i) -> Polynomial:
 
         e_k = L_i falling(m, k) [t^k] (1 + t/c_i)^(alpha+N-1) prod_{j != i, n_j > 0} (1 + t/(c_i - c_j))^(-n_j),
 
-    which holds for every n_j >= 0, j != i.
+    which holds for every n_j >= 0, j != i.  The factors are _ml2_factors.
     """
     _check_index(spec, n, i)
-    m, ci = n[i - 1] - 1, spec.c[i - 1]
-    others = [(ci - cj, -nj) for j, (cj, nj) in enumerate(zip(spec.c, n)) if j != i - 1 and nj]
-    lead, gen = _ml2_leading(spec, n, i), _binomial_series([(ci, spec.alpha + sum(n) - 1)] + others, m)
+    m, factors = n[i - 1] - 1, _ml2_factors(spec.alpha, spec.c, n, i)
+    lead, gen = _ml2_leading(factors, m), _binomial_series(factors, m)
     return Polynomial(m, [lead * f * g for f, g in zip(_ratio_table((-m, 1), (), -1, m), gen)])
 
 
-def _ml2_leading(spec, n, i):
-    """L_i = (-c_i)^m / (alpha+N-m)_m prod_{j != i, n_j > 0} (c_j - c_i)^m / (1-n_j-m)_m, m = n_i - 1."""
-    m, ci = n[i - 1] - 1, spec.c[i - 1]
-    lead = (-ci) ** m / pochhammer_rising(spec.alpha + sum(n) - m, m)
-    for j, (cj, nj) in enumerate(zip(spec.c, n)):
-        if j != i - 1 and nj:
-            lead *= (cj - ci) ** m / pochhammer_rising(1 - nj - m, m)
-    return lead
+def _ml2_leading(factors, m):
+    """L_i = prod (-x)^m / (p + 1 - m)_m over the factors (x, p) of _ml2_factors, m = n_i - 1."""
+    return prod((-x) ** m / pochhammer_rising(p + 1 - m, m) for x, p in factors)
 
 
 def _binomial_series(powers, K):
@@ -240,10 +239,15 @@ def jp_typeII(spec: JPSpec, n) -> Polynomial:
     _check_index(spec, n)
     N = sum(n)
     inverse_power = _ratio_table((spec.beta,), (), 1, N)
-    rodrigues = _ratio_table(
-        (-spec.beta - N, *(a + nj + 1 for a, nj in zip(spec.alpha, n))), tuple(a + 1 for a in spec.alpha), 1, N
-    )
+    num, den = _jp_rodrigues(spec.alpha, n)
+    rodrigues = _ratio_table((-spec.beta - N, *num), den, 1, N)
     return Polynomial.from_monomial(series_mul(inverse_power, rodrigues, N), N).monicized()
+
+
+def _jp_rodrigues(alpha, n, one=1):
+    """(alpha_j + n_j + one; alpha_j + one), jp_typeII's Rodrigues F besides -beta - N; one = 0 at the
+    growth rates (A, theta) gives the leading parts."""
+    return tuple(a + nj + one for a, nj in zip(alpha, n)), tuple(a + one for a in alpha)
 
 
 def ml1_typeII(spec: ML1Spec, n) -> Polynomial:
@@ -295,11 +299,11 @@ def ml2_typeII_routes(spec: ML2Spec, n):
     ).scaled((-1) ** N * pochhammer_falling(spec.alpha + N, N) / factorial(N))
     factored = mult_conv(q_alpha, acc, N)
 
-    prod = Polynomial.from_roots(
+    rate_roots = Polynomial.from_roots(
         [Fraction(1) / cj for cj, nj in zip(spec.c, n) for _ in range(nj)]
     )
     lag = hyper_poly(HypergeometricSpec(n=N, b=(spec.alpha + 1,))).scaled((-1) ** N)
-    linear = mult_conv(lag, prod, N).scaled(pochhammer_falling(spec.alpha + N, N))
+    linear = mult_conv(lag, rate_roots, N).scaled(pochhammer_falling(spec.alpha + N, N))
     return direct, factored, linear
 
 
@@ -405,13 +409,12 @@ def _jp_lambda(spec, n, i):
 
 
 def _ml2_lambda(spec, n, i):
-    """lambda_i = c_i C_i for ml2: c_i^(N+n_i-2) / (L_i (alpha+1)_{N-1} (n_i-1)! prod_{j != i} (1 - c_i/c_j)^{n_j})."""
+    """lambda_i = c_i C_i for ml2: c_i^(N+n_i-2) / (L_i (alpha+1)_{N-1} (n_i-1)! prod_{j != i} (1 - c_i/c_j)^{n_j}),
+    the product read off the factors (x, p) = (c_i - c_j, -n_j) of _ml2_factors as (1 - c_i/x)^p."""
     ni, ci, N = n[i - 1], spec.c[i - 1], sum(n)
-    den = _ml2_leading(spec, n, i) * pochhammer_rising(spec.alpha + 1, N - 1) * factorial(ni - 1)
-    for j, (cj, nj) in enumerate(zip(spec.c, n)):
-        if j != i - 1:
-            den *= (1 - ci / cj) ** nj
-    return ci ** (N + ni - 2) / den
+    factors = _ml2_factors(spec.alpha, spec.c, n, i)
+    den = _ml2_leading(factors, ni - 1) * pochhammer_rising(spec.alpha + 1, N - 1) * factorial(ni - 1)
+    return ci ** (N + ni - 2) / (den * prod((1 - ci / x) ** p for x, p in factors[1:]))
 
 
 def _ml2_spec(alpha, beta, c):

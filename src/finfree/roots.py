@@ -26,12 +26,11 @@ Two paths share one sweep driver:
   own magnitude.
 
 Default precision: 256 bits for degree <= 100, plus 128 bits per additional
-100 degrees; the FINFREE_PREC_BITS environment variable overrides it.
+100 degrees; every entry point takes an explicit precision instead.
 """
 
 import cmath
 import math
-import os
 from fractions import Fraction
 
 import mpmath as mp
@@ -49,12 +48,7 @@ from .poly import Polynomial, _ints
 
 
 def default_precision(n: int) -> int:
-    """Precision schedule in bits, overridable via FINFREE_PREC_BITS (a positive integer)."""
-    env = os.environ.get("FINFREE_PREC_BITS")
-    if env:
-        if not env.strip().isdecimal() or int(env) < 1:
-            raise InvalidParameters(f"FINFREE_PREC_BITS must be a positive integer, got {env!r}")
-        return int(env)
+    """Precision schedule in bits for degree n."""
     if n <= 100:
         return 256
     return 256 + 128 * math.ceil((n - 100) / 100)
@@ -212,14 +206,11 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
 
 def _conditioning_bits(b, deg):
     """Spread of coefficient magnitudes at the geometric root scale, from the
-    bit lengths b of the coefficients (None for zero).
+    bit lengths b of the coefficients (None for zero; c_0 and c_deg are nonzero).
 
     Evaluating p near its roots cancels roughly this many bits, so the base
     rung of the precision ladder must see past it.
     """
-    if b[0] is None or b[deg] is None:
-        known = [x for x in b if x is not None]
-        return int(max(known) - min(known)) if len(known) > 1 else 0
     log2_r = (b[0] - b[deg]) / deg  # |c_0 / c_n|^(1/deg)
     vals = [bk + k * log2_r for k, bk in enumerate(b) if bk is not None]
     return int(max(vals) - min(vals))

@@ -15,6 +15,7 @@ from finfree.errors import (
     VanishingFirstMoment,
 )
 from finfree.families import (
+    FamilyLimit,
     LimitParams,
     RationalSTransform,
     density_jp_typeI_r2,
@@ -65,6 +66,19 @@ def test_scaled_transform_is_dilation():
     # S_mu / 3 corresponds to dilating mu by 3: m_k -> 3^k m_k
     assert scaled.moments(4).m == tuple(F(3) ** k * m for k, m in enumerate(base.moments(4).m, 1))
     assert moments_from_curve(scaled.curve(), 4).m == scaled.moments(4).m
+
+
+def test_rational_s_transform_call():
+    st = RationalSTransform(A=(F(1, 2),), B=(F(0), F(2)))
+    # S(z) = (z + 3/2) / ((z + 1)(z + 3))
+    assert st(1) == F(5, 16) and st(F(1)) == F(5, 16)
+    value = st(1.0)
+    assert isinstance(value, float) and value == pytest.approx(5 / 16)
+
+
+def test_family_limit_moments_from_its_s_transform_alone():
+    st = RationalSTransform(A=(F(1, 2),), B=(F(0), F(2)))
+    assert FamilyLimit(family="jp1", s_transform=st).moments(6) == st.moments(6)
 
 
 def test_family_jp1_figure_cubic():

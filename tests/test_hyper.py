@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from finfree.conv import mult_conv
+from finfree.conv import add_conv, mult_conv
 from finfree.errors import DegreeDeficient, InadmissibleDenominator, ZeroDegree, ZeroMultiplier
 from finfree.hyper import (
     HypergeometricSpec,
@@ -21,6 +21,7 @@ from finfree.hyper import (
     pochhammer_rising,
     reversed_product_lhs,
     reversed_product_representation,
+    theorem_b_rhs,
 )
 from finfree.poly import Polynomial
 
@@ -137,6 +138,30 @@ def test_reversed_product_representation():
         reversed_product_lhs(s1, s2)
 
 
+def test_operator_series_read_a_negated_scale_as_the_sign():
+    # scale -1 and sign 1 both give the argument -x, so both are the paper's l = 1
+    t1 = HypergeometricSpec(n=4, a=(F(3, 2),), b=(F(7, 3),))
+    t2 = HypergeometricSpec(n=4, b=(F(9, 2),), scale=-1)
+    assert hyper_poly(t2) == hyper_poly(HypergeometricSpec(n=4, b=(F(9, 2),), sign=1))
+    assert theorem_b_rhs(t1, t2).proportional_to(add_conv(hyper_poly(t1), hyper_poly(t2), 4)) is not None
+    assert additive_hg_verify(t1, t2)
+    s1 = HypergeometricSpec(n=3, a=(F(3, 2),), b=(F(1),))
+    s2 = HypergeometricSpec(n=3, a=(F(7, 3),), b=(F(11, 2),), scale=-1)
+    assert reversed_product_lhs(s1, s2).proportional_to(reversed_product_representation(s1, s2)) is not None
+    assert reversed_product_lhs(s2, None).proportional_to(reversed_product_representation(s2, None)) is not None
+
+
+@pytest.mark.parametrize("argument", [{"scale": 2}, {"shift": 1}, {"scale": -1, "shift": 1}])
+def test_operator_series_reject_arguments_other_than_plus_minus_x(argument):
+    t1 = HypergeometricSpec(n=4, a=(F(3, 2),), b=(F(7, 3),))
+    t2 = HypergeometricSpec(n=4, b=(F(9, 2),), **argument)
+    for f in (theorem_b_rhs, reversed_product_lhs, additive_hg_verify):
+        with pytest.raises(ValueError, match="arguments"):
+            f(t1, t2)
+    with pytest.raises(ValueError):
+        hyper_mult_conv(t1, t2)
+
+
 def test_kdf_poly_r1_reduces_to_merged_series():
     spec = KdFSpec(n=3, a0=(F(1, 2),), b0=(F(4, 3),), groups=(((F(2),), (F(5, 2),)),), c=(1,))
     assert kdf_poly(spec, "all") == hyper_poly(
@@ -177,6 +202,14 @@ def test_kdf_factorizations():
         for mode in ("all", "one"):
             tree, scal = kdf_factorize(spec, mode)
             assert kdf_poly(spec, mode) == eval_tree(tree, n).scaled(scal)
+
+
+def test_kdf_factorize_a_vanishing_polynomial():
+    # the direct expansion and the tree both vanish: any scalar holds, and 1 is returned
+    spec = KdFSpec(n=1, a0=(F(1, 2),), b0=(F(-1, 2),), groups=(((0,), (F(-1, 2),)), ((-1,), (2,))), c=(2, 2))
+    tree, scal = kdf_factorize(spec, "one")
+    assert kdf_poly(spec, "one").is_zero and scal == 1
+    assert kdf_poly(spec, "one") == eval_tree(tree, 1).scaled(1)
 
 
 def test_kdf_reciprocal_relation():

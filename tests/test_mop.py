@@ -7,6 +7,7 @@ import pytest
 
 from finfree.conv import add_conv, mult_conv
 from finfree.errors import DuplicateC, InadmissibleDenominator, InvalidParameters
+from finfree.families import LimitParams, family_curves
 from finfree.hyper import HypergeometricSpec, hyper_poly, pochhammer_rising, reversed_product_representation
 from finfree.mop import (
     JPSpec,
@@ -17,10 +18,12 @@ from finfree.mop import (
     jp_condition_window,
     jp_typeI,
     jp_typeI_blocks,
+    jp_typeI_spec,
     jp_typeII,
     ml1_laguerre_factor,
     ml1_typeI,
     ml1_typeII,
+    ml1_typeI_spec,
     ml2_typeI,
     ml2_typeII,
     ml2_typeII_routes,
@@ -74,6 +77,25 @@ def test_jp_typeI_decomposition():
     assert P.proportional_to(acc) is not None
     # degree n_i - 1 = 0: a constant polynomial
     assert jp_typeI(JP, (1, 3), 1).degree == 0
+
+
+@pytest.mark.parametrize("family", ["jp1", "ml1-1"])
+def test_typeI_limit_is_the_growth_of_the_finite_parameters(family):
+    # along alpha = m A + delta, beta = m B, n = m theta the Type I parameters are
+    # affine in m; their slope over theta_i is the limit's A and B (as multisets)
+    theta, A, B = (F(1, 6), F(1, 3), F(1, 2)), (F(2), F(1, 2), F(5, 3)), F(3, 4)
+    delta = (F(1, 7), F(2, 5), F(3, 11))
+
+    def params(m, i):
+        alpha, n = tuple(m * a + d for a, d in zip(A, delta)), tuple(m * t for t in theta)
+        spec = jp_typeI_spec(JPSpec(alpha, m * B), n, i) if family == "jp1" else ml1_typeI_spec(ML1Spec(alpha), n, i)
+        return spec.a, spec.b
+
+    for i in (1, 2, 3):
+        (a1, b1), (a2, b2) = params(12, i), params(24, i)
+        st = family_curves(family, LimitParams(theta=theta, A=A, B=B, i=i)).s_transform
+        assert sorted((y - x) / 12 / theta[i - 1] for x, y in zip(a1, a2)) == sorted(st.A)
+        assert sorted((y - x) / 12 / theta[i - 1] for x, y in zip(b1, b2)) == sorted(st.B)
 
 
 def _jp_reversed_product(spec, n):
