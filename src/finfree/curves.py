@@ -10,6 +10,10 @@ consumers share it:
 * stieltjes_density      -- the on-axis root y0(x) reached from y(x + i eps)
                             and the Sokhotski-Plemelj density -Im y0/(pi x).
 
+All numerics go through one Newton solve on F(., u) as a polynomial in y:
+its coefficients a_i(u) are computed once per point (Horner in u), and each
+iterate is one Horner pass in y that gives F and F_y together.
+
 `newton_series_branch` expands a branch in integers: after the Taylor shift
 to the root, cleared denominators and u = c Z, v = c^2 w (c the pivot), the
 equation has integer coefficients and Z_n = y_n c^(2n - 1) is an integer.
@@ -41,13 +45,20 @@ class AlgebraicCurve:
             raise ValueError("zero curve")
         self.deg_y = max(i for i, _ in self.coeffs)
         self.deg_u = max(j for _, j in self.coeffs)
-        self._float = [(i, j, float(c)) for (i, j), c in sorted(self.coeffs.items())]
+        # float rows: y^deg_y down to y^0, each from u^deg_u down to u^0
+        self._rows = [
+            [float(self.coeffs.get((i, j), 0)) for j in range(self.deg_u, -1, -1)] for i in range(self.deg_y, -1, -1)
+        ]
 
-    def __call__(self, y, u):
-        return sum(c * y**i * u**j for i, j, c in self._float)
-
-    def dy(self, y, u):
-        return sum(c * i * y ** (i - 1) * u**j for i, j, c in self._float if i >= 1)
+    def _in_y(self, u):
+        """Coefficients a_i(u) = sum_j c_ij u^j of F(., u), y^deg_y first, by Horner in u."""
+        out = []
+        for row in self._rows:
+            a = row[0]
+            for c in row[1:]:
+                a = a * u + c
+            out.append(a)
+        return out
 
     def __repr__(self):
         return f"AlgebraicCurve({dict(sorted(self.coeffs.items()))})"
@@ -228,10 +239,15 @@ def reciprocal_moments_from_curve(curve: AlgebraicCurve, K: int):
 
 
 def _newton_point(curve, u, y0, tol=1e-13, maxiter=60):
+    """Newton on F(., u) from y0: a_i(u) once, then one Horner pass per iterate
+    gives F and F_y together (df <- df y + f before f <- f y + a_i)."""
+    lead, *rest = curve._in_y(u)
     y = complex(y0)
     for _ in range(maxiter):
-        f = curve(y, u)
-        df = curve.dy(y, u)
+        f, df = lead, 0
+        for c in rest:
+            df = df * y + f
+            f = f * y + c
         if df == 0:
             return None
         step = f / df

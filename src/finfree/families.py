@@ -546,8 +546,9 @@ def family_curves(family: str, params: LimitParams) -> FamilyLimit:
     ml1-2, ml2-2:  algebraic curve (rescaled Type II; compound free Poisson).
     ml2-1:         rational R-transform (pole/weight data).
     theta holds r >= 1 values, A 0 (read as zeros) or r values (ml2: 0 or 1), ml2 needs r
-    rates c_j > 0, pairwise distinct (the rule of ML2Spec), and Type I
-    1 <= i <= r.  Degenerate assumptions are flagged, not fatal.
+    rates c_j > 0, pairwise distinct (the rule of ML2Spec), jp needs B >= 0
+    (beta = B |n| + O(1) stays above -1), and Type I 1 <= i <= r.  Degenerate
+    assumptions are flagged, not fatal.
     """
     fam, r = resolve(family), len(params.theta)
     if r == 0:
@@ -559,6 +560,8 @@ def family_curves(family: str, params: LimitParams) -> FamilyLimit:
         if len(params.c) != r:
             raise InvalidParameters(f"{fam.name} needs one c per weight: {r}, got {len(params.c)}")
         _check_rates(params.c)
+    if fam.kind == "jp" and params.B < 0:
+        raise InvalidParameters(f"{fam.name} needs B >= 0, got B = {params.B}")
     if fam.type_ == "I" and not 1 <= params.i <= r:
         raise InvalidParameters(f"{fam.name} needs 1 <= i <= {r}, got i = {params.i}")
     params = params if params.A else replace(params, A=(Fraction(0),) * nA)

@@ -7,9 +7,10 @@ polynomial, and the non-crossing moment-cumulant transforms.
 
 Each dictionary is one triangular solve that runs either way: the finite
 free cumulants are Newton's identities (`poly._newton_solve`), and the
-non-crossing maps share one loop over NC(k).  The Kreweras complement of pi
-is the cycles of P_pi^-1 gamma, and pi is non-crossing iff |pi| + |Kr(pi)| =
-k + 1 (Nica-Speicher, Lecture 18).  The enumeration routines are oracles (for
+non-crossing maps sum over the block types of NC(k), each times its count
+in the enumeration.  The Kreweras complement of pi is the cycles of
+P_pi^-1 gamma, and pi is non-crossing iff |pi| + |Kr(pi)| = k + 1
+(Nica-Speicher, Lecture 18).  The enumeration routines are oracles (for
 `verify`, the tests and `series.free_mult_via_kreweras`); `series` computes
 the non-crossing maps by power series.  Everything is exact; enumeration is
 guarded at k <= 12 (Bell(12) ~ 4.2e6 is the practical wall for the full
@@ -20,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import factorial
+from math import factorial, prod
 
 from .errors import FloatBackendRejected, NotComparable, TooLarge, ZeroLeading
 from .poly import Polynomial, _newton_solve, _order
@@ -94,6 +95,22 @@ def _nc_raw(items):
 @lru_cache(maxsize=None)
 def _nc_cached(k):
     return tuple(enumerate_nc(k))
+
+
+def _sizes(pi):
+    return tuple(sorted(map(len, pi)))
+
+
+@lru_cache(maxsize=None)
+def _nc_types(k):
+    """(block sizes, count) over NC(k): r_pi depends on pi only through its block sizes."""
+    return tuple(Counter(map(_sizes, _nc_cached(k))).items())
+
+
+@lru_cache(maxsize=None)
+def _nc_kreweras_types(k):
+    """((sizes of pi, sizes of Kr(pi)), count) over NC(k)."""
+    return tuple(Counter((_sizes(pi), _sizes(_complement_cycles(pi))) for pi in _nc_cached(k)).items())
 
 
 def _owners(sigma, pi):
@@ -236,13 +253,14 @@ def cumulants_to_elementary(kappa, n):
 
 
 def _nc_solve(known, kmax, to_cumulants):
-    """One side of m_k = sum_{pi in NC(k)} r_pi from the other, k = 1..kmax, by enumeration.
+    """One side of m_k = sum_{pi in NC(k)} r_pi from the other, k = 1..kmax, by block type.
 
-    With rest = sum_{pi != 1_k} r_pi (blocks shorter than k only), m_k = r_k + rest.
+    With rest = sum_{pi != 1_k} r_pi (blocks shorter than k only), m_k = r_k + rest;
+    each block-size multiset of NC(k) enters once, times its count.
     """
     r, m = [None], [None]
     for k in range(1, _order(kmax, len(known)) + 1):
-        rest = sum((partition_product(r, pi) for pi in _nc_cached(k) if len(pi) > 1), start=Fraction(0))
+        rest = sum((n * prod(r[s] for s in sizes) for sizes, n in _nc_types(k) if len(sizes) > 1), start=Fraction(0))
         if to_cumulants:
             m.append(known[k - 1])
             r.append(m[k] - rest)
@@ -266,7 +284,8 @@ def multiplicative_cumulant_product(r_alpha, r_beta, jmax=None):
     """r_j(theta) = sum_{pi in NC(j)} r_pi(alpha) r_{Kr(pi)}(beta).
 
     The free-cumulant rule for a free multiplicative product; symmetric in
-    its arguments through the Kreweras bijection.
+    its arguments through the Kreweras bijection.  Summed over the pairs of
+    block types (pi, Kr(pi)), each once, times its count.
     """
     jmax = _order(jmax, min(len(r_alpha), len(r_beta)))
     va = [None] + list(r_alpha)
@@ -274,7 +293,7 @@ def multiplicative_cumulant_product(r_alpha, r_beta, jmax=None):
     out = []
     for j in range(1, jmax + 1):
         acc = Fraction(0)
-        for pi in _nc_cached(j):
-            acc += partition_product(va, pi) * partition_product(vb, _complement_cycles(pi))
+        for (sa, sb), n in _nc_kreweras_types(j):
+            acc += n * prod(va[s] for s in sa) * prod(vb[s] for s in sb)
         out.append(acc)
     return out

@@ -107,7 +107,7 @@ LAGUERRE = (("hyper", "--n", "6", "--b", "2", "--out", "lag.json"),)
      {"precision_bits": 256}),
     ((), ("limit", "--family", "jp1", "--theta", "1/3,2/3", "--K", "4", "--out", "fam.json",
           "--samples", "s.csv", "--grid", "7"), "s.csv",
-     "af0f1417988c94ff3b431fa1427a8061e76ae1af4d14a8add41e7e0c46293945",
+     "e100d0c8a89670eda9e972f7d7d67a63c3b9c49478c67a821ff2c14ef2f4ea92",
      {"precision_bits": None}),
 ], ids=["roots-complex", "roots-real", "hist", "limit-samples"])
 def test_csv_outputs_keep_their_bytes(tmp_path, setup, argv, name, digest, meta):
@@ -118,6 +118,33 @@ def test_csv_outputs_keep_their_bytes(tmp_path, setup, argv, name, digest, meta)
     assert set(sidecar) == {"command", "revision", *meta}
     assert {k: sidecar[k] for k in meta} == meta
     assert sidecar["command"] == "finfree " + " ".join(argv)
+
+
+def test_limit_samples_are_curve_roots_to_the_last_bits(tmp_path):
+    # the samples pinned above: each within 1e-14 relative of the branch root
+    # that 50-digit Newton reaches from it on the exact curve
+    import mpmath
+
+    argv = ("limit", "--family", "jp1", "--theta", "1/3,2/3", "--K", "4", "--out", "fam.json",
+            "--samples", "s.csv", "--grid", "7")
+    assert run(tmp_path, *argv) == 0
+    coeffs = json.loads((tmp_path / "fam.json").read_text())["curve"]
+    terms = [(*map(int, k.split(",")), F(v)) for k, v in coeffs.items()]
+    rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
+    assert len(rows) == 7
+    with mpmath.workdps(50):
+        terms = [(i, j, mpmath.mpf(c.numerator) / c.denominator) for i, j, c in terms]
+        for row in rows:
+            u_re, re_y, im_y = map(float, row.split(","))
+            u, y_csv = mpmath.mpc(u_re, 1e-3), mpmath.mpc(re_y, im_y)
+            y = y_csv
+            for _ in range(20):
+                f = sum(c * y**i * u**j for i, j, c in terms)
+                df = sum(c * i * y ** (i - 1) * u**j for i, j, c in terms if i)
+                step = f / df
+                y -= step
+            assert abs(step) < mpmath.mpf(10) ** -40 * abs(y)
+            assert abs(y_csv - y) <= 1e-14 * abs(y), row
 
 
 def test_verify_subcommand(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 
 from finfree.curves import (
     AlgebraicCurve,
+    _newton_point,
     curve_from_limits,
     curve_shifted,
     mass_branch_moments,
@@ -415,3 +416,75 @@ def test_branch_jump_detection():
     curve = mp_curve()
     with pytest.raises(BranchJump):
         solve_curve_branch(curve, [5.0, 2.0])
+
+
+def exact_value_and_dy(curve, y, u):
+    f = sum(c * y**i * u**j for (i, j), c in curve.coeffs.items())
+    return f, sum(c * i * y ** (i - 1) * u**j for (i, j), c in curve.coeffs.items() if i)
+
+
+def term_scales(curve, y, u):
+    """sum |term| of F and of F_y: the scale of any float evaluation's rounding error."""
+    return exact_value_and_dy(AlgebraicCurve({k: abs(c) for k, c in curve.coeffs.items()}), abs(y), abs(u))
+
+
+def double_sum_value_and_dy(curve, y, u):
+    """The generic double sum over the (i, j) terms that Newton evaluated before the Horner pass."""
+    terms = [(i, j, float(c)) for (i, j), c in sorted(curve.coeffs.items())]
+    return sum(c * y**i * u**j for i, j, c in terms), sum(c * i * y ** (i - 1) * u**j for i, j, c in terms if i >= 1)
+
+
+class Probe:
+    """A float u that carries itself through Newton's arithmetic unchanged and
+    records (f, df) at the step f / df: the production pass, observed."""
+
+    def __init__(self, v, seen):
+        self.v, self.seen = v, seen
+
+    def _wrap(self, v):
+        return Probe(v, self.seen)
+
+    def __add__(self, other):
+        return self._wrap(self.v + getattr(other, "v", other))
+
+    def __mul__(self, other):
+        return self._wrap(self.v * getattr(other, "v", other))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __eq__(self, other):
+        return self.v == getattr(other, "v", other)
+
+    def __truediv__(self, other):
+        self.seen.append((self.v, other.v))
+        return self.v / other.v
+
+
+def horner_value_and_dy(curve, y, u):
+    seen = []
+    _newton_point(curve, Probe(u, seen), y, tol=math.inf, maxiter=1)
+    return seen[0]
+
+
+# dyadic points, so each float (y, u) is exactly the rational one
+HORNER_POINTS = [(F(y), F(u)) for y in ("-5/4", "-1/2", "3/8", "7/4", "5/2") for u in ("-3/2", "1/4", "9/8", "3")]
+
+
+# the five families with a curve (ml2-1 has none) at r = 2, 3, and Marchenko-Pastur
+@pytest.mark.parametrize(
+    "family, r", [("mp", 1)] + [(f, r) for f in ("jp1", "ml1-1", "jp2", "ml1-2", "ml2-2") for r in (2, 3)]
+)
+def test_horner_pass_matches_exact_values_and_the_double_sum(family, r):
+    # relative to the sum of |terms|, the scale of Horner's rounding error bound:
+    # terms cancel at some points (ml1-2 at r = 3, (y, u) = (5/2, 3): F = 1/16)
+    curve = mp_curve() if family == "mp" else family_curves(family, limit_params(family, r)).curve
+    for y, u in HORNER_POINTS:
+        exact = exact_value_and_dy(curve, y, u)
+        horner = horner_value_and_dy(curve, float(y), float(u))
+        double = double_sum_value_and_dy(curve, float(y), float(u))
+        for h, d, e, scale in zip(horner, double, exact, term_scales(curve, y, u)):
+            assert abs(h - e) <= 1e-14 * scale and abs(d - e) <= 1e-14 * scale, (curve, y, u)
+        assert curve._in_y(float(u)) == pytest.approx(
+            [float(sum(c * u**j for (k, j), c in curve.coeffs.items() if k == i)) for i in range(curve.deg_y, -1, -1)],
+            rel=1e-15,
+        )

@@ -156,6 +156,16 @@ def test_family_curves_reject_an_empty_theta(family):
         family_curves(family, LimitParams())
 
 
+@pytest.mark.parametrize("family", ["jp1", "jp2"])
+def test_jacobi_pineiro_limits_need_a_nonnegative_beta_rate(family):
+    # beta = B |n| + O(1) must stay above -1; jp2 divided by 1 + B = 0 at B = -1
+    theta = (F(1, 2), F(1, 2))
+    for B in (F(-1), F(-1, 2)):
+        with pytest.raises(InvalidParameters, match="B >= 0"):
+            family_curves(family, LimitParams(theta=theta, B=B, i=1))
+    assert family_curves(family, LimitParams(theta=theta, B=F(0), i=1)).curve is not None
+
+
 def test_unknown_family():
     with pytest.raises(UnknownFamily):
         family_curves("nope", LimitParams(theta=(F(1),)))

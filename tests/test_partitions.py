@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -10,6 +11,8 @@ from finfree.conv import add_conv
 from finfree.errors import FloatBackendRejected, NotComparable, TooLarge
 from finfree.hyper import HypergeometricSpec, hyper_poly
 from finfree.partitions import (
+    _nc_kreweras_types,
+    _nc_types,
     cumulants_from_moments_nc,
     cumulants_to_elementary,
     enumerate_nc,
@@ -286,6 +289,45 @@ def test_multiplicative_cumulant_product():
     assert multiplicative_cumulant_product(ra, identity) == ra
     rb = [F(1, 2), F(3), F(0), F(-2), F(7, 5)]
     assert multiplicative_cumulant_product(ra, rb) == multiplicative_cumulant_product(rb, ra)
+
+
+def test_nc_block_type_counts_follow_kreweras_formula():
+    # NC(k) holds k! / ((k - b + 1)! prod_i m_i!) partitions with m_i blocks of size i, b blocks in all
+    integer_partitions = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
+    for k in range(1, 10):
+        types = dict(_nc_types(k))
+        assert len(types) == integer_partitions[k] and sum(types.values()) == comb(2 * k, k) // (k + 1)
+        for sizes, count in types.items():
+            assert sum(sizes) == k
+            ms = Counter(sizes).values()
+            assert count == factorial(k) // (factorial(k - len(sizes) + 1) * prod(map(factorial, ms)))
+        pairs = dict(_nc_kreweras_types(k))
+        marginal = Counter()
+        for (sa, sb), count in pairs.items():
+            assert len(sa) + len(sb) == k + 1 and sum(sb) == k
+            assert pairs[sb, sa] == count  # Kr is a bijection and Kr^2 a rotation
+            marginal[sa] += count
+        assert marginal == types
+
+
+def per_partition_cumulant_product(ra, rb):
+    """The loop over every pi in NC(j) that the block-type sum replaced."""
+    va, vb = [None] + ra, [None] + rb
+    return [
+        sum((partition_product(va, pi) * partition_product(vb, kreweras(pi)) for pi in enumerate_nc(j)), start=F(0))
+        for j in range(1, len(ra) + 1)
+    ]
+
+
+def test_block_type_sums_match_the_per_partition_loops():
+    rng = random.Random(77)
+    for _ in range(3):
+        ra, rb = ([F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(8)] for _ in range(2))
+        assert multiplicative_cumulant_product(ra, rb) == per_partition_cumulant_product(ra, rb)
+        va = [None] + ra
+        moments = [sum((partition_product(va, pi) for pi in enumerate_nc(k)), start=F(0)) for k in range(1, 9)]
+        assert moments_from_cumulants_nc(ra) == moments
+        assert cumulants_from_moments_nc(moments) == ra
 
 
 def test_multiplicative_rule_consistent_with_s_transforms():

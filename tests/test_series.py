@@ -58,7 +58,7 @@ def test_production_path_enumerates_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("partition enumeration on the production path")
 
-    for name in ("_partitions_raw", "_partitions_cached", "_nc_cached"):
+    for name in ("_partitions_raw", "_partitions_cached", "_nc_cached", "_nc_types", "_nc_kreweras_types"):
         monkeypatch.setattr(partitions, name, refuse)
     ma = FormalMomentSeries((F(1), F(3, 2), F(7, 3), F(4), F(13, 2), F(11)))
     mb = FormalMomentSeries((F(2), F(3), F(5), F(9), F(17), F(33)))
