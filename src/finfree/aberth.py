@@ -83,11 +83,11 @@ def _log2_abs(a):
     return math.log2(math.hypot(r, i)) + e
 
 
-def _mantissa(c, P):
-    """A Fraction as (m, e) with c ~ m 2^e, |m| in [2^(P-1), 2^P); zero as (0, _FAR)."""
-    if not c:
+def _mantissa(num, den, P):
+    """num / den (den > 0) as (m, e) with num / den ~ m 2^e, |m| in [2^(P-1), 2^P), m the
+    floor of num / den 2^-e: a function of the value alone; zero as (0, _FAR)."""
+    if not num:
         return 0, _FAR
-    num, den = c.numerator, c.denominator
     e = num.bit_length() - den.bit_length() - P
     m = (num << -e) // den if e <= 0 else num // (den << e)
     if m.bit_length() > P:

@@ -5,18 +5,18 @@ Additive:        e_k(p (+)_n q) = n^(k)_falling * sum_{i+j=k} e_i(p)/n^(i) * e_j
 
 Both are defined relative to the shared ambient degree n and require exact
 rational coefficients: the binomial ratio amplifies float error by
-C(n, n/2), so float-backend inputs are rejected outright.  The additive
-convolution runs on the integer kernel of `poly`: factorial-scaled
-numerators, each vector divided by its content (the gcd of its entries),
-one integer product, then one Fraction per output coefficient.
+C(n, n/2), so float-backend inputs are rejected outright.  Both read and
+write the integer form of `Polynomial` (numerators over one denominator);
+the additive one multiplies factorial-scaled numerators, each vector
+divided by its content (the gcd of its entries), in one integer product.
 """
 
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .errors import DegreeMismatch, FloatBackendRejected
-from .poly import Polynomial, _ints, _mul_ints
+from .poly import Polynomial, _mul_ints
 
 
 def _check(p, q, n):
@@ -27,13 +27,16 @@ def _check(p, q, n):
 
 
 def mult_conv(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
-    """n-th multiplicative finite free convolution of p and q."""
+    """n-th multiplicative finite free convolution of p and q.
+
+    With e_k(p) = a_k / ad, e_k(q) = b_k / bd and L the lcm of the binomials
+    C(n, k), the numerators are a_k b_k (L / C(n, k)) over ad bd L.
+    """
     _check(p, q, n)
-    e = [
-        Fraction(a.numerator * b.numerator, a.denominator * b.denominator * comb(n, k))
-        for k, (a, b) in enumerate(zip(p.e, q.e))
-    ]
-    return Polynomial(n, e)
+    (a, ad), (b, bd) = p._int_form(), q._int_form()
+    binoms = [comb(n, k) for k in range(n + 1)]
+    L = reduce(lcm, binoms)
+    return Polynomial._from_ints(n, [x * y * (L // c) for x, y, c in zip(a, b, binoms)], ad * bd * L)
 
 
 def add_conv(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
@@ -46,11 +49,12 @@ def add_conv(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
     formula becomes e_k = (a * b)_k / (pd qd n! (n-k)!).  The factorials give
     a and b a large content (g_b = gcd(b) has ~800 bits for F(-n; b'; x) at
     n = 160), so the product runs on a' = a/g_a and b' = b/g_b,
-    and e_k = (a' * b')_k u / (v (n-k)!) with u/v = g_a g_b / (pd qd n!).
+    and e_k = (a' * b')_k u / (v (n-k)!) with u/v = g_a g_b / (pd qd n!):
+    numerators (a' * b')_k u n!/(n-k)! over v n!.
     """
     if p.n != n or q.n != n:
         raise DegreeMismatch(f"ambient degrees ({p.n}, {q.n}) do not match n={n}")
-    (a, pd), (b, qd) = _ints(p.e, n), _ints(q.e, n)  # rejects float coefficients
+    (a, pd), (b, qd) = p._int_form(), q._int_form()  # rejects float coefficients
     fact = [1]
     for k in range(1, n + 1):
         fact.append(fact[-1] * k)
@@ -63,7 +67,7 @@ def add_conv(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
     g = gcd(u, v)
     u, v = u // g, v // g
     ab = _mul_ints([c // ga for c in a], [c // gb for c in b], n)
-    return Polynomial(n, [Fraction(c * u, v * fact[n - k]) for k, c in enumerate(ab)])
+    return Polynomial._from_ints(n, [c * u * (fact[n] // fact[n - k]) for k, c in enumerate(ab)], v * fact[n])
 
 
 def check_identity_dilation_distribute(p, q, n, alpha) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import perm, prod
+from math import gcd, perm, prod
 
 from .conv import add_conv, mult_conv
 from .errors import (
@@ -33,8 +33,7 @@ from .errors import (
     ZeroMultiplier,
     ZeroScale,
 )
-from .poly import Polynomial
-from .series import series_mul
+from .poly import Polynomial, _mul_ints
 
 
 def pochhammer_rising(a, k: int) -> Fraction:
@@ -56,14 +55,19 @@ def _tuple_of_fractions(xs):
 
 
 def _ratio_table(num, den, c, n):
-    """t_k = c^k prod (num)_k / (prod (den)_k k!) for k = 0..n, by the term ratio.
+    """t_k = c^k prod (num)_k / (prod (den)_k k!) for k = 0..n, by the term ratio,
+    as (nums, d): t_k = nums[k] / d, primitive (d is the lcm of the reduced
+    denominators).
 
     With each parameter read once as u/v, the ratio t_{k+1}/t_k is one
-    integer quotient,
+    integer quotient top/bot,
 
-        c_u prod_den v prod_num (u + k v) / (c_v prod_num v (k+1) prod_den (u + k v)),
+        c_u prod_den v prod_num (u + k v) / (c_v prod_num v (k+1) prod_den (u + k v)).
 
-    so each step costs one Fraction.  Once a term vanishes the rest are zero,
+    The running numerator x_k of t_k over D_k = m_0 ... m_(k-1) steps as
+    x_(k+1) = x_k top / g, m_k = bot / g with g = gcd(x_k top, bot), one gcd
+    against the small bot; D_n is then the lcm of the denominators, and
+    nums[k] = x_k m_k ... m_(n-1).  Once a term vanishes the rest are zero,
     but every denominator is still checked.
     """
     c = Fraction(c)
@@ -71,21 +75,28 @@ def _ratio_table(num, den, c, n):
     den = [(y.numerator, y.denominator) for y in map(Fraction, den)]
     top0 = c.numerator * prod(v for _, v in den)
     bot0 = c.denominator * prod(v for _, v in num)
-    last = Fraction(1)
-    out = [last]
+    x, xs, ms = 1, [1], []
     for k in range(n):
         bot = bot0 * (k + 1)
         for u, v in den:
             bot *= u + k * v
         if bot == 0:
             raise InadmissibleDenominator("coefficient table hits a vanishing denominator; spec not full-degree")
-        if last:
+        if x:
             top = top0
             for u, v in num:
                 top *= u + k * v
-            last = last * Fraction(top, bot)
-        out.append(last)
-    return out
+            x *= top
+        g = gcd(x, bot) if bot > 0 else -gcd(x, bot)
+        x //= g
+        xs.append(x)
+        ms.append(bot // g)
+    d = 1
+    for k in range(n, 0, -1):
+        xs[k] *= d
+        d *= ms[k - 1]
+    xs[0] = d
+    return xs, d
 
 
 @dataclass(frozen=True)
@@ -134,7 +145,7 @@ def hyper_poly(spec: HypergeometricSpec) -> Polynomial:
     """
     n = spec.n
     c = -spec.scale if spec.sign else spec.scale
-    table = Polynomial.from_monomial(_ratio_table((-n,) + spec.a, spec.b, c, n), n)
+    table = Polynomial._from_mono_ints(n, *_ratio_table((-n,) + spec.a, spec.b, c, n))
     return table.shift(-spec.shift / spec.scale) if spec.shift else table
 
 
@@ -186,7 +197,8 @@ def _argument_parity(spec: HypergeometricSpec) -> int:
 
 def _operator_series(spec: HypergeometricSpec):
     """Truncated symbol of F(-b-n+1; -a-n+1; (-1)^(i+j+l+1) t) to order n,
-    for the factor F(-n, a; b; (-1)^l x) that `spec` describes.
+    for the factor F(-n, a; b; (-1)^l x) that `spec` describes, as
+    _ratio_table's (numerators, denominator).
 
     Only the first n+1 coefficients act on x^n, so the (generally
     non-terminating) series is cut there.
@@ -200,9 +212,10 @@ def theorem_b_rhs(spec1: HypergeometricSpec, spec2: HypergeometricSpec) -> Polyn
     if spec1.n != spec2.n:
         raise DegreeMismatch("specs must share the degree")
     n = spec1.n
-    prod = series_mul(_operator_series(spec1), _operator_series(spec2), n)
+    (a, ad), (b, bd) = _operator_series(spec1), _operator_series(spec2)
+    s = _mul_ints(a, b, n)
     # S(d/dx)[x^n] = sum_k s_k n^(k)_falling x^(n-k)
-    return Polynomial.from_monomial([prod[n - m] * perm(n, n - m) for m in range(n + 1)], n)
+    return Polynomial._from_mono_ints(n, [s[n - m] * perm(n, n - m) for m in range(n + 1)], ad * bd)
 
 
 def additive_hg_verify(spec1: HypergeometricSpec, spec2: HypergeometricSpec) -> bool:
@@ -249,12 +262,13 @@ def reversed_product_lhs(spec1: HypergeometricSpec, spec2: HypergeometricSpec | 
     Arguments (+-) x only, as in theorem_b_rhs.
     """
     n = spec1.n
-    prod = _operator_series(spec1)
+    s, d = _operator_series(spec1)
     if spec2 is not None:
-        prod = series_mul(prod, _operator_series(spec2), n)
-    if prod[n] == 0:
+        b, bd = _operator_series(spec2)
+        s, d = _mul_ints(s, b, n), d * bd
+    if s[n] == 0:
         raise DegreeDeficient("product has degree < n; reversal drops degree")
-    return Polynomial.from_monomial(prod, n).reverse()
+    return Polynomial._from_mono_ints(n, s[::-1], d)
 
 
 # -- Kampe de Feriet polynomials ----------------------------------------------
@@ -313,17 +327,17 @@ def kdf_poly(spec: KdFSpec, mode: str = "all") -> Polynomial:
         raise ValueError("mode must be 'all' or 'one'")
     if mode == "one" and not spec.groups:
         raise ValueError("mode 'one' needs a variable group")
-    head = _ratio_table((-n, 1) + spec.a0, spec.b0, 1, n)
+    head, d = _ratio_table((-n, 1) + spec.a0, spec.b0, 1, n)
     tables = [_ratio_table(a, b, c, n) for (a, b), c in zip(spec.groups, spec.c)]
-    first = tables.pop(0) if mode == "one" else None
-    prod = [Fraction(1)] + [Fraction(0)] * n
-    for t in tables:
-        prod = series_mul(prod, t, n)
+    first, fd = tables.pop(0) if mode == "one" else (None, 1)
+    g = [1] + [0] * n
+    for t, td in tables:
+        g, d = _mul_ints(g, t, n), d * td
     if mode == "all":
-        return Polynomial.from_monomial([h * g for h, g in zip(head, prod)], n)
-    # sum_{k>=l} head_k prod_{k-l} is [t^(n-l)] of (head reversed) * prod
-    corr = series_mul(head[::-1], prod, n)
-    return Polynomial.from_monomial([first[l] * corr[n - l] for l in range(n + 1)], n)
+        return Polynomial._from_mono_ints(n, [h * x for h, x in zip(head, g)], d)
+    # sum_{k>=l} head_k g_{k-l} is [t^(n-l)] of (head reversed) * g
+    corr = _mul_ints(head[::-1], g, n)
+    return Polynomial._from_mono_ints(n, [first[l] * corr[n - l] for l in range(n + 1)], d * fd)
 
 
 # expression tree nodes for the factorizations

@@ -21,6 +21,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, inf, prod
+from operator import mul
 
 import mpmath as mp
 
@@ -35,8 +36,7 @@ from .hyper import (
     pochhammer_rising,
     reversed_product_representation,
 )
-from .poly import Polynomial
-from .series import series_mul
+from .poly import Polynomial, _mul_ints
 
 # -- family specs ----------------------------------------------------------------
 
@@ -205,8 +205,9 @@ def ml2_typeI(spec: ML2Spec, n, i) -> Polynomial:
     """
     _check_index(spec, n, i)
     m, factors = n[i - 1] - 1, _ml2_factors(spec.alpha, spec.c, n, i)
-    lead, gen = _ml2_leading(factors, m), _binomial_series(factors, m)
-    return Polynomial(m, [lead * f * g for f, g in zip(_ratio_table((-m, 1), (), -1, m), gen)])
+    lead, (gen, gd) = _ml2_leading(factors, m), _binomial_series(factors, m)
+    falling, fd = _ratio_table((-m, 1), (), -1, m)
+    return Polynomial._from_ints(m, [lead.numerator * f * g for f, g in zip(falling, gen)], lead.denominator * fd * gd)
 
 
 def _ml2_leading(factors, m):
@@ -215,11 +216,12 @@ def _ml2_leading(factors, m):
 
 
 def _binomial_series(powers, K):
-    """prod (1 + t/x)^p over the pairs (x, p), as exact series coefficients of t^0..t^K."""
-    out = [Fraction(1)]
+    """prod (1 + t/x)^p over the pairs (x, p), as the numerators of t^0..t^K over one denominator."""
+    out, d = [1] + [0] * K, 1
     for x, p in powers:
-        out = series_mul(out, _ratio_table((-p,), (), -1 / x, K), K)
-    return out
+        t, td = _ratio_table((-p,), (), -1 / x, K)
+        out, d = _mul_ints(out, t, K), d * td
+    return out, d
 
 
 # -- Type II constructors -----------------------------------------------------------
@@ -238,10 +240,9 @@ def jp_typeII(spec: JPSpec, n) -> Polynomial:
     """
     _check_index(spec, n)
     N = sum(n)
-    inverse_power = _ratio_table((spec.beta,), (), 1, N)
-    num, den = _jp_rodrigues(spec.alpha, n)
-    rodrigues = _ratio_table((-spec.beta - N, *num), den, 1, N)
-    return Polynomial.from_monomial(series_mul(inverse_power, rodrigues, N), N).monicized()
+    (a, ad), (num, den) = _ratio_table((spec.beta,), (), 1, N), _jp_rodrigues(spec.alpha, n)
+    b, bd = _ratio_table((-spec.beta - N, *num), den, 1, N)
+    return Polynomial._from_mono_ints(N, _mul_ints(a, b, N), ad * bd).monicized()
 
 
 def _jp_rodrigues(alpha, n, one=1):
@@ -316,8 +317,8 @@ def ml2_typeII(spec: ML2Spec, n) -> Polynomial:
     """
     _check_index(spec, n)
     N = sum(n)
-    falling = _ratio_table((-spec.alpha - N, 1), (), -1, N)
-    return Polynomial(N, [f * g for f, g in zip(falling, _binomial_series(zip(spec.c, n), N))]).monicized()
+    (falling, fd), (gen, gd) = _ratio_table((-spec.alpha - N, 1), (), -1, N), _binomial_series(zip(spec.c, n), N)
+    return Polynomial._from_ints(N, [f * g for f, g in zip(falling, gen)], fd * gd).monicized()
 
 
 def _ml2_direct(spec: ML2Spec, n) -> Polynomial:
@@ -356,7 +357,8 @@ def _bounded_compositions(total, bounds):
 
 
 def _moment_ratios(weight, top):
-    """rho(0..top): (a+1)_m / (a+b+2)_m for the Beta weight, (a+1)_m / c^m for Gamma."""
+    """rho(0..top): (a+1)_m / (a+b+2)_m for the Beta weight, (a+1)_m / c^m for Gamma,
+    as _ratio_table's (numerators, denominator)."""
     a, b, c = weight
     if c is None:
         return _ratio_table((a + 1, 1), (a + b + 2,), 1, top)
@@ -373,9 +375,9 @@ def _moment_constant(weight):
 
 def _moment_rows(poly, weight, count):
     """R(k) = (int poly x^k w) / C for k < count, as exact Fractions."""
-    mono = poly.to_monomial()
-    rho = _moment_ratios(weight, len(mono) + count - 2)
-    return [sum(p * rho[i + k] for i, p in enumerate(mono)) for k in range(count)]
+    mono, pd = poly._mono_ints()
+    rho, rd = _moment_ratios(weight, len(mono) + count - 2)
+    return [Fraction(sum(map(mul, mono, rho[k:])), pd * rd) for k in range(count)]
 
 
 def _scale_free_residual(moments, top, what):

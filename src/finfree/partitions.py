@@ -223,16 +223,16 @@ def finite_free_cumulants(p: Polynomial, upto=None):
     without enumerating P(j).  Requires full ambient degree and the exact
     backend.
     """
-    if p.e[0] == 0:
+    if p.degree < p.n:
         raise ZeroLeading("finite free cumulants need degree exactly n")
     if not p.exact:
         raise FloatBackendRejected("finite free cumulants need exact rational coefficients")
-    n = p.n
+    n, (nums, _) = p.n, p._int_form()
     m = n if upto is None else _order(min(upto, n), n)
     sigma, falling = [], 1
     for k in range(1, m + 1):
         falling *= n - k + 1
-        sigma.append(p.e[k] / (p.e[0] * falling))
+        sigma.append(Fraction(nums[k], nums[0] * falling))
     return [n ** (j - 1) * s for j, s in enumerate(_newton_solve(sigma, to_power_sums=True), start=1)]
 
 

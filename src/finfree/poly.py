@@ -10,14 +10,20 @@ polynomial of the roots.  Both finite free convolutions are native in this
 convention, which is why it is the canonical form; converters to and from
 the ordinary monomial basis are lossless.
 
-Coefficients are exact rationals (fractions.Fraction) by default.  Floats /
-mpmath values are tolerated for evaluation-style work, but any operation that
-must be exact refuses them with FloatBackendRejected.
+An exact polynomial is stored as one primitive integer vector over one
+denominator: e_j = nums[j] / den with den > 0 and gcd(nums..., den) = 1, so
+equal polynomials store equal integers.  The kernels (here, in `conv`,
+`hyper`, `mop` and `roots`) read and write that form, one content gcd per
+output polynomial, and a chain of them builds no Fraction.  `.e`, the tuple
+of Fractions, is built from it on first use and cached.  A polynomial built
+from rationals (`Polynomial(n, e)`, `from_monomial`) keeps its Fractions and
+derives the integer form once, on first use by a kernel.  Floats / mpmath
+values are tolerated for evaluation-style work and keep their tuple, but
+any operation that must be exact refuses them with FloatBackendRejected.
 
-The exact kernel below is shared by every layer: a vector of rationals
-becomes integer numerators over one common denominator, the loops run on
-Python ints, and each output coefficient becomes one Fraction.  `shift`,
-`mul` and `from_roots` run on it and are exact-only.
+The list helpers below (`_ints`, `_mul_ints`, `_reduced`, `_newton_solve`)
+serve `series` as well: a vector of rationals becomes integer numerators
+over one common denominator, and the loops run on Python ints.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import json
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import FloatBackendRejected, ZeroDilation, ZeroLeading
 
@@ -114,6 +120,11 @@ def _as_coeff(x):
     return x
 
 
+def _alternate(v):
+    """(-1)^j v_j: e_j = (-1)^j c_(n-j) between the e-order and the monomial coefficients."""
+    return [-x if j % 2 else x for j, x in enumerate(v)]
+
+
 class Polynomial:
     """Immutable dense polynomial with an explicit ambient degree n.
 
@@ -122,7 +133,7 @@ class Polynomial:
     of the value.
     """
 
-    __slots__ = ("n", "e")
+    __slots__ = ("n", "_e", "_nums", "_den")
 
     def __init__(self, n, coeffs_e):
         coeffs_e = tuple(_as_coeff(c) for c in coeffs_e)
@@ -131,10 +142,57 @@ class Polynomial:
         if len(coeffs_e) != n + 1:
             raise ValueError(f"need exactly n+1={n + 1} coefficients, got {len(coeffs_e)}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "e", coeffs_e)
+        object.__setattr__(self, "_e", coeffs_e)
+        object.__setattr__(self, "_nums", None)
+        object.__setattr__(self, "_den", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def _from_ints(cls, n, nums, den):
+        """e_j = nums[j] / den for n+1 integers and den != 0, made primitive by one content gcd."""
+        c = reduce(gcd, nums, den)
+        if den < 0:
+            c = -c
+        if c != 1:
+            nums, den = [x // c for x in nums], den // c
+        p = object.__new__(cls)
+        for name, value in (("n", n), ("_e", None), ("_nums", tuple(nums)), ("_den", den)):
+            object.__setattr__(p, name, value)
+        return p
+
+    @classmethod
+    def _from_mono_ints(cls, n, mono, den):
+        """Monomial coefficients mono[m] / den of x^m, m = 0..len(mono) - 1 <= n."""
+        return cls._from_ints(n, _alternate([0] * (n + 1 - len(mono)) + mono[::-1]), den)
+
+    def _int_form(self):
+        """(nums, den) with e_j = nums[j] / den, primitive; a polynomial built from
+        rationals reads it off its Fractions once.  Float or mpmath coefficients
+        raise FloatBackendRejected."""
+        if self._nums is None:
+            nums, den = _ints(self._e, self.n)  # reduced Fractions over their lcm: primitive
+            object.__setattr__(self, "_nums", tuple(nums))
+            object.__setattr__(self, "_den", den)
+        return self._nums, self._den
+
+    def _mono_ints(self):
+        """The monomial numerators c_0..c_n of the integer form, and its denominator."""
+        nums, den = self._int_form()
+        return _alternate(nums)[::-1], den
+
+    @property
+    def e(self):
+        """e_0..e_n: Fractions for an exact polynomial (built once, then cached), else the values given."""
+        if self._e is None:
+            den = self._den
+            object.__setattr__(self, "_e", tuple(Fraction(c, den) for c in self._nums))
+        return self._e
+
+    def _stored(self):
+        """The integer numerators when known, else the coefficients: either has the zeros of e."""
+        return self._e if self._nums is None else self._nums
 
     # -- constructors -------------------------------------------------------
 
@@ -169,49 +227,52 @@ class Polynomial:
             u, v = r.numerator, r.denominator
             mono = [-u * mono[0]] + [v * a - u * b for a, b in zip(mono, mono[1:])] + [v * mono[-1]]
             den *= v
-        return cls.from_monomial([Fraction(c, den) for c in mono], n)
+        return cls._from_mono_ints(n, mono, den)
 
     @classmethod
     def linear_power(cls, alpha, n):
         """(x - alpha)^n in ambient degree n; e_j = C(n,j) alpha^j."""
         a = _as_coeff(alpha)
-        return cls(n, [comb(n, j) * a**j for j in range(n + 1)])
+        if not isinstance(a, Fraction):
+            return cls(n, [comb(n, j) * a**j for j in range(n + 1)])
+        u, v = a.numerator, a.denominator
+        return cls._from_ints(n, [comb(n, j) * u**j * v ** (n - j) for j in range(n + 1)], v**n)
 
     @classmethod
     def zero(cls, n):
-        return cls(n, [Fraction(0)] * (n + 1))
+        return cls._from_ints(n, [0] * (n + 1), 1)
 
     @classmethod
     def x_power(cls, n):
         """x^n, i.e. e_0 = 1 and all other e_j = 0."""
-        return cls(n, [Fraction(1)] + [Fraction(0)] * n)
+        return cls._from_ints(n, [1] + [0] * n, 1)
 
     # -- basic structure -----------------------------------------------------
 
     @property
     def exact(self):
-        return all(isinstance(c, _EXACT_TYPES) for c in self.e)
+        return self._nums is not None or all(isinstance(c, _EXACT_TYPES) for c in self._e)
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.e)
+        return not any(self._stored())
 
     @property
     def degree(self):
         """Actual degree, or -1 for the zero polynomial."""
-        for j in range(self.n + 1):
-            if self.e[j] != 0:
+        for j, c in enumerate(self._stored()):
+            if c != 0:
                 return self.n - j
         return -1
 
     @property
     def monic(self):
-        return self.e[0] == 1
+        return self._e[0] == 1 if self._nums is None else self._nums[0] == self._den
 
     def to_monomial(self):
         """Coefficients c_0..c_n of ascending powers."""
-        n = self.n
-        return tuple(_signed(self.e[n - m], n - m) for m in range(n + 1))
+        n, e = self.n, self.e
+        return tuple(_signed(e[n - m], n - m) for m in range(n + 1))
 
     def coeff(self, m):
         """Monomial coefficient of x^m."""
@@ -226,41 +287,46 @@ class Polynomial:
             raise ZeroDilation("dilation scale must be nonzero")
         if not (isinstance(a, Fraction) and self.exact):
             return Polynomial(self.n, [a**j * c for j, c in enumerate(self.e)])
-        u, v = a.numerator, a.denominator
-        return Polynomial(self.n, [Fraction(c.numerator * u**j, c.denominator * v**j) for j, c in enumerate(self.e)])
+        (nums, den), n, u, v = self._int_form(), self.n, a.numerator, a.denominator
+        return Polynomial._from_ints(n, [c * u**j * v ** (n - j) for j, c in enumerate(nums)], den * v**n)
 
     def shift(self, alpha):
         """p(x - alpha), expanded exactly (Taylor shift).
 
-        With alpha = u/v and monomial coefficients N_m / D, the integers
-        s_m = N_m u^m v^(n-m) are the coefficients of v^n D p(u y / v); a
-        Taylor shift by -1 (Pascal's rule, integer additions only) gives t,
-        and the coefficient of x^k is t_k / (u^k v^(n-k) D).
+        With alpha = u/v and monomial coefficients N_m / D, r(y) = v^n D p(y / v)
+        has the integer coefficients N_m v^(n-m).  A Taylor shift by -u (integer
+        steps only) gives r(y - u) = sum_k t_k y^k, and p(x - alpha) =
+        r(v x - u) / (v^n D) = sum_k t_k v^k x^k / (v^n D).
         """
         a = _as_coeff(alpha)
         _require_exact([a])
         if a == 0:
             return self
         n, u, v = self.n, a.numerator, a.denominator
-        nums, den = _ints(self.to_monomial(), n)
-        upow, vpow = [u**k for k in range(n + 1)], [v**k for k in range(n + 1)]
-        t = [c * upow[m] * vpow[n - m] for m, c in enumerate(nums)]
+        mono, den = self._mono_ints()
+        t = [c * v ** (n - m) for m, c in enumerate(mono)]
         for i in range(n):
             for j in range(n - 1, i - 1, -1):
-                t[j] -= t[j + 1]
-        return Polynomial.from_monomial([Fraction(c, upow[k] * vpow[n - k] * den) for k, c in enumerate(t)], n)
+                t[j] -= u * t[j + 1]
+        return Polynomial._from_mono_ints(n, [c * v**k for k, c in enumerate(t)], den * v**n)
 
     def reverse(self):
-        """Reversed polynomial p*(x) = x^n p(1/x); roots map t -> 1/t."""
-        mono = self.to_monomial()
-        return Polynomial.from_monomial(list(reversed(mono)), self.n)
+        """Reversed polynomial p*(x) = x^n p(1/x); roots map t -> 1/t, e_j -> (-1)^n e_(n-j)."""
+        if not self.exact:
+            return Polynomial.from_monomial(list(reversed(self.to_monomial())), self.n)
+        nums, den = self._int_form()
+        return Polynomial._from_ints(self.n, [-c for c in reversed(nums)] if self.n % 2 else nums[::-1], den)
 
     def derivative(self):
-        """d/dx p, with ambient degree n-1."""
-        if self.n == 0:
-            return Polynomial(0, [Fraction(0)])
-        mono = self.to_monomial()
-        return Polynomial.from_monomial([m * mono[m] for m in range(1, self.n + 1)], self.n - 1)
+        """d/dx p, with ambient degree n-1: e_j -> (n - j) e_j."""
+        n = self.n
+        if n == 0:
+            return Polynomial.zero(0)
+        if not self.exact:
+            mono = self.to_monomial()
+            return Polynomial.from_monomial([m * mono[m] for m in range(1, n + 1)], n - 1)
+        nums, den = self._int_form()
+        return Polynomial._from_ints(n - 1, [(n - j) * c for j, c in enumerate(nums[:n])], den)
 
     def evaluate(self, x):
         """Horner evaluation; works for Fraction, float, complex, mpmath."""
@@ -275,23 +341,33 @@ class Polynomial:
     def scaled(self, c):
         """c * p, same ambient degree."""
         c = _as_coeff(c)
-        return Polynomial(self.n, [c * v for v in self.e])
+        if not (isinstance(c, Fraction) and self.exact):
+            return Polynomial(self.n, [c * v for v in self.e])
+        nums, den = self._int_form()
+        return Polynomial._from_ints(self.n, [c.numerator * x for x in nums], den * c.denominator)
+
+    def _combine(self, other, op):
+        """self op other coefficientwise, op = add or sub."""
+        if self.n != other.n:
+            raise ValueError("ambient degrees differ")
+        if not (self.exact and other.exact):
+            return Polynomial(self.n, list(map(op, self.e, other.e)))
+        (a, ad), (b, bd) = self._int_form(), other._int_form()
+        g = gcd(ad, bd)
+        ka, kb = bd // g, ad // g  # over lcm(ad, bd) = ad * ka
+        return Polynomial._from_ints(self.n, [op(x * ka, y * kb) for x, y in zip(a, b)], ad * ka)
 
     def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("ambient degrees differ")
-        return Polynomial(self.n, [a + b for a, b in zip(self.e, other.e)])
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        if self.n != other.n:
-            raise ValueError("ambient degrees differ")
-        return Polynomial(self.n, [a - b for a, b in zip(self.e, other.e)])
+        return self._combine(other, sub)
 
     def mul(self, other):
         """Plain polynomial product; ambient degrees add."""
         n = self.n + other.n
-        (a, ad), (b, bd) = _ints(self.to_monomial(), n), _ints(other.to_monomial(), n)
-        return Polynomial.from_monomial([Fraction(c, ad * bd) for c in _mul_ints(a, b, n)], n)
+        (a, ad), (b, bd) = self._mono_ints(), other._mono_ints()
+        return Polynomial._from_mono_ints(n, _mul_ints(a + [0] * other.n, b + [0] * self.n, n), ad * bd)
 
     def divide_linear(self, root):
         """Exact division by (x - root); raises if the remainder is nonzero."""
@@ -308,15 +384,22 @@ class Polynomial:
 
     def monicized(self):
         """p / e_0; requires full ambient degree."""
-        if self.e[0] == 0:
+        if self.degree < self.n:
             raise ZeroLeading("cannot monicize: leading coefficient vanishes")
-        c = self.e[0]
-        return Polynomial(self.n, [v / c for v in self.e])
+        if not self.exact:
+            c = self.e[0]
+            return Polynomial(self.n, [v / c for v in self.e])
+        nums, _ = self._int_form()
+        return Polynomial._from_ints(self.n, nums, nums[0])
 
     # -- comparisons -------------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.n == other.n and self.e == other.e
+        if not isinstance(other, Polynomial) or self.n != other.n:
+            return False
+        if self.exact and other.exact:
+            return self._int_form() == other._int_form()
+        return self.e == other.e
 
     def __hash__(self):
         return hash((self.n, self.e))
@@ -325,13 +408,19 @@ class Polynomial:
         """Return scalar c with self == c * other, or None if not proportional."""
         if self.n != other.n:
             return None
+        if self.exact and other.exact:
+            (a, ad), (b, bd) = self._int_form(), other._int_form()
+            j = next((j for j, y in enumerate(b) if y), None)
+            if j is None or not a[j] or any(x * b[j] != y * a[j] for x, y in zip(a, b)):
+                return None
+            return Fraction(a[j] * bd, b[j] * ad)
         c = None
         for a, b in zip(self.e, other.e):
             if b == 0:
                 if a != 0:
                     return None
                 continue
-            r = Fraction(a, 1) / b if isinstance(a, _EXACT_TYPES) and isinstance(b, _EXACT_TYPES) else a / b
+            r = a / b
             if c is None:
                 c = r
             elif r != c:
@@ -349,10 +438,17 @@ class Polynomial:
         """Power sums p_k = sum lambda_i^k for k = 1..kmax via Newton's identities.
 
         Requires full ambient degree (e_0 != 0); exact in the rational backend.
+        kmax may exceed n (the power sums go on); a negative kmax raises ValueError.
         """
-        if self.e[0] == 0:
+        if kmax < 0:
+            raise ValueError(f"order {kmax} is negative")
+        if self.degree < self.n:
             raise ZeroLeading("power sums need e_0 != 0")
-        sigma = [c / self.e[0] for c in self.e[1 : kmax + 1]]  # sigma_j of the root multiset
+        if self.exact:  # sigma_j of the root multiset
+            nums, _ = self._int_form()
+            sigma = [Fraction(c, nums[0]) for c in nums[1 : kmax + 1]]
+        else:
+            sigma = [c / self.e[0] for c in self.e[1 : kmax + 1]]
         return _newton_solve(sigma + [0] * (kmax - len(sigma)), to_power_sums=True)
 
     def root_moments(self, kmax):

@@ -2,7 +2,8 @@
 
 The finder is Aberth-Ehrlich simultaneous iteration in software floating
 point on Python integers (`aberth.py`).  The coefficients are read exactly
-(floats and mpmath reals are the dyadic rationals they denote) and
+as integer numerators over one denominator (an exact polynomial's integer
+form; floats and mpmath reals are the dyadic rationals they denote) and
 converted once per rung.  A precision ladder polishes from a cheap pass up
 to the requested precision, each root to the Adams residual criterion.
 Roots come back as mpmath complex numbers at the working precision.
@@ -44,7 +45,7 @@ from .errors import (
     NonRealRoots,
     ZeroDegree,
 )
-from .poly import Polynomial, _ints
+from .poly import Polynomial, _alternate, _ints
 
 
 def default_precision(n: int) -> int:
@@ -137,9 +138,9 @@ def _float_stage(mono, b, lcs, pts):
     n = len(mono) - 1
     s = (b[0] - b[n]) // n
     t = max(bk + k * s for k, bk in enumerate(b) if bk is not None)
-    fc = [(c.numerator << max(k * s - t, 0)) / (c.denominator << max(t - k * s, 0)) for k, c in enumerate(mono)]
+    fc = [(u << max(k * s - t, 0)) / (v << max(t - k * s, 0)) for k, (u, v) in enumerate(mono)]
     outer = max(m.bit_length() + e for m, e in pts)
-    if max(lc + k * outer for k, lc in lcs) - t > 1000 or any(c and abs(f) < 2.0**-1022 for c, f in zip(mono, fc)):
+    if max(lc + k * outer for k, lc in lcs) - t > 1000 or any(u and abs(f) < 2.0**-1022 for (u, _), f in zip(mono, fc)):
         return pts
     flcs = [(k, math.log2(abs(f))) for k, f in enumerate(fc) if f]
     ys = [math.ldexp(m, e - s) for m, e in pts]
@@ -168,32 +169,34 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     deg = p.degree
     if deg < 1:
         raise ZeroDegree("constant polynomial has no roots to find")
-    mono = [_exact(c) for c in p.to_monomial()[: deg + 1]]
+    nums, den = _int_coeffs(p, deg)
     # factor out x^m exactly: m zero roots, then the cofactor
-    m = next(i for i, c in enumerate(mono) if c != 0)
+    m = next(i for i, c in enumerate(nums) if c)
     zero_roots = [mp.mpc(0)] * m
-    mono = mono[m:]
+    nums = nums[m:]
     deg -= m
     if deg == 0:
         return zero_roots
+    # each coefficient as a reduced pair (u, v): bit lengths and logarithms read the value
+    mono = [(c // g, den // g) for c, g in zip(nums, [math.gcd(c, den) for c in nums])]
     prec = default_precision(deg) if precision_bits is None else precision_bits
     target = prec + 32
-    b = [abs(c.numerator).bit_length() - c.denominator.bit_length() if c else None for c in mono]
+    b = [abs(u).bit_length() - v.bit_length() if u else None for u, v in mono]
     base = min(max(64, _conditioning_bits(b, deg) + 96), target)
     ladder = [target] if base * 4 >= target * 3 else [base, target]
-    dmono = [k * c for k, c in enumerate(mono)][1:]
-    lcs = [(k, math.log2(abs(c.numerator)) - math.log2(c.denominator)) for k, c in enumerate(mono) if c]
+    dmono = [(k * u, v) for k, (u, v) in enumerate(mono)][1:]
+    lcs = [(k, math.log2(abs(u)) - math.log2(v)) for k, (u, v) in enumerate(mono) if u]
     rungs = [
-        (wp, [_mantissa(c, wp + 16) for c in reversed(mono)], [_mantissa(c, wp + 16) for c in reversed(dmono)])
+        (wp, [_mantissa(*c, wp + 16) for c in reversed(mono)], [_mantissa(*c, wp + 16) for c in reversed(dmono)])
         for wp in ladder
     ]
     wp, coeffs, _ = rungs[-1]
     # Descartes: at most neg negative and pos positive roots, so all real needs pos + neg = deg
-    neg = _sign_changes([-c if k % 2 else c for k, c in enumerate(mono)])
+    neg = _sign_changes(_alternate(nums))
     ok = False
-    if _sign_changes(mono) + neg == deg:
+    if _sign_changes(nums) + neg == deg:
         pts, ok = _climb(rungs, lcs, _float_stage(mono, b, lcs, _real_points(lcs, deg, neg)))
-        ok = ok and _isolate(_ints(mono, deg)[0], pts) is not None
+        ok = ok and _isolate(nums, pts) is not None
     if not ok:
         pts, ok = _climb(rungs, lcs, _initial_points(lcs))
     with mp.workprec(wp):
@@ -202,6 +205,16 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
             res = [abs(_to_mpc(_horner(coeffs, z, wp + 16))) for z in pts]
             raise NonConvergence("Aberth iteration did not converge", roots=roots, residuals=res)
     return zero_roots + roots
+
+
+def _int_coeffs(p, deg):
+    """Monomial coefficients c_0..c_deg of p as integer numerators over one denominator:
+    an exact p's integer form, or the dyadic rationals that float and mpmath
+    coefficients denote.  The numerators alone are a positive multiple of p."""
+    if p.exact:
+        nums, den = p._mono_ints()
+        return nums[: deg + 1], den
+    return _ints([_exact(c) for c in p.to_monomial()[: deg + 1]], deg)
 
 
 def _conditioning_bits(b, deg):
@@ -301,7 +314,7 @@ def real_root_certificate(p: Polynomial, roots):
             return None
         sign, man, exp, _ = z.real._mpf_
         vals.append((-man if sign else man, exp))
-    return _isolate(_ints([_exact(c) for c in p.to_monomial()[: deg + 1]], deg)[0], vals)
+    return _isolate(_int_coeffs(p, deg)[0], vals)
 
 
 def is_real_rooted(p: Polynomial, precision_bits=None, tau=1e-20):
@@ -312,14 +325,14 @@ def is_real_rooted(p: Polynomial, precision_bits=None, tau=1e-20):
     margin <= tau.
     """
     rts = find_roots(p, precision_bits)
-    margin = float(max(abs(z.imag) / (1 + abs(z)) for z in rts))
+    margin = float(max(abs(z.imag) / (1 + abs(z)) if z.imag else 0 for z in rts))
     return real_root_certificate(p, rts) is not None or margin <= tau, margin
 
 
 def real_parts_sorted(roots, tau=1e-20):
     """Sorted real parts; raises NonRealRoots if any root is genuinely complex."""
-    for z in roots:
-        if abs(z.imag) > tau * (1 + abs(z)):
+    for z in roots:  # a real-path root has imaginary part exactly 0: no abs(z)
+        if z.imag and abs(z.imag) > tau * (1 + abs(z)):
             raise NonRealRoots(f"root {z} has non-negligible imaginary part")
     return sorted(float(z.real) for z in roots)
 

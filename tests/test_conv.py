@@ -197,3 +197,20 @@ def test_mult_conv_and_dilate_match_their_fraction_products():
         assert mult_conv(p, q, n).e == tuple(F(p.e[k] * q.e[k], comb(n, k)) for k in range(n + 1))
         alpha = rng.choice((F(rng.randint(-9, 9) or 1, rng.randint(1, 9)), rng.randint(1, 5)))
         assert p.dilate(alpha).e == tuple(F(alpha) ** j * c for j, c in enumerate(p.e))
+
+
+def test_a_chain_of_kernels_stays_on_primitive_integers():
+    p = Polynomial.from_roots([F(1, 3), F(-2, 5), F(7, 2)])
+    q = Polynomial.linear_power(F(2, 7), 3)
+    out = mult_conv(add_conv(p.shift(F(1, 2)), q.dilate(F(-3, 4)), 3), p.reverse(), 3).scaled(F(5, 6)) - q
+    assert out._e is None  # no Fraction built yet: .e is made on first use
+    lhs = add_conv_oracle(Polynomial(3, p.shift(F(1, 2)).e), Polynomial(3, q.dilate(F(-3, 4)).e), 3).e
+    want = [F(5, 6) * F(x * y, comb(3, k)) - z for k, (x, y, z) in enumerate(zip(lhs, p.reverse().e, q.e))]
+    assert out.e == tuple(want)
+    nums, den = out._int_form()
+    assert den > 0 and reduce(gcd, nums, den) == 1
+    for n in range(9):
+        a, b = rand_poly(random.Random(n), n), rand_poly(random.Random(n + 50), n)
+        for r in (mult_conv(a, b, n), add_conv(a, b, n)):
+            nums, den = r._int_form()
+            assert den > 0 and reduce(gcd, nums, den) == 1

@@ -23,7 +23,7 @@ from finfree.hyper import (
     reversed_product_representation,
     theorem_b_rhs,
 )
-from finfree.poly import Polynomial
+from finfree.poly import Polynomial, _ints
 
 
 def test_pochhammer():
@@ -385,16 +385,17 @@ def test_ratio_table_matches_the_fraction_recurrence():
                 _ratio_table(num, den, c, n)
             seen["raised"] += 1
             continue
-        got = _ratio_table(num, den, c, n)
-        assert got == expected and all(type(t) is F for t in got)
+        nums, d = _ratio_table(num, den, c, n)
+        # one primitive integer vector: the reduced terms over the lcm of their denominators
+        assert [F(x, d) for x in nums] == expected and (nums, d) == _ints(expected, n)
         seen["equal"] += 1
-        seen["zero tail"] += n > 0 and got[-1] == 0
+        seen["zero tail"] += n > 0 and nums[-1] == 0
     assert seen["raised"] >= 100 and seen["zero tail"] >= 100 and seen["equal"] >= 200
 
 
 def test_ratio_table_checks_every_denominator_past_a_zero_term():
     # the numerator -2 ends the table at t_2; the denominator -5 vanishes at k = 5
-    assert _ratio_table((-2,), (F(1, 2),), 1, 8)[3:] == [0] * 6
+    assert _ratio_table((-2,), (F(1, 2),), 1, 8)[0][3:] == [0] * 6
     with pytest.raises(InadmissibleDenominator):
         _ratio_table((-2,), (-5,), 1, 8)
     with pytest.raises(InadmissibleDenominator):

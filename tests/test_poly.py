@@ -1,7 +1,8 @@
 import json
 import random
 from fractions import Fraction as F
-from math import comb
+from functools import reduce
+from math import comb, gcd
 
 import mpmath as mp
 import pytest
@@ -225,6 +226,85 @@ def test_from_roots_matches_product_oracle():
         n = k + rng.randint(0, 3)
         leading = rng.choice((1, F(-5, 7), F(3, 10**12 + 39)))
         assert Polynomial.from_roots(roots, n, leading) == from_roots_oracle(roots, n, leading)
+
+
+# -- the stored form: one primitive integer vector over one denominator ------------
+
+
+def is_primitive(p):
+    nums, den = p._int_form()
+    return den > 0 and reduce(gcd, nums, den) == 1
+
+
+def e_of_mono(mono):
+    """e_j = (-1)^j c_(n-j), one Fraction per coefficient."""
+    n = len(mono) - 1
+    return tuple(F(mono[n - j]) * (-1) ** j for j in range(n + 1))
+
+
+def test_every_producer_matches_its_fraction_oracle_and_stores_primitive_integers():
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(0, 9)
+        roots = [rand_rational(rng) for _ in range(n)]
+        lead = rand_rational(rng) or F(5, 3)
+        p = Polynomial.from_roots(roots, n, lead)
+        q = Polynomial.from_roots([rand_rational(rng) for _ in range(rng.randint(0, n))], n)
+        assert p.e == from_roots_oracle(roots, n, lead).e  # the oracles below read p.e and q.e
+        pe, qe, mono = p.e, q.e, p.to_monomial()
+        a, c = rand_rational(rng) or F(-3, 2), rand_rational(rng)
+        cases = [
+            (Polynomial.linear_power(a, n), [comb(n, j) * a**j for j in range(n + 1)]),
+            (Polynomial.zero(n), [0] * (n + 1)),
+            (Polynomial.x_power(n), [1] + [0] * n),
+            (p.dilate(a), [a**j * x for j, x in enumerate(pe)]),
+            (p.scaled(c), [c * x for x in pe]),
+            (p + q, [x + y for x, y in zip(pe, qe)]),
+            (p - q, [x - y for x, y in zip(pe, qe)]),
+            (p.shift(a), shift_oracle(p, a).e),
+            (p.mul(q), mul_oracle(p, q).e),
+            (p.reverse(), e_of_mono(mono[::-1])),
+            (p.derivative(), e_of_mono([m * mono[m] for m in range(1, n + 1)]) if n else [0]),
+            (p.monicized(), [x / pe[0] for x in pe]),
+            (Polynomial.from_json(p.to_json()), pe),
+        ]
+        if n:
+            cases.append((p.divide_linear(roots[0]), from_roots_oracle(roots[1:], n - 1, lead).e))
+        for out, want in cases:
+            assert out.e == tuple(want) and all(type(x) is F for x in out.e)
+            assert is_primitive(out)
+
+
+def test_equal_polynomials_store_equal_integers_and_hash_alike():
+    forms = [
+        Polynomial(2, [1, -3, 2]),
+        Polynomial(2, [F(1), F(-3), F(2)]),
+        Polynomial.from_monomial([2, 3, 1]),
+        Polynomial._from_ints(2, [4, -12, 8], 4),  # unreduced
+        Polynomial._from_ints(2, [-2, 6, -4], -2),  # negative denominator
+    ]
+    for p in forms:
+        assert p == forms[0] and hash(p) == hash(forms[0]) and p._int_form() == ((1, -3, 2), 1)
+    half = Polynomial._from_ints(1, [-6, 9], -12)
+    assert half == Polynomial(1, [F(1, 2), F(-3, 4)]) and half._int_form() == ((2, -3), 4)
+    assert hash(half) == hash(Polynomial(1, [F(1, 2), F(-3, 4)]))
+    assert half != Polynomial._from_ints(1, [2, -3], 5) and half != Polynomial._from_ints(2, [0, 2, -3], 4)
+    # exact against float-backed: coefficientwise, as between the numbers themselves
+    assert Polynomial(1, [1, 2]) == Polynomial(1, [1.0, 2.0])
+    assert hash(Polynomial(1, [1, 2])) == hash(Polynomial(1, [1.0, 2.0]))
+    assert Polynomial(1, [1, 2]) != Polynomial(1, [1.0, 2.5])
+    assert Polynomial(1, [F(1, 3), 2]) != Polynomial(1, [1 / 3, 2.0])
+    assert Polynomial(2, [1.0, 3.0, 2.0]).power_sums(3) == [3.0, 5.0, 9.0]
+
+
+def test_power_sums_reject_a_negative_order_and_go_on_past_n():
+    p = Polynomial.from_roots([1, 2, 3])
+    with pytest.raises(ValueError, match="order -2"):
+        p.power_sums(-2)
+    with pytest.raises(ValueError, match="order -1"):
+        p.root_moments(-1)
+    assert p.power_sums(0) == []
+    assert p.power_sums(5) == [6, 14, 36, 98, 276]
 
 
 @pytest.mark.parametrize("bad", [0.5, mp.mpf(1) / 3])

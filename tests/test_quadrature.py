@@ -23,7 +23,8 @@ def test_gauss_rules_reproduce_exact_moments(weight, m):
     # an m-point rule is exact on x^k for k <= 2m - 1; the oracle's C rho(k) is the truth
     a, b, c = weight
     xs, ws = gauss_jacobi(m, a, b) if c is None else gauss_laguerre(m, a, c)
-    rho = _moment_ratios(weight, 2 * m - 1)
+    nums, d = _moment_ratios(weight, 2 * m - 1)
+    rho = [F(x, d) for x in nums]
     with mp.workprec(288):
         C = _moment_constant(weight)
         for k in range(2 * m):

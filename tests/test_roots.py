@@ -112,6 +112,20 @@ def test_is_real_rooted():
     assert not ok and margin > 1e-16
 
 
+def test_real_verdicts_skip_abs_only_on_exactly_real_roots():
+    with mp.workprec(256):
+        real = [mp.mpc(3), mp.mpc(-1), mp.mpc(2)]
+        assert real_parts_sorted(real) == [-1.0, 2.0, 3.0]
+        with pytest.raises(NonRealRoots):
+            real_parts_sorted(real + [mp.mpc(1, 1e-3)])
+        assert real_parts_sorted(real + [mp.mpc(1, 1e-30)], tau=1e-20) == [-1.0, 1.0, 2.0, 3.0]
+    # the margin is still max |Im z| / (1 + |z|) over every root
+    p = Polynomial.from_monomial([1, 0, 1]).mul(Polynomial.from_roots([F(1, 2)]))
+    ok, margin = is_real_rooted(p, 128)
+    assert not ok and margin == float(max(abs(z.imag) / (1 + abs(z)) for z in find_roots(p, 128)))
+    assert is_real_rooted(Polynomial.from_roots([F(1, 3), F(2), F(-5, 7)]), 128) == (True, 0.0)
+
+
 def test_moments_match_newton_identities():
     rng = random.Random(41)
     for n in (4, 7, 10):
