@@ -13,7 +13,6 @@ as base-2 logarithms.
 """
 
 import math
-from fractions import Fraction
 
 import mpmath as mp
 
@@ -98,20 +97,6 @@ def _mantissa(num, den, P):
 # exponent of a zero coefficient: every other value outranks it, and a right
 # shift by the distance gives 0 at once
 _FAR = -(1 << 60)
-
-
-def _exact(c):
-    """A real coefficient as the rational it denotes; floats and mpf are dyadic."""
-    if isinstance(c, (complex, mp.mpc)):
-        raise TypeError(f"coefficients must be real, got {c}")
-    if isinstance(c, mp.mpf):
-        sign, man, exp, _ = c._mpf_
-        if exp and not man:
-            raise ValueError(f"coefficient {c} is not finite")
-        return Fraction(-man if sign else man) * Fraction(2) ** exp
-    if isinstance(c, float) and not math.isfinite(c):
-        raise ValueError(f"coefficient {c} is not finite")
-    return Fraction(c)
 
 
 # -- real floating point ---------------------------------------------------------

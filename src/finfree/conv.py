@@ -3,27 +3,26 @@
 Multiplicative:  e_k(p (x)_n q) = C(n,k)^{-1} e_k(p) e_k(q)
 Additive:        e_k(p (+)_n q) = n^(k)_falling * sum_{i+j=k} e_i(p)/n^(i) * e_j(q)/n^(j)
 
-Both are defined relative to the shared ambient degree n and require exact
-rational coefficients: the binomial ratio amplifies float error by
-C(n, n/2), so float-backend inputs are rejected outright.  Both read and
-write the integer form of `Polynomial` (numerators over one denominator);
-the additive one multiplies factorial-scaled numerators, each vector
-divided by its content (the gcd of its entries), in one integer product.
+Both are defined relative to the shared ambient degree n and computed
+exactly: the binomial ratio would amplify float error by C(n, n/2), and a
+`Polynomial` holds rationals only (float inputs are read as the dyadic
+values they denote).  Both read and write its integer form (numerators over
+one denominator); the additive one multiplies factorial-scaled numerators,
+each vector divided by its content (the gcd of its entries), in one integer
+product.
 """
 
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm
 
-from .errors import DegreeMismatch, FloatBackendRejected
+from .errors import DegreeMismatch
 from .poly import Polynomial, _mul_ints
 
 
 def _check(p, q, n):
     if p.n != n or q.n != n:
         raise DegreeMismatch(f"ambient degrees ({p.n}, {q.n}) do not match n={n}")
-    if not (p.exact and q.exact):
-        raise FloatBackendRejected("convolutions require exact rational coefficients")
 
 
 def mult_conv(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
@@ -54,7 +53,7 @@ def add_conv(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
     """
     if p.n != n or q.n != n:
         raise DegreeMismatch(f"ambient degrees ({p.n}, {q.n}) do not match n={n}")
-    (a, pd), (b, qd) = p._int_form(), q._int_form()  # rejects float coefficients
+    (a, pd), (b, qd) = p._int_form(), q._int_form()
     fact = [1]
     for k in range(1, n + 1):
         fact.append(fact[-1] * k)

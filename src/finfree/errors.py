@@ -18,7 +18,7 @@ class DegreeMismatch(FinfreeError):
 
 
 class FloatBackendRejected(FinfreeError):
-    """Exact operation called with float-backend coefficients."""
+    """A moment series or series-algebra input that is not an int or a Fraction."""
 
 
 class InadmissibleDenominator(FinfreeError):

@@ -20,7 +20,7 @@ the Type I constants enter only as closed-form rationals lambda_j = c_j C_j.
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, inf, prod
+from math import factorial, inf, prod
 from operator import mul
 
 import mpmath as mp
@@ -268,16 +268,14 @@ def ml1_typeII(spec: ML1Spec, n) -> Polynomial:
 
 
 def ml2_typeII_routes(spec: ML2Spec, n):
-    """The three stated representations, unnormalized, for exact comparison.
+    """The paper's two convolution representations, unnormalized, for exact comparison.
 
-    direct:   explicit double sum over bounded compositions;
     factored: q^(alpha) (x)_N (p_1 (+)_N ... (+)_N p_r);
     linear:   falling(alpha+N, N) F(-N; alpha+1; x) (x)_N prod (x-1/c_j)^{n_j}.
-    All three are claimed (and tested) to coincide coefficient-for-coefficient.
+    Both are claimed (and tested against the explicit composition sum) to
+    coincide coefficient-for-coefficient.
     """
     N = sum(n)
-    direct = _ml2_direct(spec, n)
-
     parts = []
     for j in range(spec.r):
         base = hyper_poly(
@@ -305,7 +303,7 @@ def ml2_typeII_routes(spec: ML2Spec, n):
     )
     lag = hyper_poly(HypergeometricSpec(n=N, b=(spec.alpha + 1,))).scaled((-1) ** N)
     linear = mult_conv(lag, rate_roots, N).scaled(pochhammer_falling(spec.alpha + N, N))
-    return direct, factored, linear
+    return factored, linear
 
 
 def ml2_typeII(spec: ML2Spec, n) -> Polynomial:
@@ -313,38 +311,12 @@ def ml2_typeII(spec: ML2Spec, n) -> Polynomial:
 
     By generating functions: e_k = falling(alpha + N, k) [t^k] prod_j
     (1 + t/c_j)^{n_j}, one series product per weight; the same e_k as the
-    composition sum of the direct route.
+    explicit sum over bounded compositions |k| = k of prod_j C(n_j, k_j) / c_j^k_j.
     """
     _check_index(spec, n)
     N = sum(n)
     (falling, fd), (gen, gd) = _ratio_table((-spec.alpha - N, 1), (), -1, N), _binomial_series(zip(spec.c, n), N)
     return Polynomial._from_ints(N, [f * g for f, g in zip(falling, gen)], fd * gd).monicized()
-
-
-def _ml2_direct(spec: ML2Spec, n) -> Polynomial:
-    """The explicit double sum over bounded compositions, unnormalized:
-    e_k = falling(alpha + N, k) sum_{|k| = k} prod_j C(n_j, k_j) / c_j^k_j."""
-    N = sum(n)
-    e = []
-    for k in range(N + 1):
-        s = Fraction(0)
-        for ks in _bounded_compositions(k, n):
-            term = Fraction(1)
-            for nj, kj, cj in zip(n, ks, spec.c):
-                term *= Fraction(comb(nj, kj), 1) / cj**kj
-            s += term
-        e.append(pochhammer_falling(N + spec.alpha, k) * s)
-    return Polynomial(N, e)
-
-
-def _bounded_compositions(total, bounds):
-    if len(bounds) == 1:
-        if total <= bounds[0]:
-            yield (total,)
-        return
-    for first in range(min(total, bounds[0]) + 1):
-        for rest in _bounded_compositions(total - first, bounds[1:]):
-            yield (first,) + rest
 
 
 # -- weights and the orthogonality oracle ----------------------------------------------

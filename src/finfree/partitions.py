@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import factorial, prod
 
-from .errors import FloatBackendRejected, NotComparable, TooLarge, ZeroLeading
+from .errors import NotComparable, TooLarge, ZeroLeading
 from .poly import Polynomial, _newton_solve, _order
 
 ENUMERATION_GUARD = 12
@@ -220,13 +220,10 @@ def finite_free_cumulants(p: Polynomial, upto=None):
     n^(j-1) times the j-th power sum, by Newton's identities, of the
     elementary values e_k / n^(k)_falling.  This solves the Moebius system
     e_j = n^(j)_falling / (n^j j!) sum_{pi in P(j)} n^|pi| mu(0_j, pi) kappa_pi
-    without enumerating P(j).  Requires full ambient degree and the exact
-    backend.
+    without enumerating P(j).  Requires full ambient degree.
     """
     if p.degree < p.n:
         raise ZeroLeading("finite free cumulants need degree exactly n")
-    if not p.exact:
-        raise FloatBackendRejected("finite free cumulants need exact rational coefficients")
     n, (nums, _) = p.n, p._int_form()
     m = n if upto is None else _order(min(upto, n), n)
     sigma, falling = [], 1

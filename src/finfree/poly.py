@@ -10,16 +10,15 @@ polynomial of the roots.  Both finite free convolutions are native in this
 convention, which is why it is the canonical form; converters to and from
 the ordinary monomial basis are lossless.
 
-An exact polynomial is stored as one primitive integer vector over one
+A polynomial is stored as one primitive integer vector over one
 denominator: e_j = nums[j] / den with den > 0 and gcd(nums..., den) = 1, so
 equal polynomials store equal integers.  The kernels (here, in `conv`,
 `hyper`, `mop` and `roots`) read and write that form, one content gcd per
 output polynomial, and a chain of them builds no Fraction.  `.e`, the tuple
-of Fractions, is built from it on first use and cached.  A polynomial built
-from rationals (`Polynomial(n, e)`, `from_monomial`) keeps its Fractions and
-derives the integer form once, on first use by a kernel.  Floats / mpmath
-values are tolerated for evaluation-style work and keep their tuple, but
-any operation that must be exact refuses them with FloatBackendRejected.
+of Fractions, is a view of it, built on first use and cached.  Every
+coefficient and scalar is read as the rational it denotes (`_as_coeff`):
+ints and other rationals as themselves, floats and mpmath reals as their
+exact dyadic values, so no arithmetic here rounds.
 
 The list helpers below (`_ints`, `_mul_ints`, `_reduced`, `_newton_solve`)
 serve `series` as well: a vector of rationals becomes integer numerators
@@ -31,20 +30,17 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd, lcm
+from math import comb, gcd, isfinite, lcm
+from numbers import Rational, Real
 from operator import add, mul, sub
+
+import mpmath as mp
 
 from .errors import FloatBackendRejected, ZeroDilation, ZeroLeading
 
 _EXACT_TYPES = (int, Fraction)
 
 # -- integer-numerator kernel --------------------------------------------------
-
-
-def _require_exact(values):
-    if not all(isinstance(x, _EXACT_TYPES) for x in values):
-        raise FloatBackendRejected("exact operation: coefficients must be ints or Fractions")
-
 
 # lcm and gcd are folded pairwise: a star-argument call builds one tuple per
 # vector, and the small ones linger in the interpreter's tuple free list,
@@ -54,7 +50,8 @@ def _require_exact(values):
 def _ints(a, K):
     """a[0..K] (ints or Fractions, zero-padded) as integer numerators over one denominator."""
     a = list(a[: K + 1]) + [0] * max(0, K + 1 - len(a))
-    _require_exact(a)
+    if not all(isinstance(x, _EXACT_TYPES) for x in a):
+        raise FloatBackendRejected("exact operation: coefficients must be ints or Fractions")
     den = reduce(lcm, [x.denominator for x in a])
     return [x.numerator * (den // x.denominator) for x in a], den
 
@@ -86,7 +83,7 @@ def _order(K, known):
 def _newton_solve(known, to_power_sums):
     """Newton's identities k s_k = sum_{i=1..k} (-1)^(i-1) s_{k-i} p_i (s_0 = 1), solved for
     the power sums p_1.. from the elementary values s_1.. in `known` (to_power_sums), or
-    back.  s_0 is the int 1, so floats stay floats."""
+    back."""
     s, p = [1], [None]
     for k, x in enumerate(known, start=1):
         # rest = sum_{i<k} (-1)^(i-1) s_{k-i} p_i: odd i minus even i
@@ -100,24 +97,31 @@ def _newton_solve(known, to_power_sums):
     return p[1:] if to_power_sums else s[1:]
 
 
-def _signed(c, j):
-    """(-1)^j c, exactly: an mpf keeps all its bits whatever mp.prec is."""
-    if j % 2 == 0:
-        return c
-    if hasattr(c, "_mpf_"):
-        from mpmath import libmp
-
-        return c.context.make_mpf(libmp.mpf_neg(c._mpf_))
-    return -c
-
-
 def _as_coeff(x):
-    """Normalize ints to Fraction; pass anything else through unchanged."""
+    """A coefficient or scalar as the Fraction it denotes: ints and other rationals
+    (numpy integers too) as themselves, floats (numpy's of any width too) and mpmath
+    reals as their exact dyadic values.  bool, complex and non-numeric values raise
+    TypeError, non-finite ones ValueError."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, bool):
         raise TypeError("bool is not a polynomial coefficient")
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
+    if isinstance(x, Rational):
+        return Fraction(int(x.numerator), int(x.denominator))
+    if isinstance(x, (complex, mp.mpc)):
+        raise TypeError(f"coefficients must be real, got {x}")
+    if isinstance(x, mp.mpf):
+        sign, man, exp, _ = x._mpf_
+        if exp and not man:
+            raise ValueError(f"coefficient {x} is not finite")
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
+    if not isinstance(x, Real):
+        raise TypeError(f"{type(x).__name__} is not a polynomial coefficient")
+    if not isfinite(x):
+        raise ValueError(f"coefficient {x} is not finite")
+    return Fraction(*x.as_integer_ratio())
 
 
 def _alternate(v):
@@ -135,31 +139,40 @@ class Polynomial:
 
     __slots__ = ("n", "_e", "_nums", "_den")
 
+    exact = True  # every coefficient is rational
+
     def __init__(self, n, coeffs_e):
-        coeffs_e = tuple(_as_coeff(c) for c in coeffs_e)
+        e = tuple(map(_as_coeff, coeffs_e))
+        den = reduce(lcm, [x.denominator for x in e], 1)
+        self._init(n, [x.numerator * (den // x.denominator) for x in e], den)  # primitive already
+        object.__setattr__(self, "_e", e)
+
+    def _init(self, n, nums, den):
+        """Store e_j = nums[j] / den (n+1 integers, den != 0), made primitive by one
+        content gcd.  Every constructor ends here."""
         if n < 0:
             raise ValueError("ambient degree must be nonnegative")
-        if len(coeffs_e) != n + 1:
-            raise ValueError(f"need exactly n+1={n + 1} coefficients, got {len(coeffs_e)}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_e", coeffs_e)
-        object.__setattr__(self, "_nums", None)
-        object.__setattr__(self, "_den", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Polynomial is immutable")
-
-    @classmethod
-    def _from_ints(cls, n, nums, den):
-        """e_j = nums[j] / den for n+1 integers and den != 0, made primitive by one content gcd."""
+        if len(nums) != n + 1:
+            raise ValueError(f"need exactly n+1={n + 1} coefficients, got {len(nums)}")
         c = reduce(gcd, nums, den)
         if den < 0:
             c = -c
         if c != 1:
             nums, den = [x // c for x in nums], den // c
-        p = object.__new__(cls)
         for name, value in (("n", n), ("_e", None), ("_nums", tuple(nums)), ("_den", den)):
-            object.__setattr__(p, name, value)
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return type(self)._from_ints, (self.n, self._nums, self._den)
+
+    @classmethod
+    def _from_ints(cls, n, nums, den):
+        """e_j = nums[j] / den for n+1 integers and den != 0, made primitive."""
+        p = object.__new__(cls)
+        p._init(n, nums, den)
         return p
 
     @classmethod
@@ -168,31 +181,20 @@ class Polynomial:
         return cls._from_ints(n, _alternate([0] * (n + 1 - len(mono)) + mono[::-1]), den)
 
     def _int_form(self):
-        """(nums, den) with e_j = nums[j] / den, primitive; a polynomial built from
-        rationals reads it off its Fractions once.  Float or mpmath coefficients
-        raise FloatBackendRejected."""
-        if self._nums is None:
-            nums, den = _ints(self._e, self.n)  # reduced Fractions over their lcm: primitive
-            object.__setattr__(self, "_nums", tuple(nums))
-            object.__setattr__(self, "_den", den)
+        """(nums, den) with e_j = nums[j] / den, primitive and den > 0."""
         return self._nums, self._den
 
     def _mono_ints(self):
         """The monomial numerators c_0..c_n of the integer form, and its denominator."""
-        nums, den = self._int_form()
-        return _alternate(nums)[::-1], den
+        return _alternate(self._nums)[::-1], self._den
 
     @property
     def e(self):
-        """e_0..e_n: Fractions for an exact polynomial (built once, then cached), else the values given."""
+        """e_0..e_n as Fractions, built once from the integer form, then cached."""
         if self._e is None:
             den = self._den
             object.__setattr__(self, "_e", tuple(Fraction(c, den) for c in self._nums))
         return self._e
-
-    def _stored(self):
-        """The integer numerators when known, else the coefficients: either has the zeros of e."""
-        return self._e if self._nums is None else self._nums
 
     # -- constructors -------------------------------------------------------
 
@@ -204,9 +206,7 @@ class Polynomial:
             n = len(coeffs) - 1
         if len(coeffs) - 1 > n:
             raise ValueError("more coefficients than ambient degree allows")
-        coeffs = coeffs + [Fraction(0)] * (n + 1 - len(coeffs))
-        e = [_signed(coeffs[n - j], j) for j in range(n + 1)]
-        return cls(n, e)
+        return cls(n, _alternate([Fraction(0)] * (n + 1 - len(coeffs)) + coeffs[::-1]))
 
     @classmethod
     def from_roots(cls, roots, n=None, leading=1):
@@ -217,7 +217,6 @@ class Polynomial:
         """
         roots = [_as_coeff(r) for r in roots]
         leading = _as_coeff(leading)
-        _require_exact(roots + [leading])
         if n is None:
             n = len(roots)
         if len(roots) > n:
@@ -233,8 +232,6 @@ class Polynomial:
     def linear_power(cls, alpha, n):
         """(x - alpha)^n in ambient degree n; e_j = C(n,j) alpha^j."""
         a = _as_coeff(alpha)
-        if not isinstance(a, Fraction):
-            return cls(n, [comb(n, j) * a**j for j in range(n + 1)])
         u, v = a.numerator, a.denominator
         return cls._from_ints(n, [comb(n, j) * u**j * v ** (n - j) for j in range(n + 1)], v**n)
 
@@ -250,33 +247,29 @@ class Polynomial:
     # -- basic structure -----------------------------------------------------
 
     @property
-    def exact(self):
-        return self._nums is not None or all(isinstance(c, _EXACT_TYPES) for c in self._e)
-
-    @property
     def is_zero(self):
-        return not any(self._stored())
+        return not any(self._nums)
 
     @property
     def degree(self):
         """Actual degree, or -1 for the zero polynomial."""
-        for j, c in enumerate(self._stored()):
-            if c != 0:
+        for j, c in enumerate(self._nums):
+            if c:
                 return self.n - j
         return -1
 
     @property
     def monic(self):
-        return self._e[0] == 1 if self._nums is None else self._nums[0] == self._den
+        return self._nums[0] == self._den
 
     def to_monomial(self):
         """Coefficients c_0..c_n of ascending powers."""
-        n, e = self.n, self.e
-        return tuple(_signed(e[n - m], n - m) for m in range(n + 1))
+        return tuple(_alternate(self.e)[::-1])
 
     def coeff(self, m):
         """Monomial coefficient of x^m."""
-        return _signed(self.e[self.n - m], self.n - m)
+        j = self.n - m
+        return -self.e[j] if j % 2 else self.e[j]
 
     # -- elementary transforms ------------------------------------------------
 
@@ -285,10 +278,8 @@ class Polynomial:
         a = _as_coeff(alpha)
         if a == 0:
             raise ZeroDilation("dilation scale must be nonzero")
-        if not (isinstance(a, Fraction) and self.exact):
-            return Polynomial(self.n, [a**j * c for j, c in enumerate(self.e)])
-        (nums, den), n, u, v = self._int_form(), self.n, a.numerator, a.denominator
-        return Polynomial._from_ints(n, [c * u**j * v ** (n - j) for j, c in enumerate(nums)], den * v**n)
+        n, u, v = self.n, a.numerator, a.denominator
+        return Polynomial._from_ints(n, [c * u**j * v ** (n - j) for j, c in enumerate(self._nums)], self._den * v**n)
 
     def shift(self, alpha):
         """p(x - alpha), expanded exactly (Taylor shift).
@@ -299,7 +290,6 @@ class Polynomial:
         r(v x - u) / (v^n D) = sum_k t_k v^k x^k / (v^n D).
         """
         a = _as_coeff(alpha)
-        _require_exact([a])
         if a == 0:
             return self
         n, u, v = self.n, a.numerator, a.denominator
@@ -312,21 +302,15 @@ class Polynomial:
 
     def reverse(self):
         """Reversed polynomial p*(x) = x^n p(1/x); roots map t -> 1/t, e_j -> (-1)^n e_(n-j)."""
-        if not self.exact:
-            return Polynomial.from_monomial(list(reversed(self.to_monomial())), self.n)
-        nums, den = self._int_form()
-        return Polynomial._from_ints(self.n, [-c for c in reversed(nums)] if self.n % 2 else nums[::-1], den)
+        nums = self._nums
+        return Polynomial._from_ints(self.n, [-c for c in reversed(nums)] if self.n % 2 else nums[::-1], self._den)
 
     def derivative(self):
         """d/dx p, with ambient degree n-1: e_j -> (n - j) e_j."""
         n = self.n
         if n == 0:
             return Polynomial.zero(0)
-        if not self.exact:
-            mono = self.to_monomial()
-            return Polynomial.from_monomial([m * mono[m] for m in range(1, n + 1)], n - 1)
-        nums, den = self._int_form()
-        return Polynomial._from_ints(n - 1, [(n - j) * c for j, c in enumerate(nums[:n])], den)
+        return Polynomial._from_ints(n - 1, [(n - j) * c for j, c in enumerate(self._nums[:n])], self._den)
 
     def evaluate(self, x):
         """Horner evaluation; works for Fraction, float, complex, mpmath."""
@@ -341,17 +325,12 @@ class Polynomial:
     def scaled(self, c):
         """c * p, same ambient degree."""
         c = _as_coeff(c)
-        if not (isinstance(c, Fraction) and self.exact):
-            return Polynomial(self.n, [c * v for v in self.e])
-        nums, den = self._int_form()
-        return Polynomial._from_ints(self.n, [c.numerator * x for x in nums], den * c.denominator)
+        return Polynomial._from_ints(self.n, [c.numerator * x for x in self._nums], self._den * c.denominator)
 
     def _combine(self, other, op):
         """self op other coefficientwise, op = add or sub."""
         if self.n != other.n:
             raise ValueError("ambient degrees differ")
-        if not (self.exact and other.exact):
-            return Polynomial(self.n, list(map(op, self.e, other.e)))
         (a, ad), (b, bd) = self._int_form(), other._int_form()
         g = gcd(ad, bd)
         ka, kb = bd // g, ad // g  # over lcm(ad, bd) = ad * ka
@@ -371,13 +350,12 @@ class Polynomial:
 
     def divide_linear(self, root):
         """Exact division by (x - root); raises if the remainder is nonzero."""
-        mono = list(self.to_monomial())
-        n = self.n
+        mono, n, r = self.to_monomial(), self.n, _as_coeff(root)
         q = [Fraction(0)] * n
         acc = mono[n]
         for m in range(n - 1, -1, -1):
             q[m] = acc
-            acc = mono[m] + acc * _as_coeff(root)
+            acc = mono[m] + acc * r
         if acc != 0:
             raise ValueError(f"nonzero remainder {acc} dividing by (x - {root})")
         return Polynomial.from_monomial(q, n - 1)
@@ -386,48 +364,30 @@ class Polynomial:
         """p / e_0; requires full ambient degree."""
         if self.degree < self.n:
             raise ZeroLeading("cannot monicize: leading coefficient vanishes")
-        if not self.exact:
-            c = self.e[0]
-            return Polynomial(self.n, [v / c for v in self.e])
-        nums, _ = self._int_form()
-        return Polynomial._from_ints(self.n, nums, nums[0])
+        return Polynomial._from_ints(self.n, self._nums, self._nums[0])
 
     # -- comparisons -------------------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, Polynomial) or self.n != other.n:
-            return False
-        if self.exact and other.exact:
-            return self._int_form() == other._int_form()
-        return self.e == other.e
+        return (
+            isinstance(other, Polynomial)
+            and self.n == other.n
+            and self._den == other._den
+            and self._nums == other._nums
+        )
 
     def __hash__(self):
-        return hash((self.n, self.e))
+        return hash((self.n, self._nums, self._den))
 
     def proportional_to(self, other):
         """Return scalar c with self == c * other, or None if not proportional."""
         if self.n != other.n:
             return None
-        if self.exact and other.exact:
-            (a, ad), (b, bd) = self._int_form(), other._int_form()
-            j = next((j for j, y in enumerate(b) if y), None)
-            if j is None or not a[j] or any(x * b[j] != y * a[j] for x, y in zip(a, b)):
-                return None
-            return Fraction(a[j] * bd, b[j] * ad)
-        c = None
-        for a, b in zip(self.e, other.e):
-            if b == 0:
-                if a != 0:
-                    return None
-                continue
-            r = a / b
-            if c is None:
-                c = r
-            elif r != c:
-                return None
-        if c is None or c == 0:
+        (a, ad), (b, bd) = self._int_form(), other._int_form()
+        j = next((j for j, y in enumerate(b) if y), None)
+        if j is None or not a[j] or any(x * b[j] != y * a[j] for x, y in zip(a, b)):
             return None
-        return c
+        return Fraction(a[j] * bd, b[j] * ad)
 
     def __repr__(self):
         return f"Polynomial(n={self.n}, e={list(self.e)})"
@@ -435,20 +395,17 @@ class Polynomial:
     # -- moments from coefficients --------------------------------------------------
 
     def power_sums(self, kmax):
-        """Power sums p_k = sum lambda_i^k for k = 1..kmax via Newton's identities.
+        """Power sums p_k = sum lambda_i^k for k = 1..kmax via Newton's identities, exactly.
 
-        Requires full ambient degree (e_0 != 0); exact in the rational backend.
-        kmax may exceed n (the power sums go on); a negative kmax raises ValueError.
+        Requires full ambient degree (e_0 != 0).  kmax may exceed n (the power
+        sums go on); a negative kmax raises ValueError.
         """
         if kmax < 0:
             raise ValueError(f"order {kmax} is negative")
         if self.degree < self.n:
             raise ZeroLeading("power sums need e_0 != 0")
-        if self.exact:  # sigma_j of the root multiset
-            nums, _ = self._int_form()
-            sigma = [Fraction(c, nums[0]) for c in nums[1 : kmax + 1]]
-        else:
-            sigma = [c / self.e[0] for c in self.e[1 : kmax + 1]]
+        nums = self._nums  # sigma_j of the root multiset: nums[j] / nums[0]
+        sigma = [Fraction(c, nums[0]) for c in nums[1 : kmax + 1]]
         return _newton_solve(sigma + [0] * (kmax - len(sigma)), to_power_sums=True)
 
     def root_moments(self, kmax):
@@ -459,9 +416,7 @@ class Polynomial:
 
     def to_json(self):
         """{"n": int, "e": ["p/q", ...]} with decimal-free rational strings."""
-        if not self.exact:
-            raise FloatBackendRejected("JSON literals are exact; convert float-backend values first")
-        return json.dumps({"n": self.n, "e": [str(Fraction(c)) for c in self.e]})
+        return json.dumps({"n": self.n, "e": [str(c) for c in self.e]})
 
     @classmethod
     def from_json(cls, text):

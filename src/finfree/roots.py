@@ -2,9 +2,8 @@
 
 The finder is Aberth-Ehrlich simultaneous iteration in software floating
 point on Python integers (`aberth.py`).  The coefficients are read exactly
-as integer numerators over one denominator (an exact polynomial's integer
-form; floats and mpmath reals are the dyadic rationals they denote) and
-converted once per rung.  A precision ladder polishes from a cheap pass up
+as the polynomial's integer numerators over one denominator and converted
+once per rung.  A precision ladder polishes from a cheap pass up
 to the requested precision, each root to the Adams residual criterion.
 Roots come back as mpmath complex numbers at the working precision.
 
@@ -37,7 +36,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .aberth import _aberth_sweeps, _exact, _horner, _mantissa, _renorm, _to_mpc
+from .aberth import _aberth_sweeps, _horner, _mantissa, _renorm, _to_mpc
 from .errors import (
     DegreeGapTooLarge,
     InvalidParameters,
@@ -45,7 +44,7 @@ from .errors import (
     NonRealRoots,
     ZeroDegree,
 )
-from .poly import Polynomial, _alternate, _ints
+from .poly import Polynomial, _alternate
 
 
 def default_precision(n: int) -> int:
@@ -160,20 +159,18 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     its roots have imaginary part exactly 0.  If the gate, the sweeps or the
     certificate fails, the complex path runs from complex seeds.  Raises
     NonConvergence with partial diagnostics if the last rung of the complex
-    path fails to converge.  Coefficients must be real and finite:
-    Fractions, ints, floats or mpmath reals (else TypeError or ValueError).
-    Raises InvalidParameters for precision_bits < 1.
+    path fails to converge.  Raises InvalidParameters for precision_bits < 1.
     """
     if precision_bits is not None and precision_bits < 1:
         raise InvalidParameters(f"precision_bits must be >= 1, got {precision_bits}")
     deg = p.degree
     if deg < 1:
         raise ZeroDegree("constant polynomial has no roots to find")
-    nums, den = _int_coeffs(p, deg)
+    nums, den = p._mono_ints()
     # factor out x^m exactly: m zero roots, then the cofactor
     m = next(i for i, c in enumerate(nums) if c)
     zero_roots = [mp.mpc(0)] * m
-    nums = nums[m:]
+    nums = nums[m : deg + 1]
     deg -= m
     if deg == 0:
         return zero_roots
@@ -205,16 +202,6 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
             res = [abs(_to_mpc(_horner(coeffs, z, wp + 16))) for z in pts]
             raise NonConvergence("Aberth iteration did not converge", roots=roots, residuals=res)
     return zero_roots + roots
-
-
-def _int_coeffs(p, deg):
-    """Monomial coefficients c_0..c_deg of p as integer numerators over one denominator:
-    an exact p's integer form, or the dyadic rationals that float and mpmath
-    coefficients denote.  The numerators alone are a positive multiple of p."""
-    if p.exact:
-        nums, den = p._mono_ints()
-        return nums[: deg + 1], den
-    return _ints([_exact(c) for c in p.to_monomial()[: deg + 1]], deg)
 
 
 def _conditioning_bits(b, deg):
@@ -314,7 +301,7 @@ def real_root_certificate(p: Polynomial, roots):
             return None
         sign, man, exp, _ = z.real._mpf_
         vals.append((-man if sign else man, exp))
-    return _isolate(_int_coeffs(p, deg)[0], vals)
+    return _isolate(p._mono_ints()[0][: deg + 1], vals)
 
 
 def is_real_rooted(p: Polynomial, precision_bits=None, tau=1e-20):

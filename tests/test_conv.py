@@ -11,7 +11,7 @@ from finfree.conv import (
     check_identity_dilation_distribute,
     mult_conv,
 )
-from finfree.errors import DegreeMismatch, FloatBackendRejected
+from finfree.errors import DegreeMismatch
 from finfree.hyper import HypergeometricSpec, hyper_poly
 from finfree.poly import Polynomial, _ints
 from finfree.roots import find_roots, interlaces, is_real_rooted, real_parts_sorted
@@ -90,9 +90,9 @@ def test_errors():
     q = Polynomial.from_roots([1, 2, 3])
     with pytest.raises(DegreeMismatch):
         mult_conv(p, q, 2)
+    # float coefficients are the dyadic rationals they denote: no refusal, no rounding
     f = Polynomial(2, [1.0, 0.5, 0.25])
-    with pytest.raises(FloatBackendRejected):
-        add_conv(f, p, 2)
+    assert add_conv(f, p, 2) == add_conv(Polynomial(2, [1, F(1, 2), F(1, 4)]), p, 2)
 
 
 def test_real_rootedness_preservation():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import mpmath as mp
 import pytest
@@ -8,7 +8,13 @@ import pytest
 from finfree.conv import add_conv, mult_conv
 from finfree.errors import DuplicateC, InadmissibleDenominator, InvalidParameters
 from finfree.families import LimitParams, family_curves
-from finfree.hyper import HypergeometricSpec, hyper_poly, pochhammer_rising, reversed_product_representation
+from finfree.hyper import (
+    HypergeometricSpec,
+    hyper_poly,
+    pochhammer_falling,
+    pochhammer_rising,
+    reversed_product_representation,
+)
 from finfree.mop import (
     JPSpec,
     ML1Spec,
@@ -361,11 +367,38 @@ def test_ml1_typeII_r1_is_laguerre():
     assert all(r > 0 for r in roots_of(L))
 
 
+def bounded_compositions(total, bounds):
+    if len(bounds) == 1:
+        if total <= bounds[0]:
+            yield (total,)
+        return
+    for first in range(min(total, bounds[0]) + 1):
+        for rest in bounded_compositions(total - first, bounds[1:]):
+            yield (first,) + rest
+
+
+def ml2_direct(spec, n):
+    """The explicit double sum over bounded compositions, unnormalized:
+    e_k = falling(alpha + N, k) sum_{|k| = k} prod_j C(n_j, k_j) / c_j^k_j."""
+    N = sum(n)
+    e = []
+    for k in range(N + 1):
+        s = F(0)
+        for ks in bounded_compositions(k, n):
+            term = F(1)
+            for nj, kj, cj in zip(n, ks, spec.c):
+                term *= F(comb(nj, kj), 1) / cj**kj
+            s += term
+        e.append(pochhammer_falling(N + spec.alpha, k) * s)
+    return Polynomial(N, e)
+
+
 def test_ml2_typeII_three_routes_exact():
-    d, f, l = ml2_typeII_routes(ML2, (2, 2))
-    assert d == f == l
-    d, f, l = ml2_typeII_routes(ML2Spec(alpha=F(2, 5), c=(F(1, 2), F(3))), (3, 2))
-    assert d == f == l
+    f, l = ml2_typeII_routes(ML2, (2, 2))
+    assert ml2_direct(ML2, (2, 2)) == f == l
+    spec = ML2Spec(alpha=F(2, 5), c=(F(1, 2), F(3)))
+    f, l = ml2_typeII_routes(spec, (3, 2))
+    assert ml2_direct(spec, (3, 2)) == f == l
 
 
 def test_ml2_typeII_generating_function_matches_direct_route():
@@ -377,7 +410,7 @@ def test_ml2_typeII_generating_function_matches_direct_route():
         (ML2Spec(alpha=F(0), c=(F(3, 2), F(2, 7))), (11, 9)),
     ]
     for spec, n in cases:
-        direct = ml2_typeII_routes(spec, n)[0].monicized()
+        direct = ml2_direct(spec, n).monicized()
         got = ml2_typeII(spec, n)
         assert got == direct and got.to_json() == direct.to_json()
 
@@ -532,8 +565,8 @@ def test_jp_typeI_decomposition_r3():
 
 def test_ml2_typeII_routes_r3():
     spec = ML2Spec(alpha=F(1, 3), c=(F(1), F(2), F(7, 2)))
-    d, f, l = ml2_typeII_routes(spec, (2, 2, 2))
-    assert d == f == l
+    f, l = ml2_typeII_routes(spec, (2, 2, 2))
+    assert ml2_direct(spec, (2, 2, 2)) == f == l
 
 
 # -- arity of the multi-index ---------------------------------------------------

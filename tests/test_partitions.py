@@ -8,7 +8,7 @@ from math import comb, factorial, prod
 import pytest
 
 from finfree.conv import add_conv
-from finfree.errors import FloatBackendRejected, NotComparable, TooLarge
+from finfree.errors import NotComparable, TooLarge
 from finfree.hyper import HypergeometricSpec, hyper_poly
 from finfree.partitions import (
     _nc_kreweras_types,
@@ -209,9 +209,9 @@ def test_finite_free_cumulants_point_mass():
     assert finite_free_cumulants(Polynomial.from_roots([2, 2, 2])) == [F(2), F(0), F(0)]
 
 
-def test_finite_free_cumulants_reject_the_float_backend():
-    with pytest.raises(FloatBackendRejected):
-        finite_free_cumulants(Polynomial(2, [1.0, 0.5, 0.25]))
+def test_finite_free_cumulants_read_float_coefficients_exactly():
+    want = finite_free_cumulants(Polynomial(2, [1, F(1, 2), F(1, 4)]))
+    assert finite_free_cumulants(Polynomial(2, [1.0, 0.5, 0.25])) == want == [F(1, 4), F(-3, 8)]
 
 
 def test_kappa1_is_mean():

@@ -1,13 +1,19 @@
+import copy
 import json
+import pickle
 import random
+import re
 from fractions import Fraction as F
 from functools import reduce
 from math import comb, gcd
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from finfree.errors import FloatBackendRejected, ZeroDilation, ZeroLeading
+from finfree.conv import add_conv, mult_conv
+from finfree.errors import ZeroDilation, ZeroLeading
+from finfree.partitions import finite_free_cumulants
 from finfree.poly import Polynomial, _newton_solve
 
 
@@ -22,15 +28,15 @@ def test_e_convention():
 
 
 def test_mpf_coefficients_keep_their_bits_at_default_precision():
-    from mpmath import libmp
-
     with mp.workprec(200):
         c = mp.mpf(1) / 3
+    _, man, exp, _ = c._mpf_
+    exact = F(man, 2**-exp)  # all 200 bits, whatever mp.prec is now
     p = Polynomial.from_monomial([c, -1, 1])
-    assert p.e[2] == c and p.to_monomial()[0] == c and p.coeff(0) == c
+    assert p.e[2] == exact and p.to_monomial()[0] == exact and p.coeff(0) == exact
     q = Polynomial.from_monomial([1, c, 1])  # odd position: e_1 = -c
-    assert q.e[1]._mpf_ == libmp.mpf_neg(c._mpf_)
-    assert q.to_monomial()[1] == c and q.coeff(1) == c
+    assert q.e[1] == -exact
+    assert q.to_monomial()[1] == exact and q.coeff(1) == exact
 
 
 def test_dilate_examples():
@@ -38,7 +44,7 @@ def test_dilate_examples():
     assert p.dilate(1) == p
     # dilate(x-1, 2) = 2((x/2) - 1) = x - 2
     assert Polynomial.from_monomial([-1, 1]).dilate(2).to_monomial() == (F(-2), F(1))
-    assert Polynomial.from_monomial([-1.0, 1.0]).dilate(2).to_monomial() == (-2.0, 1.0)  # float backend
+    assert Polynomial.from_monomial([-1.0, 1.0]).dilate(2.0).to_monomial() == (F(-2), F(1))  # floats read exactly
     with pytest.raises(ZeroDilation):
         p.dilate(0)
 
@@ -122,8 +128,8 @@ def test_newton_identities_round_trip_past_the_degree():
             assert sigma == ([c / p.e[0] for c in p.e[1:]] + [0] * kmax)[:kmax]
             assert _newton_solve(sigma, to_power_sums=True) == ps
     assert _newton_solve([], to_power_sums=True) == []
-    # floats stay floats: x^2 - 3x + 2 has power sums 3, 5, 9
-    assert Polynomial(2, [1.0, 3.0, 2.0]).power_sums(3) == [3.0, 5.0, 9.0]
+    # float coefficients are read exactly: x^2 - 3x + 2 has power sums 3, 5, 9
+    assert Polynomial(2, [1.0, 3.0, 2.0]).power_sums(3) == [3, 5, 9]
 
 
 def test_json_roundtrip_bit_exact():
@@ -135,11 +141,11 @@ def test_json_roundtrip_bit_exact():
     assert Polynomial.from_json(text) == p
 
 
-def test_float_backend_flag_and_json_rejection():
-    q = Polynomial(2, [1.0, 2.0, 3.0])
-    assert not q.exact
-    with pytest.raises(FloatBackendRejected):
-        q.to_json()
+def test_float_coefficients_are_exact_and_serialize():
+    q = Polynomial(2, [1.0, 0.5, -3.25])
+    assert q.exact and q.e == (1, F(1, 2), F(-13, 4)) and all(type(x) is F for x in q.e)
+    assert json.loads(q.to_json())["e"] == ["1", "1/2", "-13/4"]
+    assert Polynomial.from_json(q.to_json()) == q
 
 
 def test_ambient_degree_bookkeeping():
@@ -289,7 +295,7 @@ def test_equal_polynomials_store_equal_integers_and_hash_alike():
     assert half == Polynomial(1, [F(1, 2), F(-3, 4)]) and half._int_form() == ((2, -3), 4)
     assert hash(half) == hash(Polynomial(1, [F(1, 2), F(-3, 4)]))
     assert half != Polynomial._from_ints(1, [2, -3], 5) and half != Polynomial._from_ints(2, [0, 2, -3], 4)
-    # exact against float-backed: coefficientwise, as between the numbers themselves
+    # floats compare as the dyadic rationals they denote
     assert Polynomial(1, [1, 2]) == Polynomial(1, [1.0, 2.0])
     assert hash(Polynomial(1, [1, 2])) == hash(Polynomial(1, [1.0, 2.0]))
     assert Polynomial(1, [1, 2]) != Polynomial(1, [1.0, 2.5])
@@ -308,18 +314,89 @@ def test_power_sums_reject_a_negative_order_and_go_on_past_n():
 
 
 @pytest.mark.parametrize("bad", [0.5, mp.mpf(1) / 3])
-def test_exact_kernel_rejects_float_and_mpf(bad):
+def test_kernels_read_float_and_mpf_as_their_dyadic_values(bad):
+    _, man, exp, _ = mp.mpf(bad)._mpf_
+    d = F(man, 2**-exp)  # the dyadic rational bad denotes
+    assert d.denominator in (2, 2**54)  # 1/3 rounded to 53 bits, not 1/3
     exact = Polynomial.from_monomial([1, F(2, 3), 1])
-    inexact = Polynomial.from_monomial([bad, 1, 1])
-    with pytest.raises(FloatBackendRejected):
-        inexact.shift(F(1, 2))
-    with pytest.raises(FloatBackendRejected):
-        exact.shift(bad)
-    with pytest.raises(FloatBackendRejected):
-        inexact.mul(exact)
-    with pytest.raises(FloatBackendRejected):
-        exact.mul(inexact)
-    with pytest.raises(FloatBackendRejected):
-        Polynomial.from_roots([1, bad])
-    with pytest.raises(FloatBackendRejected):
-        Polynomial.from_roots([1, 2], leading=bad)
+    p, pd = Polynomial.from_monomial([bad, 1, 1]), Polynomial.from_monomial([d, 1, 1])
+    assert p == pd and p._int_form() == pd._int_form() and hash(p) == hash(pd)
+    assert p.shift(F(1, 2)) == pd.shift(F(1, 2)) and exact.shift(bad) == exact.shift(d)
+    assert p.mul(exact) == pd.mul(exact) and exact.mul(p) == exact.mul(pd)
+    assert add_conv(p, exact, 2) == add_conv(pd, exact, 2)
+    assert mult_conv(exact, p, 2) == mult_conv(exact, pd, 2)
+    assert finite_free_cumulants(Polynomial(2, [1, bad, bad])) == finite_free_cumulants(Polynomial(2, [1, d, d]))
+
+
+# -- the input rule: each coefficient or scalar is the rational it denotes ----------
+
+BUILDERS = {
+    "init": lambda c: Polynomial(2, [1, c, 2]),
+    "from_monomial": lambda c: Polynomial.from_monomial([c, -1, 1]),
+    "from_roots": lambda c: Polynomial.from_roots([1, c]),
+    "leading": lambda c: Polynomial.from_roots([1, 2], leading=c),
+    "linear_power": lambda c: Polynomial.linear_power(c, 3),
+    "dilate": lambda c: Polynomial.from_roots([1, 2]).dilate(c),
+    "shift": lambda c: Polynomial.from_roots([1, 2]).shift(c),
+    "scaled": lambda c: Polynomial.from_roots([1, 2]).scaled(c),
+    "divide_linear": lambda c: Polynomial.from_roots([1, 3, F(3, 4), -2]).divide_linear(c),
+}
+
+REFUSED = [
+    (float("nan"), ValueError, "coefficient nan is not finite"),
+    (-float("inf"), ValueError, "coefficient -inf is not finite"),
+    (mp.mpf("inf"), ValueError, "coefficient +inf is not finite"),
+    (mp.mpf("nan"), ValueError, "coefficient nan is not finite"),
+    (1j, TypeError, "coefficients must be real, got 1j"),
+    (complex(2, 0), TypeError, "coefficients must be real, got (2+0j)"),
+    (mp.mpc(1, 1), TypeError, "coefficients must be real, got (1.0 + 1.0j)"),
+    (np.complex128(3), TypeError, "coefficients must be real"),
+    (True, TypeError, "bool is not a polynomial coefficient"),
+    (np.float64("inf"), ValueError, "coefficient inf is not finite"),
+    ("1/2", TypeError, "str is not a polynomial coefficient"),
+    (None, TypeError, "NoneType is not a polynomial coefficient"),
+]
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+@pytest.mark.parametrize("bad, error, message", REFUSED)
+def test_non_finite_complex_bool_and_non_numeric_values_are_refused_at_construction(build, bad, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build(bad)
+
+
+def test_numpy_and_mpmath_scalars_give_the_polynomial_of_their_fractions():
+    values = [(np.int64(3), F(3)), (np.float64(0.75), F(3, 4)), (np.float32(-2.0), F(-2)), (mp.mpf(0.75), F(3, 4))]
+    for build in BUILDERS.values():
+        for x, want in values:
+            got, ref = build(x), build(want)
+            assert got == ref and got._int_form() == ref._int_form()
+            assert all(type(c) is int for c in got._int_form()[0] + (got._int_form()[1],))
+    p = Polynomial(1, [np.int64(1), np.int64(2)])
+    assert p.exact and mult_conv(p, p, 1) == mult_conv(Polynomial(1, [1, 2]), Polynomial(1, [1, 2]), 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Polynomial(-1, []),
+        lambda: Polynomial.zero(-1),
+        lambda: Polynomial.x_power(-1),
+        lambda: Polynomial.x_power(-3),
+        lambda: Polynomial.linear_power(F(1, 2), -2),
+        lambda: Polynomial._from_ints(-1, [], 1),
+        lambda: Polynomial.from_monomial([], n=-1),
+    ],
+    ids=["init", "zero", "x_power", "x_power_-3", "linear_power", "from_ints", "from_monomial"],
+)
+def test_every_constructor_refuses_a_negative_ambient_degree(build):
+    with pytest.raises(ValueError, match="ambient degree must be nonnegative"):
+        build()
+
+
+def test_copy_deepcopy_and_pickle_round_trip():
+    for p in (Polynomial.from_roots([1, F(2, 3)], 4, F(-5, 7)), Polynomial.zero(0), Polynomial(2, [0.5, 1, 3])):
+        p.e  # a cached .e is not part of the value
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q == p and q._int_form() == p._int_form() and hash(q) == hash(p) and q.e == p.e
+        assert pickle.loads(pickle.dumps(p, protocol=0)) == p

@@ -11,7 +11,7 @@ from finfree.conv import mult_conv
 from finfree.errors import DegreeGapTooLarge, InvalidParameters, NonConvergence, NonRealRoots
 from finfree.hyper import HypergeometricSpec, hyper_poly
 from finfree.mop import JPSpec, jp_typeI, jp_typeII
-from finfree.poly import Polynomial
+from finfree.poly import Polynomial, _as_coeff
 from finfree.roots import (
     EmpiricalDistribution,
     default_precision,
@@ -266,18 +266,19 @@ def test_float_and_mpf_coefficients_read_exactly():
 
 @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf"), mp.mpf("inf"), mp.mpf("nan")])
 def test_non_finite_coefficients_are_refused(c):
+    # refused where the polynomial is built, before any root is sought
     with pytest.raises(ValueError, match=re.escape(f"coefficient {c} is not finite")):
-        roots_module._exact(c)
-    with pytest.raises(ValueError, match="is not finite"):
-        find_roots(Polynomial.from_monomial([c, -1, 1]), 64)
+        Polynomial.from_monomial([c, -1, 1])
+    with pytest.raises(ValueError, match=re.escape(f"coefficient {c} is not finite")):
+        Polynomial(2, [1, c, 1])
 
 
 @pytest.mark.parametrize("c", [mp.mpc(1, 1), 1j, complex(2, 0)])
 def test_complex_coefficients_are_refused(c):
     with pytest.raises(TypeError, match="coefficients must be real"):
-        roots_module._exact(c)
+        Polynomial.from_monomial([c, -1, 1])
     with pytest.raises(TypeError, match="coefficients must be real"):
-        find_roots(Polynomial.from_monomial([c, -1, 1]), 64)
+        Polynomial(2, [1, c, 1])
 
 
 def test_nonconvergence_carries_roots_and_residuals(monkeypatch):
@@ -366,7 +367,7 @@ def test_certificate_isolates_and_rejects():
     p = Polynomial.from_roots([F(1, 3), F(4, 3), F(7, 3), F(10, 3)])
     rts = find_roots(p, 128)
     seps = roots_module.real_root_certificate(p, rts)
-    xs = sorted(roots_module._exact(z.real) for z in rts)
+    xs = sorted(_as_coeff(z.real) for z in rts)
     assert len(seps) == 5 and all(isinstance(s, F) for s in seps)
     for i, x in enumerate(xs):
         assert seps[i] < x < seps[i + 1]
