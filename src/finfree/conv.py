@@ -12,7 +12,6 @@ each vector divided by its content (the gcd of its entries), in one integer
 product.
 """
 
-from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm
 
@@ -51,8 +50,7 @@ def add_conv(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
     and e_k = (a' * b')_k u / (v (n-k)!) with u/v = g_a g_b / (pd qd n!):
     numerators (a' * b')_k u n!/(n-k)! over v n!.
     """
-    if p.n != n or q.n != n:
-        raise DegreeMismatch(f"ambient degrees ({p.n}, {q.n}) do not match n={n}")
+    _check(p, q, n)
     (a, pd), (b, qd) = p._int_form(), q._int_form()
     fact = [1]
     for k in range(1, n + 1):
@@ -71,18 +69,16 @@ def add_conv(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
 
 def check_identity_dilation_distribute(p, q, n, alpha) -> bool:
     """(Dil_a p) (x)_n q == p (x)_n (Dil_a q) == Dil_a (p (x)_n q), exactly."""
-    a = Fraction(alpha)
-    lhs = mult_conv(p.dilate(a), q, n)
-    mid = mult_conv(p, q.dilate(a), n)
-    rhs = mult_conv(p, q, n).dilate(a)
+    lhs = mult_conv(p.dilate(alpha), q, n)
+    mid = mult_conv(p, q.dilate(alpha), n)
+    rhs = mult_conv(p, q, n).dilate(alpha)
     return lhs == mid == rhs
 
 
 def check_identity_dilation_additive(p, q, n, alpha) -> bool:
     """(Dil_a p) (+)_n (Dil_a q) is proportional to Dil_a (p (+)_n q)."""
-    a = Fraction(alpha)
-    lhs = add_conv(p.dilate(a), q.dilate(a), n)
-    rhs = add_conv(p, q, n).dilate(a)
+    lhs = add_conv(p.dilate(alpha), q.dilate(alpha), n)
+    rhs = add_conv(p, q, n).dilate(alpha)
     if lhs.is_zero and rhs.is_zero:
         return True
     return lhs.proportional_to(rhs) is not None

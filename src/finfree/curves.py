@@ -33,14 +33,15 @@ from operator import mul
 import numpy as np
 
 from .errors import BranchDegenerate, BranchJump, NegativeDensity, ZeroScale
+from .poly import _as_coeff
 from .series import FormalMomentSeries
 
 
 class AlgebraicCurve:
-    """F(y, u) = sum coeffs[(i, j)] y^i u^j with exact rational coefficients."""
+    """F(y, u) = sum coeffs[(i, j)] y^i u^j; each coefficient is read by `poly._as_coeff`, zeros dropped."""
 
     def __init__(self, coeffs):
-        self.coeffs = {k: Fraction(v) for k, v in coeffs.items() if v != 0}
+        self.coeffs = {k: c for k, v in coeffs.items() if (c := _as_coeff(v))}
         if not self.coeffs:
             raise ValueError("zero curve")
         self.deg_y = max(i for i, _ in self.coeffs)
@@ -84,7 +85,7 @@ def biv_mul(a, b):
 
 
 def biv_scale(a, c):
-    c = Fraction(c)
+    c = _as_coeff(c)
     return {k: c * v for k, v in a.items()}
 
 
@@ -92,10 +93,10 @@ def curve_from_limits(A, B) -> AlgebraicCurve:
     """y * prod(y + B_j) - u (y - 1) * prod(y + A_i) = 0."""
     lhs = {(1, 0): Fraction(1)}
     for bj in B:
-        lhs = biv_mul(lhs, {(1, 0): Fraction(1), (0, 0): Fraction(bj)})
+        lhs = biv_mul(lhs, {(1, 0): Fraction(1), (0, 0): _as_coeff(bj)})
     rhs = {(1, 1): Fraction(1), (0, 1): Fraction(-1)}  # u (y - 1)
     for ai in A:
-        rhs = biv_mul(rhs, {(1, 0): Fraction(1), (0, 0): Fraction(ai)})
+        rhs = biv_mul(rhs, {(1, 0): Fraction(1), (0, 0): _as_coeff(ai)})
     return AlgebraicCurve(biv_add(lhs, biv_scale(rhs, -1)))
 
 
@@ -111,8 +112,7 @@ def curve_shifted(A, B, c, d):
     A paper-formula utility: no limit builder uses it, only the tests that
     check it against the plain relation and the first moment.
     """
-    c = Fraction(c)
-    d = Fraction(d)
+    c, d = _as_coeff(c), _as_coeff(d)
     if c == 0:
         raise ZeroScale("affine scale c must be nonzero")
     s, t = len(A), len(B)
@@ -122,7 +122,7 @@ def curve_shifted(A, B, c, d):
         return {
             (1, 1): d,
             (0, 1): c,
-            (0, 0): c * (1 + Fraction(const)),
+            (0, 0): c * (1 + _as_coeff(const)),
         }
 
     lhs = {(1, 0): Fraction(1)}
@@ -131,7 +131,7 @@ def curve_shifted(A, B, c, d):
     rhs = {(1, 0): d, (0, 0): c}
     for ai in A:
         rhs = biv_mul(rhs, bracket(ai))
-    rhs = biv_scale(rhs, Fraction(c) ** (t - s))
+    rhs = biv_scale(rhs, c ** (t - s))
     out = biv_add(lhs, biv_scale(rhs, -1))
     return {k: v for k, v in out.items() if v != 0}
 
@@ -165,7 +165,7 @@ def newton_series_branch(g, y0, K):
     """
     if K < 0:
         raise ValueError(f"truncation order K must be >= 0, got K = {K}")
-    y0 = Fraction(y0)
+    y0 = _as_coeff(y0)
     a, b = y0.as_integer_ratio()
     D = max(i for i, _ in g)
     L = reduce(lcm, (v.denominator for v in g.values()))

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all finfree modules."""
+"""Exception hierarchy shared by all finfree modules.
+
+A number that is no exact input (bool, string, complex, non-finite) raises the
+builtin TypeError or ValueError of `poly._as_coeff`, which reads every number
+that enters an exact object."""
 
 
 class FinfreeError(Exception):
@@ -15,10 +19,6 @@ class ZeroLeading(FinfreeError):
 
 class DegreeMismatch(FinfreeError):
     """Ambient degrees of the operands disagree."""
-
-
-class FloatBackendRejected(FinfreeError):
-    """A moment series or series-algebra input that is not an int or a Fraction."""
 
 
 class InadmissibleDenominator(FinfreeError):

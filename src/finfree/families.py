@@ -33,6 +33,7 @@ from .curves import (
 )
 from .errors import InvalidParameters, ThetaOutOfRange, UnknownFamily, VanishingFirstMoment
 from .mop import _check_rates, _jp_rodrigues, _ml2_factors, _typeI_blocks
+from .poly import _as_coeff
 from .series import FormalMomentSeries, moments_from_r, moments_from_s, s_coefficients, series_inv, series_mul
 
 # -- rational S-transforms ------------------------------------------------------
@@ -54,9 +55,9 @@ class RationalSTransform:
     flags: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "A", tuple(Fraction(a) for a in self.A))
-        object.__setattr__(self, "B", tuple(Fraction(b) for b in self.B))
-        object.__setattr__(self, "scale", Fraction(self.scale))
+        object.__setattr__(self, "A", tuple(map(_as_coeff, self.A)))
+        object.__setattr__(self, "B", tuple(map(_as_coeff, self.B)))
+        object.__setattr__(self, "scale", _as_coeff(self.scale))
         object.__setattr__(self, "flags", tuple(self.flags))
 
     def __call__(self, z):
@@ -151,8 +152,7 @@ def degeneracy_flags(A, B):
 
 def s_limit_hyper(A=(), B=()) -> RationalSTransform:
     """Rational S-transform limit for parameter growth rates A, B."""
-    A = tuple(Fraction(a) for a in A)
-    B = tuple(Fraction(b) for b in B)
+    A, B = tuple(map(_as_coeff, A)), tuple(map(_as_coeff, B))
     return RationalSTransform(A=A, B=B, flags=degeneracy_flags(A, B))
 
 
@@ -177,10 +177,9 @@ class LimitParams:
     i: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(Fraction(t) for t in self.theta))
-        object.__setattr__(self, "A", tuple(Fraction(a) for a in self.A))
-        object.__setattr__(self, "B", Fraction(self.B))
-        object.__setattr__(self, "c", tuple(Fraction(x) for x in self.c))
+        for name in ("theta", "A", "c"):
+            object.__setattr__(self, name, tuple(map(_as_coeff, getattr(self, name))))
+        object.__setattr__(self, "B", _as_coeff(self.B))
         if self.theta:
             if any(t <= 0 for t in self.theta):
                 raise ThetaOutOfRange("all theta_i must be positive")
@@ -307,7 +306,7 @@ def density_jp_typeI_r2(theta) -> DensityModel:
     whole negative axis.  The density behaves like |x|^(-2/3) at 0 and decays
     like a square root at -c*.
     """
-    t = Fraction(theta)
+    t = _as_coeff(theta)
     if not 0 < t <= Fraction(1, 2):
         raise ThetaOutOfRange("need 0 < theta <= 1/2")
     nu = (1 / t) * (1 / t - 1)
@@ -334,7 +333,7 @@ def density_jp_typeII_r2(theta) -> DensityModel:
     x^(-2/3) blow-up at 0 and (1-x)^(-1/2) blow-up at 1; theta = 1/2 is the
     diagonal (step-line) case.
     """
-    t = Fraction(theta)
+    t = _as_coeff(theta)
     if not 0 < t <= Fraction(1, 2):
         raise ThetaOutOfRange("need 0 < theta <= 1/2")
     nu = t * (t - 1)
@@ -441,14 +440,14 @@ def _sqrt_exact_or_float(x: Fraction):
 
 # The r = 2 endpoint formulas of FAMILIES; endpoints() names each one.
 def _jp1_cstar(theta):
-    t = Fraction(theta)
+    t = _as_coeff(theta)
     if not 0 < t < Fraction(1, 2):
         raise ThetaOutOfRange("need 0 < theta < 1/2")
     return 27 * (t * (1 - t) / ((1 - 2 * t) * (2 - t) * (1 + t))) ** 2
 
 
 def _ml1_1_cstar(theta):
-    t = Fraction(theta)
+    t = _as_coeff(theta)
     if not 0 < t < Fraction(1, 2):
         raise ThetaOutOfRange("need 0 < theta < 1/2")
     root = _sqrt_exact_or_float((1 - 3 * (1 - t) * t) ** 3)
@@ -456,17 +455,17 @@ def _ml1_1_cstar(theta):
 
 
 def _jp2_astar(A):
-    a = Fraction(A)
+    a = _as_coeff(A)
     return a**3 * (a + 1) / ((a + Fraction(3, 2)) ** 3 * (a + Fraction(1, 2)))
 
 
 def _jp2_bstar(B):
-    b = Fraction(B)
+    b = _as_coeff(B)
     return 27 * (b + 1) ** 2 / (2 * b + 3) ** 3
 
 
 def _ml1_2_cstar(theta):
-    t = Fraction(theta)
+    t = _as_coeff(theta)
     if not 0 <= t <= Fraction(1, 2):
         raise ThetaOutOfRange("need 0 <= theta <= 1/2")
     if t == 0:

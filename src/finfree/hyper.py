@@ -6,8 +6,10 @@ A terminating series with numerator parameter -n,
 
 is a polynomial of degree <= n whenever no denominator parameter lies in
 {0, -1, ..., -n}; the degree equals n exactly iff no numerator parameter
-lies in {0, -1, ..., -(n-1)}.  All parameters here are exact rationals and
-every expansion is exact: each coefficient table comes from one ratio
+lies in {0, -1, ..., -(n-1)}.  All parameters here are exact rationals:
+the specs and the Pochhammer symbols read every number by `poly._as_coeff`
+(a float is its dyadic value; a string or a bool raises), and every
+expansion is exact: each coefficient table comes from one ratio
 recurrence, and the products of tables, the affine argument (a Taylor
 shift) and the additive convolution run on the integer kernel of `poly`.
 
@@ -33,25 +35,28 @@ from .errors import (
     ZeroMultiplier,
     ZeroScale,
 )
-from .poly import Polynomial, _mul_ints
+from .poly import Polynomial, _as_coeff, _mul_ints
 
 
 def pochhammer_rising(a, k: int) -> Fraction:
     """(a)^rising_k = a (a+1) ... (a+k-1); empty product for k = 0."""
-    a = Fraction(a)
+    if k < 0:
+        raise ValueError(f"order {k} is negative")
+    a = _as_coeff(a)
     u, v = a.numerator, a.denominator
     return Fraction(prod(u + i * v for i in range(k)), v**k)
 
 
 def pochhammer_falling(a, k: int) -> Fraction:
-    """(a)^falling_k = a (a-1) ... (a-k+1); empty product for k = 0."""
-    a = Fraction(a)
-    u, v = a.numerator, a.denominator
-    return Fraction(prod(u - i * v for i in range(k)), v**k)
+    """(a)^falling_k = a (a-1) ... (a-k+1) = (-1)^k (-a)^rising_k; empty product for k = 0."""
+    return (-1) ** k * pochhammer_rising(-_as_coeff(a), k)
 
 
-def _tuple_of_fractions(xs):
-    return tuple(Fraction(x) for x in xs)
+def _check_denominators(params, n):
+    """No denominator parameter may lie in {0, -1, ..., -n}."""
+    for bk in params:
+        if bk.denominator == 1 and -n <= bk <= 0:
+            raise InadmissibleDenominator(f"denominator parameter {bk} in -Z_{n + 1}")
 
 
 def _ratio_table(num, den, c, n):
@@ -68,11 +73,10 @@ def _ratio_table(num, den, c, n):
     x_(k+1) = x_k top / g, m_k = bot / g with g = gcd(x_k top, bot), one gcd
     against the small bot; D_n is then the lcm of the denominators, and
     nums[k] = x_k m_k ... m_(n-1).  Once a term vanishes the rest are zero,
-    but every denominator is still checked.
+    but every denominator is still checked.  Parameters and c are ints or Fractions.
     """
-    c = Fraction(c)
-    num = [(x.numerator, x.denominator) for x in map(Fraction, num)]
-    den = [(y.numerator, y.denominator) for y in map(Fraction, den)]
+    num = [(x.numerator, x.denominator) for x in num]
+    den = [(y.numerator, y.denominator) for y in den]
     top0 = c.numerator * prod(v for _, v in den)
     bot0 = c.denominator * prod(v for _, v in num)
     x, xs, ms = 1, [1], []
@@ -115,19 +119,17 @@ class HypergeometricSpec:
     sign: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _tuple_of_fractions(self.a))
-        object.__setattr__(self, "b", _tuple_of_fractions(self.b))
-        object.__setattr__(self, "scale", Fraction(self.scale))
-        object.__setattr__(self, "shift", Fraction(self.shift))
+        object.__setattr__(self, "a", tuple(map(_as_coeff, self.a)))
+        object.__setattr__(self, "b", tuple(map(_as_coeff, self.b)))
+        object.__setattr__(self, "scale", _as_coeff(self.scale))
+        object.__setattr__(self, "shift", _as_coeff(self.shift))
         if self.n < 0:
             raise ValueError("degree must be nonnegative")
         if self.scale == 0:
             raise ZeroScale("argument scale must be nonzero")
         if self.sign not in (0, 1):
             raise ValueError("sign flag must be 0 or 1")
-        for bk in self.b:
-            if bk.denominator == 1 and -self.n <= bk <= 0:
-                raise InadmissibleDenominator(f"denominator parameter {bk} in -Z_{self.n + 1}")
+        _check_denominators(self.b, self.n)
 
     @property
     def full_degree(self) -> bool:
@@ -289,22 +291,16 @@ class KdFSpec:
     c: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "a0", _tuple_of_fractions(self.a0))
-        object.__setattr__(self, "b0", _tuple_of_fractions(self.b0))
-        object.__setattr__(
-            self,
-            "groups",
-            tuple((_tuple_of_fractions(a), _tuple_of_fractions(b)) for a, b in self.groups),
-        )
-        object.__setattr__(self, "c", _tuple_of_fractions(self.c))
+        object.__setattr__(self, "a0", tuple(map(_as_coeff, self.a0)))
+        object.__setattr__(self, "b0", tuple(map(_as_coeff, self.b0)))
+        groups = tuple((tuple(map(_as_coeff, a)), tuple(map(_as_coeff, b))) for a, b in self.groups)
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "c", tuple(map(_as_coeff, self.c)))
         if len(self.c) != len(self.groups):
             raise ValueError("need one multiplier per variable group")
         if any(ck == 0 for ck in self.c):
             raise ZeroMultiplier("all argument multipliers must be nonzero")
-        for tup in (self.b0,) + tuple(b for _, b in self.groups):
-            for bk in tup:
-                if bk.denominator == 1 and -self.n <= bk <= 0:
-                    raise InadmissibleDenominator(f"denominator parameter {bk} in -Z_{self.n + 1}")
+        _check_denominators(self.b0 + tuple(bk for _, b in self.groups for bk in b), self.n)
 
     @property
     def r(self) -> int:
@@ -387,7 +383,7 @@ def _swapped_spec(n, a, b, c_mult):
         n=n,
         a=tuple(-bk - n + 1 for bk in b),
         b=tuple(-ak - n + 1 for ak in a),
-        scale=Fraction(1) / Fraction(c_mult),
+        scale=1 / c_mult,
         sign=(i + j) % 2,
     )
 
@@ -403,7 +399,7 @@ def kdf_factorize(spec: KdFSpec, mode: str = "all"):
         raise ValueError("the factorization needs a variable group")
     n = spec.n
     if mode == "all":
-        q0 = Leaf(_swapped_spec(n, spec.a0, spec.b0, 1))
+        q0 = Leaf(_swapped_spec(n, spec.a0, spec.b0, Fraction(1)))
         qs = tuple(Leaf(_swapped_spec(n, a, b, c)) for (a, b), c in zip(spec.groups, spec.c))
         tree = Rev(Mult(q0, qs[0] if len(qs) == 1 else Add(qs)))
     else:

@@ -30,13 +30,12 @@ from .errors import DuplicateC, InvalidParameters, UnknownFamily
 from .hyper import (
     HypergeometricSpec,
     _ratio_table,
-    _tuple_of_fractions,
     hyper_poly,
     pochhammer_falling,
     pochhammer_rising,
     reversed_product_representation,
 )
-from .poly import Polynomial, _mul_ints
+from .poly import Polynomial, _as_coeff, _mul_ints
 
 # -- family specs ----------------------------------------------------------------
 
@@ -49,8 +48,8 @@ class JPSpec:
     beta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _tuple_of_fractions(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+        object.__setattr__(self, "alpha", tuple(map(_as_coeff, self.alpha)))
+        object.__setattr__(self, "beta", _as_coeff(self.beta))
         _check_alphas(self.alpha)
         if self.beta <= -1:
             raise InvalidParameters("beta must exceed -1")
@@ -67,7 +66,7 @@ class ML1Spec:
     alpha: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _tuple_of_fractions(self.alpha))
+        object.__setattr__(self, "alpha", tuple(map(_as_coeff, self.alpha)))
         _check_alphas(self.alpha)
 
     @property
@@ -83,8 +82,8 @@ class ML2Spec:
     c: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "c", _tuple_of_fractions(self.c))
+        object.__setattr__(self, "alpha", _as_coeff(self.alpha))
+        object.__setattr__(self, "c", tuple(map(_as_coeff, self.c)))
         if self.alpha <= -1:
             raise InvalidParameters("alpha must exceed -1")
         _check_rates(self.c)

@@ -24,7 +24,7 @@ from itertools import combinations, product
 from math import factorial, prod
 
 from .errors import NotComparable, TooLarge, ZeroLeading
-from .poly import Polynomial, _newton_solve, _order
+from .poly import Polynomial, _as_coeff, _newton_solve, _order
 
 ENUMERATION_GUARD = 12
 
@@ -241,7 +241,7 @@ def cumulants_to_elementary(kappa, n):
     """
     if kappa and n < 1:
         raise ValueError(f"cumulants of order {len(kappa)} need degree n >= 1, got n = {n}")
-    power = [Fraction(k) / n ** (j - 1) for j, k in enumerate(kappa, start=1)]
+    power = [_as_coeff(k) / n ** (j - 1) for j, k in enumerate(kappa, start=1)]
     e, falling = [Fraction(1)], 1
     for j, s in enumerate(_newton_solve(power, to_power_sums=False), start=1):
         falling *= n - j + 1

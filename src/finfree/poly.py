@@ -18,10 +18,13 @@ output polynomial, and a chain of them builds no Fraction.  `.e`, the tuple
 of Fractions, is a view of it, built on first use and cached.  Every
 coefficient and scalar is read as the rational it denotes (`_as_coeff`):
 ints and other rationals as themselves, floats and mpmath reals as their
-exact dyadic values, so no arithmetic here rounds.
+exact dyadic values, so no arithmetic here rounds.  `_as_coeff` is the one
+reader of the numbers that enter any exact object of the package: the
+moment series and their kernels, the hypergeometric and family specs, the
+limit objects and the algebraic curves.
 
 The list helpers below (`_ints`, `_mul_ints`, `_reduced`, `_newton_solve`)
-serve `series` as well: a vector of rationals becomes integer numerators
+serve `series` as well: a vector of numbers becomes integer numerators
 over one common denominator, and the loops run on Python ints.
 """
 
@@ -36,9 +39,7 @@ from operator import add, mul, sub
 
 import mpmath as mp
 
-from .errors import FloatBackendRejected, ZeroDilation, ZeroLeading
-
-_EXACT_TYPES = (int, Fraction)
+from .errors import ZeroDilation, ZeroLeading
 
 # -- integer-numerator kernel --------------------------------------------------
 
@@ -48,10 +49,10 @@ _EXACT_TYPES = (int, Fraction)
 
 
 def _ints(a, K):
-    """a[0..K] (ints or Fractions, zero-padded) as integer numerators over one denominator."""
-    a = list(a[: K + 1]) + [0] * max(0, K + 1 - len(a))
-    if not all(isinstance(x, _EXACT_TYPES) for x in a):
-        raise FloatBackendRejected("exact operation: coefficients must be ints or Fractions")
+    """a[0..K], zero-padded, as integer numerators over one denominator; every entry
+    but an int is read by `_as_coeff`."""
+    a = [x if type(x) is int else _as_coeff(x) for x in a[: K + 1]]
+    a += [0] * (K + 1 - len(a))
     den = reduce(lcm, [x.denominator for x in a])
     return [x.numerator * (den // x.denominator) for x in a], den
 
@@ -267,7 +268,11 @@ class Polynomial:
         return tuple(_alternate(self.e)[::-1])
 
     def coeff(self, m):
-        """Monomial coefficient of x^m."""
+        """Monomial coefficient of x^m; 0 above the ambient degree."""
+        if m < 0:
+            raise ValueError(f"power {m} is negative")
+        if m > self.n:
+            return Fraction(0)
         j = self.n - m
         return -self.e[j] if j % 2 else self.e[j]
 
@@ -315,7 +320,7 @@ class Polynomial:
     def evaluate(self, x):
         """Horner evaluation; works for Fraction, float, complex, mpmath."""
         mono = self.to_monomial()
-        acc = mono[-1] * (x * 0 + 1) if not isinstance(x, _EXACT_TYPES) else mono[-1]
+        acc = mono[-1] * (x * 0 + 1)  # in the type of x
         for m in range(self.n - 1, -1, -1):
             acc = acc * x + mono[m]
         return acc

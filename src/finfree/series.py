@@ -9,20 +9,22 @@ A moment sequence m_1..m_K determines, as formal power series,
 
 with the compatibility (z M(z) + z) R(z M(z) + z) = M(z) and
 w S(w) = (w R(w))^{-1} (functional inverse).  Everything here is truncated
-at a recorded order and exact: inputs are ints or Fractions.  The kernel
-of `poly` holds a series as integer numerators over one denominator and
-makes one Fraction per output coefficient; reversion is Lagrange
-inversion, and the free cumulants come from the R-transform functional
-equation, not from partition enumeration.
+at a recorded order and exact: every number given, to a moment series or
+to a kernel, is read by `poly._as_coeff` as the rational it denotes, so a
+float is its dyadic value, as in a `Polynomial`.  The kernel of `poly`
+holds a series as integer numerators over one denominator and makes one
+Fraction per output coefficient; reversion is Lagrange inversion, and the
+free cumulants come from the R-transform functional equation, not from
+partition enumeration.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import FloatBackendRejected, VanishingFirstMoment
+from .errors import VanishingFirstMoment
 from .partitions import multiplicative_cumulant_product
-from .poly import _ints, _mul_ints, _order, _reduced
+from .poly import _as_coeff, _ints, _mul_ints, _order, _reduced
 
 # -- truncated power series kernel (coefficient lists c[0]..c[K]) -------------
 
@@ -99,9 +101,7 @@ class FormalMomentSeries:
     m: tuple
 
     def __post_init__(self):
-        if not all(isinstance(x, (int, Fraction)) for x in self.m):
-            raise FloatBackendRejected("moment series are exact: ints or Fractions only")
-        object.__setattr__(self, "m", tuple(Fraction(x) for x in self.m))
+        object.__setattr__(self, "m", tuple(map(_as_coeff, self.m)))
 
     @property
     def K(self):
@@ -109,7 +109,7 @@ class FormalMomentSeries:
 
     @classmethod
     def point_mass(cls, c, K):
-        c = Fraction(c)
+        c = _as_coeff(c)
         return cls(tuple(c**k for k in range(1, K + 1)))
 
     def truncated(self, K):

@@ -33,6 +33,13 @@ def test_pochhammer():
     assert pochhammer_falling(F(1, 3), 3) == F(1, 3) * F(-2, 3) * F(-5, 3)
 
 
+@pytest.mark.parametrize("symbol", [pochhammer_rising, pochhammer_falling])
+def test_pochhammer_refuses_a_negative_order(symbol):
+    for a in (F(1, 2), 3):
+        with pytest.raises(ValueError, match="order -2 is negative"):
+            symbol(a, -2)
+
+
 def test_hyper_poly_examples():
     assert hyper_poly(HypergeometricSpec(n=2, a=(3,), b=(1,))).to_monomial() == (F(1), F(-6), F(6))
     assert hyper_poly(HypergeometricSpec(n=2, b=(1,))).to_monomial() == (F(1), F(-2), F(1, 2))

@@ -148,6 +148,15 @@ def test_float_coefficients_are_exact_and_serialize():
     assert Polynomial.from_json(q.to_json()) == q
 
 
+def test_coeff_is_zero_above_the_ambient_degree_and_refuses_a_negative_power():
+    p = Polynomial.from_monomial([2, -3, 1])
+    assert [p.coeff(m) for m in range(3)] == [2, -3, 1]
+    assert p.coeff(3) == p.coeff(4) == 0  # n - m is a negative index here
+    assert p.coeff(9) == 0 and type(p.coeff(9)) is F  # and out of range here
+    with pytest.raises(ValueError, match="power -1 is negative"):
+        p.coeff(-1)
+
+
 def test_ambient_degree_bookkeeping():
     p = Polynomial.from_monomial([1, 1], n=4)  # x + 1 in ambient degree 4
     assert p.n == 4 and p.degree == 1

@@ -5,7 +5,7 @@ import pytest
 
 from finfree import partitions
 from finfree.conv import add_conv
-from finfree.errors import FloatBackendRejected, VanishingFirstMoment
+from finfree.errors import VanishingFirstMoment
 from finfree.families import LimitParams, family_curves, s_limit_hyper
 from finfree.hyper import HypergeometricSpec, hyper_poly
 from finfree.partitions import cumulants_from_moments_nc, finite_free_cumulants, moments_from_cumulants_nc
@@ -101,9 +101,10 @@ def test_bridge_roundtrips():
     assert r_s_consistent(br["r"], br["s"], 6)
 
 
-def test_float_moments_rejected():
-    with pytest.raises(FloatBackendRejected):
-        FormalMomentSeries((1.0, 2.0))
+def test_float_moments_are_read_as_their_rationals():
+    assert FormalMomentSeries((1.0, 0.5)) == FormalMomentSeries((F(1), F(1, 2)))
+    assert FormalMomentSeries.point_mass(0.5, 3) == FormalMomentSeries((0.5, 0.25, 0.125))
+    assert all(type(x) is F for x in FormalMomentSeries.point_mass(0.5, 3).m)
 
 
 def test_vanishing_first_moment():
