@@ -9,12 +9,15 @@ with another, so a polynomial whose coefficients span thousands of bits
 costs no more per step than a tame one.  Convergence per root uses the
 Adams criterion |p(z)| <= eps * sum |c_k| |z|^k, which is the tightest
 residual a backward-stable evaluation can certify; both sides are compared
-as base-2 logarithms.
+as base-2 logarithms.  A point whose residual lies below the largest term
+eps |c_k| |z|^k alone is accepted before the sum is formed: the sum holds
+that term, so the full test could only agree.
 """
 
 import math
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, fzero
 
 
 # -- Gaussian-integer floating point ---------------------------------------------
@@ -148,10 +151,12 @@ def _renorm(a, P):
 
 
 def _to_mpc(a):
-    """A pair or a triple as an mpc at the current mpmath precision."""
+    """A pair or a triple as an mpc at the current mpmath precision, rounded
+    from the mantissa once, as mp.mpc(mp.mpf(...)) would round it."""
+    prec, rnd = mp.mp._prec_rounding
     if len(a) == 2:
-        return mp.mpc(mp.mpf(a))
-    return mp.mpc(mp.mpf((a[0], a[2])), mp.mpf((a[1], a[2])))
+        return mp.mp.make_mpc((from_man_exp(a[0], a[1], prec, rnd), fzero))
+    return mp.mp.make_mpc((from_man_exp(a[0], a[2], prec, rnd), from_man_exp(a[1], a[2], prec, rnd)))
 
 
 # -- the Aberth-Ehrlich kernel -----------------------------------------------------
@@ -203,6 +208,8 @@ def _adams_holds(log_pv, log_eps, lcs, lz):
         return log_pv <= log_eps + lcs[0][1]
     t = [lc + k * lz for k, lc in lcs]
     top = max(t)
+    if log_pv <= log_eps + top:  # below the largest term alone; the sum only adds log2(S) >= 0
+        return True
     if log_pv > log_eps + top + math.log2(len(t)):  # above even the largest bound
         return False
     return log_pv <= log_eps + top + math.log2(sum(2.0 ** (x - top) for x in t))

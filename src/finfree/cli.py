@@ -253,7 +253,14 @@ def _cmd_verify(args):
     return 0 if ok_all else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process and shared by every `main` call.
+
+    The same object is returned on every call, so treat it as read-only:
+    adding arguments or changing defaults on it changes every later call.
+    `parse_args` returns a fresh Namespace each time.
+    """
     ap = argparse.ArgumentParser(prog="finfree", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 

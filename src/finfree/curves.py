@@ -154,8 +154,9 @@ def _v_side_coeffs(curve: AlgebraicCurve):
 def newton_series_branch(g, y0, K):
     """Series y(v) = y0 + y_1 v + ... + y_K v^K solving G(y, v) = 0, G a dict.
 
-    G = sum g[(i, k)] y^i v^k must have a simple root at (y0, 0).  With
-    y0 = a/b, L the lcm of G's denominators and D = deg_y G, the shifted
+    G = sum g[(i, k)] y^i v^k, each value (and y0) read by `poly._as_coeff`,
+    must have a simple root at (y0, 0).  With y0 = a/b, L the lcm of G's
+    denominators and D = deg_y G, the shifted
     H(u, v) = b^D L G(y0 + u, v) = sum h_jk u^j v^k is integral, h_00 = 0 and
     the pivot c = h_10 is nonzero.  Under u = c Z, v = c^2 w, H = 0 reads
     Z = -sum h_jk c^(j + 2k - 2) Z^j w^k over j + 2k >= 2: every exponent is
@@ -168,6 +169,7 @@ def newton_series_branch(g, y0, K):
     y0 = _as_coeff(y0)
     a, b = y0.as_integer_ratio()
     D = max(i for i, _ in g)
+    g = {ik: _as_coeff(v) for ik, v in g.items()}
     L = reduce(lcm, (v.denominator for v in g.values()))
     h = {}
     for (i, k), v in g.items():  # L g_ik b^(D - i) (a + b u)^i, binomially

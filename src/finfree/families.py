@@ -286,14 +286,19 @@ class DensityModel:
         return self.density(np.asarray(x, dtype=float))
 
 
-def _cardano(x, amp, a, b, sign, den):
+def _cardano_scale(amp):
+    """sqrt(3) / (2 pi) * amp^(1/3), the constant of `_cardano`; once per model."""
+    return np.sqrt(3.0) / (2 * np.pi) * np.cbrt(amp)
+
+
+def _cardano(x, scale, a, b, sign, den):
     """The shared Cardano form of the r = 2 Jacobi-Pineiro laws,
 
-        sqrt(3) / (2 pi) * amp^(1/3) * (cbrt(a + b) + sign cbrt(a - b)) / (x^(2/3) den):
+        scale * (cbrt(a + b) + sign cbrt(a - b)) / (x^(2/3) den),
 
-    the x^(2/3) gives the |x|^(-2/3) law at 0, and b -> 0 the other edge.
+    scale = `_cardano_scale(amp)`: the x^(2/3) gives the |x|^(-2/3) law at 0,
+    and b -> 0 the other edge.
     """
-    scale = np.sqrt(3.0) / (2 * np.pi) * np.cbrt(amp)
     return scale * (np.cbrt(a + b) + sign * np.cbrt(a - b)) / (np.cbrt(x**2) * den)
 
 
@@ -315,13 +320,13 @@ def density_jp_typeI_r2(theta) -> DensityModel:
     else:
         cstar = _jp1_cstar(t)
         c_f, constants = float(cstar), {"nu": nu, "kappa": 1 + 1 / cstar, "cstar": cstar}
-    amp = float(nu) / 2
+    scale = _cardano_scale(float(nu) / 2)
 
     def dens(x):
         x = np.abs(x)
         s = np.sqrt(1 + x)
         q = 1.0 if c_f == np.inf else np.sqrt(np.maximum(c_f - x, 0.0) / c_f)
-        return _cardano(x, amp, s, q, -1, s)
+        return _cardano(x, scale, s, q, -1, s)
 
     return DensityModel(support=(-c_f, 0.0), density=dens, constants=constants)
 
@@ -339,12 +344,12 @@ def density_jp_typeII_r2(theta) -> DensityModel:
     nu = t * (t - 1)
     kappa = Fraction(4, 27) * (1 + nu) ** 3 / nu**2
     k_f = float(kappa)
-    amp = float(t * (1 - t)) / 2.0
+    scale = _cardano_scale(float(t * (1 - t)) / 2.0)
 
     def dens(x):
         a = np.sqrt(1 + (k_f - 1) * x)
         b = np.sqrt(np.maximum(1 - x, 0.0))
-        return _cardano(x, amp, a, b, 1, b)
+        return _cardano(x, scale, a, b, 1, b)
 
     return DensityModel(support=(0.0, 1.0), density=dens, constants={"nu": nu, "kappa": kappa})
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -258,3 +259,37 @@ def test_roots_sidecars_carry_the_certificate(tmp_path):
     assert run(tmp_path, "mop", "--family", "jp2", "--n", "3,3", "--alpha", "1/2,3/7",
                "--beta", "1", "--emit", "jp.csv") == 0
     assert meta("jp.csv")["certificate"] == {"real": True, "isolated": 6}
+
+
+def test_one_parser_per_process(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli.build_parser.cache_clear()
+    ap = cli.build_parser()
+    assert cli.build_parser() is ap
+    n_built = len(built)
+    seen = []
+    parse = ap.parse_args
+
+    def spy(argv):
+        seen.append(parse(argv))
+        return seen[-1]
+
+    monkeypatch.setattr(ap, "parse_args", spy)
+    assert run(tmp_path, "hyper", "--n", "4", "--b", "2", "--out", "lag.json") == 0
+    assert run(tmp_path, "roots", "--p", "lag.json", "--out", "r.csv", "--hist", "2", "--hist-out", "h.csv") == 0
+    assert run(tmp_path, "mop", "--family", "jp2", "--n", "2,x", "--alpha", "1/2,3/7") == 2
+    assert run(tmp_path, "mop", "--family", "jp2", "--n", "2,2", "--alpha", "1/2,3/7", "--emit", "m.csv") == 0
+    assert len(built) == n_built
+    hyper, roots, mop = map(vars, seen)
+    assert len({id(ns) for ns in seen}) == 3
+    assert (hyper["cmd"], hyper["b"], hyper["fn"]) == ("hyper", (F(2),), cli._cmd_hyper) and "hist" not in hyper
+    assert (roots["cmd"], roots["hist"], roots["fn"]) == ("roots", 2, cli._cmd_roots) and "b" not in roots
+    assert (mop["cmd"], mop["n"], mop["beta"], mop["fn"]) == ("mop", (2, 2), F(0), cli._cmd_mop)
+    assert "hist" not in mop and "b" not in mop

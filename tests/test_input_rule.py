@@ -121,6 +121,7 @@ ENTRIES = {
     "curve_shifted.c": lambda x: curve_shifted((F(1),), (), x, F(1)),
     "curve_shifted.d": lambda x: curve_shifted((F(1),), (), F(1), x),
     "newton_series_branch.y0": lambda x: newton_series_branch(BRANCH, x, 2),
+    "newton_series_branch.g": lambda x: newton_series_branch({(1, 0): x, (0, 1): F(1)}, 0, 2),
     "check_identity_dilation_distribute": lambda x: check_identity_dilation_distribute(P, Q, 2, x),
     "check_identity_dilation_additive": lambda x: check_identity_dilation_additive(P, Q, 2, x),
     "cumulants_to_elementary": lambda x: cumulants_to_elementary([F(1), x], 3),
@@ -142,3 +143,9 @@ def test_every_exact_entry_point_reads_numbers_by_the_one_rule(name):
     for bad, error, message in REFUSED:
         with pytest.raises(error, match=re.escape(message)):
             build(bad)
+
+
+def test_branch_series_reads_a_float_value_of_its_curve():
+    # y + v = 0: a float 1.0 is the rational 1, not an object without .denominator
+    for one in (1, 1.0):
+        assert newton_series_branch({(1, 0): one, (0, 1): 1}, 0, 2) == [0, -1, 0]

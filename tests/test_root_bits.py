@@ -1,0 +1,117 @@
+"""The root finder's fixed per-call work, pinned to the bit: the roots of a
+fixed set of polynomials, the mantissa-to-mpc conversion, and the Adams test
+settled from its largest term, each against the form it replaced."""
+
+import hashlib
+import math
+import random
+from fractions import Fraction as F
+
+import mpmath as mp
+import pytest
+
+from finfree import mop
+from finfree.aberth import _adams_holds, _to_mpc
+from finfree.poly import Polynomial
+from finfree.roots import find_roots
+
+JP = mop.JPSpec(alpha=(F(2, 13), F(-1, 13)), beta=F(0))
+SHIFTED = (F(193, 156), F(157, 156))
+JP2 = mop.JPSpec(alpha=(F(4, 13), F(-5, 13)), beta=F(1))
+AL2_T = (F(25, 39), F(-5, 13))
+ML2_C = (F(5), F(3, 2))
+
+# the thirteen solves of one interlacing trial (n = (4, 4), i = 1), at 256 bits
+TRIAL = [
+    lambda: mop.jp_typeI(JP, (4, 4), 1),
+    lambda: mop.jp_typeI(mop.JPSpec(alpha=SHIFTED, beta=F(0)), (4, 4), 1),
+    lambda: mop.jp_typeI(mop.JPSpec(alpha=JP.alpha, beta=F(13, 12)), (4, 4), 1),
+    lambda: mop.ml1_typeI(mop.ML1Spec(alpha=JP.alpha), (4, 4), 1),
+    lambda: mop.ml1_typeI(mop.ML1Spec(alpha=SHIFTED), (4, 4), 1),
+    lambda: mop.jp_typeII(JP2, (4, 4)),
+    lambda: mop.jp_typeII(JP2, (5, 4)),
+    lambda: mop.jp_typeII(mop.JPSpec(alpha=AL2_T, beta=F(1)), (4, 4)),
+    lambda: mop.ml1_typeII(mop.ML1Spec(alpha=JP2.alpha), (4, 4)),
+    lambda: mop.ml1_typeII(mop.ML1Spec(alpha=JP2.alpha), (5, 4)),
+    lambda: mop.ml1_typeII(mop.ML1Spec(alpha=AL2_T), (4, 4)),
+    lambda: mop.ml2_typeII(mop.ML2Spec(alpha=F(4, 3), c=ML2_C), (4, 4)),
+    lambda: mop.ml2_typeII(mop.ML2Spec(alpha=F(23, 12), c=ML2_C), (4, 4)),
+]
+JP_PARAMS = mop.JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1))
+
+
+def _complex_cases():
+    rng = random.Random(5)
+    return [
+        Polynomial.from_monomial([1] * 7),
+        Polynomial.from_monomial([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(20)] + [1]),
+    ]
+
+
+def _digest(solves):
+    h = hashlib.sha256()
+    for p, bits in solves:
+        h.update(repr([(z.real._mpf_, z.imag._mpf_) for z in find_roots(p, bits)]).encode())
+    return h.hexdigest()
+
+
+def test_real_path_roots_keep_their_bits():
+    solves = [(make(), 256) for make in TRIAL]
+    solves += [(mop.jp_typeII(JP_PARAMS, (14, 14)), None), (mop.jp_typeI(JP_PARAMS, (30, 60), 1), None)]
+    assert _digest(solves) == "44af7b37dcd44e189365e2567c466ad75eafae8bb35bd401c0fa58d436ac25d3"
+
+
+def test_complex_path_roots_keep_their_bits():
+    solves = [(p, bits) for p in _complex_cases() for bits in (None, 200)]
+    assert any(z.imag for z in find_roots(solves[0][0]))
+    assert _digest(solves) == "49770bb325ad7b27cf415d62f593ba6dfcd829e51b625b6cf458c12bbb60a88f"
+
+
+@pytest.mark.parametrize("prec", [53, 288, 600])
+def test_mantissa_to_mpc_rounds_as_mpf_does(prec):
+    rng = random.Random(prec)
+    with mp.workprec(prec):
+        for _ in range(500):
+            re, im = (rng.choice((0, 1, -1)) * rng.getrandbits(rng.randint(1, 304)) for _ in range(2))
+            e = rng.randint(-400, 400)
+            got, want = _to_mpc((re, e)), mp.mpc(mp.mpf((re, e)))
+            assert (got.real._mpf_, got.imag._mpf_) == (want.real._mpf_, want.imag._mpf_)
+            got, want = _to_mpc((re, im, e)), mp.mpc(mp.mpf((re, e)), mp.mpf((im, e)))
+            assert (got.real._mpf_, got.imag._mpf_) == (want.real._mpf_, want.imag._mpf_)
+
+
+def _adams_full_sum(log_pv, log_eps, lcs, lz):
+    """The Adams test as it was before the early accept: always the full sum."""
+    if lz == -math.inf:
+        return log_pv <= log_eps + lcs[0][1]
+    t = [lc + k * lz for k, lc in lcs]
+    top = max(t)
+    if log_pv > log_eps + top + math.log2(len(t)):  # above even the largest bound
+        return False
+    return log_pv <= log_eps + top + math.log2(sum(2.0 ** (x - top) for x in t))
+
+
+def test_adams_test_agrees_with_the_full_sum():
+    rng = random.Random(2014)
+    cases = 0
+    for _ in range(3000):
+        n = rng.randint(1, 40)
+        ks = [0] + sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        lcs = [(k, rng.uniform(-60, 60)) for k in ks]
+        lz = -math.inf if rng.random() < 0.05 else rng.uniform(-12, 12)
+        log_eps = rng.uniform(-700, -10)
+        if lz == -math.inf:
+            edge = log_eps + lcs[0][1]
+        else:
+            t = [lc + k * lz for k, lc in lcs]
+            top = max(t)
+            edge = log_eps + top
+            full = edge + math.log2(sum(2.0 ** (x - top) for x in t))
+        probes = [edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf)]
+        probes += [edge + rng.uniform(-5, 5), -math.inf]
+        if lz != -math.inf:
+            probes += [full, math.nextafter(full, math.inf), math.nextafter(full, -math.inf)]
+        for log_pv in probes:
+            assert _adams_holds(log_pv, log_eps, lcs, lz) == _adams_full_sum(log_pv, log_eps, lcs, lz)
+            cases += 1
+    assert cases > 20000
