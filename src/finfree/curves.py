@@ -109,8 +109,8 @@ def curve_shifted(A, B, c, d):
         w prod_j [d u w + c(u+1+B_j)] = c^(t-s) (d w + c) prod_i [d u w + c(u+1+A_i)].
 
     Encoded as {(i, j): coeff} with i the power of w and j the power of u.
-    A paper-formula utility: no limit builder uses it, only the tests that
-    check it against the plain relation and the first moment.
+    A public paper formula: no limit builder uses it; the tests check it
+    against the plain relation and the first moment.
     """
     c, d = _as_coeff(c), _as_coeff(d)
     if c == 0:
@@ -206,19 +206,6 @@ def moments_from_curve(curve: AlgebraicCurve, K: int) -> FormalMomentSeries:
     return FormalMomentSeries(tuple(y[1 : K + 1]))
 
 
-def branch_mass_candidates(curve: AlgebraicCurve):
-    """Possible values of y at u = infinity: the total masses of branches.
-
-    The physical probability branch has mass 1; in flagged escape-to-infinity
-    regimes (a numerator limit inside (-1, 0)) the surviving branch carries
-    mass |A| < 1, which shows up here as another real slice root.
-    """
-    slice0 = {i: c for (i, k), c in _v_side_coeffs(curve).items() if k == 0}
-    coeffs = [float(slice0.get(i, 0)) for i in range(max(slice0), -1, -1)]
-    roots = np.roots(np.trim_zeros(np.array(coeffs), "f"))
-    return sorted({round(r.real, 12) for r in roots if abs(r.imag) < 1e-9})
-
-
 def mass_branch_moments(curve: AlgebraicCurve, y0, K: int):
     """Moment expansion of the branch with y -> y0 at infinity (mass y0)."""
     y = newton_series_branch(_v_side_coeffs(curve), y0, K)
@@ -259,7 +246,7 @@ def _newton_point(curve, u, y0, tol=1e-13, maxiter=60):
     return None
 
 
-def _continue_to(curve, u_from, y_from, u_to, jump_tol=0.5, min_step=1e-12):
+def _continue_to(curve, u_from, y_from, u_to):
     """Walk the branch from (u_from, y_from) to u_to with adaptive steps."""
     u_cur, y_cur = complex(u_from), complex(y_from)
     u_to = complex(u_to)
@@ -267,9 +254,9 @@ def _continue_to(curve, u_from, y_from, u_to, jump_tol=0.5, min_step=1e-12):
     while u_cur != u_to:
         u_next = u_to if frac >= 1.0 else u_cur + frac * (u_to - u_cur)
         y_next = _newton_point(curve, u_next, y_cur)
-        if y_next is None or abs(y_next - y_cur) > jump_tol * (1 + abs(y_cur)):
+        if y_next is None or abs(y_next - y_cur) > 0.5 * (1 + abs(y_cur)):
             frac /= 2
-            if frac < min_step:
+            if frac < 1e-12:
                 raise BranchJump(f"continuation stalled near u={u_next}")
             continue
         u_cur, y_cur = u_next, y_next
@@ -455,4 +442,4 @@ def support_candidates(curve: AlgebraicCurve):
     if not disc:
         return []
     roots = np.roots(np.array([float(c) for c in _squarefree(disc)], dtype=float))
-    return sorted({round(r.real, 9) for r in roots if abs(r.imag) < 1e-9})
+    return sorted({float(round(r.real, 9)) for r in roots if abs(r.imag) < 1e-9})

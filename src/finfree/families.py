@@ -10,9 +10,10 @@ and its Cauchy transform y = u G(u) lives on the genus-0 curve
     y prod_j (y + B_j) = u (y - 1) prod_i (y + A_i).
 
 This module assembles those objects for the six multiple-orthogonality
-families, carries the two r = 2 closed-form densities and the support
-endpoint formulas, and verifies the reversed-measure identity
-S(z) S_rev(-z-1) = 1 against reciprocal moments read off the curve.
+families and carries the two r = 2 closed-form densities and the support
+endpoint formulas.  The reversed-measure identity S(z) S_rev(-z-1) = 1 of
+`RationalSTransform.reversed_measure` is checked in the tests, against
+reciprocal moments read off the curve (`curves.reciprocal_moments_from_curve`).
 """
 
 from collections import namedtuple
@@ -29,12 +30,11 @@ from .curves import (
     biv_scale,
     curve_from_limits,
     moments_from_curve,
-    reciprocal_moments_from_curve,
 )
 from .errors import InvalidParameters, ThetaOutOfRange, UnknownFamily, VanishingFirstMoment
 from .mop import _check_rates, _jp_rodrigues, _ml2_factors, _typeI_blocks
 from .poly import _as_coeff
-from .series import FormalMomentSeries, moments_from_r, moments_from_s, s_coefficients, series_inv, series_mul
+from .series import FormalMomentSeries, moments_from_r, moments_from_s, series_inv, series_mul
 
 # -- rational S-transforms ------------------------------------------------------
 
@@ -121,14 +121,6 @@ def _shift_product(shifts, K):
     for c in shifts:
         out = series_mul(out, [c + 1, Fraction(1)], K)
     return out
-
-
-def rational_s_equal(s1: RationalSTransform, s2: RationalSTransform) -> bool:
-    """Equality as rational functions (cross-multiplied polynomial identity)."""
-    K = len(s1.A) + len(s1.B) + len(s2.A) + len(s2.B) + 2
-    lhs = [s1.scale * c for c in series_mul(_shift_product(s1.A, K), _shift_product(s2.B, K), K)]
-    rhs = [s2.scale * c for c in series_mul(_shift_product(s2.A, K), _shift_product(s1.B, K), K)]
-    return lhs == rhs
 
 
 _ASSUMPTION_A_WINDOW = "A in [-1,0)"
@@ -358,14 +350,14 @@ def density_jp_typeII_r2(theta) -> DensityModel:
 
 
 @lru_cache(maxsize=None)
-def _legendre_rule(nodes):
-    x, w = np.polynomial.legendre.leggauss(nodes)
+def _legendre_rule():
+    x, w = np.polynomial.legendre.leggauss(96)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
-def _gauss_legendre(f, a, b, nodes=96):
-    x, w = _legendre_rule(nodes)
+def _gauss_legendre(f, a, b):
+    x, w = _legendre_rule()
     xm = 0.5 * (b + a) + 0.5 * (b - a) * x
     return 0.5 * (b - a) * float(np.sum(w * f(xm)))
 
@@ -477,28 +469,6 @@ def _ml1_2_cstar(theta):
         return Fraction(4)
     root = _sqrt_exact_or_float((1 - 3 * t * (1 - t)) ** 3)
     return 27 * t**2 * (1 - t) ** 2 / (9 * t * (1 - t) - 2 + 2 * root)
-
-
-# -- reversed-measure identity -------------------------------------------------------
-
-
-def s_reverse_check(st: RationalSTransform, K: int = 6) -> bool:
-    """Verify S(z) S_rev(-z-1) = 1 to order K against reciprocal moments.
-
-    Route 1: solve the identity for S_rev and expand it at 0.
-    Route 2: read the reciprocal moments m_{-k} off the u = 0 branch of the
-    Cauchy curve (independent of route 1) and bridge them to an S series.
-    Both expansions must agree exactly.  Needs all A_i != 0 (S_rev expandable
-    at 0) and all B_j != 0 (0 outside the support of mu).
-    """
-    if any(a == 0 for a in st.A) or any(b == 0 for b in st.B):
-        raise VanishingFirstMoment("identity check needs A_i != 0 and B_j != 0")
-    candidate = st.reversed_measure().series(K - 1)
-    rec = reciprocal_moments_from_curve(st.curve(), K)
-    if rec[0] == 0:
-        raise VanishingFirstMoment("reciprocal measure has vanishing first moment")
-    via_moments = s_coefficients(FormalMomentSeries(tuple(rec)), K - 1)
-    return candidate[: K - 1] == via_moments[: K - 1]
 
 
 # -- the family registry: the one place that decides the family names -------------

@@ -10,11 +10,12 @@ free cumulants are Newton's identities (`poly._newton_solve`), and the
 non-crossing maps sum over the block types of NC(k), each times its count
 in the enumeration.  The Kreweras complement of pi is the cycles of
 P_pi^-1 gamma, and pi is non-crossing iff |pi| + |Kr(pi)| = k + 1
-(Nica-Speicher, Lecture 18).  The enumeration routines are oracles (for
-`verify`, the tests and `series.free_mult_via_kreweras`); `series` computes
-the non-crossing maps by power series.  Everything is exact; enumeration is
-guarded at k <= 12 (Bell(12) ~ 4.2e6 is the practical wall for the full
-lattice in pure Python; Catalan(12) = 208012 NC ones are generated directly).
+(Nica-Speicher, Lecture 18).  Enumeration gives those sums their block-type
+counts; `series` computes the non-crossing maps by power series, and the
+per-partition oracles (Moebius by zeta inversion, block products) are in
+the tests.  Everything is exact; enumeration is guarded at k <= 12
+(Bell(12) ~ 4.2e6 is the practical wall for the full lattice in pure
+Python; Catalan(12) = 208012 NC ones are generated directly).
 """
 
 from collections import Counter
@@ -40,11 +41,6 @@ def enumerate_partitions(k):
     """All set partitions of {1..k} as tuples of sorted tuples (Bell(k) many)."""
     _check_size(k)
     return [_canon(p) for p in _partitions_raw(k)]
-
-
-@lru_cache(maxsize=None)
-def _partitions_cached(k):
-    return tuple(enumerate_partitions(k))
 
 
 def _partitions_raw(k):
@@ -142,20 +138,6 @@ def mobius(sigma, pi):
     return out
 
 
-def mobius_zeta_inverse(sigma, pi):
-    """Moebius value by direct recursive inversion of zeta (test oracle)."""
-    sigma, pi = _canon(sigma), _canon(pi)
-    if not refines(sigma, pi):
-        raise NotComparable("sigma does not refine pi")
-    if sigma == pi:
-        return 1
-    total = 0
-    for rho in _partitions_cached(_size(pi)):
-        if rho != pi and refines(sigma, rho) and refines(rho, pi):
-            total += mobius_zeta_inverse(sigma, rho)
-    return -total
-
-
 def singletons(k):
     return tuple((x,) for x in range(1, k + 1))
 
@@ -202,14 +184,6 @@ def kreweras(pi):
     if pi and len(pi) + len(cycles) != _size(pi) + 1:
         raise ValueError(f"{pi} is crossing: it has no Kreweras complement")
     return _canon(cycles)
-
-
-def partition_product(values, pi):
-    """prod over blocks V of values[|V|]; values is 1-indexed by block size."""
-    out = Fraction(1)
-    for block in pi:
-        out *= values[len(block)]
-    return out
 
 
 def finite_free_cumulants(p: Polynomial, upto=None):

@@ -39,7 +39,7 @@ from operator import add, mul, sub
 
 import mpmath as mp
 
-from .errors import ZeroDilation, ZeroLeading
+from .errors import ZeroDegree, ZeroDilation, ZeroLeading
 
 # -- integer-numerator kernel --------------------------------------------------
 
@@ -210,19 +210,18 @@ class Polynomial:
         return cls(n, _alternate([Fraction(0)] * (n + 1 - len(coeffs)) + coeffs[::-1]))
 
     @classmethod
-    def from_roots(cls, roots, n=None, leading=1):
-        """Monic-times-`leading` polynomial with the given roots, exactly.
+    def from_roots(cls, roots, n=None):
+        """Monic polynomial with the given roots, exactly (`.scaled(c)` for c times it).
 
         Each root r = u/v contributes the integer factor (v x - u); the
-        product's denominator is that of `leading` times every v.
+        product's denominator is the product of every v.
         """
         roots = [_as_coeff(r) for r in roots]
-        leading = _as_coeff(leading)
         if n is None:
             n = len(roots)
         if len(roots) > n:
             raise ValueError("more roots than ambient degree")
-        mono, den = [leading.numerator], leading.denominator
+        mono, den = [1], 1
         for r in roots:
             u, v = r.numerator, r.denominator
             mono = [-u * mono[0]] + [v * a - u * b for a, b in zip(mono, mono[1:])] + [v * mono[-1]]
@@ -414,7 +413,9 @@ class Polynomial:
         return _newton_solve(sigma + [0] * (kmax - len(sigma)), to_power_sums=True)
 
     def root_moments(self, kmax):
-        """Normalized moments m_k = (1/n) sum lambda^k, k = 1..kmax, exactly."""
+        """Normalized moments m_k = (1/n) sum lambda^k, k = 1..kmax, exactly; n >= 1."""
+        if self.n == 0:
+            raise ZeroDegree("root moments need degree >= 1")
         return [p / self.n for p in self.power_sums(kmax)]
 
     # -- JSON wire format ---------------------------------------------------------

@@ -332,10 +332,6 @@ class EmpiricalDistribution:
         self.n = len(self.roots)
         self._cache = {}
 
-    @classmethod
-    def from_polynomial(cls, p: Polynomial, precision_bits=None):
-        return cls(find_roots(p, precision_bits))
-
     def moments(self, kmax: int):
         """m_k = (1/n) sum root^k for k = 1..kmax (complex floats)."""
         out = []
@@ -384,7 +380,8 @@ class EmpiricalDistribution:
 
 
 def empirical(p: Polynomial, precision_bits=None) -> EmpiricalDistribution:
-    return EmpiricalDistribution.from_polynomial(p, precision_bits)
+    """The zero counting measure of p, its roots found at `precision_bits`."""
+    return EmpiricalDistribution(find_roots(p, precision_bits))
 
 
 # -- interlacing verdicts -------------------------------------------------------

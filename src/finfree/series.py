@@ -187,33 +187,6 @@ def moments_from_s(s, K=None):
     return FormalMomentSeries(tuple(mser[1:]))
 
 
-def series_bridge(moments: FormalMomentSeries):
-    """Cauchy, R and S data of a moment series, mutually consistent.
-
-    Returns a dict with keys "cauchy" (the 1/z-expansion coefficients,
-    starting with m_0 = 1), "r" (free cumulants), and "s" (S series, or None
-    when m_1 = 0; empty for an empty series).  Consistency of R and S through
-    w S(w) = (w R(w))^{-1} holds to the truncation order and is exercised by
-    the tests.
-    """
-    K = moments.K
-    r = r_coefficients(moments)
-    s = None if K and moments.m[0] == 0 else s_coefficients(moments)
-    return {
-        "cauchy": [Fraction(1)] + list(moments.m),
-        "r": r,
-        "s": s,
-        "K": K,
-    }
-
-
-def r_s_consistent(r, s, K):
-    """Check w S(w) and w R(w) are functional inverses to order K."""
-    comp = series_compose([0] + list(r), [0] + list(s), K)
-    target = [Fraction(int(k == 1)) for k in range(K + 1)]
-    return comp == target
-
-
 # -- free convolutions at series level ------------------------------------------
 
 

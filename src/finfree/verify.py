@@ -32,8 +32,8 @@ from .poly import Polynomial
 from .series import FormalMomentSeries, free_mult, free_mult_via_kreweras, moments_from_r, r_coefficients
 
 
-def _rng_fraction(rng, lo=-6, hi=6, dens=(1, 2, 3, 4, 5, 7)):
-    return Fraction(rng.randint(lo, hi), rng.choice(dens))
+def _rng_fraction(rng, lo=-6, hi=6):
+    return Fraction(rng.randint(lo, hi), rng.choice((1, 2, 3, 4, 5, 7)))
 
 
 def _rng_nonint(rng, lo=-4, hi=6):

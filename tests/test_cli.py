@@ -152,6 +152,8 @@ def test_verify_subcommand(tmp_path, capsys):
     assert run(tmp_path, "verify", "--suite", "identities", "--n", "6", "--draws", "5") == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    assert run(tmp_path, "verify", "--suite", "mp-chain") == 0
+    assert "PASS  support candidates [0, 4]  [[0.0, 4.0]]\n" in capsys.readouterr().out
 
 
 def test_usage_and_error_exit_codes(tmp_path, capsys):

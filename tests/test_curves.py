@@ -99,7 +99,7 @@ def test_jp2_r3_density_does_not_depend_on_its_grid():
 
 def test_support_candidates_mp():
     sup = support_candidates(mp_curve())
-    assert len(sup) == 2
+    assert len(sup) == 2 and all(type(u) is float for u in sup)
     assert abs(sup[0]) < 1e-9 and abs(sup[1] - 4) < 1e-9
     disc = y_discriminant(mp_curve())
     # u^2 - 4u up to sign

@@ -5,7 +5,14 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from finfree.curves import moments_from_curve, stieltjes_density
+from finfree.curves import (
+    AlgebraicCurve,
+    _v_side_coeffs,
+    mass_branch_moments,
+    moments_from_curve,
+    reciprocal_moments_from_curve,
+    stieltjes_density,
+)
 from finfree.errors import (
     BranchDegenerate,
     DuplicateC,
@@ -18,6 +25,7 @@ from finfree.families import (
     FamilyLimit,
     LimitParams,
     RationalSTransform,
+    _shift_product,
     density_jp_typeI_r2,
     density_jp_typeII_r2,
     endpoints,
@@ -26,11 +34,50 @@ from finfree.families import (
     jp1_mass,
     jp2_cdf,
     jp2_mass,
-    rational_s_equal,
     s_limit_hyper,
-    s_reverse_check,
 )
 from finfree.mop import ML2Spec
+from finfree.series import FormalMomentSeries, s_coefficients, series_mul
+
+
+def rational_s_equal(s1: RationalSTransform, s2: RationalSTransform) -> bool:
+    """Equality as rational functions (cross-multiplied polynomial identity)."""
+    K = len(s1.A) + len(s1.B) + len(s2.A) + len(s2.B) + 2
+    lhs = [s1.scale * c for c in series_mul(_shift_product(s1.A, K), _shift_product(s2.B, K), K)]
+    rhs = [s2.scale * c for c in series_mul(_shift_product(s2.A, K), _shift_product(s1.B, K), K)]
+    return lhs == rhs
+
+
+def s_reverse_check(st: RationalSTransform, K: int = 6) -> bool:
+    """Verify S(z) S_rev(-z-1) = 1 to order K against reciprocal moments.
+
+    Route 1: solve the identity for S_rev and expand it at 0.
+    Route 2: read the reciprocal moments m_{-k} off the u = 0 branch of the
+    Cauchy curve (independent of route 1) and bridge them to an S series.
+    Both expansions must agree exactly.  Needs all A_i != 0 (S_rev expandable
+    at 0) and all B_j != 0 (0 outside the support of mu).
+    """
+    if any(a == 0 for a in st.A) or any(b == 0 for b in st.B):
+        raise VanishingFirstMoment("identity check needs A_i != 0 and B_j != 0")
+    candidate = st.reversed_measure().series(K - 1)
+    rec = reciprocal_moments_from_curve(st.curve(), K)
+    if rec[0] == 0:
+        raise VanishingFirstMoment("reciprocal measure has vanishing first moment")
+    via_moments = s_coefficients(FormalMomentSeries(tuple(rec)), K - 1)
+    return candidate[: K - 1] == via_moments[: K - 1]
+
+
+def branch_mass_candidates(curve: AlgebraicCurve):
+    """Possible values of y at u = infinity: the total masses of branches.
+
+    The physical probability branch has mass 1; in flagged escape-to-infinity
+    regimes (a numerator limit inside (-1, 0)) the surviving branch carries
+    mass |A| < 1, which shows up here as another real slice root.
+    """
+    slice0 = {i: c for (i, k), c in _v_side_coeffs(curve).items() if k == 0}
+    coeffs = [float(slice0.get(i, 0)) for i in range(max(slice0), -1, -1)]
+    roots = np.roots(np.trim_zeros(np.array(coeffs), "f"))
+    return sorted({round(r.real, 12) for r in roots if abs(r.imag) < 1e-9})
 
 
 def test_s_limit_basic_shapes():
@@ -325,8 +372,6 @@ def test_reversed_measure_involution():
 def test_escape_regime_mass_reporting():
     # a numerator limit inside (-1, 0) is flagged; the curve still reports the
     # surviving branch and its sub-unit mass |A|
-    from finfree.curves import branch_mass_candidates, mass_branch_moments
-
     st = s_limit_hyper(A=(F(-1, 2),), B=())
     assert any("A in [-1,0)" in f for f in st.flags)
     cands = branch_mass_candidates(st.curve())

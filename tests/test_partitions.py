@@ -11,8 +11,10 @@ from finfree.conv import add_conv
 from finfree.errors import NotComparable, TooLarge
 from finfree.hyper import HypergeometricSpec, hyper_poly
 from finfree.partitions import (
+    _canon,
     _nc_kreweras_types,
     _nc_types,
+    _size,
     cumulants_from_moments_nc,
     cumulants_to_elementary,
     enumerate_nc,
@@ -21,15 +23,40 @@ from finfree.partitions import (
     is_noncrossing,
     kreweras,
     mobius,
-    mobius_zeta_inverse,
     moments_from_cumulants_nc,
     multiplicative_cumulant_product,
     one_block,
-    partition_product,
     refines,
     singletons,
 )
 from finfree.poly import Polynomial
+
+
+def partition_product(values, pi):
+    """prod over blocks V of values[|V|]; values is 1-indexed by block size."""
+    out = F(1)
+    for block in pi:
+        out *= values[len(block)]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _partitions_cached(k):
+    return tuple(enumerate_partitions(k))
+
+
+def mobius_zeta_inverse(sigma, pi):
+    """Moebius value by direct recursive inversion of zeta (test oracle)."""
+    sigma, pi = _canon(sigma), _canon(pi)
+    if not refines(sigma, pi):
+        raise NotComparable("sigma does not refine pi")
+    if sigma == pi:
+        return 1
+    total = 0
+    for rho in _partitions_cached(_size(pi)):
+        if rho != pi and refines(sigma, rho) and refines(rho, pi):
+            total += mobius_zeta_inverse(sigma, rho)
+    return -total
 
 
 def _falling_pref(n, j):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from finfree.conv import add_conv, mult_conv
-from finfree.errors import ZeroDilation, ZeroLeading
+from finfree.errors import ZeroDegree, ZeroDilation, ZeroLeading
 from finfree.partitions import finite_free_cumulants
 from finfree.poly import Polynomial, _newton_solve
 
@@ -240,7 +240,7 @@ def test_from_roots_matches_product_oracle():
         roots = [rand_rational(rng) for _ in range(k)]
         n = k + rng.randint(0, 3)
         leading = rng.choice((1, F(-5, 7), F(3, 10**12 + 39)))
-        assert Polynomial.from_roots(roots, n, leading) == from_roots_oracle(roots, n, leading)
+        assert Polynomial.from_roots(roots, n).scaled(leading) == from_roots_oracle(roots, n, leading)
 
 
 # -- the stored form: one primitive integer vector over one denominator ------------
@@ -263,7 +263,7 @@ def test_every_producer_matches_its_fraction_oracle_and_stores_primitive_integer
         n = rng.randint(0, 9)
         roots = [rand_rational(rng) for _ in range(n)]
         lead = rand_rational(rng) or F(5, 3)
-        p = Polynomial.from_roots(roots, n, lead)
+        p = Polynomial.from_roots(roots, n).scaled(lead)
         q = Polynomial.from_roots([rand_rational(rng) for _ in range(rng.randint(0, n))], n)
         assert p.e == from_roots_oracle(roots, n, lead).e  # the oracles below read p.e and q.e
         pe, qe, mono = p.e, q.e, p.to_monomial()
@@ -322,6 +322,16 @@ def test_power_sums_reject_a_negative_order_and_go_on_past_n():
     assert p.power_sums(5) == [6, 14, 36, 98, 276]
 
 
+def test_root_moments_of_a_constant_raise_zero_degree():
+    # a constant has no roots: its power sums are empty sums, its moments undefined
+    c = Polynomial.x_power(0)
+    assert c.power_sums(2) == [0, 0]
+    with pytest.raises(ZeroDegree, match="degree >= 1"):
+        c.root_moments(2)
+    with pytest.raises(ZeroDegree):
+        Polynomial(0, [F(3, 2)]).root_moments(0)
+
+
 @pytest.mark.parametrize("bad", [0.5, mp.mpf(1) / 3])
 def test_kernels_read_float_and_mpf_as_their_dyadic_values(bad):
     _, man, exp, _ = mp.mpf(bad)._mpf_
@@ -343,7 +353,6 @@ BUILDERS = {
     "init": lambda c: Polynomial(2, [1, c, 2]),
     "from_monomial": lambda c: Polynomial.from_monomial([c, -1, 1]),
     "from_roots": lambda c: Polynomial.from_roots([1, c]),
-    "leading": lambda c: Polynomial.from_roots([1, 2], leading=c),
     "linear_power": lambda c: Polynomial.linear_power(c, 3),
     "dilate": lambda c: Polynomial.from_roots([1, 2]).dilate(c),
     "shift": lambda c: Polynomial.from_roots([1, 2]).shift(c),
@@ -404,7 +413,7 @@ def test_every_constructor_refuses_a_negative_ambient_degree(build):
 
 
 def test_copy_deepcopy_and_pickle_round_trip():
-    for p in (Polynomial.from_roots([1, F(2, 3)], 4, F(-5, 7)), Polynomial.zero(0), Polynomial(2, [0.5, 1, 3])):
+    for p in (Polynomial.from_roots([1, F(2, 3)], 4).scaled(F(-5, 7)), Polynomial.zero(0), Polynomial(2, [0.5, 1, 3])):
         p.e  # a cached .e is not part of the value
         for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
             assert q == p and q._int_form() == p._int_form() and hash(q) == hash(p) and q.e == p.e
