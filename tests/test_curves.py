@@ -202,6 +202,22 @@ def test_y_discriminant_matches_cofactor_oracle_on_families(family, r):
     assert len(disc) <= (2 * curve.deg_y - 1) * curve.deg_u + 1
 
 
+def assert_discriminant_zeros(disc, sup):
+    for u in sup:
+        val = sum(float(c) * u**k for k, c in enumerate(disc))
+        scale = sum(abs(float(c)) * abs(u) ** k for k, c in enumerate(disc))
+        assert abs(val) <= 1e-6 * scale, u
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("family", ["jp1", "ml1-1", "jp2", "ml1-2", "ml2-2"])
+def test_support_candidates_are_distinct_python_floats_at_discriminant_zeros(family, r):
+    curve = family_curves(family, limit_params(family, r)).curve
+    sup = support_candidates(curve)
+    assert sup and sup == sorted(set(sup)) and all(type(u) is float for u in sup), sup
+    assert_discriminant_zeros(y_discriminant(curve), sup)
+
+
 @pytest.mark.parametrize("r", [5, 6])
 def test_y_discriminant_beyond_the_cofactor_range(r):
     curve = family_curves("jp2", limit_params("jp2", r)).curve
@@ -209,10 +225,7 @@ def test_y_discriminant_beyond_the_cofactor_range(r):
     assert len(disc) <= (2 * curve.deg_y - 1) * curve.deg_u + 1 and any(disc)
     sup = support_candidates(curve)
     assert sup
-    for u in sup:
-        val = sum(float(c) * u**k for k, c in enumerate(disc))
-        scale = sum(abs(float(c)) * abs(u) ** k for k, c in enumerate(disc))
-        assert abs(val) <= 1e-6 * scale
+    assert_discriminant_zeros(disc, sup)
 
 
 def test_double_branch_point_reported_once():

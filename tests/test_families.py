@@ -25,6 +25,8 @@ from finfree.families import (
     FamilyLimit,
     LimitParams,
     RationalSTransform,
+    _gauss_legendre,
+    _legendre_rule,
     _shift_product,
     density_jp_typeI_r2,
     density_jp_typeII_r2,
@@ -322,6 +324,19 @@ def test_cached_cdfs_equal_the_uncached_computation(monkeypatch):
 
 
 _PIN_THETAS = (F(1, 5), F(2, 7), F(1, 4), F(1, 3), F(2, 5))
+
+
+def test_gauss_legendre_is_the_shared_96_point_rule():
+    # exact for P_j P_k with j + k <= 191; P_96 vanishes at the 96 nodes
+    P = np.polynomial.legendre.Legendre.basis
+    for j, k in ((0, 0), (3, 5), (95, 95), (95, 96)):
+        got = _gauss_legendre(lambda x: P(j)(x) * P(k)(x), -1.0, 1.0)
+        assert got == pytest.approx(2 / (2 * j + 1) if j == k else 0.0, abs=1e-13), (j, k)
+    assert _gauss_legendre(lambda x: P(96)(x) ** 2, -1.0, 1.0) == pytest.approx(0.0, abs=1e-13)
+    assert _gauss_legendre(lambda x: x**5, 0.0, 3.0) == pytest.approx(3**6 / 6, rel=1e-14)
+    x, w = _legendre_rule()
+    assert len(x) == len(w) == 96 and _legendre_rule()[0] is x
+    assert not (x.flags.writeable or w.flags.writeable)
 
 
 def test_closed_form_cdfs_and_masses_keep_their_bytes():
