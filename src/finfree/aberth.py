@@ -12,6 +12,13 @@ residual a backward-stable evaluation can certify; both sides are compared
 as base-2 logarithms.  A point whose residual lies below the largest term
 eps |c_k| |z|^k alone is accepted before the sum is formed: the sum holds
 that term, so the full test could only agree.
+
+On the real path the Aberth sum S = sum 1 / (x - w) runs on doubles, over
+a double copy of every point, and enters the update x - p / (p' - p S) as
+one pair; the exact pair sum runs only where the doubles cannot hold the
+points or resolve a difference.  p and p' stay on pairs and the Adams test
+decides at the working precision, so an error in S changes only the path
+the points take, not when one is accepted.
 """
 
 import math
@@ -314,25 +321,72 @@ def _raberth_sum(x, pts, P):
     return _rnorm(s, ea, P)
 
 
-def _step(z, pv, dv, pts, P):
-    """The Aberth update of the triple z from p(z) and p'(z), and whether it moved."""
+def _step(z, pv, dv, s, P):
+    """The Aberth update of the triple z from p(z), p'(z) and the Aberth sum s, and whether it moved."""
     if _is_zero(dv):  # a critical point: nudge off it
         return _add(_add(z, (z[0], z[1], z[2] - 10), P), _norm(1, 0, -20, P), P), False
     newton = _div(pv, dv, P)
-    denom = _add(_norm(1, 0, 0, P), _neg(_mul(newton, _aberth_sum(z, pts, P), P)), P)
+    denom = _add(_norm(1, 0, 0, P), _neg(_mul(newton, s, P)), P)
     step = newton if _is_zero(denom) else _div(newton, denom, P)
     return _add(z, _neg(step), P), not _is_zero(step)
 
 
-def _rstep(x, pv, dv, pts, P):
-    """_step on pairs, as x - p / (p' - p S) for the Aberth sum S."""
+def _rstep(x, pv, dv, s, P):
+    """_step on pairs, as x - p / (p' - p s); s may have fewer than P bits."""
     if not dv[0]:
         return _radd(_radd(x, (x[0], x[1] - 10), P), _rnorm(1, -20, P), P), False
-    s = _raberth_sum(x, pts, P)
     ps = _rnorm(-pv[0] * s[0], pv[1] + s[1], P)
     den = _radd(_rnorm(*dv, P), ps, P)
     step = _rdiv(pv, den if den[0] else dv, P)
     return _radd(x, (-step[0], step[1]), P), step[0] != 0
+
+
+# -- the Aberth sum of the real path on doubles --------------------------------------
+#
+# Each real point x keeps a double copy y = x 2^-sc, sc one scale per sweep
+# call, and S = sum 1 / (y - v) 2^-sc is summed on the copies.  A copy lies
+# within 2^+-_SPAN of 1, or is NaN; with every difference kept above
+# _SEP |y|, no term or sum leaves the normal doubles.  Where a copy is NaN or
+# a difference is not resolved, the exact pair sum runs instead.
+
+_SPAN = 960
+_SEP = 2.0**-40
+
+
+def _double(x, sc):
+    """The pair x times 2^-sc as a double; NaN unless within 2^+-_SPAN of 1."""
+    m, e = x
+    b = m.bit_length()
+    if not b:
+        return 0.0
+    if not -_SPAN < b + e - sc <= _SPAN:
+        return math.nan
+    if b > 60:
+        m, e = m >> (b - 60), e + b - 60
+    return math.ldexp(m, e - sc)
+
+
+def _doubles(pts):
+    """Double copies of the pairs pts and their scale 2^sc, sc halfway between
+    the largest and smallest nonzero binade."""
+    tops = [m.bit_length() + e for m, e in pts if m]
+    sc = (min(tops) + max(tops)) // 2 if tops else 0
+    return [_double(x, sc) for x in pts], sc
+
+
+def _dsum(ys, i, sc):
+    """The Aberth sum at point i from the copies ys, as a pair; None where a
+    copy is NaN, another copy equals y_i, or a difference is below _SEP |y_i|."""
+    y = ys[i]
+    ts = [1 / (y - v) for v in ys if v != y]
+    lim = 1 / (_SEP * abs(y)) if y else math.inf
+    if len(ts) + 1 < len(ys) or not (max(ts, default=0) < lim and min(ts, default=0) > -lim):
+        return None
+    t = sum(ts)
+    if not math.isfinite(t):
+        return None
+    m, d = t.as_integer_ratio()
+    return m, 1 - d.bit_length() - sc
 
 
 # -- hardware floats ---------------------------------------------------------------
@@ -348,16 +402,20 @@ def _fhorner(coeffs, x, P):
     return acc
 
 
-def _fstep(x, pv, dv, pts, P):
-    den = dv - pv * sum(1 / (x - w) for w in pts if w != x)
+def _fsum(x, pts, P):
+    return sum(1 / (x - w) for w in pts if w != x)
+
+
+def _fstep(x, pv, dv, s, P):
+    den = dv - pv * s
     y = x - pv / (den or dv) if dv else x + x / 1024 + 2.0**-20
     return (y, y != x) if math.isfinite(y) else (x, False)
 
 
-# Horner, log2 |.| and the update, per value shape
-_TRIPLES = (_horner, _log2_abs, _step)
-_PAIRS = (_rhorner, _rlog2_abs, _rstep)
-_FLOATS = (_fhorner, lambda x: math.log2(abs(x)) if x else -math.inf, _fstep)
+# Horner, log2 |.|, the Aberth sum and the update, per value shape
+_TRIPLES = (_horner, _log2_abs, _aberth_sum, _step)
+_PAIRS = (_rhorner, _rlog2_abs, _raberth_sum, _rstep)
+_FLOATS = (_fhorner, lambda x: math.log2(abs(x)) if x else -math.inf, _fsum, _fstep)
 
 # sweeps on pairs or floats without a newly converged point before they count as stalled
 _PATIENCE = 24
@@ -376,8 +434,10 @@ def _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, max_sweeps):
     n = len(pts)
     # stop at the Horner noise floor: n-step evaluation carries ~n ulps
     log_eps = math.log2(4 * n) - wp
-    horner, log2_abs, step = _FLOATS if isinstance(pts[0], float) else _PAIRS if len(pts[0]) == 2 else _TRIPLES
-    patience = max_sweeps if step is _step else _PATIENCE
+    shape = _FLOATS if isinstance(pts[0], float) else _PAIRS if len(pts[0]) == 2 else _TRIPLES
+    horner, log2_abs, aberth_sum, step = shape
+    patience = max_sweeps if shape is _TRIPLES else _PATIENCE
+    ys, sc = _doubles(pts) if shape is _PAIRS else (None, 0)
     converged = [False] * n
     left, last = n, 0
     for sweep in range(max_sweeps):
@@ -391,7 +451,11 @@ def _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, max_sweeps):
                 converged[i] = True
                 left, last = left - 1, sweep
                 continue
-            pts[i], stepped = step(z, pv, horner(dcoeffs, z, P), pts, P)
+            dv = horner(dcoeffs, z, P)
+            s = _dsum(ys, i, sc) if ys else None
+            pts[i], stepped = step(z, pv, dv, aberth_sum(z, pts, P) if s is None else s, P)
+            if ys:
+                ys[i] = _double(pts[i], sc)
             moved = moved or stepped
         if not left:
             return pts, True

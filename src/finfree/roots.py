@@ -15,11 +15,13 @@ Two paths share one sweep driver:
   polygon of the coefficient magnitudes and first sweeps them on hardware
   doubles, where p scaled to its root scale fits them; this stage only
   moves the seeds.  The ladder then sweeps on real (m, exp) pairs, one
-  multiplication per Horner step instead of three.  Its result stands
-  only with an exact certificate (real_root_certificate): p, evaluated by
-  integer Horner at dyadic separators between the sorted roots and beyond
-  both ends, alternates strictly in sign, which proves deg p simple real
-  roots, each isolated.  These roots have imaginary part exactly 0.
+  multiplication per Horner step instead of three; each step's Aberth sum
+  runs on doubles, and on pairs only where doubles cannot resolve it.
+  Its result stands only with an exact certificate
+  (real_root_certificate): p, evaluated by integer Horner at dyadic
+  separators between the sorted roots and beyond both ends, alternates
+  strictly in sign, which proves deg p simple real roots, each isolated.
+  These roots have imaginary part exactly 0.
 * the complex path, run when the gate, the sweeps or the certificate
   fails (the real sweeps give up once they stall).  Starting points spread
   over the Newton-polygon circles, so clustered scales are seeded at their
@@ -283,7 +285,8 @@ def real_root_certificate(p: Polynomial, roots):
     """Isolating separators s_0 < ... < s_n for exactly real roots of p, or None.
 
     roots are approximations as find_roots returns them (mpmath numbers,
-    floats or ints, each a dyadic value).  The separators are dyadic
+    floats or ints, each a dyadic value, read to its last bit whatever
+    mpmath's current precision).  The separators are dyadic
     Fractions, one between each pair of sorted neighbours and one beyond
     each end, at which p, evaluated exactly, alternates strictly in sign: a
     proof that p has n = deg p simple real roots, the i-th sorted one alone
@@ -294,14 +297,32 @@ def real_root_certificate(p: Polynomial, roots):
     deg = p.degree
     if deg < 1 or len(roots) != deg:
         return None
-    vals = []
-    for z in roots:
-        z = mp.mpc(z)
-        if z.imag or not mp.isfinite(z.real):
-            return None
-        sign, man, exp, _ = z.real._mpf_
-        vals.append((-man if sign else man, exp))
+    vals = [_exact_real(z) for z in roots]
+    if None in vals:
+        return None
     return _isolate(p._mono_ints()[0][: deg + 1], vals)
+
+
+def _exact_real(z):
+    """The real number z as the exact pair (m, e) with z = m 2^e, read from its
+    own mantissa and never rounded; None if z is not finite or has an imaginary part."""
+    if isinstance(z, (mp.mpc, complex)):
+        if z.imag:
+            return None
+        z = z.real
+    if isinstance(z, int):
+        return z, 0
+    if isinstance(z, float):
+        if not math.isfinite(z):
+            return None
+        m, d = z.as_integer_ratio()
+        return m, 1 - d.bit_length()
+    if not isinstance(z, mp.mpf):
+        z = mp.mpf(z)  # any other real type, at the working precision
+    if not mp.isfinite(z):
+        return None
+    sign, man, exp, _ = z._mpf_
+    return -man if sign else man, exp
 
 
 def is_real_rooted(p: Polynomial, precision_bits=None, tau=1e-20):

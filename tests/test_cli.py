@@ -263,6 +263,15 @@ def test_roots_sidecars_carry_the_certificate(tmp_path):
     assert meta("jp.csv")["certificate"] == {"real": True, "isolated": 6}
 
 
+def test_roots_sidecar_certifies_roots_closer_than_a_double(tmp_path):
+    # 1/3 and 1/3 + 2^-70 round to one double; the certificate reads each root whole
+    p = Polynomial.from_roots([F(1, 3), F(1, 3) + F(1, 2**70), 2])
+    (tmp_path / "close.json").write_text(p.to_json() + "\n")
+    assert run(tmp_path, "roots", "--p", "close.json", "--out", "close.csv", "--prec", "128") == 0
+    meta = json.loads((tmp_path / "close.csv.meta.json").read_text())
+    assert meta["certificate"] == {"real": True, "isolated": 3}
+
+
 def test_one_parser_per_process(tmp_path, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__

@@ -385,6 +385,17 @@ def test_certificate_isolates_and_rejects():
     assert roots_module.real_root_certificate(p, [1 / 3, 4 / 3, 7 / 3, 10 / 3]) is not None
 
 
+def test_certificate_reads_each_root_to_its_last_bit():
+    rts = [F(1, 3), F(1, 3) + F(1, 2**70), F(2)]
+    p = Polynomial.from_roots(rts)
+    got = find_roots(p, 128)
+    assert float(got[0].real) == float(got[1].real)  # one double for both close roots
+    seps = roots_module.real_root_certificate(p, got)
+    assert len(seps) == 4 and all(a < r < b for a, r, b in zip(seps, rts, seps[1:]))
+    # the same roots rounded to doubles cannot be separated
+    assert roots_module.real_root_certificate(p, [float(z.real) for z in got]) is None
+
+
 JP2_DEGREE_36 = [
     "0x1.a2a8d0f348377p-13", "0x1.43f8f1105d644p-10", "0x1.e7786f94eb46bp-9", "0x1.0b15740b36792p-7",
     "0x1.e99333044f460p-7", "0x1.900a360fc11edp-6", "0x1.2db7cacb9eb85p-5", "0x1.acfb244b33d32p-5",
@@ -453,7 +464,7 @@ def _record_sweeps(monkeypatch):
         calls.append((shape, wp, ok, steps[0] - before))
         return pts, ok
 
-    monkeypatch.setattr(aberth_module, "_PAIRS", aberth_module._PAIRS[:2] + (counting,))
+    monkeypatch.setattr(aberth_module, "_PAIRS", aberth_module._PAIRS[:3] + (counting,))
     monkeypatch.setattr(roots_module, "_aberth_sweeps", sweeps)
     return calls
 
@@ -472,16 +483,68 @@ def test_float_stage_seeds_every_big_integer_rung_once(monkeypatch):
     assert rungs[0][3] <= 0.6 * 252
 
 
-def test_float_stage_is_skipped_where_doubles_overflow(monkeypatch):
+@pytest.mark.parametrize(
+    "rts",
+    [
+        [F(1, 2**700), F(1, 3), F(2**700)],
+        # beyond the range of doubles, where the pair sweeps' Aberth sum runs on pairs
+        [F(1, 2**1100), F(1, 3), F(2**1100)],
+        [F(1, 2**1500), F(1, 7), F(5, 3), F(2**1200)],
+    ],
+)
+def test_float_stage_is_skipped_where_doubles_overflow(monkeypatch, rts):
     _no_complex_path(monkeypatch)
     calls = _record_sweeps(monkeypatch)
-    rts = [F(1, 2**700), F(1, 3), F(2**700)]
     p = Polynomial.from_roots(rts)
     got = find_roots(p, 128)
     assert "float" not in [shape for shape, *_ in calls]
     assert all(z.imag == 0 for z in got)
     seps = roots_module.real_root_certificate(p, got)
     assert seps is not None and all(a < r < b for a, r, b in zip(seps, rts, seps[1:]))
+
+
+# -- the real path's Aberth sum: on doubles, on pairs where doubles cannot hold it ---
+
+
+def _pairs(xs, P=200):
+    return [aberth_module._mantissa(x.numerator, x.denominator, P) for x in xs]
+
+
+def _sum_of(s):
+    return F(s[0]) * F(2) ** s[1]
+
+
+def test_aberth_sum_on_doubles_matches_the_pair_sum():
+    rng = random.Random(2014)
+    for _ in range(50):
+        n = rng.randint(2, 40)
+        xs = {F(rng.choice((-1, 1)) * rng.randint(1, 2**40), 2**40) * F(2) ** rng.randint(-60, 60) for _ in range(n)}
+        pts = _pairs(sorted(xs))
+        ys, sc = aberth_module._doubles(pts)
+        for i, x in enumerate(pts):
+            terms = [1 / (_sum_of(x) - _sum_of(w)) for w in pts if w != x]
+            got = aberth_module._dsum(ys, i, sc)
+            exact = _sum_of(aberth_module._raberth_sum(x, pts, 200))
+            assert got is not None
+            assert abs(_sum_of(got) - exact) <= F(1, 2**30) * sum(abs(t) for t in terms)
+
+
+def test_aberth_sum_leaves_unresolved_differences_to_pairs():
+    def sums(xs):
+        ys, sc = aberth_module._doubles(_pairs(xs))
+        return [aberth_module._dsum(ys, i, sc) is not None for i in range(len(xs))]
+
+    third = F(1, 3)
+    # two distinct pairs with one double: the pair sum runs for both, not for the third point
+    assert sums([third, third * (1 + F(1, 2**60)), F(3)]) == [False, False, True]
+    # distinct doubles closer than 2^-40 of their size
+    assert sums([third, third * (1 + F(1, 2**45)), F(3)]) == [False, False, True]
+    assert sums([third, third * (1 + F(1, 2**30)), F(3)]) == [True, True, True]
+    # one scale of doubles holds 2^-900 .. 2^900, but not 2^-1100 .. 2^1100
+    assert sums([F(1, 2**900), third, F(2**900)]) == [True, True, True]
+    ys, _ = aberth_module._doubles(_pairs([F(1, 2**1100), third, F(2**1100)]))
+    assert [y != y for y in ys] == [True, False, True]
+    assert sums([F(1, 2**1100), third, F(2**1100)]) == [False, False, False]
 
 
 def test_real_and_complex_paths_agree_to_the_float():
