@@ -15,10 +15,10 @@ that term, so the full test could only agree.
 
 On the real path the Aberth sum S = sum 1 / (x - w) runs on doubles, over
 a double copy of every point, and enters the update x - p / (p' - p S) as
-one pair; the exact pair sum runs only where the doubles cannot hold the
-points or resolve a difference.  p and p' stay on pairs and the Adams test
-decides at the working precision, so an error in S changes only the path
-the points take, not when one is accepted.
+one pair; the exact Gaussian-integer sum, on the triples (m, 0, e), runs
+only where the doubles cannot hold the points or resolve a difference.
+p and p' stay on pairs and the Adams test decides at the working
+precision, so an error in S changes only the path the points take.
 """
 
 import math
@@ -289,38 +289,6 @@ def _rhorner(coeffs, x, P):
     return am, ae
 
 
-def _raberth_sum(x, pts, P):
-    """_aberth_sum on pairs: one division per term."""
-    xm, xe = x
-    diffs = []
-    low = None
-    for wm, we in pts:
-        k = xe - we
-        if 0 <= k <= 64:
-            dm, de = (xm << k) - wm, we
-        elif -64 <= k < 0:
-            dm, de = xm - (wm << -k), xe
-        elif k > 0:
-            dm, de = xm - (wm >> k), xe
-        else:
-            dm, de = (xm >> -k) - wm, we
-        b = dm.bit_length()
-        if not b:
-            continue
-        if low is None or de + b < low:
-            low = de + b
-        diffs.append((dm, de))
-    if low is None:
-        return 0, 0
-    ea = -low - P - 4
-    s = 0
-    for dm, de in diffs:
-        k = -de - ea
-        if k >= 0:
-            s += (1 << k) // dm
-    return _rnorm(s, ea, P)
-
-
 def _step(z, pv, dv, s, P):
     """The Aberth update of the triple z from p(z), p'(z) and the Aberth sum s, and whether it moved."""
     if _is_zero(dv):  # a critical point: nudge off it
@@ -347,7 +315,7 @@ def _rstep(x, pv, dv, s, P):
 # call, and S = sum 1 / (y - v) 2^-sc is summed on the copies.  A copy lies
 # within 2^+-_SPAN of 1, or is NaN; with every difference kept above
 # _SEP |y|, no term or sum leaves the normal doubles.  Where a copy is NaN or
-# a difference is not resolved, the exact pair sum runs instead.
+# a difference is not resolved, the exact sum runs instead (_pair_sum).
 
 _SPAN = 960
 _SEP = 2.0**-40
@@ -412,9 +380,14 @@ def _fstep(x, pv, dv, s, P):
     return (y, y != x) if math.isfinite(y) else (x, False)
 
 
-# Horner, log2 |.|, the Aberth sum and the update, per value shape
+def _pair_sum(x, pts, P):
+    """_aberth_sum on the triples (m, 0, e) of the pairs, as (real part, exponent)."""
+    return _aberth_sum((x[0], 0, x[1]), [(m, 0, e) for m, e in pts], P)[::2]
+
+
+# Horner, log2 |.|, the exact Aberth sum and the update, per value shape
 _TRIPLES = (_horner, _log2_abs, _aberth_sum, _step)
-_PAIRS = (_rhorner, _rlog2_abs, _raberth_sum, _rstep)
+_PAIRS = (_rhorner, _rlog2_abs, _pair_sum, _rstep)
 _FLOATS = (_fhorner, lambda x: math.log2(abs(x)) if x else -math.inf, _fsum, _fstep)
 
 # sweeps on pairs or floats without a newly converged point before they count as stalled

@@ -313,10 +313,7 @@ def _exact_real(z):
     if isinstance(z, int):
         return z, 0
     if isinstance(z, float):
-        if not math.isfinite(z):
-            return None
-        m, d = z.as_integer_ratio()
-        return m, 1 - d.bit_length()
+        return _dyadic(z, 0) if math.isfinite(z) else None
     if not isinstance(z, mp.mpf):
         z = mp.mpf(z)  # any other real type, at the working precision
     if not mp.isfinite(z):
@@ -351,26 +348,25 @@ class EmpiricalDistribution:
     def __init__(self, roots):
         self.roots = list(roots)
         self.n = len(self.roots)
-        self._cache = {}
 
     def moments(self, kmax: int):
         """m_k = (1/n) sum root^k for k = 1..kmax (complex floats)."""
-        out = []
-        for k in range(1, kmax + 1):
-            if k not in self._cache:
-                with mp.workprec(96):
-                    self._cache[k] = complex(mp.fsum(z**k for z in self.roots) / self.n)
-            out.append(self._cache[k])
-        return out
+        with mp.workprec(96):
+            return [complex(mp.fsum(z**k for z in self.roots) / self.n) for k in range(1, kmax + 1)]
 
     def real_sorted(self, tau=1e-12):
         return real_parts_sorted(self.roots, tau)
 
     def histogram(self, bins: int, range_=None):
-        """Uniform-bin density histogram rows (bin_lo, bin_hi, count, density)."""
+        """Uniform-bin density histogram rows (bin_lo, bin_hi, count, density);
+        without range_ the bins span the real parts, which must be finite doubles."""
         xs = self.real_sorted()
-        lo, hi = range_ if range_ is not None else (min(xs), max(xs))
-        counts, edges = np.histogram(xs, bins=bins, range=(lo, hi))
+        if range_ is None:
+            range_ = min(xs), max(xs)
+            bad = [x for x in range_ if not math.isfinite(x)]
+            if bad:
+                raise InvalidParameters(f"histogram needs finite real parts, but a root's is {bad[0]} as a double")
+        counts, edges = np.histogram(xs, bins=bins, range=range_)
         width = edges[1] - edges[0]
         return [
             (float(edges[i]), float(edges[i + 1]), int(counts[i]), float(counts[i] / (self.n * width)))

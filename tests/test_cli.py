@@ -272,6 +272,18 @@ def test_roots_sidecar_certifies_roots_closer_than_a_double(tmp_path):
     assert meta["certificate"] == {"real": True, "isolated": 3}
 
 
+def test_histogram_of_roots_beyond_the_double_range_is_an_error(tmp_path, capsys):
+    # the CSV columns are doubles (2^-1100 -> 0.0, 2^1100 -> inf); the certificate reads the roots whole
+    p = Polynomial.from_roots([F(1, 2**1100), F(1, 3), F(2**1100)])
+    (tmp_path / "far.json").write_text(p.to_json() + "\n")
+    assert run(tmp_path, "roots", "--p", "far.json", "--prec", "128", "--out", "far.csv", "--hist", "4") == 1
+    err = capsys.readouterr().err
+    assert err == "error: histogram needs finite real parts, but a root's is inf as a double\n"
+    assert (tmp_path / "far.csv").read_text().splitlines()[1:] == ["0,0.0,0.0", "1,0.3333333333333333,0.0", "2,inf,0.0"]
+    meta = json.loads((tmp_path / "far.csv.meta.json").read_text())
+    assert meta["certificate"] == {"real": True, "isolated": 3}
+
+
 def test_one_parser_per_process(tmp_path, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__

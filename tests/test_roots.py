@@ -7,6 +7,7 @@ import pytest
 
 from finfree import aberth as aberth_module
 from finfree import roots as roots_module
+from finfree.aberth import _rnorm
 from finfree.conv import mult_conv
 from finfree.errors import DegreeGapTooLarge, InvalidParameters, NonConvergence, NonRealRoots
 from finfree.hyper import HypergeometricSpec, hyper_poly
@@ -175,6 +176,14 @@ def test_histogram_and_ks():
     # point mass against its own cdf: within 1/n of zero
     pm = EmpiricalDistribution([mp.mpc(2, 0)] * 8)
     assert pm.ks_distance(lambda x: 1.0 if x >= 2 else 0.0) <= 1 / 8 + 1e-12
+
+
+def test_histogram_range_needs_finite_real_parts():
+    # 2^1100 reads inf as a double: no bins span it, unless range_ is given
+    dist = EmpiricalDistribution([mp.mpc(0), mp.mpc(mp.mpf(2) ** 1100)])
+    with pytest.raises(InvalidParameters, match="a root's is inf as a double"):
+        dist.histogram(4)
+    assert [r[2] for r in dist.histogram(2, range_=(0.0, 1.0))] == [1, 0]
 
 
 def test_ks_requires_real_spectrum():
@@ -495,15 +504,77 @@ def test_float_stage_seeds_every_big_integer_rung_once(monkeypatch):
 def test_float_stage_is_skipped_where_doubles_overflow(monkeypatch, rts):
     _no_complex_path(monkeypatch)
     calls = _record_sweeps(monkeypatch)
+    pairs, exact = aberth_module._PAIRS, [0]
+
+    def counting(*args):
+        exact[0] += 1
+        return pairs[2](*args)
+
+    monkeypatch.setattr(aberth_module, "_PAIRS", pairs[:2] + (counting,) + pairs[3:])
     p = Polynomial.from_roots(rts)
     got = find_roots(p, 128)
     assert "float" not in [shape for shape, *_ in calls]
+    # one scale of doubles holds 2^+-700; past 2^+-960 the exact sum runs on the triples (m, 0, e)
+    assert (exact[0] > 0) == (max(rts) > 2**960)
     assert all(z.imag == 0 for z in got)
     seps = roots_module.real_root_certificate(p, got)
     assert seps is not None and all(a < r < b for a, r, b in zip(seps, rts, seps[1:]))
 
 
-# -- the real path's Aberth sum: on doubles, on pairs where doubles cannot hold it ---
+# -- the real path's Aberth sum: on doubles, exact where doubles cannot hold it -----
+
+
+# the exact Aberth sum written on pairs: the oracle of the pair sweep's exact sum
+def _raberth_sum(x, pts, P):
+    """_aberth_sum on pairs: one division per term."""
+    xm, xe = x
+    diffs = []
+    low = None
+    for wm, we in pts:
+        k = xe - we
+        if 0 <= k <= 64:
+            dm, de = (xm << k) - wm, we
+        elif -64 <= k < 0:
+            dm, de = xm - (wm << -k), xe
+        elif k > 0:
+            dm, de = xm - (wm >> k), xe
+        else:
+            dm, de = (xm >> -k) - wm, we
+        b = dm.bit_length()
+        if not b:
+            continue
+        if low is None or de + b < low:
+            low = de + b
+        diffs.append((dm, de))
+    if low is None:
+        return 0, 0
+    ea = -low - P - 4
+    s = 0
+    for dm, de in diffs:
+        k = -de - ea
+        if k >= 0:
+            s += (1 << k) // dm
+    return _rnorm(s, ea, P)
+
+
+@pytest.mark.parametrize("P", [69, 200, 304, 600])
+def test_pair_fallback_is_the_pair_sum_to_the_bit(P):
+    # the pair sweep's exact sum runs _aberth_sum on the triples (m, 0, e): each
+    # term floor(d 2^s / d^2) is the pair sum's floor(2^s / d)
+    rng = random.Random(P)
+
+    def point(spread):
+        if rng.random() < 0.05:
+            return 0, rng.randint(-spread, spread)
+        return rng.choice((-1, 1)) * rng.randrange(1 << (P - 1), 1 << P), rng.randint(-spread, spread) - P
+
+    for spread in (0, 8, 80, 300, 1200):  # binades, out past the doubles' 2^+-1024
+        for n in (1, 1, 2, 3, 5, 8, 13, 24) * 5:
+            pts = [point(spread) for _ in range(n)]
+            pts += rng.sample(pts, rng.randint(0, n // 2))  # coincident points
+            rng.shuffle(pts)
+            for x in pts + [point(spread)]:
+                assert aberth_module._PAIRS[2](x, pts, P) == _raberth_sum(x, pts, P)
 
 
 def _pairs(xs, P=200):
@@ -524,7 +595,7 @@ def test_aberth_sum_on_doubles_matches_the_pair_sum():
         for i, x in enumerate(pts):
             terms = [1 / (_sum_of(x) - _sum_of(w)) for w in pts if w != x]
             got = aberth_module._dsum(ys, i, sc)
-            exact = _sum_of(aberth_module._raberth_sum(x, pts, 200))
+            exact = _sum_of(aberth_module._PAIRS[2](x, pts, 200))
             assert got is not None
             assert abs(_sum_of(got) - exact) <= F(1, 2**30) * sum(abs(t) for t in terms)
 
