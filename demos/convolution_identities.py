@@ -41,5 +41,5 @@ print("   exact equality (with the (-1)^n convention factor)?",
 
 print("\nThe additive convolution agrees with the operator-series route:")
 t1 = HypergeometricSpec(n=4, b=(F(2),))
-t2 = HypergeometricSpec(n=4, b=(F(3),), sign=1)
+t2 = HypergeometricSpec(n=4, b=(F(3),), scale=-1)
 print("   verified:", additive_hg_verify(t1, t2))

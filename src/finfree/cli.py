@@ -127,7 +127,6 @@ def _cmd_hyper(args):
         b=args.b,
         scale=args.scale,
         shift=args.shift,
-        sign=args.sign,
     )
     _write_poly(args, args.out, hyper_poly(spec))
     return 0
@@ -270,7 +269,6 @@ def build_parser():
     p.add_argument("--b", type=_frac_list, default=())
     p.add_argument("--scale", type=_frac, default=Fraction(1))
     p.add_argument("--shift", type=_frac, default=Fraction(0))
-    p.add_argument("--sign", type=int, default=0, choices=(0, 1))
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_hyper)
 

@@ -31,7 +31,7 @@ def mult_conv(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
     C(n, k), the numerators are a_k b_k (L / C(n, k)) over ad bd L.
     """
     _check(p, q, n)
-    (a, ad), (b, bd) = p._int_form(), q._int_form()
+    a, ad, b, bd = p._nums, p._den, q._nums, q._den
     binoms = [comb(n, k) for k in range(n + 1)]
     L = reduce(lcm, binoms)
     return Polynomial._from_ints(n, [x * y * (L // c) for x, y, c in zip(a, b, binoms)], ad * bd * L)
@@ -51,7 +51,7 @@ def add_conv(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
     numerators (a' * b')_k u n!/(n-k)! over v n!.
     """
     _check(p, q, n)
-    (a, pd), (b, qd) = p._int_form(), q._int_form()
+    a, pd, b, qd = p._nums, p._den, q._nums, q._den
     fact = [1]
     for k in range(1, n + 1):
         fact.append(fact[-1] * k)

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, perm, prod
+from typing import ClassVar
 
 from .conv import add_conv, mult_conv
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
     ZeroMultiplier,
     ZeroScale,
 )
-from .poly import Polynomial, _as_coeff, _mul_ints
+from .poly import Polynomial, _as_coeff, _degree, _mul_ints
 
 
 def pochhammer_rising(a, k: int) -> Fraction:
@@ -107,8 +108,8 @@ def _ratio_table(num, den, c, n):
 class HypergeometricSpec:
     """Data of a terminating hypergeometric polynomial.
 
-    Represents F(-n, a; b; (-1)^sign * (scale * x + shift)), expanded to an
-    exact polynomial of ambient degree n.
+    Represents F(-n, a; b; scale * x + shift), expanded to an exact
+    polynomial of ambient degree n; scale = -1 gives the argument -x.
     """
 
     n: int
@@ -116,38 +117,31 @@ class HypergeometricSpec:
     b: tuple = ()
     scale: Fraction = Fraction(1)
     shift: Fraction = Fraction(0)
-    sign: int = 0
+    # Not a setting: the benchmark's recorded digests (bench/digests.json) key
+    # a spec by its dataclass fields, `sign` at 0 among them; this constant
+    # keeps those keys until the digests are recorded again.
+    sign: ClassVar[int] = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _degree(self.n))
         object.__setattr__(self, "a", tuple(map(_as_coeff, self.a)))
         object.__setattr__(self, "b", tuple(map(_as_coeff, self.b)))
         object.__setattr__(self, "scale", _as_coeff(self.scale))
         object.__setattr__(self, "shift", _as_coeff(self.shift))
-        if self.n < 0:
-            raise ValueError("degree must be nonnegative")
         if self.scale == 0:
             raise ZeroScale("argument scale must be nonzero")
-        if self.sign not in (0, 1):
-            raise ValueError("sign flag must be 0 or 1")
         _check_denominators(self.b, self.n)
-
-    @property
-    def full_degree(self) -> bool:
-        """True iff the expanded polynomial has degree exactly n."""
-        return all(not (ak.denominator == 1 and -(self.n - 1) <= ak <= 0) for ak in self.a)
 
 
 def hyper_poly(spec: HypergeometricSpec) -> Polynomial:
     """Expand the spec to a Polynomial in x (hypergeometric normalization).
 
     The constant term is 1 whenever shift = 0; monicization is a separate,
-    explicit call on the result.  The sign and the scale ride in the term
-    ratio, which gives F((-1)^sign scale x); the shift is then one Taylor
-    shift, x -> x + shift/scale.
+    explicit call on the result.  The scale rides in the term ratio, which
+    gives F(scale x); the shift is then one Taylor shift, x -> x + shift/scale.
     """
     n = spec.n
-    c = -spec.scale if spec.sign else spec.scale
-    table = Polynomial._from_mono_ints(n, *_ratio_table((-n,) + spec.a, spec.b, c, n))
+    table = Polynomial._from_mono_ints(n, *_ratio_table((-n,) + spec.a, spec.b, spec.scale, n))
     return table.shift(-spec.shift / spec.scale) if spec.shift else table
 
 
@@ -164,7 +158,6 @@ def hyper_derivative(spec: HypergeometricSpec) -> HypergeometricSpec:
         b=tuple(bj + 1 for bj in spec.b),
         scale=spec.scale,
         shift=spec.shift,
-        sign=spec.sign,
     )
 
 
@@ -190,11 +183,11 @@ def hyper_mult_conv(spec1: HypergeometricSpec, spec2: HypergeometricSpec) -> Hyp
 
 
 def _argument_parity(spec: HypergeometricSpec) -> int:
-    """The l of an argument (-1)^l x: sign XOR (scale == -1).  The operator-series
+    """The l of an argument (-1)^l x: 1 iff scale = -1.  The operator-series
     theorems are stated for these two arguments only; any other raises ValueError."""
     if abs(spec.scale) != 1 or spec.shift:
         raise ValueError("the operator series are stated for arguments (+-) x")
-    return spec.sign ^ (spec.scale == -1)
+    return spec.scale == -1
 
 
 def _operator_series(spec: HypergeometricSpec):
@@ -232,11 +225,6 @@ def additive_hg_verify(spec1: HypergeometricSpec, spec2: HypergeometricSpec) -> 
 # -- Lemma: reversed product as a convolution ---------------------------------
 
 
-def _two_f_zero_spec(n: int) -> HypergeometricSpec:
-    """F(-n, 1; ; x): e_k = C(n,k) (n-k)! up to the global sign convention."""
-    return HypergeometricSpec(n=n, a=(Fraction(1),), b=())
-
-
 def reversed_product_representation(spec1: HypergeometricSpec, spec2: HypergeometricSpec | None) -> Polynomial:
     """Right side of the reversed-product trick.
 
@@ -252,7 +240,8 @@ def reversed_product_representation(spec1: HypergeometricSpec, spec2: Hypergeome
     inner = hyper_poly(spec1)
     if spec2 is not None:
         inner = add_conv(inner, hyper_poly(spec2), n)
-    return mult_conv(hyper_poly(_two_f_zero_spec(n)), inner, n)
+    # F(-n, 1; ; x): e_k = C(n,k) (n-k)! up to the global sign convention
+    return mult_conv(hyper_poly(HypergeometricSpec(n=n, a=(Fraction(1),))), inner, n)
 
 
 def reversed_product_lhs(spec1: HypergeometricSpec, spec2: HypergeometricSpec | None) -> Polynomial:
@@ -291,6 +280,7 @@ class KdFSpec:
     c: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _degree(self.n))
         object.__setattr__(self, "a0", tuple(map(_as_coeff, self.a0)))
         object.__setattr__(self, "b0", tuple(map(_as_coeff, self.b0)))
         groups = tuple((tuple(map(_as_coeff, a)), tuple(map(_as_coeff, b))) for a, b in self.groups)
@@ -383,8 +373,7 @@ def _swapped_spec(n, a, b, c_mult):
         n=n,
         a=tuple(-bk - n + 1 for bk in b),
         b=tuple(-ak - n + 1 for ak in a),
-        scale=1 / c_mult,
-        sign=(i + j) % 2,
+        scale=(-1) ** (i + j) / c_mult,
     )
 
 
@@ -403,9 +392,9 @@ def kdf_factorize(spec: KdFSpec, mode: str = "all"):
         qs = tuple(Leaf(_swapped_spec(n, a, b, c)) for (a, b), c in zip(spec.groups, spec.c))
         tree = Rev(Mult(q0, qs[0] if len(qs) == 1 else Add(qs)))
     else:
-        q0 = Leaf(HypergeometricSpec(n=n, a=spec.a0, b=spec.b0, sign=1))
+        q0 = Leaf(HypergeometricSpec(n=n, a=spec.a0, b=spec.b0, scale=-1))
         a1, b1 = spec.groups[0]
-        q1 = Leaf(HypergeometricSpec(n=n, a=a1, b=b1, scale=spec.c[0], sign=1))
+        q1 = Leaf(HypergeometricSpec(n=n, a=a1, b=b1, scale=-spec.c[0]))
         rest = tuple(
             Leaf(_swapped_spec(n, a, b, c))
             for (a, b), c in zip(spec.groups[1:], spec.c[1:])

@@ -471,10 +471,10 @@ def verify_orthogonality(family, spec, n, type_, prec=256):
         return {"max_residual": worst, "normalization": _to_mpf(moments[N - 1]), "constants": consts}
 
 
-def typeI_function_eval(family, spec, n, xs, prec=256):
-    """Values of Q_n(x) = sum_j c_j A_j(x) w_j(x) on a grid (mpmath), and the c_j."""
+def typeI_function_eval(family, spec, n, xs):
+    """Values of Q_n(x) = sum_j c_j A_j(x) w_j(x) on a grid (mpmath at 256 bits), and the c_j."""
     weights = [KINDS[family].weight(spec, j) for j in range(spec.r)]
-    with mp.workprec(prec):
+    with mp.workprec(256):
         polys, lam = _type1_components(family, spec, n)
         consts = [_to_mpf(l) / _moment_constant(w) for l, w in zip(lam, weights)]
         coeffs = [[_to_mpf(c) for c in reversed(p.to_monomial())] for p in polys]
@@ -541,14 +541,15 @@ def delta_r_interval(family, r):
     return (0.0, float("inf"))
 
 
-def theorem_suite_zero_location(family, spec, n, i, precision_bits=None, tau=1e-18):
+def theorem_suite_zero_location(family, spec, n, i):
     """Hypothesis check + zero location + derivative shift for Type I families.
 
     Returns a report dict; when the hypothesis window fails, no location
     claim is asserted (`claim_checked` False), matching the theorem's scope.
     The weakened window is reported separately: it only implies real roots.
     Only kinds with a Type I derivative relation in KINDS (jp, ml1) are
-    covered; any other kind raises InvalidParameters.
+    covered; any other kind raises InvalidParameters.  A zero counts as in
+    Delta_r within 1e-18 of its ends.
     """
     from .roots import find_roots, real_parts_sorted
 
@@ -563,8 +564,8 @@ def theorem_suite_zero_location(family, spec, n, i, precision_bits=None, tau=1e-
     poly = ctor(spec, n, i)
     if hyp:
         lo, hi = delta_r_interval(family, spec.r)
-        roots = real_parts_sorted(find_roots(poly, precision_bits), tau=1e-12)
-        inside = all(lo - tau < x < hi + tau for x in roots)
+        roots = real_parts_sorted(find_roots(poly), tau=1e-12)
+        inside = all(lo - 1e-18 < x < hi + 1e-18 for x in roots)
         report.update({"claim_checked": True, "zeros_in_delta_r": inside, "roots": roots})
     # derivative relation: d/dx A_{n,i} is proportional to the (n - e_i) component
     if n[i - 1] >= 2:

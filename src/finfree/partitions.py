@@ -198,7 +198,7 @@ def finite_free_cumulants(p: Polynomial, upto=None):
     """
     if p.degree < p.n:
         raise ZeroLeading("finite free cumulants need degree exactly n")
-    n, (nums, _) = p.n, p._int_form()
+    n, nums = p.n, p._nums
     m = n if upto is None else _order(min(upto, n), n)
     sigma, falling = [], 1
     for k in range(1, m + 1):

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, isfinite, lcm
 from numbers import Rational, Real
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 import mpmath as mp
 
@@ -125,6 +125,17 @@ def _as_coeff(x):
     return Fraction(*x.as_integer_ratio())
 
 
+def _degree(n):
+    """A degree as a Python int: ints and other integers (numpy's too) as themselves;
+    bool and non-integers raise TypeError, a negative degree ValueError."""
+    if isinstance(n, bool):
+        raise TypeError("bool is not a degree")
+    n = index(n)
+    if n < 0:
+        raise ValueError("ambient degree must be nonnegative")
+    return n
+
+
 def _alternate(v):
     """(-1)^j v_j: e_j = (-1)^j c_(n-j) between the e-order and the monomial coefficients."""
     return [-x if j % 2 else x for j, x in enumerate(v)]
@@ -151,8 +162,7 @@ class Polynomial:
     def _init(self, n, nums, den):
         """Store e_j = nums[j] / den (n+1 integers, den != 0), made primitive by one
         content gcd.  Every constructor ends here."""
-        if n < 0:
-            raise ValueError("ambient degree must be nonnegative")
+        n = _degree(n)
         if len(nums) != n + 1:
             raise ValueError(f"need exactly n+1={n + 1} coefficients, got {len(nums)}")
         c = reduce(gcd, nums, den)
@@ -180,10 +190,6 @@ class Polynomial:
     def _from_mono_ints(cls, n, mono, den):
         """Monomial coefficients mono[m] / den of x^m, m = 0..len(mono) - 1 <= n."""
         return cls._from_ints(n, _alternate([0] * (n + 1 - len(mono)) + mono[::-1]), den)
-
-    def _int_form(self):
-        """(nums, den) with e_j = nums[j] / den, primitive and den > 0."""
-        return self._nums, self._den
 
     def _mono_ints(self):
         """The monomial numerators c_0..c_n of the integer form, and its denominator."""
@@ -239,11 +245,6 @@ class Polynomial:
     def zero(cls, n):
         return cls._from_ints(n, [0] * (n + 1), 1)
 
-    @classmethod
-    def x_power(cls, n):
-        """x^n, i.e. e_0 = 1 and all other e_j = 0."""
-        return cls._from_ints(n, [1] + [0] * n, 1)
-
     # -- basic structure -----------------------------------------------------
 
     @property
@@ -258,22 +259,9 @@ class Polynomial:
                 return self.n - j
         return -1
 
-    @property
-    def monic(self):
-        return self._nums[0] == self._den
-
     def to_monomial(self):
         """Coefficients c_0..c_n of ascending powers."""
         return tuple(_alternate(self.e)[::-1])
-
-    def coeff(self, m):
-        """Monomial coefficient of x^m; 0 above the ambient degree."""
-        if m < 0:
-            raise ValueError(f"power {m} is negative")
-        if m > self.n:
-            return Fraction(0)
-        j = self.n - m
-        return -self.e[j] if j % 2 else self.e[j]
 
     # -- elementary transforms ------------------------------------------------
 
@@ -316,14 +304,6 @@ class Polynomial:
             return Polynomial.zero(0)
         return Polynomial._from_ints(n - 1, [(n - j) * c for j, c in enumerate(self._nums[:n])], self._den)
 
-    def evaluate(self, x):
-        """Horner evaluation; works for Fraction, float, complex, mpmath."""
-        mono = self.to_monomial()
-        acc = mono[-1] * (x * 0 + 1)  # in the type of x
-        for m in range(self.n - 1, -1, -1):
-            acc = acc * x + mono[m]
-        return acc
-
     # -- arithmetic ------------------------------------------------------------
 
     def scaled(self, c):
@@ -335,7 +315,7 @@ class Polynomial:
         """self op other coefficientwise, op = add or sub."""
         if self.n != other.n:
             raise ValueError("ambient degrees differ")
-        (a, ad), (b, bd) = self._int_form(), other._int_form()
+        a, ad, b, bd = self._nums, self._den, other._nums, other._den
         g = gcd(ad, bd)
         ka, kb = bd // g, ad // g  # over lcm(ad, bd) = ad * ka
         return Polynomial._from_ints(self.n, [op(x * ka, y * kb) for x, y in zip(a, b)], ad * ka)
@@ -351,18 +331,6 @@ class Polynomial:
         n = self.n + other.n
         (a, ad), (b, bd) = self._mono_ints(), other._mono_ints()
         return Polynomial._from_mono_ints(n, _mul_ints(a + [0] * other.n, b + [0] * self.n, n), ad * bd)
-
-    def divide_linear(self, root):
-        """Exact division by (x - root); raises if the remainder is nonzero."""
-        mono, n, r = self.to_monomial(), self.n, _as_coeff(root)
-        q = [Fraction(0)] * n
-        acc = mono[n]
-        for m in range(n - 1, -1, -1):
-            q[m] = acc
-            acc = mono[m] + acc * r
-        if acc != 0:
-            raise ValueError(f"nonzero remainder {acc} dividing by (x - {root})")
-        return Polynomial.from_monomial(q, n - 1)
 
     def monicized(self):
         """p / e_0; requires full ambient degree."""
@@ -387,7 +355,7 @@ class Polynomial:
         """Return scalar c with self == c * other, or None if not proportional."""
         if self.n != other.n:
             return None
-        (a, ad), (b, bd) = self._int_form(), other._int_form()
+        a, ad, b, bd = self._nums, self._den, other._nums, other._den
         j = next((j for j, y in enumerate(b) if y), None)
         if j is None or not a[j] or any(x * b[j] != y * a[j] for x, y in zip(a, b)):
             return None
@@ -427,4 +395,4 @@ class Polynomial:
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text)
-        return cls(int(obj["n"]), [Fraction(s) for s in obj["e"]])
+        return cls(obj["n"], [Fraction(s) for s in obj["e"]])

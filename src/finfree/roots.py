@@ -354,8 +354,8 @@ class EmpiricalDistribution:
         with mp.workprec(96):
             return [complex(mp.fsum(z**k for z in self.roots) / self.n) for k in range(1, kmax + 1)]
 
-    def real_sorted(self, tau=1e-12):
-        return real_parts_sorted(self.roots, tau)
+    def real_sorted(self):
+        return real_parts_sorted(self.roots, 1e-12)
 
     def histogram(self, bins: int, range_=None):
         """Uniform-bin density histogram rows (bin_lo, bin_hi, count, density);

@@ -119,17 +119,17 @@ def suite_identities(n_max=8, draws=100, seed=20240811):
     def theorem_add_operator():
         n = rng.randint(1, 6)
         s1 = HypergeometricSpec(
-            n=n, a=(_rng_nonint(rng),), b=(_rng_nonint(rng, 0, 5) + 5,), sign=rng.randint(0, 1)
+            n=n, a=(_rng_nonint(rng),), b=(_rng_nonint(rng, 0, 5) + 5,), scale=(-1) ** rng.randint(0, 1)
         )
-        s2 = HypergeometricSpec(n=n, b=(_rng_nonint(rng, 0, 5) + 5,), sign=rng.randint(0, 1))
+        s2 = HypergeometricSpec(n=n, b=(_rng_nonint(rng, 0, 5) + 5,), scale=(-1) ** rng.randint(0, 1))
         return additive_hg_verify(s1, s2)
 
     def reversed_product():
         n = rng.randint(2, 6)
         s1 = HypergeometricSpec(
-            n=n, a=(_rng_nonint(rng),), b=(Fraction(1),), sign=rng.randint(0, 1)
+            n=n, a=(_rng_nonint(rng),), b=(Fraction(1),), scale=(-1) ** rng.randint(0, 1)
         )
-        s2 = HypergeometricSpec(n=n, a=(_rng_nonint(rng),), b=(_rng_nonint(rng, 0, 4) + 5,), sign=0)
+        s2 = HypergeometricSpec(n=n, a=(_rng_nonint(rng),), b=(_rng_nonint(rng, 0, 4) + 5,))
         lhs = reversed_product_lhs(s1, s2)
         rhs = reversed_product_representation(s1, s2)
         return lhs.proportional_to(rhs) is not None

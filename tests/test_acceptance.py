@@ -102,7 +102,7 @@ def figure1_distribution():
 def test_criterion_4_figure1_reproduction(figure1_distribution):
     dist, solve_time = figure1_distribution
     t0 = time.time()
-    xs = dist.real_sorted(tau=1e-12)  # raises if any root is non-real
+    xs = dist.real_sorted()  # raises if any root is non-real
     all_negative = xs[-1] < 0
     min_ok = abs(xs[0] - (-2.2)) <= 0.1
     ks = dist.ks_distance(lambda x: jp1_cdf(F(1, 3), x))

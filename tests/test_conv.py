@@ -38,7 +38,7 @@ def test_mult_conv_is_dilation_with_linear_power():
 
 def test_add_conv_examples():
     p = Polynomial.from_monomial([2, -3, 1])
-    assert add_conv(p, Polynomial.x_power(2), 2) == p  # shift by 0
+    assert add_conv(p, Polynomial.linear_power(0, 2), 2) == p  # shift by 0
     out = add_conv(Polynomial.from_roots([1, 1, 1]), Polynomial.from_roots([2, 2, 2]), 3)
     assert out == Polynomial.from_roots([3, 3, 3])
 
@@ -168,9 +168,9 @@ def test_add_conv_matches_per_term_oracle():
     pairs = [(F(3, 7), F(5, 2), F(7, 3)), (F(5, 11), F(11, 4), F(13, 5)), (F(-2, 9), F(7, 3), F(1, 2))]
     for n in (24, 40, 60):
         zero = Polynomial.zero(n)
-        for (a, b, b2), (s1, s2) in zip(pairs, ((0, 0), (1, 0), (0, 1))):
-            p = hyper_poly(HypergeometricSpec(n, (a,), (b,), sign=s1))
-            q = hyper_poly(HypergeometricSpec(n, (), (b2,), sign=s2))
+        for (a, b, b2), (s1, s2) in zip(pairs, ((1, 1), (-1, 1), (1, -1))):
+            p = hyper_poly(HypergeometricSpec(n, (a,), (b,), scale=s1))
+            q = hyper_poly(HypergeometricSpec(n, (), (b2,), scale=s2))
             assert scaled_content_bits(q, n) > 2 * n
             for x, y in ((p, q), (q, p), (zero, q), (p, zero)):
                 assert add_conv(x, y, n) == add_conv_oracle(x, y, n)
@@ -207,10 +207,10 @@ def test_a_chain_of_kernels_stays_on_primitive_integers():
     lhs = add_conv_oracle(Polynomial(3, p.shift(F(1, 2)).e), Polynomial(3, q.dilate(F(-3, 4)).e), 3).e
     want = [F(5, 6) * F(x * y, comb(3, k)) - z for k, (x, y, z) in enumerate(zip(lhs, p.reverse().e, q.e))]
     assert out.e == tuple(want)
-    nums, den = out._int_form()
+    nums, den = out._nums, out._den
     assert den > 0 and reduce(gcd, nums, den) == 1
     for n in range(9):
         a, b = rand_poly(random.Random(n), n), rand_poly(random.Random(n + 50), n)
         for r in (mult_conv(a, b, n), add_conv(a, b, n)):
-            nums, den = r._int_form()
+            nums, den = r._nums, r._den
             assert den > 0 and reduce(gcd, nums, den) == 1

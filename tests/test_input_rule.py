@@ -1,7 +1,9 @@
 """One input rule for every exact object: each number a caller gives a spec, a
 series, a limit object or a curve is read by `poly._as_coeff` as the rational it
-denotes, and refused with its errors."""
+denotes, and refused with its errors.  A degree is read by `poly._degree` as a
+Python int."""
 
+import json
 import re
 from fractions import Fraction as F
 from functools import reduce
@@ -28,7 +30,7 @@ from finfree.families import (
     endpoints,
     s_limit_hyper,
 )
-from finfree.hyper import HypergeometricSpec, KdFSpec, pochhammer_falling, pochhammer_rising
+from finfree.hyper import HypergeometricSpec, KdFSpec, hyper_poly, kdf_poly, pochhammer_falling, pochhammer_rising
 from finfree.mop import JPSpec, ML1Spec, ML2Spec
 from finfree.partitions import cumulants_to_elementary
 from finfree.poly import Polynomial
@@ -149,3 +151,30 @@ def test_branch_series_reads_a_float_value_of_its_curve():
     # y + v = 0: a float 1.0 is the rational 1, not an object without .denominator
     for one in (1, 1.0):
         assert newton_series_branch({(1, 0): one, (0, 1): 1}, 0, 2) == [0, -1, 0]
+
+
+# each builds a Polynomial of ambient degree n
+DEGREES = {
+    "Polynomial": lambda n: Polynomial(n, [1, 2]),
+    "from_monomial": lambda n: Polynomial.from_monomial([1, 2], n=n),
+    "linear_power": lambda n: Polynomial.linear_power(F(1, 2), n),
+    "zero": Polynomial.zero,
+    "HypergeometricSpec": lambda n: hyper_poly(HypergeometricSpec(n=n, a=(F(1, 2),))),
+    "KdFSpec": lambda n: kdf_poly(KdFSpec(n=n, groups=(((), ()),), c=(F(1),))),
+}
+
+NOT_DEGREES = [True, 1.0, 2.5, F(1), "1", np.float64(1.0)]
+
+
+@pytest.mark.parametrize("name", DEGREES)
+def test_a_numpy_integer_degree_is_read_as_an_int(name):
+    p = DEGREES[name](np.int64(1))
+    assert type(p.n) is int and p == DEGREES[name](1)
+    assert json.loads(p.to_json())["n"] == 1
+
+
+@pytest.mark.parametrize("bad", NOT_DEGREES, ids=repr)
+@pytest.mark.parametrize("name", DEGREES)
+def test_a_bool_or_non_integer_degree_is_refused(name, bad):
+    with pytest.raises(TypeError):
+        DEGREES[name](bad)

@@ -93,7 +93,7 @@ def test_typeI_limit_is_the_growth_of_the_finite_parameters(family):
     delta = (F(1, 7), F(2, 5), F(3, 11))
 
     def params(m, i):
-        alpha, n = tuple(m * a + d for a, d in zip(A, delta)), tuple(m * t for t in theta)
+        alpha, n = tuple(m * a + d for a, d in zip(A, delta)), tuple(int(m * t) for t in theta)
         spec = jp_typeI_spec(JPSpec(alpha, m * B), n, i) if family == "jp1" else ml1_typeI_spec(ML1Spec(alpha), n, i)
         return spec.a, spec.b
 
@@ -128,8 +128,18 @@ def _jp_divided(spec, n):
         )
     )
     for _ in range(beta):
-        big = big.divide_linear(F(1))
+        big = _divide_linear(big, 1)
     return big.monicized()
+
+
+def _divide_linear(p, root):
+    """The quotient of p by (x - root), by synthetic division; the remainder must vanish."""
+    q, acc = [], F(0)
+    for c in reversed(p.to_monomial()):
+        acc = acc * root + c
+        q.append(acc)
+    assert q.pop() == 0
+    return Polynomial.from_monomial(q[::-1], p.n - 1)
 
 
 def _non_integer_alphas(rng, r):
@@ -167,7 +177,7 @@ def test_jp_typeII_matches_the_reversed_product_and_the_division_form():
     compared = {"reversed": 0, "divided": 0}
     for spec, n in JP_TYPEII_CASES + draws:
         P = jp_typeII(spec, n)
-        assert P.monic and P.degree == sum(n)
+        assert P.e[0] == 1 and P.degree == sum(n)
         if spec.beta not in (0, 1):
             assert P.e == _jp_reversed_product(spec, n).e, (spec, n)
             compared["reversed"] += 1
@@ -226,7 +236,7 @@ def test_ml1_typeII_drops_a_weight_with_a_zero_index():
 
 def test_jp_typeII_is_monic_full_degree():
     P = jp_typeII(JP, (2, 2))
-    assert P.monic and P.degree == 4
+    assert P.e[0] == 1 and P.degree == 4
 
 
 def test_orthogonality_all_six_families_small():
@@ -363,7 +373,7 @@ def test_ml1_bridge_to_jp():
 
 def test_ml1_typeII_r1_is_laguerre():
     L = ml1_typeII(ML1Spec(alpha=(F(1, 3),)), (3,))
-    assert L.monic and L.degree == 3
+    assert L.e[0] == 1 and L.degree == 3
     assert all(r > 0 for r in roots_of(L))
 
 
@@ -492,7 +502,7 @@ def test_typeI_oracle_needs_a_positive_total_index():
 def test_typeI_function_sign_changes():
     # AT property: Q_n has exactly |n| - 1 sign changes inside (0, 1)
     xs = [k / 400 for k in range(1, 400)]
-    vals, consts = typeI_function_eval("jp", JP, (2, 2), xs, prec=128)
+    vals, consts = typeI_function_eval("jp", JP, (2, 2), xs)
     signs = [mp.sign(v) for v in vals]
     changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     assert changes == 3
