@@ -1,9 +1,9 @@
 """Software floating point on Python integers, and the Aberth-Ehrlich sweeps
 that `roots.find_roots` runs on it and, as a first stage, on hardware floats.
 
-Every complex value is a Gaussian-integer mantissa with its own binary
-exponent, (re, im, exp) meaning (re + i im) 2^exp; on the real path every
-value is a pair (m, exp) meaning m 2^exp.  Values are cut back to
+Every value is a Gaussian-integer mantissa with its own binary exponent,
+(re, im, exp) meaning (re + i im) 2^exp; on the real path im = 0 and the
+real kernels read only re and exp.  On both paths values are cut back to
 P = wp + 16 bits after each multiply or divide; no value shares a scale
 with another, so a polynomial whose coefficients span thousands of bits
 costs no more per step than a tame one.  Convergence per root uses the
@@ -15,16 +15,16 @@ that term, so the full test could only agree.
 
 On the real path the Aberth sum S = sum 1 / (x - w) runs on doubles, over
 a double copy of every point, and enters the update x - p / (p' - p S) as
-one pair; the exact Gaussian-integer sum, on the triples (m, 0, e), runs
-only where the doubles cannot hold the points or resolve a difference.
-p and p' stay on pairs and the Adams test decides at the working
-precision, so an error in S changes only the path the points take.
+one value; the exact Gaussian-integer sum runs only where the doubles
+cannot hold the points or resolve a difference.  p and p' stay on big
+integers and the Adams test decides at the working precision, so an error
+in S changes only the path the points take.
 """
 
 import math
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, fzero
+from mpmath.libmp import from_man_exp
 
 
 # -- Gaussian-integer floating point ---------------------------------------------
@@ -109,17 +109,14 @@ def _mantissa(num, den, P):
 _FAR = -(1 << 60)
 
 
-# -- real floating point ---------------------------------------------------------
-#
-# On the real path a value is a pair (m, e) standing for m 2^e, normalized to
-# |m| in [2^(P-1), 2^P), with the same cuts as the triples above.
+# -- real floating point on the triples (m, 0, e) ---------------------------------
 
 
 def _rnorm(m, e, P):
     s = m.bit_length() - P
     if s >= 0:
-        return m >> s, e + s
-    return m << -s, e + s
+        return m >> s, 0, e + s
+    return m << -s, 0, e + s
 
 
 def _radd(a, b, P):
@@ -127,22 +124,16 @@ def _radd(a, b, P):
         return a
     if not a[0]:
         return b
-    if a[1] < b[1]:
+    if a[2] < b[2]:
         a, b = b, a
-    d = a[1] - b[1]
+    d = a[2] - b[2]
     if d > P + 2:
         return a
-    return _rnorm((a[0] << d) + b[0], b[1], P)
-
-
-def _rdiv(a, b, P):
-    """a / b for b != 0 and a of at most P + 1 bits."""
-    s = P + 2 + b[0].bit_length() - a[0].bit_length()
-    return _rnorm((a[0] << s) // b[0], a[1] - b[1] - s, P)
+    return _rnorm((a[0] << d) + b[0], b[2], P)
 
 
 def _rlog2_abs(a):
-    m, e = a
+    m, _, e = a
     b = m.bit_length()
     if not b:
         return -math.inf
@@ -152,17 +143,9 @@ def _rlog2_abs(a):
     return math.log2(abs(m)) + e
 
 
-def _renorm(a, P):
-    """A pair or a triple normalized to P bits."""
-    return _rnorm(*a, P) if len(a) == 2 else _norm(*a, P)
-
-
 def _to_mpc(a):
-    """A pair or a triple as an mpc at the current mpmath precision, rounded
-    from the mantissa once, as mp.mpc(mp.mpf(...)) would round it."""
+    """A triple as an mpc at the current mpmath precision, rounded once, as mp.mpc(mp.mpf(...)) would."""
     prec, rnd = mp.mp._prec_rounding
-    if len(a) == 2:
-        return mp.mp.make_mpc((from_man_exp(a[0], a[1], prec, rnd), fzero))
     return mp.mp.make_mpc((from_man_exp(a[0], a[2], prec, rnd), from_man_exp(a[1], a[2], prec, rnd)))
 
 
@@ -264,8 +247,8 @@ def _aberth_sum(z, pts, P):
 
 
 def _rhorner(coeffs, x, P):
-    """_horner on pairs: one multiplication per step."""
-    xm, xe = x
+    """_horner on the real part of x: one multiplication per step."""
+    xm, _, xe = x
     (am, ae), *rest = coeffs
     for m, e in rest:
         t = am * xm
@@ -286,7 +269,7 @@ def _rhorner(coeffs, x, P):
             am, ae = t + (m >> d), te
         else:
             am, ae = m + (t >> -d), e
-    return am, ae
+    return am, 0, ae
 
 
 def _step(z, pv, dv, s, P):
@@ -300,13 +283,15 @@ def _step(z, pv, dv, s, P):
 
 
 def _rstep(x, pv, dv, s, P):
-    """_step on pairs, as x - p / (p' - p s); s may have fewer than P bits."""
-    if not dv[0]:
-        return _radd(_radd(x, (x[0], x[1] - 10), P), _rnorm(1, -20, P), P), False
-    ps = _rnorm(-pv[0] * s[0], pv[1] + s[1], P)
-    den = _radd(_rnorm(*dv, P), ps, P)
-    step = _rdiv(pv, den if den[0] else dv, P)
-    return _radd(x, (-step[0], step[1]), P), step[0] != 0
+    """_step on real parts, as x - p / (p' - p s), one division; s may have fewer than P bits."""
+    if not dv[0]:  # a critical point: _step's nudge
+        return _step(x, pv, dv, s, P)
+    ps = _rnorm(-pv[0] * s[0], pv[2] + s[2], P)
+    den = _radd(_rnorm(dv[0], dv[2], P), ps, P)
+    dm, _, de = den if den[0] else dv
+    k = P + 2 + dm.bit_length() - pv[0].bit_length()  # pv has at most P + 1 bits
+    step = _rnorm((pv[0] << k) // dm, pv[2] - de - k, P)
+    return _radd(x, (-step[0], 0, step[2]), P), step[0] != 0
 
 
 # -- the Aberth sum of the real path on doubles --------------------------------------
@@ -315,15 +300,15 @@ def _rstep(x, pv, dv, s, P):
 # call, and S = sum 1 / (y - v) 2^-sc is summed on the copies.  A copy lies
 # within 2^+-_SPAN of 1, or is NaN; with every difference kept above
 # _SEP |y|, no term or sum leaves the normal doubles.  Where a copy is NaN or
-# a difference is not resolved, the exact sum runs instead (_pair_sum).
+# a difference is not resolved, the exact sum runs instead (_aberth_sum).
 
 _SPAN = 960
 _SEP = 2.0**-40
 
 
 def _double(x, sc):
-    """The pair x times 2^-sc as a double; NaN unless within 2^+-_SPAN of 1."""
-    m, e = x
+    """The real point x times 2^-sc as a double; NaN unless within 2^+-_SPAN of 1."""
+    m, _, e = x
     b = m.bit_length()
     if not b:
         return 0.0
@@ -335,15 +320,15 @@ def _double(x, sc):
 
 
 def _doubles(pts):
-    """Double copies of the pairs pts and their scale 2^sc, sc halfway between
-    the largest and smallest nonzero binade."""
-    tops = [m.bit_length() + e for m, e in pts if m]
+    """Double copies of the real points pts and their scale 2^sc, sc halfway
+    between the largest and smallest nonzero binade."""
+    tops = [m.bit_length() + e for m, _, e in pts if m]
     sc = (min(tops) + max(tops)) // 2 if tops else 0
     return [_double(x, sc) for x in pts], sc
 
 
 def _dsum(ys, i, sc):
-    """The Aberth sum at point i from the copies ys, as a pair; None where a
+    """The Aberth sum at point i from the copies ys, as a real triple; None where a
     copy is NaN, another copy equals y_i, or a difference is below _SEP |y_i|."""
     y = ys[i]
     ts = [1 / (y - v) for v in ys if v != y]
@@ -354,7 +339,7 @@ def _dsum(ys, i, sc):
     if not math.isfinite(t):
         return None
     m, d = t.as_integer_ratio()
-    return m, 1 - d.bit_length() - sc
+    return m, 0, 1 - d.bit_length() - sc
 
 
 # -- hardware floats ---------------------------------------------------------------
@@ -380,37 +365,31 @@ def _fstep(x, pv, dv, s, P):
     return (y, y != x) if math.isfinite(y) else (x, False)
 
 
-def _pair_sum(x, pts, P):
-    """_aberth_sum on the triples (m, 0, e) of the pairs, as (real part, exponent)."""
-    return _aberth_sum((x[0], 0, x[1]), [(m, 0, e) for m, e in pts], P)[::2]
-
-
-# Horner, log2 |.|, the exact Aberth sum and the update, per value shape
-_TRIPLES = (_horner, _log2_abs, _aberth_sum, _step)
-_PAIRS = (_rhorner, _rlog2_abs, _pair_sum, _rstep)
+# Horner, log2 |.|, the exact Aberth sum and the update, per path
+_COMPLEX = (_horner, _log2_abs, _aberth_sum, _step)
+_REAL = (_rhorner, _rlog2_abs, _aberth_sum, _rstep)
 _FLOATS = (_fhorner, lambda x: math.log2(abs(x)) if x else -math.inf, _fsum, _fstep)
 
-# sweeps on pairs or floats without a newly converged point before they count as stalled
+# real sweeps, on big integers or floats, without a newly converged point before they count as stalled
 _PATIENCE = 24
 
 
-def _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, max_sweeps):
-    """Gauss-Seidel Aberth-Ehrlich sweeps at P = wp + 16 bits on normalized
-    triples or, on the real path, pairs; or on floats, with wp = 52.
+def _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, max_sweeps, kernels):
+    """Gauss-Seidel Aberth-Ehrlich sweeps with the kernels of one path: _COMPLEX
+    or _REAL at P = wp + 16 bits on normalized triples, or _FLOATS with wp = 52.
 
     coeffs and dcoeffs are the coefficients of p and p' from the top degree
     down, as (m, e) pairs or floats; lcs feeds the Adams bound; pts is
-    updated in place.  Pairs and floats give up once _PATIENCE sweeps in a
-    row converge no further point, as real points chasing complex roots do.
+    updated in place.  Real sweeps give up once _PATIENCE sweeps in a row
+    converge no further point, as real points chasing complex roots do.
     """
     P = wp + 16
     n = len(pts)
     # stop at the Horner noise floor: n-step evaluation carries ~n ulps
     log_eps = math.log2(4 * n) - wp
-    shape = _FLOATS if isinstance(pts[0], float) else _PAIRS if len(pts[0]) == 2 else _TRIPLES
-    horner, log2_abs, aberth_sum, step = shape
-    patience = max_sweeps if shape is _TRIPLES else _PATIENCE
-    ys, sc = _doubles(pts) if shape is _PAIRS else (None, 0)
+    horner, log2_abs, aberth_sum, step = kernels
+    patience = max_sweeps if kernels is _COMPLEX else _PATIENCE
+    ys, sc = _doubles(pts) if kernels is _REAL else (None, 0)
     converged = [False] * n
     left, last = n, 0
     for sweep in range(max_sweeps):

@@ -359,7 +359,7 @@ def _legendre_rule():
 def _gauss_legendre(f, a, b):
     x, w = _legendre_rule()
     xm = 0.5 * (b + a) + 0.5 * (b - a) * x
-    return 0.5 * (b - a) * float(np.sum(w * f(xm)))
+    return float(0.5 * (b - a) * np.sum(w * f(xm)))
 
 
 def _near_zero(model, sgn, t):

@@ -7,16 +7,18 @@ once per rung.  A precision ladder polishes from a cheap pass up
 to the requested precision, each root to the Adams residual criterion.
 Roots come back as mpmath complex numbers at the working precision.
 
-Two paths share one sweep driver:
+Both paths keep every point as a triple (re, im, exp), and share one sweep
+driver; find_roots picks the path and passes it down:
 
 * the real path, tried first when Descartes' rule of signs allows every
   root to be real (sign changes of p(x) and p(-x) summing to the degree).
   It seeds real points of the counted signs at the radii of the Newton
   polygon of the coefficient magnitudes and first sweeps them on hardware
   doubles, where p scaled to its root scale fits them; this stage only
-  moves the seeds.  The ladder then sweeps on real (m, exp) pairs, one
-  multiplication per Horner step instead of three; each step's Aberth sum
-  runs on doubles, and on pairs only where doubles cannot resolve it.
+  moves the seeds.  The ladder then sweeps the points (m, 0, exp) with
+  the real kernels, one multiplication per Horner step instead of three;
+  each step's Aberth sum runs on doubles, and exactly only where doubles
+  cannot resolve it.
   Its result stands only with an exact certificate
   (real_root_certificate): p, evaluated by integer Horner at dyadic
   separators between the sorted roots and beyond both ends, alternates
@@ -38,7 +40,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .aberth import _aberth_sweeps, _horner, _mantissa, _renorm, _to_mpc
+from .aberth import _COMPLEX, _FLOATS, _REAL, _aberth_sweeps, _horner, _mantissa, _norm, _to_mpc
 from .errors import (
     DegreeGapTooLarge,
     InvalidParameters,
@@ -73,13 +75,13 @@ def _newton_annuli(lcs):
 
 
 def _dyadic(z, log2_r):
-    """The float or complex z times 2^log2_r as a pair, exactly, or a triple."""
+    """The float or complex z times 2^log2_r as a triple, a float exactly."""
     e = math.floor(log2_r)
     z *= 2.0 ** (log2_r - e)
     if isinstance(z, complex):
         return int(z.real * 2**53), int(z.imag * 2**53), e - 53
     m, d = z.as_integer_ratio()
-    return m, e + 1 - d.bit_length()
+    return m, 0, e + 1 - d.bit_length()
 
 
 def _initial_points(lcs):
@@ -96,7 +98,7 @@ def _initial_points(lcs):
 
 
 def _real_points(lcs, n, neg):
-    """Distinct real starting pairs on the Newton-polygon radii, neg of them negative.
+    """Distinct real starting points (m, 0, e) on the Newton-polygon radii, neg of them negative.
 
     An annulus holding c roots gets c magnitudes spread geometrically
     within a factor sqrt(2) of its radius; the signs are dealt out evenly
@@ -112,16 +114,17 @@ def _sign_changes(cs):
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _climb(rungs, lcs, pts):
-    """Sweeps the points pts up the precision ladder.
+def _climb(rungs, lcs, pts, real):
+    """Sweeps the points pts up the precision ladder, with the real kernels
+    if real, else the Gaussian ones.
 
-    Real points sweep as pairs, complex ones as triples.  A failed rung ends
-    a real climb, whose stalled points would only stall again; a complex
-    climb goes on to polish at the next rung.
+    A failed rung ends a real climb, whose stalled points would only stall
+    again; a complex climb goes on to polish at the next rung.
     """
-    real = len(pts[0]) == 2
+    kernels = _REAL if real else _COMPLEX
     for level, (wp, coeffs, dcoeffs) in enumerate(rungs):
-        pts, ok = _aberth_sweeps(coeffs, dcoeffs, lcs, [_renorm(z, wp + 16) for z in pts], wp, 120 if level else 500)
+        pts = [_norm(r, i, e, wp + 16) for r, i, e in pts]
+        pts, ok = _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, 120 if level else 500, kernels)
         if not ok and real:
             break
     return pts, ok
@@ -140,12 +143,12 @@ def _float_stage(mono, b, lcs, pts):
     s = (b[0] - b[n]) // n
     t = max(bk + k * s for k, bk in enumerate(b) if bk is not None)
     fc = [(u << max(k * s - t, 0)) / (v << max(t - k * s, 0)) for k, (u, v) in enumerate(mono)]
-    outer = max(m.bit_length() + e for m, e in pts)
+    outer = max(m.bit_length() + e for m, _, e in pts)
     if max(lc + k * outer for k, lc in lcs) - t > 1000 or any(u and abs(f) < 2.0**-1022 for (u, _), f in zip(mono, fc)):
         return pts
     flcs = [(k, math.log2(abs(f))) for k, f in enumerate(fc) if f]
-    ys = [math.ldexp(m, e - s) for m, e in pts]
-    ys, _ = _aberth_sweeps(fc[::-1], [k * f for k, f in enumerate(fc)][:0:-1], flcs, ys, 52, 500)
+    ys = [math.ldexp(m, e - s) for m, _, e in pts]
+    ys, _ = _aberth_sweeps(fc[::-1], [k * f for k, f in enumerate(fc)][:0:-1], flcs, ys, 52, 500, _FLOATS)
     return [z if ys.count(y) > 1 else _dyadic(y, s) for z, y in zip(pts, ys)]
 
 
@@ -157,7 +160,7 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     ladder whose base rung has max(64, conditioning estimate + 96) bits.
     When Descartes' rule of signs allows every root to be real, a real path
     runs first: real seeds, moved by sweeps on doubles where they fit, then
-    sweeps on real pairs and the exact certificate of real_root_certificate;
+    sweeps with the real kernels and the exact certificate of real_root_certificate;
     its roots have imaginary part exactly 0.  If the gate, the sweeps or the
     certificate fails, the complex path runs from complex seeds.  Raises
     NonConvergence with partial diagnostics if the last rung of the complex
@@ -194,10 +197,10 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     neg = _sign_changes(_alternate(nums))
     ok = False
     if _sign_changes(nums) + neg == deg:
-        pts, ok = _climb(rungs, lcs, _float_stage(mono, b, lcs, _real_points(lcs, deg, neg)))
+        pts, ok = _climb(rungs, lcs, _float_stage(mono, b, lcs, _real_points(lcs, deg, neg)), True)
         ok = ok and _isolate(nums, pts) is not None
     if not ok:
-        pts, ok = _climb(rungs, lcs, _initial_points(lcs))
+        pts, ok = _climb(rungs, lcs, _initial_points(lcs), False)
     with mp.workprec(wp):
         roots = [_to_mpc(z) for z in pts]
         if not ok:
@@ -251,15 +254,15 @@ def _sign_at(nums, u, k):
 
 
 def _isolate(nums, vals):
-    """Separators for the (m, e) pairs vals as Fractions, or None.
+    """Separators for the real triples (m, 0, e) vals as Fractions, or None.
 
     nums are integer coefficients from a_0 up.  Each separator is the
     shortest dyadic in the middle half between two neighbouring values, or
     beyond an end by a quarter to three quarters of the nearest gap.
     """
     n = len(vals)
-    E = min((e for m, e in vals if m), default=0) - 3  # makes every gap a multiple of 8
-    xs = sorted(m << (e - E) if m else 0 for m, e in vals)
+    E = min((e for m, _, e in vals if m), default=0) - 3  # makes every gap a multiple of 8
+    xs = sorted(m << (e - E) if m else 0 for m, _, e in vals)
     gaps = [b - a for a, b in zip(xs, xs[1:])]
     if any(g <= 0 for g in gaps):
         return None
@@ -304,14 +307,14 @@ def real_root_certificate(p: Polynomial, roots):
 
 
 def _exact_real(z):
-    """The real number z as the exact pair (m, e) with z = m 2^e, read from its
-    own mantissa and never rounded; None if z is not finite or has an imaginary part."""
+    """The real number z as the exact triple (m, 0, e) with z = m 2^e, read from
+    its own mantissa and never rounded; None if z is not finite or has an imaginary part."""
     if isinstance(z, (mp.mpc, complex)):
         if z.imag:
             return None
         z = z.real
     if isinstance(z, int):
-        return z, 0
+        return z, 0, 0
     if isinstance(z, float):
         return _dyadic(z, 0) if math.isfinite(z) else None
     if not isinstance(z, mp.mpf):
@@ -319,7 +322,7 @@ def _exact_real(z):
     if not mp.isfinite(z):
         return None
     sign, man, exp, _ = z._mpf_
-    return -man if sign else man, exp
+    return -man if sign else man, 0, exp
 
 
 def is_real_rooted(p: Polynomial, precision_bits=None, tau=1e-20):

@@ -353,6 +353,16 @@ def test_closed_form_cdfs_and_masses_keep_their_bytes():
     assert digest == "4c0c7a5f1decab78c33071e24fdd18a2d45102c00829e77968b1b795cab32ea4"
 
 
+def test_closed_form_cdfs_and_masses_are_python_floats():
+    # one x per branch: past the support, near zero, near the edge, at the edge
+    th = F(1, 3)
+    cstar = float(endpoints("jp1-r2", theta=th))
+    vals = [jp1_cdf(th, x) for x in (0.5, 0.0, -0.1 * cstar, -0.9 * cstar, -cstar, -2.0 * cstar)]
+    vals += [jp2_cdf(th, x) for x in (-0.1, 0.0, 0.3, 0.9, 1.0, 1.5)]
+    vals += [jp1_mass(th), jp2_mass(th)]
+    assert [type(v) for v in vals] == [float] * len(vals)
+
+
 def test_stieltjes_matches_closed_forms():
     lim = family_curves("jp1", LimitParams(theta=(F(1, 3), F(2, 3)), i=1))
     model = density_jp_typeI_r2(F(1, 3))

@@ -2,9 +2,9 @@
 fixed set of polynomials, the mantissa-to-mpc conversion, and the Adams test
 settled from its largest term, each against the form it replaced.
 
-The real-path roots are pinned twice: as doubles, which no change of the
-iteration's path may move, and to the last bit of the working precision,
-which any such change does."""
+The roots of both paths are pinned twice: as doubles, which no change of
+the iteration's path may move, and to the last bit of the working
+precision, which any such change does."""
 
 import hashlib
 import math
@@ -83,6 +83,16 @@ def test_complex_path_roots_keep_their_bits():
     assert _digest(solves) == "49770bb325ad7b27cf415d62f593ba6dfcd829e51b625b6cf458c12bbb60a88f"
 
 
+def test_complex_path_roots_keep_their_doubles():
+    # an imaginary part within 2^-100 (1 + |z|) of zero is iteration noise and reads 0.0
+    h = hashlib.sha256()
+    for p in _complex_cases():
+        for bits in (None, 200):
+            rts = [(z.real, z.imag if abs(z.imag) > 2.0**-100 * (1 + abs(z)) else 0) for z in find_roots(p, bits)]
+            h.update(repr(sorted((float(x).hex(), float(y).hex()) for x, y in rts)).encode())
+    assert h.hexdigest() == "1904e981e511c022697cc194cd3034102766120fd6e0143bdc8a4216aea2aa6b"
+
+
 @pytest.mark.parametrize("prec", [53, 288, 600])
 def test_mantissa_to_mpc_rounds_as_mpf_does(prec):
     rng = random.Random(prec)
@@ -90,7 +100,7 @@ def test_mantissa_to_mpc_rounds_as_mpf_does(prec):
         for _ in range(500):
             re, im = (rng.choice((0, 1, -1)) * rng.getrandbits(rng.randint(1, 304)) for _ in range(2))
             e = rng.randint(-400, 400)
-            got, want = _to_mpc((re, e)), mp.mpc(mp.mpf((re, e)))
+            got, want = _to_mpc((re, 0, e)), mp.mpc(mp.mpf((re, e)))
             assert (got.real._mpf_, got.imag._mpf_) == (want.real._mpf_, want.imag._mpf_)
             got, want = _to_mpc((re, im, e)), mp.mpc(mp.mpf((re, e)), mp.mpf((im, e)))
             assert (got.real._mpf_, got.imag._mpf_) == (want.real._mpf_, want.imag._mpf_)

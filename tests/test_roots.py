@@ -7,7 +7,6 @@ import pytest
 
 from finfree import aberth as aberth_module
 from finfree import roots as roots_module
-from finfree.aberth import _rnorm
 from finfree.conv import mult_conv
 from finfree.errors import DegreeGapTooLarge, InvalidParameters, NonConvergence, NonRealRoots
 from finfree.hyper import HypergeometricSpec, hyper_poly
@@ -293,7 +292,7 @@ def test_complex_coefficients_are_refused(c):
 def test_nonconvergence_carries_roots_and_residuals(monkeypatch):
     sweeps = roots_module._aberth_sweeps
     monkeypatch.setattr(
-        roots_module, "_aberth_sweeps", lambda c, d, lcs, pts, wp, budget: sweeps(c, d, lcs, pts, wp, 1)
+        roots_module, "_aberth_sweeps", lambda c, d, lcs, pts, wp, budget, kernels: sweeps(c, d, lcs, pts, wp, 1, kernels)
     )
     p = hyper_poly(HypergeometricSpec(n=12, a=(F(36),), b=(F(3, 2),)))
     with pytest.raises(NonConvergence) as caught:
@@ -304,7 +303,7 @@ def test_nonconvergence_carries_roots_and_residuals(monkeypatch):
     assert max(err.residuals) > 0
 
 
-# -- the real path: Descartes-signed seeds, sweeps on pairs, exact certificate -----
+# -- the real path: Descartes-signed seeds, real sweeps, exact certificate ---------
 
 
 def _complex_path_only(monkeypatch):
@@ -457,8 +456,15 @@ def test_jp_typeI_degree_39_takes_the_real_path(monkeypatch):
 # -- the float stage: seeds swept on doubles before the big-integer rungs ---------
 
 
+def _patch_real_kernel(monkeypatch, k, kernel):
+    """Replace entry k of the real kernel table, in aberth and in roots alike."""
+    table = aberth_module._REAL[:k] + (kernel,) + aberth_module._REAL[k + 1 :]
+    monkeypatch.setattr(aberth_module, "_REAL", table)
+    monkeypatch.setattr(roots_module, "_REAL", table)
+
+
 def _record_sweeps(monkeypatch):
-    """Per _aberth_sweeps call: (value shape, wp, converged, _rstep calls)."""
+    """Per _aberth_sweeps call: (kernel table, wp, converged, _rstep calls)."""
     calls, steps = [], [0]
     rstep = aberth_module._rstep
 
@@ -466,14 +472,14 @@ def _record_sweeps(monkeypatch):
         steps[0] += 1
         return rstep(*args)
 
-    def sweeps(coeffs, dcoeffs, lcs, pts, wp, budget):
+    def sweeps(coeffs, dcoeffs, lcs, pts, wp, budget, kernels):
         before = steps[0]
-        shape = "float" if isinstance(pts[0], float) else len(pts[0])
-        pts, ok = aberth_module._aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, budget)
-        calls.append((shape, wp, ok, steps[0] - before))
+        pts, ok = aberth_module._aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, budget, kernels)
+        name = "float" if kernels is aberth_module._FLOATS else "real" if kernels is aberth_module._REAL else "complex"
+        calls.append((name, wp, ok, steps[0] - before))
         return pts, ok
 
-    monkeypatch.setattr(aberth_module, "_PAIRS", aberth_module._PAIRS[:3] + (counting,))
+    _patch_real_kernel(monkeypatch, 3, counting)
     monkeypatch.setattr(roots_module, "_aberth_sweeps", sweeps)
     return calls
 
@@ -483,10 +489,10 @@ def test_float_stage_seeds_every_big_integer_rung_once(monkeypatch):
     calls = _record_sweeps(monkeypatch)
     p = _jp1_degree_39()
     find_roots(p)
-    (shape, wp, ok, _), *rungs = calls
-    assert (shape, wp, ok) == ("float", 52, True)
-    # the ladder below the float stage is unchanged: one pass per rung, on pairs
-    assert [(shape, wp) for shape, wp, _, _ in rungs] == [(2, 170), (2, default_precision(39) + 32)]
+    (kernels, wp, ok, _), *rungs = calls
+    assert (kernels, wp, ok) == ("float", 52, True)
+    # the ladder below the float stage is unchanged: one pass per rung, with the real kernels
+    assert [(kernels, wp) for kernels, wp, _, _ in rungs] == [("real", 170), ("real", default_precision(39) + 32)]
     assert all(ok for _, _, ok, _ in rungs)
     # the base rung took 252 Aberth steps from the Newton-polygon seeds alone
     assert rungs[0][3] <= 0.6 * 252
@@ -496,7 +502,7 @@ def test_float_stage_seeds_every_big_integer_rung_once(monkeypatch):
     "rts",
     [
         [F(1, 2**700), F(1, 3), F(2**700)],
-        # beyond the range of doubles, where the pair sweeps' Aberth sum runs on pairs
+        # beyond the range of doubles, where the real sweeps' Aberth sum runs exactly
         [F(1, 2**1100), F(1, 3), F(2**1100)],
         [F(1, 2**1500), F(1, 7), F(5, 3), F(2**1200)],
     ],
@@ -504,16 +510,16 @@ def test_float_stage_seeds_every_big_integer_rung_once(monkeypatch):
 def test_float_stage_is_skipped_where_doubles_overflow(monkeypatch, rts):
     _no_complex_path(monkeypatch)
     calls = _record_sweeps(monkeypatch)
-    pairs, exact = aberth_module._PAIRS, [0]
+    exact_sum, exact = aberth_module._REAL[2], [0]
 
     def counting(*args):
         exact[0] += 1
-        return pairs[2](*args)
+        return exact_sum(*args)
 
-    monkeypatch.setattr(aberth_module, "_PAIRS", pairs[:2] + (counting,) + pairs[3:])
+    _patch_real_kernel(monkeypatch, 2, counting)
     p = Polynomial.from_roots(rts)
     got = find_roots(p, 128)
-    assert "float" not in [shape for shape, *_ in calls]
+    assert "float" not in [kernels for kernels, *_ in calls]
     # one scale of doubles holds 2^+-700; past 2^+-960 the exact sum runs on the triples (m, 0, e)
     assert (exact[0] > 0) == (max(rts) > 2**960)
     assert all(z.imag == 0 for z in got)
@@ -521,10 +527,105 @@ def test_float_stage_is_skipped_where_doubles_overflow(monkeypatch, rts):
     assert seps is not None and all(a < r < b for a, r, b in zip(seps, rts, seps[1:]))
 
 
+# -- the pair kernels: oracles of the real kernels on the triples (m, 0, e) ---------
+#
+# The real path once kept its points as pairs (m, e) meaning m 2^e.  These are
+# its kernels unchanged; the real kernels must give the same bits.
+
+
+def _rnorm(m, e, P):
+    s = m.bit_length() - P
+    if s >= 0:
+        return m >> s, e + s
+    return m << -s, e + s
+
+
+def _radd(a, b, P):
+    if not b[0]:
+        return a
+    if not a[0]:
+        return b
+    if a[1] < b[1]:
+        a, b = b, a
+    d = a[1] - b[1]
+    if d > P + 2:
+        return a
+    return _rnorm((a[0] << d) + b[0], b[1], P)
+
+
+def _rdiv(a, b, P):
+    """a / b for b != 0 and a of at most P + 1 bits."""
+    s = P + 2 + b[0].bit_length() - a[0].bit_length()
+    return _rnorm((a[0] << s) // b[0], a[1] - b[1] - s, P)
+
+
+def _renorm(a, P):
+    """A pair or a triple normalized to P bits."""
+    return _rnorm(*a, P) if len(a) == 2 else aberth_module._norm(*a, P)
+
+
+def _pair_rstep(x, pv, dv, s, P):
+    """_step on pairs, as x - p / (p' - p s); s may have fewer than P bits."""
+    if not dv[0]:
+        return _radd(_radd(x, (x[0], x[1] - 10), P), _rnorm(1, -20, P), P), False
+    ps = _rnorm(-pv[0] * s[0], pv[1] + s[1], P)
+    den = _radd(_rnorm(*dv, P), ps, P)
+    step = _rdiv(pv, den if den[0] else dv, P)
+    return _radd(x, (-step[0], step[1]), P), step[0] != 0
+
+
+def _pair_sum(x, pts, P):
+    """_aberth_sum on the triples (m, 0, e) of the pairs, as (real part, exponent)."""
+    return aberth_module._aberth_sum((x[0], 0, x[1]), [(m, 0, e) for m, e in pts], P)[::2]
+
+
+def _triple(a):
+    return a[0], 0, a[1]
+
+
+def _random_pair(rng, bits, spread):
+    """A pair of at most bits bits, zero one time in twenty, either sign, its
+    exponent within spread binades of 2^0."""
+    e = rng.randint(-spread, spread)
+    if rng.random() < 0.05:
+        return 0, e
+    m = rng.getrandbits(rng.randint(1, bits)) or 1
+    return rng.choice((-1, 1)) * m, e - m.bit_length()
+
+
+@pytest.mark.parametrize("P", [69, 200, 304, 600])
+def test_norm_on_real_triples_is_the_pair_renorm_to_the_bit(P):
+    rng = random.Random(P)
+    for spread in (0, 8, 80, 300, 1200):
+        for _ in range(400):
+            a = _random_pair(rng, 2 * P, spread)
+            want = _triple(_renorm(a, P))
+            assert aberth_module._norm(a[0], 0, a[1], P) == aberth_module._rnorm(*a, P) == want
+            b = _random_pair(rng, P, spread)
+            assert aberth_module._radd(_triple(a), _triple(b), P) == _triple(_radd(a, b, P))
+
+
+@pytest.mark.parametrize("P", [69, 200, 304, 600])
+def test_real_step_divides_as_the_pair_rdiv_to_the_bit(P):
+    # _rstep divides p by p' - p s inline; a zero p' takes _step's nudge
+    rng = random.Random(P)
+    for spread in (0, 8, 80, 300, 1200):
+        for _ in range(400):
+            x = _rnorm(*_random_pair(rng, P, spread), P)
+            pv, dv = _random_pair(rng, P + 1, spread), _random_pair(rng, P + 1, spread)
+            s = _random_pair(rng, rng.choice((53, P)), spread)
+            if rng.random() < 0.05:  # p' - p s vanishes: the step divides by p'
+                pv, s = (rng.choice((-1, 1)) * rng.getrandbits(20) or 1, pv[1]), (rng.getrandbits(20) or 1, s[1])
+                dv = _rnorm(pv[0] * s[0], pv[1] + s[1], P)
+            got = aberth_module._rstep(_triple(x), _triple(pv), _triple(dv), _triple(s), P)
+            want, moved = _pair_rstep(x, pv, dv, s, P)
+            assert got == (_triple(want), moved)
+
+
 # -- the real path's Aberth sum: on doubles, exact where doubles cannot hold it -----
 
 
-# the exact Aberth sum written on pairs: the oracle of the pair sweep's exact sum
+# the exact Aberth sum written on pairs: the oracle of the real sweep's exact sum
 def _raberth_sum(x, pts, P):
     """_aberth_sum on pairs: one division per term."""
     xm, xe = x
@@ -559,7 +660,7 @@ def _raberth_sum(x, pts, P):
 
 @pytest.mark.parametrize("P", [69, 200, 304, 600])
 def test_pair_fallback_is_the_pair_sum_to_the_bit(P):
-    # the pair sweep's exact sum runs _aberth_sum on the triples (m, 0, e): each
+    # the real sweep's exact sum is _aberth_sum on the triples (m, 0, e): each
     # term floor(d 2^s / d^2) is the pair sum's floor(2^s / d)
     rng = random.Random(P)
 
@@ -573,16 +674,18 @@ def test_pair_fallback_is_the_pair_sum_to_the_bit(P):
             pts = [point(spread) for _ in range(n)]
             pts += rng.sample(pts, rng.randint(0, n // 2))  # coincident points
             rng.shuffle(pts)
+            triples = [_triple(w) for w in pts]
             for x in pts + [point(spread)]:
-                assert aberth_module._PAIRS[2](x, pts, P) == _raberth_sum(x, pts, P)
+                got = aberth_module._REAL[2](_triple(x), triples, P)
+                assert got == _triple(_raberth_sum(x, pts, P)) == _triple(_pair_sum(x, pts, P))
 
 
-def _pairs(xs, P=200):
-    return [aberth_module._mantissa(x.numerator, x.denominator, P) for x in xs]
+def _points(xs, P=200):
+    return [_triple(aberth_module._mantissa(x.numerator, x.denominator, P)) for x in xs]
 
 
 def _sum_of(s):
-    return F(s[0]) * F(2) ** s[1]
+    return F(s[0]) * F(2) ** s[2]
 
 
 def test_aberth_sum_on_doubles_matches_the_pair_sum():
@@ -590,30 +693,30 @@ def test_aberth_sum_on_doubles_matches_the_pair_sum():
     for _ in range(50):
         n = rng.randint(2, 40)
         xs = {F(rng.choice((-1, 1)) * rng.randint(1, 2**40), 2**40) * F(2) ** rng.randint(-60, 60) for _ in range(n)}
-        pts = _pairs(sorted(xs))
+        pts = _points(sorted(xs))
         ys, sc = aberth_module._doubles(pts)
         for i, x in enumerate(pts):
             terms = [1 / (_sum_of(x) - _sum_of(w)) for w in pts if w != x]
             got = aberth_module._dsum(ys, i, sc)
-            exact = _sum_of(aberth_module._PAIRS[2](x, pts, 200))
+            exact = _sum_of(aberth_module._REAL[2](x, pts, 200))
             assert got is not None
             assert abs(_sum_of(got) - exact) <= F(1, 2**30) * sum(abs(t) for t in terms)
 
 
 def test_aberth_sum_leaves_unresolved_differences_to_pairs():
     def sums(xs):
-        ys, sc = aberth_module._doubles(_pairs(xs))
+        ys, sc = aberth_module._doubles(_points(xs))
         return [aberth_module._dsum(ys, i, sc) is not None for i in range(len(xs))]
 
     third = F(1, 3)
-    # two distinct pairs with one double: the pair sum runs for both, not for the third point
+    # two distinct points with one double: the exact sum runs for both, not for the third point
     assert sums([third, third * (1 + F(1, 2**60)), F(3)]) == [False, False, True]
     # distinct doubles closer than 2^-40 of their size
     assert sums([third, third * (1 + F(1, 2**45)), F(3)]) == [False, False, True]
     assert sums([third, third * (1 + F(1, 2**30)), F(3)]) == [True, True, True]
     # one scale of doubles holds 2^-900 .. 2^900, but not 2^-1100 .. 2^1100
     assert sums([F(1, 2**900), third, F(2**900)]) == [True, True, True]
-    ys, _ = aberth_module._doubles(_pairs([F(1, 2**1100), third, F(2**1100)]))
+    ys, _ = aberth_module._doubles(_points([F(1, 2**1100), third, F(2**1100)]))
     assert [y != y for y in ys] == [True, False, True]
     assert sums([F(1, 2**1100), third, F(2**1100)]) == [False, False, False]
 
