@@ -81,7 +81,7 @@ class RationalSTransform:
         s = self.series(K)
         if s[0] == 0:
             raise VanishingFirstMoment("S(0) = 0: the first moment diverges")
-        return moments_from_s(s, K)
+        return moments_from_s(s[:K])
 
     def curve(self) -> AlgebraicCurve:
         """The Cauchy-transform curve; scale != 1 rescales u accordingly."""

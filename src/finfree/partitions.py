@@ -13,9 +13,10 @@ P_pi^-1 gamma, and pi is non-crossing iff |pi| + |Kr(pi)| = k + 1
 (Nica-Speicher, Lecture 18).  Enumeration gives those sums their block-type
 counts; `series` computes the non-crossing maps by power series, and the
 per-partition oracles (Moebius by zeta inversion, block products) are in
-the tests.  Everything is exact; enumeration is guarded at k <= 12
-(Bell(12) ~ 4.2e6 is the practical wall for the full lattice in pure
-Python; Catalan(12) = 208012 NC ones are generated directly).
+the tests.  A map returns as many terms as its (shorter) input gives.
+Everything is exact; enumeration is guarded at k <= 12 (Bell(12) ~ 4.2e6
+is the practical wall for the full lattice in pure Python; Catalan(12) =
+208012 NC ones are generated directly).
 """
 
 from collections import Counter
@@ -25,7 +26,7 @@ from itertools import combinations, product
 from math import factorial, prod
 
 from .errors import NotComparable, TooLarge, ZeroLeading
-from .poly import Polynomial, _as_coeff, _newton_solve, _order
+from .poly import Polynomial, _as_coeff, _newton_solve
 
 ENUMERATION_GUARD = 12
 
@@ -199,7 +200,9 @@ def finite_free_cumulants(p: Polynomial, upto=None):
     if p.degree < p.n:
         raise ZeroLeading("finite free cumulants need degree exactly n")
     n, nums = p.n, p._nums
-    m = n if upto is None else _order(min(upto, n), n)
+    if upto is not None and upto < 0:
+        raise ValueError(f"order {upto} is negative")
+    m = n if upto is None else min(upto, n)
     sigma, falling = [], 1
     for k in range(1, m + 1):
         falling *= n - k + 1
@@ -223,14 +226,14 @@ def cumulants_to_elementary(kappa, n):
     return e
 
 
-def _nc_solve(known, kmax, to_cumulants):
-    """One side of m_k = sum_{pi in NC(k)} r_pi from the other, k = 1..kmax, by block type.
+def _nc_solve(known, to_cumulants):
+    """One side of m_k = sum_{pi in NC(k)} r_pi from the other, k = 1..len(known), by block type.
 
     With rest = sum_{pi != 1_k} r_pi (blocks shorter than k only), m_k = r_k + rest;
     each block-size multiset of NC(k) enters once, times its count.
     """
     r, m = [None], [None]
-    for k in range(1, _order(kmax, len(known)) + 1):
+    for k in range(1, len(known) + 1):
         rest = sum((n * prod(r[s] for s in sizes) for sizes, n in _nc_types(k) if len(sizes) > 1), start=Fraction(0))
         if to_cumulants:
             m.append(known[k - 1])
@@ -241,28 +244,27 @@ def _nc_solve(known, kmax, to_cumulants):
     return (r if to_cumulants else m)[1:]
 
 
-def moments_from_cumulants_nc(r, kmax=None):
-    """m_k = sum over non-crossing partitions of prod r_{|V|}, k = 1..kmax."""
-    return _nc_solve(r, kmax, to_cumulants=False)
+def moments_from_cumulants_nc(r):
+    """m_k = sum over non-crossing partitions of prod r_{|V|}, k = 1..len(r)."""
+    return _nc_solve(r, to_cumulants=False)
 
 
-def cumulants_from_moments_nc(m, kmax=None):
+def cumulants_from_moments_nc(m):
     """Inverse of the non-crossing moment formula, by the same triangular solve."""
-    return _nc_solve(m, kmax, to_cumulants=True)
+    return _nc_solve(m, to_cumulants=True)
 
 
-def multiplicative_cumulant_product(r_alpha, r_beta, jmax=None):
-    """r_j(theta) = sum_{pi in NC(j)} r_pi(alpha) r_{Kr(pi)}(beta).
+def multiplicative_cumulant_product(r_alpha, r_beta):
+    """r_j(theta) = sum_{pi in NC(j)} r_pi(alpha) r_{Kr(pi)}(beta), j up to the shorter input.
 
     The free-cumulant rule for a free multiplicative product; symmetric in
     its arguments through the Kreweras bijection.  Summed over the pairs of
     block types (pi, Kr(pi)), each once, times its count.
     """
-    jmax = _order(jmax, min(len(r_alpha), len(r_beta)))
     va = [None] + list(r_alpha)
     vb = [None] + list(r_beta)
     out = []
-    for j in range(1, jmax + 1):
+    for j in range(1, min(len(r_alpha), len(r_beta)) + 1):
         acc = Fraction(0)
         for (sa, sb), n in _nc_kreweras_types(j):
             acc += n * prod(va[s] for s in sa) * prod(vb[s] for s in sb)

@@ -68,19 +68,6 @@ def _mul_ints(a, b, K):
     return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(K + 1)]
 
 
-def _order(K, known):
-    """The order of a map whose input fixes `known` coefficients: K, or `known` when K
-    is None.  A larger K would read coefficients nobody gave as 0, and a negative one
-    would slice from the end, so both raise."""
-    if K is None:
-        return known
-    if K < 0:
-        raise ValueError(f"order {K} is negative")
-    if K > known:
-        raise ValueError(f"cannot extend a truncated series: order {K} exceeds the {known} given")
-    return K
-
-
 def _newton_solve(known, to_power_sums):
     """Newton's identities k s_k = sum_{i=1..k} (-1)^(i-1) s_{k-i} p_i (s_0 = 1), solved for
     the power sums p_1.. from the elementary values s_1.. in `known` (to_power_sums), or

@@ -399,9 +399,9 @@ class EmpiricalDistribution:
         return stat
 
 
-def empirical(p: Polynomial, precision_bits=None) -> EmpiricalDistribution:
-    """The zero counting measure of p, its roots found at `precision_bits`."""
-    return EmpiricalDistribution(find_roots(p, precision_bits))
+def empirical(p: Polynomial) -> EmpiricalDistribution:
+    """The zero counting measure of p, its roots found at the default precision."""
+    return EmpiricalDistribution(find_roots(p))
 
 
 # -- interlacing verdicts -------------------------------------------------------

@@ -8,10 +8,11 @@ A moment sequence m_1..m_K determines, as formal power series,
     S        S(w)  = (w+1)/w * Minv(w)               (needs m_1 != 0)
 
 with the compatibility (z M(z) + z) R(z M(z) + z) = M(z) and
-w S(w) = (w R(w))^{-1} (functional inverse).  Everything here is truncated
-at a recorded order and exact: every number given, to a moment series or
-to a kernel, is read by `poly._as_coeff` as the rational it denotes, so a
-float is its dyadic value, as in a `Polynomial`.  The kernel of `poly`
+w S(w) = (w R(w))^{-1} (functional inverse).  Everything here is exact, and
+a map returns the order its input fixes; `FormalMomentSeries.truncated`
+asks for fewer terms.  Every number given, to a moment series or to a
+kernel, is read by `poly._as_coeff` as the rational it denotes, so a float
+is its dyadic value, as in a `Polynomial`.  The kernel of `poly`
 holds a series as integer numerators over one denominator and makes one
 Fraction per output coefficient; reversion is Lagrange inversion, and the
 free cumulants come from the R-transform functional equation, not from
@@ -24,7 +25,7 @@ from operator import mul
 
 from .errors import VanishingFirstMoment
 from .partitions import multiplicative_cumulant_product
-from .poly import _as_coeff, _ints, _mul_ints, _order, _reduced
+from .poly import _as_coeff, _ints, _mul_ints, _reduced
 
 # -- truncated power series kernel (coefficient lists c[0]..c[K]) -------------
 
@@ -113,11 +114,16 @@ class FormalMomentSeries:
         return cls(tuple(c**k for k in range(1, K + 1)))
 
     def truncated(self, K):
-        return FormalMomentSeries(self.m[: _order(K, self.K)])
+        """The first K moments; K < 0 (a slice from the end) and K > self.K raise."""
+        if K < 0:
+            raise ValueError(f"order {K} is negative")
+        if K > self.K:
+            raise ValueError(f"cannot extend a truncated series: order {K} exceeds the {self.K} given")
+        return FormalMomentSeries(self.m[:K])
 
 
-def m_series(moments: FormalMomentSeries, K=None):
-    return [Fraction(0)] + list(moments.m[: _order(K, moments.K)])
+def m_series(moments: FormalMomentSeries):
+    return [Fraction(0)] + list(moments.m)
 
 
 def _nc_solve(known, to_cumulants):
@@ -148,38 +154,33 @@ def _nc_solve(known, to_cumulants):
     return [Fraction(out[k], den**k) for k in range(1, K + 1)]
 
 
-def r_coefficients(moments: FormalMomentSeries, K=None):
-    """Free cumulants kappa_1..kappa_K of a moment series."""
-    K = _order(K, moments.K)
-    return _nc_solve(moments.m[:K], to_cumulants=True)
+def r_coefficients(moments: FormalMomentSeries):
+    """Free cumulants kappa_1..kappa_K of a moment series m_1..m_K."""
+    return _nc_solve(moments.m, to_cumulants=True)
 
 
-def moments_from_r(kappa, K=None):
-    K = _order(K, len(kappa))
-    return FormalMomentSeries(tuple(_nc_solve(kappa[:K], to_cumulants=False)))
+def moments_from_r(kappa):
+    return FormalMomentSeries(tuple(_nc_solve(kappa, to_cumulants=False)))
 
 
-def s_coefficients(moments: FormalMomentSeries, K=None):
-    """Coefficients s_0..s_{K-1} of S(w) = (w+1)/w * Minv(w); none at K = 0."""
-    K = _order(K, moments.K)
+def s_coefficients(moments: FormalMomentSeries):
+    """Coefficients s_0..s_{K-1} of S(w) = (w+1)/w * Minv(w) from m_1..m_K; none at K = 0."""
+    K = moments.K
     if K == 0:
         return []
     if moments.m[0] == 0:
         raise VanishingFirstMoment("S-transform needs m_1 != 0")
-    minv = series_reversion(m_series(moments, K), K)
-    t = minv[1:] + [Fraction(0)]  # Minv(w)/w
-    s = [t[0]] + [t[j] + t[j - 1] for j in range(1, K)]
-    return s[:K]
+    t = series_reversion(m_series(moments), K)[1:]  # Minv(w)/w
+    return [t[0]] + [t[j] + t[j - 1] for j in range(1, K)]
 
 
-def moments_from_s(s, K=None):
-    """Invert s_coefficients: moments from a truncated S series (none at K = 0)."""
-    K = len(s) if K is None else K
+def moments_from_s(s):
+    """Invert s_coefficients: moments m_1..m_K from s_0..s_{K-1} (none for an empty series)."""
+    K = len(s)
     if K == 0:
         return FormalMomentSeries(())
-    if not s or s[0] == 0:
+    if s[0] == 0:
         raise VanishingFirstMoment("S(0) = 1/m_1 must be nonzero")
-    _order(K, len(s))
     # Minv(w) = w/(w+1) * S(w)
     one_over = series_inv([Fraction(1), Fraction(1)], K)
     minv = series_mul([Fraction(0), Fraction(1)], series_mul(one_over, s, K), K)
@@ -207,7 +208,7 @@ def free_mult(ma: FormalMomentSeries, mb: FormalMomentSeries) -> FormalMomentSer
         return FormalMomentSeries(())
     sa = s_coefficients(ma)
     sb = s_coefficients(mb)
-    return moments_from_s(series_mul(sa, sb, ma.K - 1), ma.K)
+    return moments_from_s(series_mul(sa, sb, ma.K - 1))
 
 
 def free_mult_via_kreweras(ma: FormalMomentSeries, mb: FormalMomentSeries) -> FormalMomentSeries:

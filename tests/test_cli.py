@@ -3,7 +3,9 @@ import hashlib
 import json
 import os
 import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -316,3 +318,13 @@ def test_one_parser_per_process(tmp_path, monkeypatch):
     assert (roots["cmd"], roots["hist"], roots["fn"]) == ("roots", 2, cli._cmd_roots) and "b" not in roots
     assert (mop["cmd"], mop["n"], mop["beta"], mop["fn"]) == ("mop", (2, 2), F(0), cli._cmd_mop)
     assert "hist" not in mop and "b" not in mop
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    # the package's own directory first, so the run needs no installed entry point
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "finfree", "verify", "--suite", "endpoints"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert [line.split()[0] for line in out.stdout.splitlines()] == ["PASS"] * 5

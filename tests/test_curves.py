@@ -97,6 +97,26 @@ def test_jp2_r3_density_does_not_depend_on_its_grid():
     assert alone > 0 and abs(alone - inside) < 1e-12
 
 
+def test_jp2_r3_density_integrates_to_the_exact_moments():
+    # no closed form beyond r = 2, so the curve's exact moments pin the density;
+    # it grows like (1 - x)^(-1/2) toward x = 1, and past the grid's last point
+    # x_N that tail integrates to 2 d(x_N) (1 - x_N)
+    limit = family_curves("jp2", LimitParams(theta=(F(1, 3),) * 3))
+    a, b = 1e-4, 0.999
+    xs = np.sort((a + b) / 2 + (b - a) / 2 * np.cos((2 * np.arange(500) + 1) * np.pi / 1000))
+    dens = stieltjes_density(limit.curve, xs)
+    for k, m in enumerate(limit.moments(2).m, start=1):
+        f = xs**k * dens
+        integral = np.sum((f[1:] + f[:-1]) * np.diff(xs)) / 2 + 2 * dens[-1] * (1 - xs[-1])
+        assert abs(integral - float(m)) < 1e-4
+
+
+def test_jp2_r3_density_at_a_point_is_its_value_at_the_end_of_a_grid():
+    curve = family_curves("jp2", LimitParams(theta=(F(1, 3),) * 3)).curve
+    alone = stieltjes_density(curve, [0.9])[0]
+    assert abs(alone - stieltjes_density(curve, np.linspace(0.5, 0.9, 50))[-1]) < 1e-12
+
+
 def test_support_candidates_mp():
     sup = support_candidates(mp_curve())
     assert len(sup) == 2 and all(type(u) is float for u in sup)

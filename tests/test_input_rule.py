@@ -83,7 +83,7 @@ ENTRIES = {
     "series_compose": lambda x: series_compose([1, x], [0, 1, x], 3),
     "series_reversion": lambda x: series_reversion([0, 1, x], 3),
     "moments_from_r": lambda x: moments_from_r([1, x]),
-    "moments_from_s": lambda x: moments_from_s([x, 1], 2),
+    "moments_from_s": lambda x: moments_from_s([x, 1]),
     "pochhammer_rising": lambda x: pochhammer_rising(x, 3),
     "pochhammer_falling": lambda x: pochhammer_falling(x, 3),
     "HypergeometricSpec.a": lambda x: HypergeometricSpec(n=2, a=(x,)),

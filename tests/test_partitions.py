@@ -214,22 +214,16 @@ def test_partitions_of_different_ground_sets_are_not_comparable():
 
 
 def test_orders_past_the_input_raise_value_errors():
+    # the NC maps answer to the order their input fixes, the product to the shorter input
     r = [F(1), F(2)]
-    for call in (
-        lambda: moments_from_cumulants_nc(r, 3),
-        lambda: cumulants_from_moments_nc(r, 3),
-        lambda: multiplicative_cumulant_product(r, r + [F(1)], 3),
-    ):
-        with pytest.raises(ValueError, match="order 3 exceeds the 2 given"):
-            call()
-    with pytest.raises(ValueError, match="order -1 is negative"):
-        moments_from_cumulants_nc(r, -1)
+    assert len(moments_from_cumulants_nc(r)) == len(cumulants_from_moments_nc(r)) == 2
+    assert multiplicative_cumulant_product(r, r + [F(1)]) == multiplicative_cumulant_product(r, r)
     with pytest.raises(ValueError, match="n = 0"):
         cumulants_to_elementary([F(1), F(2)], 0)
     with pytest.raises(ValueError, match="order -1 is negative"):
         finite_free_cumulants(Polynomial.from_roots([1, 2]), upto=-1)
     assert finite_free_cumulants(Polynomial.from_roots([1, 2]), upto=0) == []
-    assert moments_from_cumulants_nc(r, 0) == [] and cumulants_to_elementary([], 0) == [1]
+    assert moments_from_cumulants_nc([]) == [] and cumulants_to_elementary([], 0) == [1]
 
 
 def test_finite_free_cumulants_point_mass():

@@ -131,7 +131,7 @@ def test_moments_match_newton_identities():
     for n in (4, 7, 10):
         roots = [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]
         p = Polynomial.from_roots(roots)
-        dist = empirical(p, 192)
+        dist = empirical(p)
         newton = [float(x) for x in p.root_moments(4)]
         numeric = [z.real for z in dist.moments(4)]
         for a, b in zip(newton, numeric):
