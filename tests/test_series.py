@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
-from finfree import partitions
+from finfree import partitions, series
 from finfree.conv import add_conv
+from finfree.curves import moments_from_curve
 from finfree.errors import VanishingFirstMoment
 from finfree.families import LimitParams, family_curves, s_limit_hyper
 from finfree.hyper import HypergeometricSpec, hyper_poly
 from finfree.partitions import cumulants_from_moments_nc, finite_free_cumulants, moments_from_cumulants_nc
-from finfree.poly import Polynomial
+from finfree.poly import Polynomial, _ints, _mul_ints, _reduced
 from finfree.series import (
     FormalMomentSeries,
     free_add,
@@ -48,6 +50,67 @@ def test_series_helpers():
 def test_reversion_at_order_48_is_an_exact_inverse():
     f = [F(0)] + list(s_limit_hyper(A=(F(2, 3),), B=(F(3, 2), F(1, 4))).moments(48).m)
     assert series_compose(f, series_reversion(f, 48), 48) == [0, 1] + [0] * 47
+
+
+def reversion_by_every_power(f, K):
+    """Lagrange inversion with one series product per power h^n, h = z/f."""
+    fn, fd = _ints(f, max(K, 1))
+    if K == 0:
+        return [F(0)]
+    inv, hd = series._inv_ints(fn[1:], K - 1)
+    h = [fd * c for c in inv]  # h = z/f over hd
+    g = [F(0)]
+    power, pd = [1] + [0] * (K - 1), 1
+    for n in range(1, K + 1):
+        power, pd = _reduced(_mul_ints(power, h, K - 1), pd * hd)
+        g.append(F(power[n - 1], n * pd))
+    return g
+
+
+def _random_f(rng, K, mixed=False):
+    # f = a_1 w + a_2 w^2 + ..., a_1 of either sign; mixed: some entries plain ints
+    f = [F(0), F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))]
+    for _ in range(K - 1):
+        c = rng.randint(-9, 9)
+        f.append(c if mixed and rng.random() < 0.5 else F(c, rng.randint(1, 7)))
+    return f
+
+
+def test_reversion_matches_the_product_per_power_oracle():
+    # every K in 0..40 crosses each change of r = isqrt(K): K = 1, 4, 9, 16, 25, 36
+    rng = random.Random(32)
+    for K in range(41):
+        cases = [_random_f(rng, K), _random_f(rng, K, mixed=True), [0, -2] + _random_f(rng, K)[2:]]
+        cases.append(([0, 1, 0, 1] + [0] * K)[: K + 1] if K >= 1 else [0, 1])  # f = w + w^3: h has zeros
+        for f in cases:
+            g = series_reversion(f, K)
+            assert g == reversion_by_every_power(f, K), (K, f)
+            assert len(g) == K + 1 and all(type(x) is F for x in g)
+    assert series_reversion([0, 1, 0, 1], 3) == [0, 1, 0, -1]
+
+
+def test_reversion_takes_about_two_sqrt_k_products(monkeypatch):
+    calls = []
+
+    def counted(a, b, K):
+        calls.append(K)
+        return _mul_ints(a, b, K)
+
+    monkeypatch.setattr(series, "_mul_ints", counted)
+    rng = random.Random(33)
+    for K in (1, 2, 3, 4, 36, 48):
+        calls.clear()
+        f = _random_f(rng, K)
+        assert series_reversion(f, K) == reversion_by_every_power(f, K)
+        assert len(calls) <= (isqrt(K) + K // isqrt(K) if K > 4 else K), (K, len(calls))
+
+
+def test_reversion_route_matches_the_curve_route_at_order_40():
+    for A, B in (((F(2, 3),), (F(3, 2), F(1, 4))), ((), (F(1, 2),)), ((F(1, 4),), (F(3, 2), F(1, 3)))):
+        st = s_limit_hyper(A=A, B=B)
+        assert st.moments(40).m == moments_from_curve(st.curve(), 40).m, (A, B)
+    m = s_limit_hyper(A=(F(2, 3),), B=(F(3, 2), F(1, 4))).moments(36)
+    assert moments_from_s(s_coefficients(m)) == m
 
 
 def test_series_maps_match_enumeration_oracles():
