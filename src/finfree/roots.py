@@ -15,7 +15,8 @@ driver; find_roots picks the path and passes it down:
   It seeds real points of the counted signs at the radii of the Newton
   polygon of the coefficient magnitudes and first sweeps them on hardware
   doubles, where p scaled to its root scale fits them; this stage only
-  moves the seeds.  The ladder then sweeps the points (m, 0, exp) with
+  moves the seeds, and stands in for the base rung where p is well
+  conditioned.  The ladder then sweeps the points (m, 0, exp) with
   the real kernels, one multiplication per Horner step instead of three;
   each step's Aberth sum runs on doubles, and exactly only where doubles
   cannot resolve it.
@@ -114,15 +115,17 @@ def _sign_changes(cs):
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _climb(rungs, lcs, pts, real):
+def _climb(ladder, mono, dmono, lcs, pts, real):
     """Sweeps the points pts up the precision ladder, with the real kernels
-    if real, else the Gaussian ones.
+    if real, else the Gaussian ones; each rung's coefficient mantissas are
+    built when it runs.
 
     A failed rung ends a real climb, whose stalled points would only stall
     again; a complex climb goes on to polish at the next rung.
     """
     kernels = _REAL if real else _COMPLEX
-    for level, (wp, coeffs, dcoeffs) in enumerate(rungs):
+    for level, wp in enumerate(ladder):
+        coeffs, dcoeffs = ([_mantissa(*c, wp + 16) for c in reversed(cs)] for cs in (mono, dmono))
         pts = [_norm(r, i, e, wp + 16) for r, i, e in pts]
         pts, ok = _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, 120 if level else 500, kernels)
         if not ok and real:
@@ -131,7 +134,8 @@ def _climb(rungs, lcs, pts, real):
 
 
 def _float_stage(mono, b, lcs, pts):
-    """The real seeds pts, moved by Aberth sweeps on floats at the root scale.
+    """The real seeds pts, moved by Aberth sweeps on floats at the root scale,
+    or None where the stage is skipped.
 
     p is scaled to q(y) = p(2^s y) / 2^t, 2^s the geometric root scale and
     2^t the largest term at |y| = 1, both read from bit lengths.  The stage
@@ -145,7 +149,7 @@ def _float_stage(mono, b, lcs, pts):
     fc = [(u << max(k * s - t, 0)) / (v << max(t - k * s, 0)) for k, (u, v) in enumerate(mono)]
     outer = max(m.bit_length() + e for m, _, e in pts)
     if max(lc + k * outer for k, lc in lcs) - t > 1000 or any(u and abs(f) < 2.0**-1022 for (u, _), f in zip(mono, fc)):
-        return pts
+        return None
     flcs = [(k, math.log2(abs(f))) for k, f in enumerate(fc) if f]
     ys = [math.ldexp(m, e - s) for m, _, e in pts]
     ys, _ = _aberth_sweeps(fc[::-1], [k * f for k, f in enumerate(fc)][:0:-1], flcs, ys, 52, 500, _FLOATS)
@@ -157,12 +161,16 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
 
     Iterates until every root satisfies the Adams residual criterion at the
     working precision (precision_bits + 32 guard bits), climbing a precision
-    ladder whose base rung has max(64, conditioning estimate + 96) bits.
-    When Descartes' rule of signs allows every root to be real, a real path
-    runs first: real seeds, moved by sweeps on doubles where they fit, then
-    sweeps with the real kernels and the exact certificate of real_root_certificate;
-    its roots have imaginary part exactly 0.  If the gate, the sweeps or the
-    certificate fails, the complex path runs from complex seeds.  Raises
+    ladder whose base rung has min(conditioning estimate + 96, working
+    precision) bits.  When Descartes' rule of signs allows every root to be
+    real, a real path runs first: real seeds, moved by sweeps on doubles
+    where they fit, then sweeps with the real kernels and the exact
+    certificate of real_root_certificate; its roots have imaginary part
+    exactly 0.  Near a root doubles keep about 53 - cond bits (cond the
+    conditioning estimate): where they ran and one cubic Aberth step from
+    them, 3 (53 - cond) bits, reaches the base rung, the real climb skips
+    that rung.  If the gate, the sweeps or the certificate fails, the
+    complex path runs from complex seeds up the whole ladder.  Raises
     NonConvergence with partial diagnostics if the last rung of the complex
     path fails to converge.  Raises InvalidParameters for precision_bits < 1.
     """
@@ -184,27 +192,28 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     prec = default_precision(deg) if precision_bits is None else precision_bits
     target = prec + 32
     b = [abs(u).bit_length() - v.bit_length() if u else None for u, v in mono]
-    base = min(max(64, _conditioning_bits(b, deg) + 96), target)
+    cond = _conditioning_bits(b, deg)
+    base = min(cond + 96, target)
     ladder = [target] if base * 4 >= target * 3 else [base, target]
     dmono = [(k * u, v) for k, (u, v) in enumerate(mono)][1:]
     lcs = [(k, math.log2(abs(u)) - math.log2(v)) for k, (u, v) in enumerate(mono) if u]
-    rungs = [
-        (wp, [_mantissa(*c, wp + 16) for c in reversed(mono)], [_mantissa(*c, wp + 16) for c in reversed(dmono)])
-        for wp in ladder
-    ]
-    wp, coeffs, _ = rungs[-1]
     # Descartes: at most neg negative and pos positive roots, so all real needs pos + neg = deg
     neg = _sign_changes(_alternate(nums))
     ok = False
     if _sign_changes(nums) + neg == deg:
-        pts, ok = _climb(rungs, lcs, _float_stage(mono, b, lcs, _real_points(lcs, deg, neg)), True)
+        seeds = _real_points(lcs, deg, neg)
+        moved = _float_stage(mono, b, lcs, seeds)
+        # doubles near a root keep about 53 - cond bits: one cubic step from there passes the base rung
+        top = moved is not None and 3 * (53 - cond) >= base
+        pts, ok = _climb(ladder[-1:] if top else ladder, mono, dmono, lcs, moved or seeds, True)
         ok = ok and _isolate(nums, pts) is not None
     if not ok:
-        pts, ok = _climb(rungs, lcs, _initial_points(lcs), False)
-    with mp.workprec(wp):
+        pts, ok = _climb(ladder, mono, dmono, lcs, _initial_points(lcs), False)
+    with mp.workprec(target):
         roots = [_to_mpc(z) for z in pts]
         if not ok:
-            res = [abs(_to_mpc(_horner(coeffs, z, wp + 16))) for z in pts]
+            coeffs = [_mantissa(*c, target + 16) for c in reversed(mono)]
+            res = [abs(_to_mpc(_horner(coeffs, z, target + 16))) for z in pts]
             raise NonConvergence("Aberth iteration did not converge", roots=roots, residuals=res)
     return zero_roots + roots
 

@@ -57,20 +57,32 @@ def series_inv(a, K):
 
 
 def series_compose(a, b, K):
-    """a(b(w)) truncated; needs b[0] == 0."""
+    """a(b(w)) truncated; needs b[0] == 0.
+
+    Baby-step giant-step (Paterson and Stockmeyer; Brent and Kung): a(b) =
+    sum_q A_q (b^r)^q, r = isqrt(K), each A_q a combination of the babies
+    b^0..b^(r-1), by Horner in the giant b^r, the step for (b^r)^q truncated
+    at order K - q r.  That is r - 1 + K // r series products, not K (11 at K = 36).
+    """
     (an, ad), (bn, bd) = _ints(a, K), _ints(b, K)
     if bn[0] != 0:
         raise ValueError("composition needs b(0) = 0")
-    # a(b) = sum_i a_i b^i = sum_i an_i bd^(K-i) bn^i / (ad bd^K)
-    out = [an[0] * bd**K] + [0] * K
-    power = [1] + [0] * K
-    for i in range(1, K + 1):
-        power = _mul_ints(power, bn, K)
-        if an[i]:
-            c = an[i] * bd ** (K - i)
-            for j in range(i, K + 1):
-                out[j] += c * power[j]
-    return [Fraction(c, ad * bd**K) for c in out]
+    r = isqrt(K) or 1
+    pw = [[1] + [0] * K, bn]
+    for _ in range(r - 1):
+        pw.append(_mul_ints(pw[-1], bn, K))
+
+    def chunk(q, n):  # A_q over ad bd^r to order n: sum_j an_(qr+j) bn^j bd^(r-j)
+        cs = [(an[q * r + j] * bd ** (r - j), pw[j]) for j in range(min(r, K + 1 - q * r)) if an[q * r + j]]
+        return [sum(c * p[k] for c, p in cs) for k in range(n + 1)]
+
+    # the partial sum for q is over ad bd^r scale, scale = bd^(r (K // r - q))
+    acc, scale = chunk(K // r, K % r), 1
+    for q in reversed(range(K // r)):
+        scale *= bd**r
+        n = K - q * r
+        acc = [x + scale * c for x, c in zip(_mul_ints(acc + [0] * r, pw[r], n), chunk(q, n))]
+    return [Fraction(c, ad * bd**r * scale) for c in acc]
 
 
 def series_reversion(f, K):

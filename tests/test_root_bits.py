@@ -74,7 +74,12 @@ def test_real_path_roots_keep_their_doubles():
 
 
 def test_real_path_roots_keep_their_bits():
-    assert _digest(_real_solves()) == "2361a25a2d2b2202c0bf524856868ddc74711c1f83a98a893b3264aa0605bbf9"
+    assert _digest(_real_solves()) == "029f51780b47b30d53a160acc366a7429f69804777fee2b21ae6f37d6bd86abc"
+
+
+def test_two_rung_real_solves_keep_their_bits():
+    # conditioning 39 and 54 bits: both rungs still run, so these bits predate the one-rung ladder
+    assert _digest(_real_solves()[len(TRIAL) :]) == "bf2de009ccef432c9270eb5d0a1a1cbcb69ce412f7e40145751a365985ed77f8"
 
 
 def test_complex_path_roots_keep_their_bits():

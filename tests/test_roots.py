@@ -21,6 +21,7 @@ from finfree.roots import (
     is_real_rooted,
     real_parts_sorted,
 )
+from test_root_bits import JP_PARAMS, TRIAL
 
 
 def test_factored_quadratic():
@@ -525,6 +526,78 @@ def test_float_stage_is_skipped_where_doubles_overflow(monkeypatch, rts):
     assert all(z.imag == 0 for z in got)
     seps = roots_module.real_root_certificate(p, got)
     assert seps is not None and all(a < r < b for a, r, b in zip(seps, rts, seps[1:]))
+
+
+# -- the ladder: the float stage stands in for the base rung where it is well conditioned --
+
+
+def _record_climbs(monkeypatch):
+    """Per _climb call: (rungs climbed, real)."""
+    calls = []
+    climb = roots_module._climb
+
+    def spy(ladder, mono, dmono, lcs, pts, real):
+        calls.append((len(ladder), real))
+        return climb(ladder, mono, dmono, lcs, pts, real)
+
+    monkeypatch.setattr(roots_module, "_climb", spy)
+    return calls
+
+
+def _force_two_rungs(monkeypatch):
+    """Give every real climb the two-rung ladder [cond + 96, target] wherever that
+    ladder has two rungs, as before the float stage could stand in for the base.
+    Returns the rungs climbed per call."""
+    calls = []
+    climb = roots_module._climb
+
+    def two_rungs(ladder, mono, dmono, lcs, pts, real):
+        b = [abs(u).bit_length() - v.bit_length() if u else None for u, v in mono]
+        base, target = roots_module._conditioning_bits(b, len(mono) - 1) + 96, ladder[-1]
+        if real and base * 4 < target * 3:
+            ladder = [base, target]
+        calls.append(len(ladder))
+        return climb(ladder, mono, dmono, lcs, pts, real)
+
+    monkeypatch.setattr(roots_module, "_climb", two_rungs)
+    return calls
+
+
+def test_well_conditioned_real_solves_climb_one_rung(monkeypatch):
+    _no_complex_path(monkeypatch)
+    calls = _record_climbs(monkeypatch)
+    for make in TRIAL:  # conditioning 3..12 bits: 3 (53 - cond) >= cond + 96
+        find_roots(make(), 256)
+    assert calls == [(1, True)] * len(TRIAL)
+    # conditioning 39 and 54 bits: the doubles keep too few bits to stand in for the base rung
+    calls.clear()
+    find_roots(jp_typeII(JP_PARAMS, (14, 14)))
+    find_roots(jp_typeI(JP_PARAMS, (30, 60), 1))
+    assert calls == [(2, True)] * 2
+    # the float stage is skipped (the terms of p out at 2^700 overflow doubles): both rungs run
+    calls.clear()
+    find_roots(Polynomial.from_roots([F(1, 2**700), F(1, 3), F(2**700)]), 1200)
+    assert calls == [(2, True)]
+
+
+def test_one_rung_ladder_keeps_the_two_rung_doubles_and_certificate(monkeypatch):
+    rng = random.Random(33)
+    for _ in range(40):
+        n = rng.randint(3, 12)
+        rts = set()
+        while len(rts) < n:
+            rts.add(F(rng.choice((-1, 1)) * rng.randint(1, 400), rng.randint(1, 60)))
+        p = Polynomial.from_roots(sorted(rts))
+        with monkeypatch.context() as m:
+            one_rung = _record_climbs(m)
+            got = find_roots(p)
+        with monkeypatch.context() as m:
+            two_rungs = _force_two_rungs(m)
+            want = find_roots(p)
+        assert (one_rung, two_rungs) == ([(1, True)], [2])
+        assert sorted(float(z.real) for z in got) == sorted(float(z.real) for z in want)
+        assert roots_module.real_root_certificate(p, got) is not None
+        assert roots_module.real_root_certificate(p, want) is not None
 
 
 # -- the pair kernels: oracles of the real kernels on the triples (m, 0, e) ---------

@@ -105,6 +105,48 @@ def test_reversion_takes_about_two_sqrt_k_products(monkeypatch):
         assert len(calls) <= (isqrt(K) + K // isqrt(K) if K > 4 else K), (K, len(calls))
 
 
+def compose_by_every_power(a, b, K):
+    """a(b) with one series product per power b^i."""
+    (an, ad), (bn, bd) = _ints(a, K), _ints(b, K)
+    # a(b) = sum_i a_i b^i = sum_i an_i bd^(K-i) bn^i / (ad bd^K)
+    out = [an[0] * bd**K] + [0] * K
+    power = [1] + [0] * K
+    for i in range(1, K + 1):
+        power = _mul_ints(power, bn, K)
+        if an[i]:
+            c = an[i] * bd ** (K - i)
+            for j in range(i, K + 1):
+                out[j] += c * power[j]
+    return [F(c, ad * bd**K) for c in out]
+
+
+def test_compose_matches_the_product_per_power_oracle(monkeypatch):
+    calls = []
+
+    def counted(a, b, K):
+        calls.append(K)
+        return _mul_ints(a, b, K)
+
+    rng = random.Random(71)
+    # every K in 0..40 crosses each change of r = isqrt(K)
+    for K in range(41):
+        r = isqrt(K) or 1
+        a = _random_f(rng, K, mixed=True)
+        a[0] = F(rng.randint(-9, 9), rng.randint(1, 5))
+        cases = [(a, _random_f(rng, K)), (_random_f(rng, K), _random_f(rng, K, mixed=True))]
+        cases.append(([F(0)] * K + [F(1)], [0, 1, 0, 1][: K + 1]))  # a = w^K, b = w + w^3
+        cases.append(([3, 0, 0, 2][: K + 1], [0, F(1, 2), F(-1, 3)][: K + 1]))  # short inputs, zero-padded
+        for a, b in cases:
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(series, "_mul_ints", counted)
+                got = series_compose(a, b, K)
+            assert got == compose_by_every_power(a, b, K), (K, a, b)
+            assert len(got) == K + 1 and all(type(x) is F for x in got)
+            assert len(calls) == r - 1 + K // r, (K, len(calls))
+    assert series_compose([1, 2], [0, 1], 1) == [1, 2]
+
+
 def test_reversion_route_matches_the_curve_route_at_order_40():
     for A, B in (((F(2, 3),), (F(3, 2), F(1, 4))), ((), (F(1, 2),)), ((F(1, 4),), (F(3, 2), F(1, 3)))):
         st = s_limit_hyper(A=A, B=B)
