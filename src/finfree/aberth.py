@@ -9,9 +9,12 @@ with another, so a polynomial whose coefficients span thousands of bits
 costs no more per step than a tame one.  Convergence per root uses the
 Adams criterion |p(z)| <= eps * sum |c_k| |z|^k, which is the tightest
 residual a backward-stable evaluation can certify; both sides are compared
-as base-2 logarithms.  A point whose residual lies below the largest term
-eps |c_k| |z|^k alone is accepted before the sum is formed: the sum holds
-that term, so the full test could only agree.
+as base-2 logarithms.  The largest term eps |c_k| |z|^k is read off the
+Newton polygon (the upper hull of the pairs (k, log2 |c_k|), built once per
+sweep call) by bisecting its edge slopes with log2 |z|, in O(log n).  A
+residual below that term is accepted and one more than log2 n above it is
+rejected; the O(n) sum is formed only in the band between, so every
+decision is the full test's.
 
 On the real path the Aberth sum S = sum 1 / (x - w) runs on doubles, over
 a double copy of every point, and enters the update x - p / (p' - p S) as
@@ -22,6 +25,7 @@ in S changes only the path the points take.
 """
 
 import math
+from bisect import bisect_left
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp
@@ -191,17 +195,46 @@ def _horner(coeffs, z, P):
     return ar, ai, ae
 
 
-def _adams_holds(log_pv, log_eps, lcs, lz):
-    """log2 |p(z)| <= log_eps + log2 sum_k |c_k| |z|^k, given log2 |z| and the
-    pairs (k, log2 |c_k|) over the nonzero c_k (c_0 among them)."""
+def _hull(lcs):
+    """The Newton polygon of the pairs (k, log2 |c_k|): the vertices of their
+    upper convex hull, left to right, and the negated slopes of its edges,
+    ascending (the log2 radii of the root annuli)."""
+    verts = []
+    for k, lc in lcs:
+        while len(verts) >= 2:
+            (i, a), (j, b) = verts[-2:]
+            # keep the hull upper-convex: slope(i,j) > slope(j,k)
+            if (b - a) * (k - j) > (lc - b) * (j - i):
+                break
+            verts.pop()
+        verts.append((k, lc))
+    return verts, [(a - b) / (j - i) for (i, a), (j, b) in zip(verts, verts[1:])]
+
+
+def _adams_holds(log_pv, log_eps, lcs, lz, hull):
+    """log2 |p(z)| <= log_eps + log2 sum_k |c_k| |z|^k, given log2 |z|, the
+    pairs (k, log2 |c_k|) over the nonzero c_k (c_0 among them) and their _hull.
+
+    The largest term sits at the hull vertex whose edges' negated slopes
+    bracket log2 |z|.  That term, one of the terms, settles every point
+    below it or more than log2(len(lcs)) above it; only the band between
+    forms the sum."""
     if lz == -math.inf:
         return log_pv <= log_eps + lcs[0][1]
+    verts, radii = hull
+    k, lc = verts[bisect_left(radii, lz)]
+    top = lc + k * lz
+    if log_pv <= log_eps + top:  # below one term; the sum can only be larger
+        return True
+    if log_pv > log_eps + top + math.log2(len(lcs)) + 1e-6:  # the margin covers rounding in the hull
+        return False
+    return _adams_sum(log_pv, log_eps, lcs, lz)
+
+
+def _adams_sum(log_pv, log_eps, lcs, lz):
+    """The Adams test by the full sum, for finite lz."""
     t = [lc + k * lz for k, lc in lcs]
     top = max(t)
-    if log_pv <= log_eps + top:  # below the largest term alone; the sum only adds log2(S) >= 0
-        return True
-    if log_pv > log_eps + top + math.log2(len(t)):  # above even the largest bound
-        return False
     return log_pv <= log_eps + top + math.log2(sum(2.0 ** (x - top) for x in t))
 
 
@@ -388,6 +421,7 @@ def _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, max_sweeps, kernels):
     # stop at the Horner noise floor: n-step evaluation carries ~n ulps
     log_eps = math.log2(4 * n) - wp
     horner, log2_abs, aberth_sum, step = kernels
+    hull = _hull(lcs)
     patience = max_sweeps if kernels is _COMPLEX else _PATIENCE
     ys, sc = _doubles(pts) if kernels is _REAL else (None, 0)
     converged = [False] * n
@@ -399,7 +433,7 @@ def _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, max_sweeps, kernels):
                 continue
             z = pts[i]
             pv = horner(coeffs, z, P)
-            if _adams_holds(log2_abs(pv), log_eps, lcs, log2_abs(z)):
+            if _adams_holds(log2_abs(pv), log_eps, lcs, log2_abs(z), hull):
                 converged[i] = True
                 left, last = left - 1, sweep
                 continue

@@ -41,7 +41,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .aberth import _COMPLEX, _FLOATS, _REAL, _aberth_sweeps, _horner, _mantissa, _norm, _to_mpc
+from .aberth import _COMPLEX, _FLOATS, _REAL, _aberth_sweeps, _horner, _hull, _mantissa, _norm, _to_mpc
 from .errors import (
     DegreeGapTooLarge,
     InvalidParameters,
@@ -60,19 +60,10 @@ def default_precision(n: int) -> int:
 
 
 def _newton_annuli(lcs):
-    """(log2 radius, count) for each edge of the upper convex hull of the pairs
-    (k, log2 |c_k|), innermost first: the Newton polygon's estimate of the
-    root magnitudes."""
-    hull = []  # vertices on the upper hull, left to right
-    for k, lc in lcs:
-        while len(hull) >= 2:
-            (i, a), (j, b) = hull[-2:]
-            # keep hull upper-convex: slope(i,j) > slope(j,k)
-            if (b - a) * (k - j) > (lc - b) * (j - i):
-                break
-            hull.pop()
-        hull.append((k, lc))
-    return [((a - b) / (j - i), j - i) for (i, a), (j, b) in zip(hull, hull[1:])]
+    """(log2 radius, count) for each edge of the Newton polygon of the pairs
+    (k, log2 |c_k|), innermost first: its estimate of the root magnitudes."""
+    verts, radii = _hull(lcs)
+    return [(r, j - i) for r, (i, _), (j, _) in zip(radii, verts, verts[1:])]
 
 
 def _dyadic(z, log2_r):

@@ -1,10 +1,15 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from finfree import families
 from finfree.curves import (
     AlgebraicCurve,
     _v_side_coeffs,
@@ -337,6 +342,22 @@ def test_gauss_legendre_is_the_shared_96_point_rule():
     x, w = _legendre_rule()
     assert len(x) == len(w) == 96 and _legendre_rule()[0] is x
     assert not (x.flags.writeable or w.flags.writeable)
+    xr, wr = np.polynomial.legendre.leggauss(96)
+    assert x.tobytes() == xr.tobytes() and w.tobytes() == wr.tobytes()
+
+
+def test_jp_cdfs_and_masses_import_no_numpy_polynomial():
+    # the rule is data: the first call in a process pays no leggauss
+    src = str(Path(families.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys; from fractions import Fraction as F; "
+        "from finfree.families import jp1_cdf, jp1_mass, jp2_cdf, jp2_mass; "
+        "jp1_cdf(F(1, 3), -0.1); jp2_cdf(F(1, 2), 0.3); jp1_mass(F(1, 3)); jp2_mass(F(1, 3)); "
+        "assert 'numpy.polynomial' not in sys.modules"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_closed_form_cdfs_and_masses_keep_their_bytes():

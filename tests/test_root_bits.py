@@ -1,6 +1,7 @@
 """The root finder's fixed per-call work, pinned to the bit: the roots of a
 fixed set of polynomials, the mantissa-to-mpc conversion, and the Adams test
-settled from its largest term, each against the form it replaced.
+settled from the largest term the Newton polygon gives, each against the
+form it replaced.
 
 The roots of both paths are pinned twice: as doubles, which no change of
 the iteration's path may move, and to the last bit of the working
@@ -9,13 +10,14 @@ precision, which any such change does."""
 import hashlib
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
-from finfree import mop
-from finfree.aberth import _adams_holds, _to_mpc
+from finfree import aberth, mop
+from finfree.aberth import _adams_holds, _hull, _to_mpc
 from finfree.poly import Polynomial
 from finfree.roots import find_roots
 
@@ -143,6 +145,70 @@ def test_adams_test_agrees_with_the_full_sum():
         if lz != -math.inf:
             probes += [full, math.nextafter(full, math.inf), math.nextafter(full, -math.inf)]
         for log_pv in probes:
-            assert _adams_holds(log_pv, log_eps, lcs, lz) == _adams_full_sum(log_pv, log_eps, lcs, lz)
+            assert _adams_holds(log_pv, log_eps, lcs, lz, _hull(lcs)) == _adams_full_sum(log_pv, log_eps, lcs, lz)
             cases += 1
     assert cases > 20000
+
+
+def _degenerate_lcs(rng, n):
+    """Pairs (k, log2 |c_k|) whose hull has ties: a collinear run, equal values, or two pairs."""
+    kind = rng.randrange(3)
+    ks = [0] + sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+    if kind == 0:  # on one line, slope and intercept exact in binary
+        a, b = rng.randint(-40, 40) / 4, rng.randint(-16, 16) / 8
+        return [(k, a + b * k) for k in ks]
+    if kind == 1:
+        lc = rng.uniform(-60, 60)
+        return [(k, lc) for k in ks]
+    return [(0, rng.uniform(-60, 60)), (n, rng.uniform(-60, 60))]
+
+
+def test_adams_test_agrees_with_the_full_sum_on_degenerate_hulls():
+    rng = random.Random(34)
+    for _ in range(2000):
+        n = rng.randint(1, 40)
+        lcs = _degenerate_lcs(rng, n)
+        _, radii = hull = _hull(lcs)
+        # log2 |z| on an edge's negated slope ties two vertices
+        lz = rng.choice(radii) if radii and rng.random() < 0.5 else rng.uniform(-12, 12)
+        log_eps = rng.uniform(-700, -10)
+        t = [lc + k * lz for k, lc in lcs]
+        top = max(t)
+        edge = log_eps + top
+        full = edge + math.log2(sum(2.0 ** (x - top) for x in t))
+        far = edge + math.log2(len(t))
+        for b in (edge, full, far):
+            for log_pv in (b, math.nextafter(b, math.inf), math.nextafter(b, -math.inf), b + rng.uniform(-1, 1)):
+                assert _adams_holds(log_pv, log_eps, lcs, lz, hull) == _adams_full_sum(log_pv, log_eps, lcs, lz)
+
+
+def test_hull_bisection_finds_the_largest_term():
+    rng = random.Random(96)
+    for _ in range(3000):
+        n = rng.randint(1, 300)
+        lcs = _degenerate_lcs(rng, n) if rng.random() < 0.3 else [
+            (k, rng.uniform(-5000, 5000)) for k in [0] + sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        ]
+        verts, radii = _hull(lcs)
+        assert verts[0] == lcs[0] and verts[-1] == lcs[-1] and radii == sorted(radii)
+        for lz in [rng.uniform(-1200, 1200) for _ in range(3)] + radii[:3]:
+            k, lc = verts[bisect_left(radii, lz)]
+            top = max(c + j * lz for j, c in lcs)
+            assert top - 1e-9 <= lc + k * lz <= top
+
+
+def test_adams_full_sum_runs_rarely_on_the_trial_solves(monkeypatch):
+    calls = {"test": 0, "sum": 0}
+
+    def counted(name, f):
+        def g(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return g
+
+    monkeypatch.setattr(aberth, "_adams_holds", counted("test", aberth._adams_holds))
+    monkeypatch.setattr(aberth, "_adams_sum", counted("sum", aberth._adams_sum))
+    for make in TRIAL:
+        find_roots(make(), 256)
+    assert calls["test"] > 400 and calls["sum"] <= 0.1 * calls["test"], calls
