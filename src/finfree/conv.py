@@ -49,6 +49,14 @@ def add_conv(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
     n = 160), so the product runs on a' = a/g_a and b' = b/g_b,
     and e_k = (a' * b')_k u / (v (n-k)!) with u/v = g_a g_b / (pd qd n!):
     numerators (a' * b')_k u n!/(n-k)! over v n!.
+
+    The product a' * b' is `poly._mul_ints`: the schoolbook sum for small n or
+    narrow numerators, and past its crossover the multi-modular convolution
+    (residues modulo primes below 2^20, one float64 convolution per prime,
+    CRT lift), whose float sums stay below 2^53, so both give the same
+    integers.  At n = 160 on hypergeometric operands (1525- and 533-bit
+    numerators) that is the modular method: 3.6 against 12 ms for the sum
+    (in-process, 2-core Xeon box).
     """
     _check(p, q, n)
     a, pd, b, qd = p._nums, p._den, q._nums, q._den

@@ -26,6 +26,11 @@ limit objects and the algebraic curves.
 The list helpers below (`_ints`, `_mul_ints`, `_reduced`, `_newton_solve`)
 serve `series` as well: a vector of numbers becomes integer numerators
 over one common denominator, and the loops run on Python ints.
+
+`_mul_ints` is the one exact product of integer vectors (`conv`, `series`,
+`hyper`, `mop` and `Polynomial.mul` call it): the schoolbook sum on Python
+ints, or past a crossover the multi-modular convolution of `multimodular`,
+which the first such product imports (with numpy).
 """
 
 from __future__ import annotations
@@ -64,8 +69,32 @@ def _reduced(nums, den):
 
 
 def _mul_ints(a, b, K):
-    """Integer lists, each with at least K+1 entries, multiplied and truncated at degree K."""
-    return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(K + 1)]
+    """Integer lists multiplied and truncated at degree K: K+1 integers, entries past a
+    list's end read as zero.  The one exact product of the package, with two methods
+    that return the same integers: the schoolbook sum below, and past a crossover the
+    multi-modular convolution of `multimodular.product`, imported (with numpy) by the
+    first product that takes it.  The crossover, with ab and bb the bit lengths of the
+    operands' largest entries: (K+1)^2 (ab bb / (ab + bb) + 48) >= 1.5e6, read from
+    K = 32 on, for K < 2^13 and ab + bb <= 2^15 (`multimodular` says why).
+    """
+    if 32 <= K < 1 << 13 and a and b:
+        a, b = a[: K + 1], b[: K + 1]
+        ab, bb = max(map(abs, a)).bit_length(), max(map(abs, b)).bit_length()
+        if ab and bb and ab + bb <= 1 << 15 and (K + 1) ** 2 * (ab * bb // (ab + bb) + 48) >= 1_500_000:
+            from . import multimodular
+
+            return multimodular.product(a, b, K)
+    return _mul_schoolbook(a, b, K)
+
+
+def _mul_schoolbook(a, b, K):
+    """out[k] = sum_i a[i] b[k-i], k = 0..K, in Python ints; entries past a list's end are zero
+    (map stops at the shorter operand, and an empty sum is 0)."""
+    lb, rb = len(b), b[::-1]
+    out = [sum(map(mul, a, rb[lb - 1 - k :])) for k in range(min(K + 1, lb))]
+    if lb <= K:
+        out += [sum(map(mul, a[k - lb + 1 :], rb)) for k in range(lb, K + 1)]
+    return out
 
 
 def _newton_solve(known, to_power_sums):
@@ -317,7 +346,7 @@ class Polynomial:
         """Plain polynomial product; ambient degrees add."""
         n = self.n + other.n
         (a, ad), (b, bd) = self._mono_ints(), other._mono_ints()
-        return Polynomial._from_mono_ints(n, _mul_ints(a + [0] * other.n, b + [0] * self.n, n), ad * bd)
+        return Polynomial._from_mono_ints(n, _mul_ints(a, b, n), ad * bd)
 
     def monicized(self):
         """p / e_0; requires full ambient degree."""

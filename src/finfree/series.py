@@ -81,7 +81,7 @@ def series_compose(a, b, K):
     for q in reversed(range(K // r)):
         scale *= bd**r
         n = K - q * r
-        acc = [x + scale * c for x, c in zip(_mul_ints(acc + [0] * r, pw[r], n), chunk(q, n))]
+        acc = [x + scale * c for x, c in zip(_mul_ints(acc, pw[r], n), chunk(q, n))]
     return [Fraction(c, ad * bd**r * scale) for c in acc]
 
 

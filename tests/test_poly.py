@@ -1,16 +1,21 @@
 import copy
 import json
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 from functools import reduce
 from math import comb, gcd
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from finfree import multimodular, poly
 from finfree.conv import add_conv, mult_conv
 from finfree.errors import ZeroDegree, ZeroDilation, ZeroLeading
 from finfree.partitions import finite_free_cumulants
@@ -404,3 +409,131 @@ def test_copy_deepcopy_and_pickle_round_trip():
         for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
             assert q == p and (q._nums, q._den) == (p._nums, p._den) and hash(q) == hash(p) and q.e == p.e
         assert pickle.loads(pickle.dumps(p, protocol=0)) == p
+
+
+# -- the exact product: schoolbook sum and multi-modular convolution ------------
+
+
+def product_oracle(a, b, K):
+    """The schoolbook loop the package started from, on copies padded to K+1 entries."""
+    a, b = (list(v[: K + 1]) + [0] * (K + 1 - len(v[: K + 1])) for v in (a, b))
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(K + 1)]
+
+
+def signed_vector(rng, n, top_bits):
+    """n signed integers whose bit lengths run from 1 to top_bits, a few of them zero."""
+    return [0 if rng.random() < 0.05 else rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, top_bits)) or 1
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("K", [47, 48, 64, 160, 600])
+def test_modular_product_matches_the_schoolbook_oracle(K):
+    rng = random.Random(4000 + K)
+    # 24-bit limbs are summed 128 at a time, so entries past 3072 bits take more than one sum
+    for top_a, top_b in [(1, 1), (40, 3), (300, 700), (3100, 64), (3300, 3500)]:
+        if K == 600 and top_a * top_b > 10**5:  # keep the oracle's bit products small at K = 600
+            a = signed_vector(rng, K, 40) + [rng.getrandbits(top_a) | 1]
+            b = [rng.getrandbits(top_b) | 1] + signed_vector(rng, K // 3, 50)
+        else:
+            a, b = signed_vector(rng, K + 1, top_a), signed_vector(rng, K + 1, top_b)
+        want = product_oracle(a, b, K)
+        assert multimodular.product(a, b, K) == want == poly._mul_schoolbook(a, b, K)
+        assert poly._mul_ints(a, b, K) == want
+
+
+@pytest.mark.parametrize("K", [47, 160])
+def test_modular_product_at_the_magnitude_bound(K):
+    # every term of an output with the same sign: |c_k| reaches m A B, the bound the primes
+    # must cover (one prime fewer leaves M below 2 |c_k| for some of these)
+    for bits in (1, 19, 20, 21, 59, 60, 61, 333, 1000, 3072, 3073):
+        A = 2**bits - 1
+        for a, b in (([A] * (K + 1), [A] * (K + 1)), ([-A] * (K + 1), [A] * (K + 1)), ([-A] * (K + 1), [-1] * (K + 1))):
+            assert multimodular.product(a, b, K) == product_oracle(a, b, K)
+
+
+def test_modular_product_of_multiples_of_the_moduli():
+    # a is divisible by the first P moduli and each b_j by all but one of them: the limb sums
+    # are exact multiples of those primes, every output's residue vanishes there, and the
+    # lift rests on the moduli that the wider product adds
+    rng = random.Random(4100)
+    column, _, _, M, _ = multimodular._moduli(multimodular._prime_count(2 * 2100 + 8))
+    primes = [int(p) for p in column.ravel()]
+    a = [M * rng.getrandbits(30) * rng.choice((-1, 1)) for _ in range(65)]
+    b = [(M // rng.choice(primes)) * rng.getrandbits(40) for _ in range(65)]
+    assert multimodular.product(a, b, 64) == product_oracle(a, b, 64)
+
+
+def test_product_edge_cases_on_both_methods():
+    rng = random.Random(4200)
+    K = 48
+    wide = signed_vector(rng, K + 1, 900)
+    one = [0] * 17 + [rng.getrandbits(2000)] + [0] * (K - 17)
+    cases = [
+        ([0] * (K + 1), wide),  # an all-zero operand
+        ([], wide),
+        (one, wide),  # a single nonzero entry
+        (one, [0] * 5 + [-3]),
+        ([-x - 1 for x in map(abs, wide)], [-(1 << 700)] * (K + 1)),  # all negative
+        (signed_vector(rng, 3 * K, 500), signed_vector(rng, 2 * K, 500)),  # longer than K+1
+        (signed_vector(rng, 10, 500), signed_vector(rng, K, 500)),  # shorter: padded by zeros
+        (wide[:20] + [0] * 40, wide[5:30] + [0] * 7),  # trailing zeros
+    ]
+    for a, b in cases:
+        want = product_oracle(a, b, K)
+        assert multimodular.product(a, b, K) == want
+        assert poly._mul_schoolbook(a, b, K) == want
+        assert poly._mul_ints(a, b, K) == want == poly._mul_ints(b, a, K)
+
+
+def mono_value(p, x):
+    """p(x) exactly: sum_m c_m u^m v^(n-m) over v^n den, for x = u/v and monomial numerators c_m."""
+    mono, den = p._mono_ints()
+    u, v = x.numerator, x.denominator
+    return F(sum(c * u**m * v ** (p.n - m) for m, c in enumerate(mono)), v**p.n * den)
+
+
+def test_large_products_on_the_modular_method_match_their_routes(monkeypatch):
+    from finfree import hyper
+
+    calls = []
+    monkeypatch.setattr(multimodular, "product", lambda a, b, K, f=multimodular.product: calls.append(K) or f(a, b, K))
+    n = 300
+    specs = (hyper.HypergeometricSpec(n=n, a=(F(3, 7),), b=(F(5, 2),)), hyper.HypergeometricSpec(n=n, b=(F(10, 3),)))
+    p, q = (hyper.hyper_poly(s) for s in specs)
+    s, pq = add_conv(p, q, n), p.mul(q)
+    assert calls == [n, 2 * n]
+    assert s.proportional_to(hyper.theorem_b_rhs(*specs)) is not None
+    for x in (F(1, 3), F(-2, 5), F(7, 4)):
+        assert mono_value(pq, x) == mono_value(p, x) * mono_value(q, x)
+
+
+def test_workload_products_take_the_method_their_size_calls_for(monkeypatch):
+    # limits (K <= 36, numerators up to ~300 bits), verify (K <= 9) and zeros (K <= 36) stay
+    # schoolbook; in `exact` the four large products go modular, and ml2_typeI (K = 59,
+    # 276 bits) and jp_typeII_int (K = 80, one side of 1 bit) stay schoolbook
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root))
+    from bench.common import build
+    from bench.workloads import exact, limits, verify, zeros
+
+    modular, current = [], [None]
+    monkeypatch.setattr(multimodular, "product", lambda a, b, K, f=multimodular.product: modular.append(current[0]) or f(a, b, K))
+    for module in (limits, verify, zeros, exact):
+        name = module.__name__.rsplit(".", 1)[1]
+        env = {}
+        for op in build(module.slots("full"), name, 1):
+            current[0] = f"{name}:{op.name}"
+            env[op.name] = op.run(env)
+    assert sorted(modular) == ["exact:add_conv", "exact:jp_typeII_rev_a", "exact:jp_typeII_rev_b", "exact:poly_mul"]
+
+
+def test_the_exact_layers_import_numpy_only_for_a_modular_product():
+    src = str(Path(poly.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys; import finfree, finfree.hyper, finfree.conv, finfree.cli; from finfree.poly import _mul_ints; "
+        "_mul_ints([3**200] * 37, [5**100] * 37, 36); assert 'numpy' not in sys.modules; "
+        "_mul_ints([3**200] * 161, [5**100] * 161, 160); assert 'numpy' in sys.modules"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
