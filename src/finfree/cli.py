@@ -108,14 +108,11 @@ def _write_csv(args, path, header, rows, precision_bits, **extra):
     _sidecar(args, path, precision_bits, **extra)
 
 
-def _write_roots_csv(args, path, poly, roots, precision_bits):
-    """The roots as `index,re,im` rows; the sidecar carries their real-root
-    certificate, or null when none holds (the complex path ran)."""
-    from .roots import real_root_certificate
-
+def _write_roots_csv(args, path, roots, precision_bits):
+    """The roots, as find_roots returns them, as `index,re,im` rows; the sidecar
+    carries the real-root certificate of their solve, or null when it proved none."""
     rows = sorted((float(z.real), float(z.imag)) for z in roots)
-    seps = real_root_certificate(poly, roots)
-    cert = None if seps is None else {"real": True, "isolated": len(seps) - 1}
+    cert = None if roots.separators is None else {"real": True, "isolated": len(roots.separators) - 1}
     _write_csv(args, path, "index,re,im", ((idx, *z) for idx, z in enumerate(rows)),
                precision_bits, certificate=cert)
 
@@ -142,15 +139,14 @@ def _cmd_conv(args):
 
 
 def _cmd_roots(args):
-    from .roots import EmpiricalDistribution, default_precision, find_roots
+    from .roots import default_precision, find_roots
 
     p = _read_poly(args.p)
     prec = args.prec or default_precision(p.degree)
     roots = find_roots(p, prec)
-    _write_roots_csv(args, args.out, p, roots, prec)
+    _write_roots_csv(args, args.out, roots, prec)
     if args.hist:
-        dist = EmpiricalDistribution(roots)
-        _write_csv(args, args.hist_out, "bin_lo,bin_hi,count,density", dist.histogram(args.hist), prec)
+        _write_csv(args, args.hist_out, "bin_lo,bin_hi,count,density", roots.histogram(args.hist), prec)
     return 0
 
 
@@ -167,43 +163,30 @@ def _cmd_mop(args):
         _write_poly(args, args.out, poly)
     if args.emit:
         prec = args.prec or default_precision(poly.degree)
-        roots = find_roots(poly, prec)
-        _write_roots_csv(args, args.emit, poly, roots, prec)
+        _write_roots_csv(args, args.emit, find_roots(poly, prec), prec)
     return 0
+
+
+def _strs(x):
+    """x as JSON: Fractions as strings, tuples as lists, entry by entry."""
+    if isinstance(x, (tuple, list)):
+        return [_strs(v) for v in x]
+    return str(x) if isinstance(x, Fraction) else x
 
 
 def _cmd_limit(args):
     from .families import LimitParams, family_curves
 
-    params = LimitParams(
-        theta=args.theta,
-        A=args.A,
-        B=args.B,
-        c=args.c,
-        i=args.i,
-    )
+    params = LimitParams(theta=args.theta, A=args.A, B=args.B, c=args.c, i=args.i)
     lim = family_curves(args.family, params)
-    desc = {
-        "family": lim.family,
-        "params": {
-            "theta": [str(t) for t in params.theta],
-            "A": [str(a) for a in params.A],
-            "B": str(params.B),
-            "c": [str(c) for c in params.c],
-            "i": params.i,
-        },
-        "flags": list(lim.flags),
-        "moments": [str(m) for m in lim.moments(args.K).m],
-    }
+    desc = {"family": lim.family, "flags": _strs(lim.flags), "moments": _strs(lim.moments(args.K).m),
+            "params": {k: _strs(getattr(params, k)) for k in ("theta", "A", "B", "c", "i")}}
     if lim.s_transform is not None:
-        desc["s_transform"] = {
-            "A": [str(a) for a in lim.s_transform.A],
-            "B": [str(b) for b in lim.s_transform.B],
-        }
+        desc["s_transform"] = {"A": _strs(lim.s_transform.A), "B": _strs(lim.s_transform.B)}
     if lim.curve is not None:
         desc["curve"] = {f"{i},{j}": str(c) for (i, j), c in sorted(lim.curve.coeffs.items())}
     if lim.r_poles:
-        desc["r_poles"] = [[str(w), str(p)] for w, p in lim.r_poles]
+        desc["r_poles"] = _strs(lim.r_poles)
     with open(args.out, "w") as fh:
         json.dump(desc, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -501,35 +501,23 @@ def _to_mpf(x):
 # -- zero-location / interlacing theorem suite ----------------------------------------
 
 
+def _window(alpha, n, i, ks, slack):
+    """max_k alpha_k - slack < alpha_i < min_k (alpha_k + n_k) - n_i + slack over the
+    0-based indices k in ks; True when ks is empty."""
+    return not ks or max(alpha[k] for k in ks) - slack < alpha[i] < min(alpha[k] + n[k] for k in ks) - n[i] + slack
+
+
 def jp_condition_window(spec, n, i):
     """alpha_1 - 1 < alpha_i < min_j (alpha_j + n_j) - n_i + 1 (alphas sorted desc)."""
-    al = spec.alpha
-    ai = al[i - 1]
-    upper = min(al[j] + n[j] for j in range(len(al))) - n[i - 1] + 1
-    return max(al) - 1 < ai < upper
+    return _window(spec.alpha, n, i - 1, range(len(spec.alpha)), 1)
 
 
 def jp_condition_weak(spec, n, i):
-    """The weakened two-sided window implying only real-rootedness."""
-    al = spec.alpha
-    ai = al[i - 1]
-    r = len(al)
-    for j in range(r):
-        if j == i - 1:
-            continue
-        ok1 = al[j] - 2 < ai < al[j] + n[j] - n[i - 1] + 2
-        others = [k for k in range(r) if k not in (i - 1, j)]
-        if others:
-            ok2 = (
-                max(al[k] for k in others) - 1
-                < ai
-                < min(al[k] + n[k] for k in others) - n[i - 1] + 1
-            )
-        else:
-            ok2 = True
-        if ok1 and ok2:
-            return True
-    return False
+    """The weakened two-sided window implying only real-rootedness: for some
+    j != i, slack 2 against weight j and slack 1 against the others."""
+    r = range(len(spec.alpha))
+    return any(_window(spec.alpha, n, i - 1, [j], 2) and _window(spec.alpha, n, i - 1, set(r) - {i - 1, j}, 1)
+               for j in r if j != i - 1)
 
 
 def delta_r_interval(family, r):
@@ -551,7 +539,7 @@ def theorem_suite_zero_location(family, spec, n, i):
     covered; any other kind raises InvalidParameters.  A zero counts as in
     Delta_r within 1e-18 of its ends.
     """
-    from .roots import find_roots, real_parts_sorted
+    from .roots import find_roots
 
     _check_index(spec, n, i)
     shifted, ctor = KINDS[family].shifted, constructor(family, "I")
@@ -564,7 +552,7 @@ def theorem_suite_zero_location(family, spec, n, i):
     poly = ctor(spec, n, i)
     if hyp:
         lo, hi = delta_r_interval(family, spec.r)
-        roots = real_parts_sorted(find_roots(poly), tau=1e-12)
+        roots = find_roots(poly).real_sorted()
         inside = all(lo - 1e-18 < x < hi + 1e-18 for x in roots)
         report.update({"claim_checked": True, "zeros_in_delta_r": inside, "roots": roots})
     # derivative relation: d/dx A_{n,i} is proportional to the (n - e_i) component

@@ -44,7 +44,7 @@ from operator import add, index, mul, sub
 
 import mpmath as mp
 
-from .errors import ZeroDegree, ZeroDilation, ZeroLeading
+from .errors import DegreeMismatch, ZeroDegree, ZeroDilation, ZeroLeading
 
 # -- integer-numerator kernel --------------------------------------------------
 
@@ -330,7 +330,7 @@ class Polynomial:
     def _combine(self, other, op):
         """self op other coefficientwise, op = add or sub."""
         if self.n != other.n:
-            raise ValueError("ambient degrees differ")
+            raise DegreeMismatch(f"ambient degrees ({self.n}, {other.n}) differ")
         a, ad, b, bd = self._nums, self._den, other._nums, other._den
         g = gcd(ad, bd)
         ka, kb = bd // g, ad // g  # over lcm(ad, bd) = ad * ka

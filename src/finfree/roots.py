@@ -49,7 +49,7 @@ from .errors import (
     NonRealRoots,
     ZeroDegree,
 )
-from .poly import Polynomial, _alternate
+from .poly import Polynomial, _alternate, _as_coeff
 
 
 def default_precision(n: int) -> int:
@@ -148,7 +148,9 @@ def _float_stage(mono, b, lcs, pts):
 
 
 def find_roots(p: Polynomial, precision_bits: int | None = None):
-    """All roots of p as mpmath complex numbers, deterministically.
+    """The zero counting measure of p: its roots as mpmath complex numbers,
+    deterministically, in an EmpiricalDistribution whose `separators` are the
+    exact real-root certificate the solve proved, or None.
 
     Iterates until every root satisfies the Adams residual criterion at the
     working precision (precision_bits + 32 guard bits), climbing a precision
@@ -156,11 +158,11 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     precision) bits.  When Descartes' rule of signs allows every root to be
     real, a real path runs first: real seeds, moved by sweeps on doubles
     where they fit, then sweeps with the real kernels and the exact
-    certificate of real_root_certificate; its roots have imaginary part
-    exactly 0.  Near a root doubles keep about 53 - cond bits (cond the
-    conditioning estimate): where they ran and one cubic Aberth step from
-    them, 3 (53 - cond) bits, reaches the base rung, the real climb skips
-    that rung.  If the gate, the sweeps or the certificate fails, the
+    certificate of real_root_certificate, kept as `separators`; its roots
+    have imaginary part exactly 0.  Near a root doubles keep about 53 - cond
+    bits (cond the conditioning estimate): where they ran and one cubic
+    Aberth step from them, 3 (53 - cond) bits, reaches the base rung, the
+    real climb skips that rung.  If the gate, the sweeps or the certificate fails, the
     complex path runs from complex seeds up the whole ladder.  Raises
     NonConvergence with partial diagnostics if the last rung of the complex
     path fails to converge.  Raises InvalidParameters for precision_bits < 1.
@@ -173,11 +175,10 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     nums, den = p._mono_ints()
     # factor out x^m exactly: m zero roots, then the cofactor
     m = next(i for i, c in enumerate(nums) if c)
-    zero_roots = [mp.mpc(0)] * m
     nums = nums[m : deg + 1]
     deg -= m
     if deg == 0:
-        return zero_roots
+        return _measure(p, m, [], [])
     # each coefficient as a reduced pair (u, v): bit lengths and logarithms read the value
     mono = [(c // g, den // g) for c, g in zip(nums, [math.gcd(c, den) for c in nums])]
     prec = default_precision(deg) if precision_bits is None else precision_bits
@@ -190,14 +191,15 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     lcs = [(k, math.log2(abs(u)) - math.log2(v)) for k, (u, v) in enumerate(mono) if u]
     # Descartes: at most neg negative and pos positive roots, so all real needs pos + neg = deg
     neg = _sign_changes(_alternate(nums))
-    ok = False
+    ok, seps = False, None
     if _sign_changes(nums) + neg == deg:
         seeds = _real_points(lcs, deg, neg)
         moved = _float_stage(mono, b, lcs, seeds)
         # doubles near a root keep about 53 - cond bits: one cubic step from there passes the base rung
         top = moved is not None and 3 * (53 - cond) >= base
         pts, ok = _climb(ladder[-1:] if top else ladder, mono, dmono, lcs, moved or seeds, True)
-        ok = ok and _isolate(nums, pts) is not None
+        seps = _isolate(nums, pts) if ok else None
+        ok = seps is not None
     if not ok:
         pts, ok = _climb(ladder, mono, dmono, lcs, _initial_points(lcs), False)
     with mp.workprec(target):
@@ -206,7 +208,18 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
             coeffs = [_mantissa(*c, target + 16) for c in reversed(mono)]
             res = [abs(_to_mpc(_horner(coeffs, z, target + 16))) for z in pts]
             raise NonConvergence("Aberth iteration did not converge", roots=roots, residuals=res)
-    return zero_roots + roots
+    return _measure(p, m, roots, seps)
+
+
+def _measure(p, m, roots, seps):
+    """The measure of m zero roots and the cofactor's roots, with the cofactor's
+    separators seps from the real path (else None).  A zero root moves the
+    separators: with one, they are p's own certificate; two are not simple."""
+    dist = EmpiricalDistribution([mp.mpc(0)] * m + roots)
+    if m:
+        seps = real_root_certificate(p, dist) if m == 1 and seps is not None else None
+    dist.separators = seps
+    return dist
 
 
 def _conditioning_bits(b, deg):
@@ -307,34 +320,31 @@ def real_root_certificate(p: Polynomial, roots):
 
 
 def _exact_real(z):
-    """The real number z as the exact triple (m, 0, e) with z = m 2^e, read from
-    its own mantissa and never rounded; None if z is not finite or has an imaginary part."""
+    """The real z as the exact triple (m, 0, e) with z = m 2^e, None if z is not finite or has an imaginary
+    part: ints, floats and mpmath reals read whole by `_as_coeff`, other reals at the working precision."""
     if isinstance(z, (mp.mpc, complex)):
         if z.imag:
             return None
         z = z.real
-    if isinstance(z, int):
-        return z, 0, 0
-    if isinstance(z, float):
-        return _dyadic(z, 0) if math.isfinite(z) else None
-    if not isinstance(z, mp.mpf):
-        z = mp.mpf(z)  # any other real type, at the working precision
-    if not mp.isfinite(z):
+    if not isinstance(z, (int, float, mp.mpf)):
+        z = mp.mpf(z)
+    try:
+        q = _as_coeff(z)
+    except ValueError:  # not finite
         return None
-    sign, man, exp, _ = z._mpf_
-    return -man if sign else man, 0, exp
+    return q.numerator, 0, 1 - q.denominator.bit_length()
 
 
 def is_real_rooted(p: Polynomial, precision_bits=None, tau=1e-20):
     """(verdict, margin) with margin = max |Im z| / (1 + |z|) over the roots.
 
-    The verdict is True when real_root_certificate proves every root real
-    and simple; roots it cannot certify (multiple or complex ones) pass when
-    margin <= tau.
+    The verdict is True when the solve's certificate (its `separators`) proves
+    every root real and simple; roots it cannot certify (multiple or complex
+    ones) pass when margin <= tau.
     """
     rts = find_roots(p, precision_bits)
     margin = float(max(abs(z.imag) / (1 + abs(z)) if z.imag else 0 for z in rts))
-    return real_root_certificate(p, rts) is not None or margin <= tau, margin
+    return rts.separators is not None or margin <= tau, margin
 
 
 def real_parts_sorted(roots, tau=1e-20):
@@ -345,20 +355,21 @@ def real_parts_sorted(roots, tau=1e-20):
     return sorted(float(z.real) for z in roots)
 
 
-class EmpiricalDistribution:
-    """Zero counting measure: unit mass 1/n at every root (with multiplicity)."""
+class EmpiricalDistribution(tuple):
+    """Zero counting measure: unit mass 1/n at every root (with multiplicity), a
+    tuple of the roots.  `separators` are the dyadic Fractions of the real-root
+    certificate that find_roots proved for them (see real_root_certificate), or
+    None where it proved none and for a measure built from roots directly."""
 
-    def __init__(self, roots):
-        self.roots = list(roots)
-        self.n = len(self.roots)
+    separators = None
 
     def moments(self, kmax: int):
         """m_k = (1/n) sum root^k for k = 1..kmax (complex floats)."""
         with mp.workprec(96):
-            return [complex(mp.fsum(z**k for z in self.roots) / self.n) for k in range(1, kmax + 1)]
+            return [complex(mp.fsum(z**k for z in self) / len(self)) for k in range(1, kmax + 1)]
 
     def real_sorted(self):
-        return real_parts_sorted(self.roots, 1e-12)
+        return real_parts_sorted(self, 1e-12)
 
     def histogram(self, bins: int, range_=None):
         """Uniform-bin density histogram rows (bin_lo, bin_hi, count, density);
@@ -372,7 +383,7 @@ class EmpiricalDistribution:
         counts, edges = np.histogram(xs, bins=bins, range=range_)
         width = edges[1] - edges[0]
         return [
-            (float(edges[i]), float(edges[i + 1]), int(counts[i]), float(counts[i] / (self.n * width)))
+            (float(edges[i]), float(edges[i + 1]), int(counts[i]), float(counts[i] / (len(self) * width)))
             for i in range(bins)
         ]
 
@@ -401,7 +412,7 @@ class EmpiricalDistribution:
 
 def empirical(p: Polynomial) -> EmpiricalDistribution:
     """The zero counting measure of p, its roots found at the default precision."""
-    return EmpiricalDistribution(find_roots(p))
+    return find_roots(p)
 
 
 # -- interlacing verdicts -------------------------------------------------------

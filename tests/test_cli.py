@@ -265,6 +265,37 @@ def test_roots_sidecars_carry_the_certificate(tmp_path):
     assert meta("jp.csv")["certificate"] == {"real": True, "isolated": 6}
 
 
+def test_roots_sidecars_read_the_certificate_of_the_solve(tmp_path, monkeypatch):
+    from finfree import roots
+
+    calls = []
+    isolate = roots._isolate
+    monkeypatch.setattr(roots, "_isolate", lambda *a: calls.append(1) or isolate(*a))
+    meta = lambda name: json.loads((tmp_path / f"{name}.meta.json").read_text())
+    assert run(tmp_path, "hyper", "--n", "6", "--b", "2", "--out", "lag.json") == 0
+    assert run(tmp_path, "roots", "--p", "lag.json", "--out", "lag.csv", "--hist", "3", "--hist-out", "h.csv") == 0
+    assert meta("lag.csv")["certificate"] == {"real": True, "isolated": 6} and len(calls) == 1
+    assert run(tmp_path, "mop", "--family", "jp2", "--n", "3,3", "--alpha", "1/2,3/7",
+               "--beta", "1", "--emit", "jp.csv") == 0
+    assert meta("jp.csv")["certificate"] == {"real": True, "isolated": 6} and len(calls) == 2
+    # zero roots: one is simple and isolated with the rest, two are not simple
+    for name, zeros, cert in (("x", [0], {"real": True, "isolated": 1}), ("x1", [0, 1], {"real": True, "isolated": 2}),
+                              ("x2", [0, 0], None), ("x21", [0, 0, 1], None)):
+        (tmp_path / f"{name}.json").write_text(Polynomial.from_roots(zeros).to_json() + "\n")
+        assert run(tmp_path, "roots", "--p", f"{name}.json", "--out", f"{name}.csv") == 0
+        assert meta(f"{name}.csv")["certificate"] == cert
+
+
+@pytest.mark.xfail(strict=True, reason="known wrong answer (ROADMAP direction 5): the complex path writes "
+                                       "iteration noise (-6.1e-92, 2.9e-90) as the im of the two real roots")
+def test_real_roots_of_a_complex_spectrum_are_written_exactly_real(tmp_path):
+    for step in (*PRODUCT, ("roots", "--p", "r.json", "--out", "roots.csv")):
+        assert run(tmp_path, *step) == 0
+    ims = [float(row.split(",")[2]) for row in (tmp_path / "roots.csv").read_text().splitlines()[1:]]
+    near = [im for im in ims if abs(im) < 1e-6]
+    assert len(near) == 2 and near == [0.0, 0.0]
+
+
 def test_roots_sidecar_certifies_roots_closer_than_a_double(tmp_path):
     # 1/3 and 1/3 + 2^-70 round to one double; the certificate reads each root whole
     p = Polynomial.from_roots([F(1, 3), F(1, 3) + F(1, 2**70), 2])

@@ -117,6 +117,15 @@ def test_jp2_r3_density_at_a_point_is_its_value_at_the_end_of_a_grid():
     assert abs(alone - stieltjes_density(curve, np.linspace(0.5, 0.9, 50))[-1]) < 1e-12
 
 
+@pytest.mark.xfail(strict=True, reason="known wrong answer (ROADMAP direction 9(a)): from the grid [0.5, 0.9] "
+                                       "the walk lands on the small pair's branch, 0.02801 against 0.87279")
+def test_jp2_r3_density_at_a_point_does_not_depend_on_the_points_before_it():
+    curve = family_curves("jp2", LimitParams(theta=(F(1, 3),) * 3)).curve
+    alone = stieltjes_density(curve, [0.9])[0]
+    assert abs(alone - 0.87279) < 1e-5
+    assert abs(stieltjes_density(curve, [0.5, 0.9])[1] - alone) < 1e-12
+
+
 def test_support_candidates_mp():
     sup = support_candidates(mp_curve())
     assert len(sup) == 2 and all(type(u) is float for u in sup)

@@ -17,7 +17,7 @@ import pytest
 
 from finfree import multimodular, poly
 from finfree.conv import add_conv, mult_conv
-from finfree.errors import ZeroDegree, ZeroDilation, ZeroLeading
+from finfree.errors import DegreeMismatch, ZeroDegree, ZeroDilation, ZeroLeading
 from finfree.partitions import finite_free_cumulants
 from finfree.poly import Polynomial, _newton_solve
 
@@ -166,6 +166,15 @@ def test_ambient_degree_bookkeeping():
     assert p.n == 4 and p.degree == 1
     with pytest.raises(ZeroLeading):
         p.monicized()
+
+
+def test_sum_and_difference_need_one_ambient_degree():
+    # the same typed error as the convolutions raise for the same condition
+    p, q = Polynomial.from_monomial([1, 1], n=4), Polynomial.from_monomial([1, 1], n=3)
+    with pytest.raises(DegreeMismatch, match=r"ambient degrees \(4, 3\) differ"):
+        p + q
+    with pytest.raises(DegreeMismatch, match=r"ambient degrees \(3, 4\) differ"):
+        q - p
 
 
 # -- the exact kernel against the per-term Fraction loops it replaced ----------
