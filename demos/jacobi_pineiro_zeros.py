@@ -11,14 +11,14 @@ from fractions import Fraction as F
 
 from finfree.families import endpoints, jp1_cdf
 from finfree.mop import JPSpec, jp_typeI
-from finfree.roots import empirical
+from finfree.roots import find_roots
 
 spec = JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1))
 n = (60, 120)
 poly = jp_typeI(spec, n, 1)
 print(f"Type I component for n = {n}: degree {poly.degree}")
 
-dist = empirical(poly)
+dist = find_roots(poly)
 xs = dist.real_sorted()
 print(f"all {len(xs)} zeros real; range [{xs[0]:.4f}, {xs[-1]:.6f}]")
 print("predicted support: [-c*, 0] with c* =", endpoints("JP-I-r2", theta=F(1, 3)))

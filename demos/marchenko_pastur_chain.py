@@ -16,7 +16,7 @@ from finfree.curves import moments_from_curve, stieltjes_density, support_candid
 from finfree.families import s_limit_hyper
 from finfree.hyper import HypergeometricSpec, hyper_poly
 from finfree.partitions import moments_from_cumulants_nc
-from finfree.roots import empirical
+from finfree.roots import find_roots
 
 st = s_limit_hyper(A=(), B=(F(0),))
 print("S-transform: S(z) = 1/(z+1); series at 0:", [str(c) for c in st.series(4)])
@@ -38,7 +38,7 @@ for x, d, r in zip(xs, dens, ref):
 
 n = 64
 p = hyper_poly(HypergeometricSpec(n=n, b=(F(1),), scale=F(n)))
-dist = empirical(p)
+dist = find_roots(p)
 emp = [m.real for m in dist.moments(4)]
 print(f"\nempirical moments of the degree-{n} Laguerre-type polynomial:")
 print("   ", [f"{m:.4f}" for m in emp], " (limit: 1, 2, 5, 14)")

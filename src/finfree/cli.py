@@ -1,8 +1,9 @@
 """Command-line front end: construction, convolution, roots, limits, densities.
 
 Every numeric output file gets a JSON sidecar (<file>.meta.json) recording
-the exact command, the precision in bits, and the source revision, so any
-CSV can be reproduced byte-identically by rerunning the recorded command.
+the exact command, the precision in bits, and the source revision ("unknown"
+unless the package runs from a git checkout), so any CSV can be reproduced
+byte-identically by rerunning the recorded command.
 The sidecar of a roots CSV (`roots`, `mop --emit`) adds "certificate":
 {"real": true, "isolated": n} when the roots written carry an exact
 real-root certificate, else null.  Usage errors exit 2; numeric failures exit 1 with a diagnostic.
@@ -11,11 +12,11 @@ real-root certificate, else null.  Usage errors exit 2; numeric failures exit 1 
 import argparse
 import functools
 import json
-import os
 import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from .errors import FinfreeError
 from .hyper import HypergeometricSpec, hyper_poly
@@ -55,15 +56,14 @@ def _int_list(text):
 
 @functools.lru_cache(maxsize=None)
 def _git_describe():
-    """The source revision; it cannot change within one process, so git runs once."""
+    """The revision of the checkout whose src/finfree this is, else "unknown": a copy
+    installed elsewhere has none, even inside another repository.  git runs once."""
+    root = Path(__file__).resolve().parents[2]
+    if not (root / ".git").exists():
+        return "unknown"
     try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            timeout=5,
-        )
+        out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root, capture_output=True,
+                             text=True, timeout=5)
         return out.stdout.strip() or "unknown"
     except Exception:
         return "unknown"

@@ -36,7 +36,9 @@ Default precision: 256 bits for degree <= 100, plus 128 bits per additional
 
 import cmath
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -335,18 +337,6 @@ def _exact_real(z):
     return q.numerator, 0, 1 - q.denominator.bit_length()
 
 
-def is_real_rooted(p: Polynomial, precision_bits=None, tau=1e-20):
-    """(verdict, margin) with margin = max |Im z| / (1 + |z|) over the roots.
-
-    The verdict is True when the solve's certificate (its `separators`) proves
-    every root real and simple; roots it cannot certify (multiple or complex
-    ones) pass when margin <= tau.
-    """
-    rts = find_roots(p, precision_bits)
-    margin = float(max(abs(z.imag) / (1 + abs(z)) if z.imag else 0 for z in rts))
-    return rts.separators is not None or margin <= tau, margin
-
-
 def real_parts_sorted(roots, tau=1e-20):
     """Sorted real parts; raises NonRealRoots if any root is genuinely complex."""
     for z in roots:  # a real-path root has imaginary part exactly 0: no abs(z)
@@ -388,49 +378,34 @@ class EmpiricalDistribution(tuple):
         ]
 
     def ks_distance(self, cdf) -> float:
-        """Kolmogorov-Smirnov sup-distance to a model CDF (real spectra only).
+        """Kolmogorov-Smirnov sup-distance to a continuous model CDF (real spectra only).
 
-        Handles tied roots and atomic model CDFs: at each distinct root the
-        empirical CDF is compared on both sides, the lower side against the
-        model's left limit.
+        The model is read once at each distinct root x: with i roots below x and
+        j at or below it, the empirical CDF steps there from i/n to j/n.
         """
         xs = self.real_sorted()
         n = len(xs)
-        stat = 0.0
-        i = 0
+        stat, i = 0.0, 0
         while i < n:
-            j = i
-            while j < n and xs[j] == xs[i]:
-                j += 1
-            x = xs[i]
-            below = cdf(x - 1e-9 * (1 + abs(x)))
-            at = cdf(x)
-            stat = max(stat, abs(j / n - float(at)), abs(i / n - float(below)))
+            j = bisect_right(xs, xs[i], i)
+            at = float(cdf(xs[i]))
+            stat = max(stat, abs(j / n - at), abs(i / n - at))
             i = j
         return stat
-
-
-def empirical(p: Polynomial) -> EmpiricalDistribution:
-    """The zero counting measure of p, its roots found at the default precision."""
-    return find_roots(p)
 
 
 # -- interlacing verdicts -------------------------------------------------------
 
 
-class InterlacingVerdict:
+class InterlacingVerdict(NamedTuple):
     """Outcome of an interlacing comparison between two sorted real spectra."""
 
-    def __init__(self, relation, case, margin):
-        self.relation = relation  # "strict", "weak", or "none"
-        self.case = case  # "equal-degree" or "degree-drop"
-        self.margin = margin
+    relation: str  # "strict", "weak", or "none"
+    case: str  # "equal-degree" or "degree-drop"
+    margin: float
 
     def __bool__(self):
-        return self.relation in ("strict", "weak")
-
-    def __repr__(self):
-        return f"InterlacingVerdict({self.relation}, {self.case}, margin={self.margin:g})"
+        return self.relation != "none"
 
 
 def interlaces(p_roots, q_roots, tau=0.0) -> InterlacingVerdict:

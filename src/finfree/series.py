@@ -22,6 +22,7 @@ functional equation, not from partition enumeration.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 from operator import mul
 
@@ -205,11 +206,9 @@ def moments_from_s(s):
         return FormalMomentSeries(())
     if s[0] == 0:
         raise VanishingFirstMoment("S(0) = 1/m_1 must be nonzero")
-    # Minv(w) = w/(w+1) * S(w)
-    one_over = series_inv([Fraction(1), Fraction(1)], K)
-    minv = series_mul([Fraction(0), Fraction(1)], series_mul(one_over, s, K), K)
-    mser = series_reversion(minv, K)
-    return FormalMomentSeries(tuple(mser[1:]))
+    # Minv(w)/w = t with s_j = t_j + t_(j-1), as s_coefficients builds s
+    t = accumulate(map(_as_coeff, s), lambda prev, c: c - prev)
+    return FormalMomentSeries(tuple(series_reversion([Fraction(0), *t], K)[1:]))
 
 
 # -- free convolutions at series level ------------------------------------------

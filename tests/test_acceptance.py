@@ -38,7 +38,7 @@ from finfree.mop import (
     unit_index,
     verify_orthogonality,
 )
-from finfree.roots import empirical, find_roots, interlaces, real_parts_sorted
+from finfree.roots import find_roots, interlaces, real_parts_sorted
 from finfree.verify import run_suite
 
 
@@ -95,7 +95,7 @@ def figure1_distribution():
     t0 = time.time()
     jp = JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1))
     poly = jp_typeI(jp, (300, 600), 1)
-    dist = empirical(poly)  # pinned default precision
+    dist = find_roots(poly)  # pinned default precision
     return dist, time.time() - t0
 
 

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -247,6 +248,23 @@ def test_git_describe_runs_once_per_process(tmp_path, monkeypatch):
     metas = [json.loads((tmp_path / f"{name}.meta.json").read_text()) for name in ("P.json", "roots.csv")]
     assert metas[0]["revision"] == metas[1]["revision"]
     assert len(calls) == 1
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_a_copy_installed_inside_another_repository_records_no_revision(tmp_path):
+    # the layout of a virtual environment inside some other project's checkout
+    proj = tmp_path / "proj"
+    site = proj / ".venv" / "lib" / "site-packages"
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.invalid", "-c", "commit.gpgsign=false"]
+    subprocess.run(git + ["init", "-q", str(proj)], check=True)
+    subprocess.run(git + ["-C", str(proj), "commit", "-q", "--allow-empty", "-m", "init"], check=True)
+    shutil.copytree(Path(cli.__file__).parent, site / "finfree", ignore=shutil.ignore_patterns("__pycache__"))
+    work = tmp_path / "work"
+    work.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(site)}
+    argv = [sys.executable, "-m", "finfree", "hyper", "--n", "2", "--b", "2", "--out", "p.json"]
+    subprocess.run(argv, cwd=work, env=env, check=True)
+    assert json.loads((work / "p.json.meta.json").read_text())["revision"] == "unknown"
 
 
 def test_roots_sidecars_carry_the_certificate(tmp_path):

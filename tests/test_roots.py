@@ -9,16 +9,15 @@ from finfree import aberth as aberth_module
 from finfree import roots as roots_module
 from finfree.conv import mult_conv
 from finfree.errors import DegreeGapTooLarge, InvalidParameters, NonConvergence, NonRealRoots
+from finfree.families import jp1_cdf, jp2_cdf
 from finfree.hyper import HypergeometricSpec, hyper_poly
 from finfree.mop import JPSpec, jp_typeI, jp_typeII
 from finfree.poly import Polynomial, _as_coeff
 from finfree.roots import (
     EmpiricalDistribution,
     default_precision,
-    empirical,
     find_roots,
     interlaces,
-    is_real_rooted,
     real_parts_sorted,
 )
 from test_root_bits import JP_PARAMS, TRIAL
@@ -101,18 +100,6 @@ def test_stability_under_precision_doubling():
     assert max(float(abs(a - b)) for a, b in zip(r1, r2)) < 2**-64
 
 
-def test_is_real_rooted():
-    assert not is_real_rooted(Polynomial.from_monomial([1, 0, 1]), 128, 1e-10)[0]
-    ok, margin = is_real_rooted(
-        hyper_poly(HypergeometricSpec(n=4, a=(10,), b=(F(1, 2),))), 192, 1e-20
-    )
-    assert ok and margin < 1e-40
-    # (x-1)^2 (x^2 + 1e-30): tiny imaginary pair well above the scaled tau
-    tiny = Polynomial.from_monomial([F(1, 10**30), 0, 1]).mul(Polynomial.from_roots([1, 1]))
-    ok, margin = is_real_rooted(tiny, 256, tau=1e-20)
-    assert not ok and margin > 1e-16
-
-
 def test_real_verdicts_skip_abs_only_on_exactly_real_roots():
     with mp.workprec(256):
         real = [mp.mpc(3), mp.mpc(-1), mp.mpc(2)]
@@ -120,11 +107,6 @@ def test_real_verdicts_skip_abs_only_on_exactly_real_roots():
         with pytest.raises(NonRealRoots):
             real_parts_sorted(real + [mp.mpc(1, 1e-3)])
         assert real_parts_sorted(real + [mp.mpc(1, 1e-30)], tau=1e-20) == [-1.0, 1.0, 2.0, 3.0]
-    # the margin is still max |Im z| / (1 + |z|) over every root
-    p = Polynomial.from_monomial([1, 0, 1]).mul(Polynomial.from_roots([F(1, 2)]))
-    ok, margin = is_real_rooted(p, 128)
-    assert not ok and margin == float(max(abs(z.imag) / (1 + abs(z)) for z in find_roots(p, 128)))
-    assert is_real_rooted(Polynomial.from_roots([F(1, 3), F(2), F(-5, 7)]), 128) == (True, 0.0)
 
 
 def test_moments_match_newton_identities():
@@ -132,7 +114,7 @@ def test_moments_match_newton_identities():
     for n in (4, 7, 10):
         roots = [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]
         p = Polynomial.from_roots(roots)
-        dist = empirical(p)
+        dist = find_roots(p)
         newton = [float(x) for x in p.root_moments(4)]
         numeric = [z.real for z in dist.moments(4)]
         for a, b in zip(newton, numeric):
@@ -161,6 +143,10 @@ def test_interlacing_verdicts():
     assert verdict([], []) == ("weak", "equal-degree", 0.0)
     assert verdict([7], []) == ("weak", "degree-drop", 0.0)
     assert verdict([2], [1, 3]) == ("none", "degree-drop", float("-inf"))
+    # a verdict is a tuple of three, yet only "none" is falsy: the benchmark's trials read bool()
+    pairs = [([1, 3], [2]), ([1, 3], [3]), ([1, 3], [0, 4]), ([2], [1, 3])]
+    assert [(v.relation, bool(v)) for v in (interlaces(p, q) for p, q in pairs)] == [
+        ("strict", True), ("weak", True), ("none", False), ("none", False)]
 
 
 def test_histogram_and_ks():
@@ -173,9 +159,6 @@ def test_histogram_and_ks():
     assert total == pytest.approx(1.0)
     uniform_cdf = lambda x: min(max(x, 0.0), 1.0)
     assert dist.ks_distance(uniform_cdf) <= 0.1 + 1e-12  # bounded by 1/n
-    # point mass against its own cdf: within 1/n of zero
-    pm = EmpiricalDistribution([mp.mpc(2, 0)] * 8)
-    assert pm.ks_distance(lambda x: 1.0 if x >= 2 else 0.0) <= 1 / 8 + 1e-12
 
 
 def test_histogram_range_needs_finite_real_parts():
@@ -190,6 +173,45 @@ def test_ks_requires_real_spectrum():
     dist = EmpiricalDistribution([mp.mpc(0, 1), mp.mpc(0, -1)])
     with pytest.raises(NonRealRoots):
         dist.ks_distance(lambda x: 0.5)
+
+
+def _ks_two_calls(xs, cdf):
+    """KS with the lower side of each step read a hair left of the root: two model calls per root."""
+    n, stat, i = len(xs), 0.0, 0
+    while i < n:
+        j = i
+        while j < n and xs[j] == xs[i]:
+            j += 1
+        x = xs[i]
+        below, at = cdf(x - 1e-9 * (1 + abs(x))), cdf(x)
+        stat = max(stat, abs(j / n - float(at)), abs(i / n - float(below)))
+        i = j
+    return stat
+
+
+# the first parameters of the benchmark's jp pools, at its degrees, against their limit laws
+KS_JP = [
+    (lambda: jp_typeI(JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1)), (30, 60), 1), lambda x: jp1_cdf(F(1, 3), x)),
+    (lambda: jp_typeI(JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1)), (40, 80), 1), lambda x: jp1_cdf(F(1, 3), x)),
+    (lambda: jp_typeII(JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1)), (14, 14)), lambda x: jp2_cdf(F(1, 2), x)),
+    (lambda: jp_typeII(JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1, 2)), (18, 18)), lambda x: jp2_cdf(F(1, 2), x)),
+]
+
+
+@pytest.mark.parametrize("build, cdf", KS_JP, ids=["jp1-30", "jp1-40", "jp2-14", "jp2-18"])
+def test_ks_of_a_continuous_law_matches_the_two_call_oracle(build, cdf):
+    dist = find_roots(build())
+    assert abs(dist.ks_distance(cdf) - _ks_two_calls(dist.real_sorted(), cdf)) <= 1e-7
+
+
+def test_ks_reads_the_model_once_per_distinct_root():
+    calls = []
+    uniform = lambda x: calls.append(x) or min(max(x, 0.0), 1.0)
+    dist = EmpiricalDistribution([mp.mpc(x) for x in (0.1, 0.5, 0.5, 0.9)])
+    assert dist.ks_distance(uniform) == pytest.approx(0.25)
+    assert calls == [0.1, 0.5, 0.9]
+    # ties: the empirical CDF steps from 0 to 1 at the one root, 1/2 off the model on both sides
+    assert EmpiricalDistribution([mp.mpc(0.5)] * 8).ks_distance(uniform) == 0.5
 
 
 def test_real_parts_sorted_guard():
@@ -446,12 +468,11 @@ def test_the_measure_is_the_tuple_of_the_roots(monkeypatch):
     assert isinstance(got, tuple) and len(got) == 3
     again = EmpiricalDistribution(got)
     assert again == got and again.separators is None  # built from roots, it proves nothing
-    assert empirical(p) == find_roots(p) and empirical(p).separators == find_roots(p).separators
-    # the verdict reads the solve's certificate: one isolation per solve
+    # the verdict is the solve's certificate: one isolation per solve
     calls = []
     isolate = roots_module._isolate
     monkeypatch.setattr(roots_module, "_isolate", lambda *a: calls.append(1) or isolate(*a))
-    assert is_real_rooted(p, 128) == (True, 0.0)
+    assert find_roots(p, 128).separators is not None
     assert len(calls) == 1
 
 
@@ -860,14 +881,6 @@ def test_real_and_complex_paths_agree_to_the_float():
         _complex_path_only(m)
         cplx = sorted(float(z.real) for z in find_roots(p))
     assert real == cplx
-
-
-def test_is_real_rooted_decides_by_the_certificate():
-    p = hyper_poly(HypergeometricSpec(n=6, b=(F(1, 2),)))
-    assert is_real_rooted(p, 128, tau=0.0) == (True, 0.0)
-    # a double root cannot be certified; the tau margin decides
-    ok, margin = is_real_rooted(Polynomial.from_roots([1, 1, 2]), 128, tau=1e-20)
-    assert ok and margin <= 1e-20
 
 
 def test_coarsest_separator_against_brute_force():
