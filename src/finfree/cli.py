@@ -179,6 +179,8 @@ def _cmd_limit(args):
 
     params = LimitParams(theta=args.theta, A=args.A, B=args.B, c=args.c, i=args.i)
     lim = family_curves(args.family, params)
+    if args.samples and lim.curve is None:  # before any file is written
+        raise FinfreeError("family has no algebraic curve to sample")
     desc = {"family": lim.family, "flags": _strs(lim.flags), "moments": _strs(lim.moments(args.K).m),
             "params": {k: _strs(getattr(params, k)) for k in ("theta", "A", "B", "c", "i")}}
     if lim.s_transform is not None:
@@ -192,8 +194,6 @@ def _cmd_limit(args):
         fh.write("\n")
     _sidecar(args, args.out, None)
     if args.samples:
-        if lim.curve is None:
-            raise FinfreeError("family has no algebraic curve to sample")
         import numpy as np
 
         from .curves import solve_curve_branch

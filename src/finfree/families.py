@@ -17,7 +17,7 @@ reciprocal moments read off the curve (`curves.reciprocal_moments_from_curve`).
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
@@ -264,15 +264,10 @@ def _ml2_2_limit(params):
 
 @dataclass(frozen=True)
 class DensityModel:
-    """Closed-form limit density on a real support interval.
-
-    The r = 2 Jacobi-Pineiro models are cached per theta and shared by every
-    caller, so `constants` is read-only by convention.
-    """
+    """Closed-form limit density on a real support interval."""
 
     support: tuple
     density: object  # callable on floats / numpy arrays
-    constants: dict = field(default_factory=dict)
 
     def __call__(self, x):
         return self.density(np.asarray(x, dtype=float))
@@ -307,11 +302,7 @@ def density_jp_typeI_r2(theta) -> DensityModel:
     if not 0 < t <= Fraction(1, 2):
         raise ThetaOutOfRange("need 0 < theta <= 1/2")
     nu = (1 / t) * (1 / t - 1)
-    if t == Fraction(1, 2):
-        c_f, constants = np.inf, {"nu": nu}
-    else:
-        cstar = _jp1_cstar(t)
-        c_f, constants = float(cstar), {"nu": nu, "kappa": 1 + 1 / cstar, "cstar": cstar}
+    c_f = np.inf if t == Fraction(1, 2) else float(_jp1_cstar(t))
     scale = _cardano_scale(float(nu) / 2)
 
     def dens(x):
@@ -320,7 +311,7 @@ def density_jp_typeI_r2(theta) -> DensityModel:
         q = 1.0 if c_f == np.inf else np.sqrt(np.maximum(c_f - x, 0.0) / c_f)
         return _cardano(x, scale, s, q, -1, s)
 
-    return DensityModel(support=(-c_f, 0.0), density=dens, constants=constants)
+    return DensityModel(support=(-c_f, 0.0), density=dens)
 
 
 @lru_cache(maxsize=None)
@@ -343,7 +334,7 @@ def density_jp_typeII_r2(theta) -> DensityModel:
         b = np.sqrt(np.maximum(1 - x, 0.0))
         return _cardano(x, scale, a, b, 1, b)
 
-    return DensityModel(support=(0.0, 1.0), density=dens, constants={"nu": nu, "kappa": kappa})
+    return DensityModel(support=(0.0, 1.0), density=dens)
 
 
 # gauss-legendre mass/cdf helpers with endpoint-absorbing substitutions

@@ -159,15 +159,15 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     ladder whose base rung has min(conditioning estimate + 96, working
     precision) bits.  When Descartes' rule of signs allows every root to be
     real, a real path runs first: real seeds, moved by sweeps on doubles
-    where they fit, then sweeps with the real kernels and the exact
-    certificate of real_root_certificate, kept as `separators`; its roots
-    have imaginary part exactly 0.  Near a root doubles keep about 53 - cond
-    bits (cond the conditioning estimate): where they ran and one cubic
-    Aberth step from them, 3 (53 - cond) bits, reaches the base rung, the
-    real climb skips that rung.  If the gate, the sweeps or the certificate fails, the
-    complex path runs from complex seeds up the whole ladder.  Raises
-    NonConvergence with partial diagnostics if the last rung of the complex
-    path fails to converge.  Raises InvalidParameters for precision_bits < 1.
+    where they fit, then sweeps with the real kernels and the exact certificate
+    of real_root_certificate on p's roots, a simple zero root with the rest,
+    kept as `separators`; its roots have imaginary part exactly 0.  Near a root
+    doubles keep about 53 - cond bits (cond the conditioning estimate): where
+    they ran and one cubic Aberth step from them, 3 (53 - cond) bits, reaches
+    the base rung, the real climb skips that rung.  If the gate, the sweeps or
+    the certificate fails, the complex path runs from complex seeds up the whole
+    ladder.  Raises NonConvergence with partial diagnostics if the last rung of
+    the complex path fails to converge, InvalidParameters for precision_bits < 1.
     """
     if precision_bits is not None and precision_bits < 1:
         raise InvalidParameters(f"precision_bits must be >= 1, got {precision_bits}")
@@ -177,10 +177,12 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     nums, den = p._mono_ints()
     # factor out x^m exactly: m zero roots, then the cofactor
     m = next(i for i, c in enumerate(nums) if c)
+    # the certificate is p's: a simple zero root is isolated with the rest; with two, the gate only picks the path
+    gate, zero = (nums[: deg + 1], [(0, 0, 0)]) if m == 1 else (nums[m : deg + 1], [])
     nums = nums[m : deg + 1]
     deg -= m
     if deg == 0:
-        return _measure(p, m, [], [])
+        return _measure(m, [], _isolate(gate, zero) if m == 1 else None)
     # each coefficient as a reduced pair (u, v): bit lengths and logarithms read the value
     mono = [(c // g, den // g) for c, g in zip(nums, [math.gcd(c, den) for c in nums])]
     prec = default_precision(deg) if precision_bits is None else precision_bits
@@ -200,7 +202,7 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
         # doubles near a root keep about 53 - cond bits: one cubic step from there passes the base rung
         top = moved is not None and 3 * (53 - cond) >= base
         pts, ok = _climb(ladder[-1:] if top else ladder, mono, dmono, lcs, moved or seeds, True)
-        seps = _isolate(nums, pts) if ok else None
+        seps = _isolate(gate, zero + pts) if ok else None
         ok = seps is not None
     if not ok:
         pts, ok = _climb(ladder, mono, dmono, lcs, _initial_points(lcs), False)
@@ -210,16 +212,12 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
             coeffs = [_mantissa(*c, target + 16) for c in reversed(mono)]
             res = [abs(_to_mpc(_horner(coeffs, z, target + 16))) for z in pts]
             raise NonConvergence("Aberth iteration did not converge", roots=roots, residuals=res)
-    return _measure(p, m, roots, seps)
+    return _measure(m, roots, seps if m < 2 else None)
 
 
-def _measure(p, m, roots, seps):
-    """The measure of m zero roots and the cofactor's roots, with the cofactor's
-    separators seps from the real path (else None).  A zero root moves the
-    separators: with one, they are p's own certificate; two are not simple."""
+def _measure(m, roots, seps):
+    """The measure of m zero roots and the cofactor's roots, kept with p's certificate seps, or None."""
     dist = EmpiricalDistribution([mp.mpc(0)] * m + roots)
-    if m:
-        seps = real_root_certificate(p, dist) if m == 1 and seps is not None else None
     dist.separators = seps
     return dist
 
@@ -302,9 +300,9 @@ def _isolate(nums, vals):
 def real_root_certificate(p: Polynomial, roots):
     """Isolating separators s_0 < ... < s_n for exactly real roots of p, or None.
 
-    roots are approximations as find_roots returns them (mpmath numbers,
-    floats or ints, each a dyadic value, read to its last bit whatever
-    mpmath's current precision).  The separators are dyadic
+    roots are approximations, each real read by the input rule (`_as_coeff`):
+    a dyadic value (as find_roots returns them) to its last bit, any other
+    rational rounded once at the working precision.  The separators are dyadic
     Fractions, one between each pair of sorted neighbours and one beyond
     each end, at which p, evaluated exactly, alternates strictly in sign: a
     proof that p has n = deg p simple real roots, the i-th sorted one alone
@@ -323,17 +321,17 @@ def real_root_certificate(p: Polynomial, roots):
 
 def _exact_real(z):
     """The real z as the exact triple (m, 0, e) with z = m 2^e, None if z is not finite or has an imaginary
-    part: ints, floats and mpmath reals read whole by `_as_coeff`, other reals at the working precision."""
+    part: read by `_as_coeff`, a dyadic value whole, any other rational rounded once at the working precision."""
     if isinstance(z, (mp.mpc, complex)):
         if z.imag:
             return None
         z = z.real
-    if not isinstance(z, (int, float, mp.mpf)):
-        z = mp.mpf(z)
     try:
         q = _as_coeff(z)
     except ValueError:  # not finite
         return None
+    if q.denominator & (q.denominator - 1):
+        q = _as_coeff(mp.fdiv(q.numerator, q.denominator))
     return q.numerator, 0, 1 - q.denominator.bit_length()
 
 

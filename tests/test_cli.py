@@ -226,6 +226,14 @@ def test_identity_suite_below_degree_two_is_an_error(tmp_path, capsys):
     assert "n_max = 1" in capsys.readouterr().err
 
 
+def test_limit_samples_of_a_family_without_a_curve_fail_before_writing(tmp_path, capsys):
+    argv = ("limit", "--family", "ml2-1", "--theta", "1/2,1/2", "--A", "1/2", "--c", "1,3",
+            "--out", "fam.json", "--samples", "s.csv")
+    assert run(tmp_path, *argv) == 1
+    assert "no algebraic curve to sample" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_limit_at_order_zero_writes_no_moments(tmp_path):
     assert run(tmp_path, "limit", "--family", "jp1", "--theta", "1/3,2/3", "--K", "0", "--out", "f.json") == 0
     assert json.loads((tmp_path / "f.json").read_text())["moments"] == []
@@ -296,12 +304,14 @@ def test_roots_sidecars_read_the_certificate_of_the_solve(tmp_path, monkeypatch)
     assert run(tmp_path, "mop", "--family", "jp2", "--n", "3,3", "--alpha", "1/2,3/7",
                "--beta", "1", "--emit", "jp.csv") == 0
     assert meta("jp.csv")["certificate"] == {"real": True, "isolated": 6} and len(calls) == 2
-    # zero roots: one is simple and isolated with the rest, two are not simple
-    for name, zeros, cert in (("x", [0], {"real": True, "isolated": 1}), ("x1", [0, 1], {"real": True, "isolated": 2}),
-                              ("x2", [0, 0], None), ("x21", [0, 0, 1], None)):
+    # zero roots: one is simple and isolated with the rest in the solve's one isolation, two are not simple
+    for name, zeros, cert, isolations in (("x", [0], {"real": True, "isolated": 1}, 1),
+                                          ("x1", [0, 1], {"real": True, "isolated": 2}, 1),
+                                          ("x2", [0, 0], None, 0), ("x21", [0, 0, 1], None, 1)):
         (tmp_path / f"{name}.json").write_text(Polynomial.from_roots(zeros).to_json() + "\n")
+        calls.clear()
         assert run(tmp_path, "roots", "--p", f"{name}.json", "--out", f"{name}.csv") == 0
-        assert meta(f"{name}.csv")["certificate"] == cert
+        assert meta(f"{name}.csv")["certificate"] == cert and len(calls) == isolations
 
 
 @pytest.mark.xfail(strict=True, reason="known wrong answer (ROADMAP direction 5): the complex path writes "

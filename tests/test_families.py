@@ -242,7 +242,7 @@ def test_endpoints():
 def test_density_jp1():
     model = density_jp_typeI_r2(F(1, 3))
     assert model.support == (-2.43, 0.0)
-    assert model.constants["cstar"] == F(243, 100)
+    assert endpoints("JP-I-r2", theta=F(1, 3)) == F(243, 100)
     assert abs(jp1_mass(F(1, 3)) - 1) < 1e-10
     # x -> 0- law: density * x^(2/3) -> sqrt(3) nu^(1/3) / (2 pi)
     target = np.sqrt(3) * 6 ** (1 / 3) / (2 * np.pi)
@@ -277,7 +277,6 @@ def test_jp1_cstar_is_one_over_kappa_minus_one():
             nu = (1 / t) * (1 / t - 1)
             kappa = F(4, 27) * (1 + nu) ** 3 / nu**2
             assert endpoints("JP-I-r2", theta=t) == 1 / (kappa - 1)
-            assert density_jp_typeI_r2(t).constants["kappa"] == kappa
 
 
 def test_density_jp2():

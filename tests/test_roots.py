@@ -1,8 +1,10 @@
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from finfree import aberth as aberth_module
@@ -416,6 +418,18 @@ def test_certificate_isolates_and_rejects():
     assert roots_module.real_root_certificate(p, [1 / 3, 4 / 3, 7 / 3, 10 / 3]) is not None
 
 
+def test_certificate_reads_roots_by_the_input_rule():
+    # a rational that is not dyadic is rounded once at the working precision; a dyadic one is read whole
+    assert roots_module.real_root_certificate(Polynomial.from_roots([F(1, 3), 2]), [F(1, 3), 2]) is not None
+    half = Polynomial.from_roots([F(1, 2), 2])
+    for roots in ([F(1, 2), 2], [np.float32(0.5), 2], [np.float64(0.5), np.int64(2)]):
+        assert roots_module.real_root_certificate(half, roots) == [0, 1, 3]
+    # what the input rule refuses is refused here too
+    for bad in (Decimal("0.5"), "0.5", True):
+        with pytest.raises(TypeError):
+            roots_module.real_root_certificate(half, [bad, 2])
+
+
 def test_certificate_reads_each_root_to_its_last_bit():
     rts = [F(1, 3), F(1, 3) + F(1, 2**70), F(2)]
     p = Polynomial.from_roots(rts)
@@ -462,18 +476,39 @@ def test_the_solve_keeps_the_certificate_it_proved(build, bits, certified):
         assert all(a * b < 0 for a, b in zip(values, values[1:]))
 
 
-def test_the_measure_is_the_tuple_of_the_roots(monkeypatch):
-    p = Polynomial.from_roots([F(1, 3), 2, 5])
-    got = find_roots(p, 128)
-    assert isinstance(got, tuple) and len(got) == 3
-    again = EmpiricalDistribution(got)
-    assert again == got and again.separators is None  # built from roots, it proves nothing
-    # the verdict is the solve's certificate: one isolation per solve
+# (polynomial, the number of values of each isolation its solve runs): one per solve, of p's own
+# roots, a simple zero root with the rest; with two, the gate isolates the cofactor's and only picks the path
+ISOLATIONS = [
+    (lambda: Polynomial.from_roots([F(1, 3), 2, 5]), [3]),
+    (lambda: Polynomial.from_roots([0]), [1]),
+    (lambda: Polynomial.from_monomial([0, 5]), [1]),
+    (lambda: Polynomial.from_roots([0, 1]), [2]),
+    (lambda: Polynomial.from_roots([0, F(1, 3), -2]), [3]),
+    (lambda: Polynomial.from_roots([0, 0, 1]), [1]),
+    (lambda: Polynomial.from_roots([0] + [F(k, 7) for k in range(1, 40)]), [40]),
+    (lambda: Polynomial.from_roots([0, 0]), []),
+]
+
+
+@pytest.mark.parametrize("build, isolations", ISOLATIONS,
+                         ids=["(x-1/3)(x-2)(x-5)", "x", "5x", "x(x-1)", "x(x-1/3)(x+2)", "x2(x-1)", "x(x-k/7)", "x2"])
+def test_a_solve_isolates_once_with_a_simple_zero_root_among_the_rest(build, isolations, monkeypatch):
+    p = build()
     calls = []
     isolate = roots_module._isolate
-    monkeypatch.setattr(roots_module, "_isolate", lambda *a: calls.append(1) or isolate(*a))
-    assert find_roots(p, 128).separators is not None
-    assert len(calls) == 1
+    monkeypatch.setattr(roots_module, "_isolate", lambda nums, vals: calls.append(len(vals)) or isolate(nums, vals))
+    monkeypatch.setattr(roots_module, "real_root_certificate", None)  # the solve proves its own certificate
+    got = find_roots(p)
+    assert calls == isolations
+    assert (got.separators is not None) == (isolations == [p.degree])
+
+
+def test_the_measure_is_the_tuple_of_the_roots():
+    p = Polynomial.from_roots([F(1, 3), 2, 5])
+    got = find_roots(p, 128)
+    assert isinstance(got, tuple) and len(got) == 3 and got.separators is not None
+    again = EmpiricalDistribution(got)
+    assert again == got and again.separators is None  # built from roots, it proves nothing
 
 
 @pytest.mark.xfail(strict=True, reason="known wrong answer (ROADMAP direction 1): the worst root "
