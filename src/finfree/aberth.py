@@ -1,5 +1,7 @@
 """Software floating point on Python integers, and the Aberth-Ehrlich sweeps
-that `roots.find_roots` runs on it and, as a first stage, on hardware floats.
+that `roots.find_roots` runs on it and, as a first stage, on hardware floats;
+there p may be read about several centres, each point in the Taylor
+expansion about its nearest one.
 
 Every value is a Gaussian-integer mantissa with its own binary exponent,
 (re, im, exp) meaning (re + i im) 2^exp; on the real path im = 0 and the
@@ -407,13 +409,16 @@ _FLOATS = (_fhorner, lambda x: math.log2(abs(x)) if x else -math.inf, _fsum, _fs
 _PATIENCE = 24
 
 
-def _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, max_sweeps, kernels):
+def _aberth_sweeps(forms, pts, wp, max_sweeps, kernels):
     """Gauss-Seidel Aberth-Ehrlich sweeps with the kernels of one path: _COMPLEX
     or _REAL at P = wp + 16 bits on normalized triples, or _FLOATS with wp = 52.
 
-    coeffs and dcoeffs are the coefficients of p and p' from the top degree
-    down, as (m, e) pairs or floats; lcs feeds the Adams bound; pts is
-    updated in place.  Real sweeps give up once _PATIENCE sweeps in a row
+    forms are the expansions (c, coeffs, dcoeffs, lcs) of p about centres c,
+    ascending: coeffs and dcoeffs are the coefficients of p(c + w) and p'(c + w)
+    in w from the top degree down, as (m, e) pairs or floats, and lcs feeds the
+    Adams bound.  A point z is read in the form of its nearest centre, at
+    w = z - c; only floats have more than one form, the triples the one about 0.
+    pts is updated in place.  Real sweeps give up once _PATIENCE sweeps in a row
     converge no further point, as real points chasing complex roots do.
     """
     P = wp + 16
@@ -421,7 +426,9 @@ def _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, max_sweeps, kernels):
     # stop at the Horner noise floor: n-step evaluation carries ~n ulps
     log_eps = math.log2(4 * n) - wp
     horner, log2_abs, aberth_sum, step = kernels
-    hull = _hull(lcs)
+    forms = [(c, coeffs, dcoeffs, lcs, _hull(lcs)) for c, coeffs, dcoeffs, lcs in forms]
+    cuts = [(a[0] + b[0]) / 2 for a, b in zip(forms, forms[1:])]
+    c, coeffs, dcoeffs, lcs, hull = forms[0]
     patience = max_sweeps if kernels is _COMPLEX else _PATIENCE
     ys, sc = _doubles(pts) if kernels is _REAL else (None, 0)
     converged = [False] * n
@@ -431,13 +438,16 @@ def _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, max_sweeps, kernels):
         for i in range(n):
             if converged[i]:
                 continue
-            z = pts[i]
-            pv = horner(coeffs, z, P)
-            if _adams_holds(log2_abs(pv), log_eps, lcs, log2_abs(z), hull):
+            z = w = pts[i]
+            if cuts:
+                c, coeffs, dcoeffs, lcs, hull = forms[bisect_left(cuts, z)]
+                w = z - c
+            pv = horner(coeffs, w, P)
+            if _adams_holds(log2_abs(pv), log_eps, lcs, log2_abs(w), hull):
                 converged[i] = True
                 left, last = left - 1, sweep
                 continue
-            dv = horner(dcoeffs, z, P)
+            dv = horner(dcoeffs, w, P)
             s = _dsum(ys, i, sc) if ys else None
             pts[i], stepped = step(z, pv, dv, aberth_sum(z, pts, P) if s is None else s, P)
             if ys:

@@ -141,6 +141,17 @@ def _as_coeff(x):
     return Fraction(*x.as_integer_ratio())
 
 
+def _taylor_shift(mono, u, v):
+    """v^n p(x - u/v) for v > 0, on integer monomial coefficients N_0..N_n: the integers
+    t_k v^k of `Polynomial.shift`, which says how."""
+    n = len(mono) - 1
+    t = [c * v ** (n - m) for m, c in enumerate(mono)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            t[j] -= u * t[j + 1]
+    return [c * v**k for k, c in enumerate(t)]
+
+
 def _degree(n):
     """A degree as a Python int: ints and other integers (numpy's too) as themselves;
     bool and non-integers raise TypeError, a negative degree ValueError."""
@@ -300,13 +311,9 @@ class Polynomial:
         a = _as_coeff(alpha)
         if a == 0:
             return self
-        n, u, v = self.n, a.numerator, a.denominator
         mono, den = self._mono_ints()
-        t = [c * v ** (n - m) for m, c in enumerate(mono)]
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                t[j] -= u * t[j + 1]
-        return Polynomial._from_mono_ints(n, [c * v**k for k, c in enumerate(t)], den * v**n)
+        v = a.denominator
+        return Polynomial._from_mono_ints(self.n, _taylor_shift(mono, a.numerator, v), den * v**self.n)
 
     def reverse(self):
         """Reversed polynomial p*(x) = x^n p(1/x); roots map t -> 1/t, e_j -> (-1)^n e_(n-j)."""

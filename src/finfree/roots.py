@@ -14,12 +14,20 @@ driver; find_roots picks the path and passes it down:
   root to be real (sign changes of p(x) and p(-x) summing to the degree).
   It seeds real points of the counted signs at the radii of the Newton
   polygon of the coefficient magnitudes and first sweeps them on hardware
-  doubles, where p scaled to its root scale fits them; this stage only
-  moves the seeds, and stands in for the base rung where p is well
-  conditioned.  The ladder then sweeps the points (m, 0, exp) with
-  the real kernels, one multiplication per Horner step instead of three;
-  each step's Aberth sum runs on doubles, and exactly only where doubles
-  cannot resolve it.
+  doubles, where p scaled to its root scale fits them.  Where a base rung
+  follows and a swept point's condition sum |c_k| |x|^k / |x p'(x)| exceeds
+  2^40, the monomial form has cancelled all but 13 of its bits (jp2 near
+  x = 1), and the sweeps go on with p read, for each point, from the exact
+  Taylor expansion about the nearest of a few short dyadic centres spread
+  over the points (0 among them), rounded to doubles once.  This stage
+  only moves the seeds: the big-integer rungs below take every root to the
+  Adams criterion and the certificate proves them, so the stage changes
+  how much the base rung does (and the bits below the criterion), never
+  what is found or proved; it stands in for the base rung where p is well
+  conditioned.  The ladder then sweeps the points (m, 0, exp) with the
+  real kernels, one multiplication per Horner step instead of three; each
+  step's Aberth sum runs on doubles, and exactly only where doubles cannot
+  resolve it.
   Its result stands only with an exact certificate
   (real_root_certificate): p, evaluated by integer Horner at dyadic
   separators between the sorted roots and beyond both ends, alternates
@@ -51,7 +59,7 @@ from .errors import (
     NonRealRoots,
     ZeroDegree,
 )
-from .poly import Polynomial, _alternate, _as_coeff
+from .poly import Polynomial, _alternate, _as_coeff, _taylor_shift
 
 
 def default_precision(n: int) -> int:
@@ -120,33 +128,102 @@ def _climb(ladder, mono, dmono, lcs, pts, real):
     for level, wp in enumerate(ladder):
         coeffs, dcoeffs = ([_mantissa(*c, wp + 16) for c in reversed(cs)] for cs in (mono, dmono))
         pts = [_norm(r, i, e, wp + 16) for r, i, e in pts]
-        pts, ok = _aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, 120 if level else 500, kernels)
+        pts, ok = _aberth_sweeps([(0, coeffs, dcoeffs, lcs)], pts, wp, 120 if level else 500, kernels)
         if not ok and real:
             break
     return pts, ok
 
 
-def _float_stage(mono, b, lcs, pts):
+def _float_stage(nums, den, b, lcs, pts, trusted):
     """The real seeds pts, moved by Aberth sweeps on floats at the root scale,
     or None where the stage is skipped.
 
-    p is scaled to q(y) = p(2^s y) / 2^t, 2^s the geometric root scale and
-    2^t the largest term at |y| = 1, both read from bit lengths.  The stage
-    is skipped unless every nonzero coefficient of q is a normal double and
-    every term of q stays below 2^1000 out to the outermost seed.  A point
-    that ends coincident with another keeps its seed.
+    p = sum nums[k] x^k / den is scaled to q(y) = p(2^s y) / 2^t, 2^s the
+    geometric root scale and 2^t the largest term at |y| = 1, both read from
+    the bit lengths b.  The stage is skipped unless every nonzero coefficient
+    of q is a normal double and every term of q stays below 2^1000 out to the
+    outermost seed.  Where the sweeps leave a point whose condition
+    sum |q_k| |y|^k / |y q'(y)| exceeds 2^_KAPPA, so that doubles keep fewer
+    than 13 bits of it, they go on from their points in the forms of
+    _centres: each point reads p, p' and its Adams bound from the exact
+    Taylor expansion about its nearest centre, rounded to doubles once.  The
+    conditions are not read where the caller already trusts doubles to keep
+    53 - cond >= 38 bits (find_roots' one-rung rule).  A point that ends
+    coincident with another keeps its seed.
     """
-    n = len(mono) - 1
+    n = len(nums) - 1
     s = (b[0] - b[n]) // n
     t = max(bk + k * s for k, bk in enumerate(b) if bk is not None)
-    fc = [(u << max(k * s - t, 0)) / (v << max(t - k * s, 0)) for k, (u, v) in enumerate(mono)]
+    fc = _doubles_of(nums, den, s, t)
     outer = max(m.bit_length() + e for m, _, e in pts)
-    if max(lc + k * outer for k, lc in lcs) - t > 1000 or any(u and abs(f) < 2.0**-1022 for (u, _), f in zip(mono, fc)):
+    if max(lc + k * outer for k, lc in lcs) - t > 1000 or any(u and abs(f) < 2.0**-1022 for u, f in zip(nums, fc)):
         return None
-    flcs = [(k, math.log2(abs(f))) for k, f in enumerate(fc) if f]
     ys = [math.ldexp(m, e - s) for m, _, e in pts]
-    ys, _ = _aberth_sweeps(fc[::-1], [k * f for k, f in enumerate(fc)][:0:-1], flcs, ys, 52, 500, _FLOATS)
+    form = _float_form(0.0, fc)
+    ys, _ = _aberth_sweeps([form], ys, 52, 500, _FLOATS)
+    if not (trusted or _conditioned(fc, ys)):
+        forms = [_float_form(c, _expansion(nums, den, c, s)) if c else form for c in _centres(ys)]
+        ys, _ = _aberth_sweeps(forms, ys, 52, 500, _FLOATS)
     return [z if ys.count(y) > 1 else _dyadic(y, s) for z, y in zip(pts, ys)]
+
+
+# doubles keep about 53 - log2(condition) bits of a point; the float stage
+# re-expands p where some point's condition exceeds 2^_KAPPA
+_KAPPA = 40
+# centres of the re-expanded float stage on each side of 0 that holds points: with
+# 4, one jp2 (18, 18) polynomial kept 5 base-rung evaluations per root, with 5 at most 3.8
+_CENTRES = 5
+
+
+def _doubles_of(ints, den, s, t):
+    """The coefficients ints[k] 2^(k s - t) / den in y of sum ints[k] x^k / (den 2^t),
+    x = 2^s y, as doubles, each rounded once."""
+    return [(u << max(k * s - t, 0)) / (den << max(t - k * s, 0)) for k, u in enumerate(ints)]
+
+
+def _float_form(c, fc):
+    """The sweep form about c of the polynomial with float coefficients fc from degree 0 up."""
+    lcs = [(k, math.log2(abs(f))) for k, f in enumerate(fc) if f]
+    return c, fc[::-1], [k * f for k, f in enumerate(fc)][:0:-1], lcs
+
+
+def _conditioned(fc, ys):
+    """Whether every point y has condition sum |f_k| |y|^k <= 2^_KAPPA |y q'(y)| in
+    q = sum f_k y^k, both sides by Horner in doubles (one that overflows fails)."""
+    terms = list(zip([abs(f) for f in fc], [k * f for k, f in enumerate(fc)]))[::-1]
+    limit = 2.0**_KAPPA
+    for y in ys:
+        a, bound, yq = abs(y), 0.0, 0.0
+        for f, g in terms:
+            bound = bound * a + f
+            yq = yq * y + g
+        if not bound <= limit * abs(yq):
+            return False
+    return True
+
+
+def _centres(ys):
+    """0, and _CENTRES short dyadics spread evenly over the hull of the points on
+    each side of 0 that holds any, ascending."""
+    cs = {0.0}
+    for side in (-1.0, 1.0):
+        mags = [side * y for y in ys if side * y > 0]
+        if mags:
+            lo, hi = min(mags), max(mags)
+            for i in range(_CENTRES):
+                m, e = math.frexp(lo + (hi - lo) * (i + 0.5) / _CENTRES)
+                cs.add(side * math.ldexp(round(m * 16), e - 4))  # 4 significant bits
+    return sorted(cs)
+
+
+def _expansion(nums, den, c, s):
+    """The doubles of p(2^s (c + w)) in w, scaled by a power of two to a largest
+    coefficient near 1, from the exact Taylor shift of p to 2^s c."""
+    a = Fraction(c) * Fraction(2) ** s
+    v = a.denominator
+    ts, d = _taylor_shift(nums, -a.numerator, v), den * v ** (len(nums) - 1)
+    t = max(u.bit_length() + k * s for k, u in enumerate(ts) if u) - d.bit_length()
+    return _doubles_of(ts, d, s, t)
 
 
 def find_roots(p: Polynomial, precision_bits: int | None = None):
@@ -159,15 +236,18 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     ladder whose base rung has min(conditioning estimate + 96, working
     precision) bits.  When Descartes' rule of signs allows every root to be
     real, a real path runs first: real seeds, moved by sweeps on doubles
-    where they fit, then sweeps with the real kernels and the exact certificate
-    of real_root_certificate on p's roots, a simple zero root with the rest,
-    kept as `separators`; its roots have imaginary part exactly 0.  Near a root
-    doubles keep about 53 - cond bits (cond the conditioning estimate): where
-    they ran and one cubic Aberth step from them, 3 (53 - cond) bits, reaches
-    the base rung, the real climb skips that rung.  If the gate, the sweeps or
-    the certificate fails, the complex path runs from complex seeds up the whole
-    ladder.  Raises NonConvergence with partial diagnostics if the last rung of
-    the complex path fails to converge, InvalidParameters for precision_bits < 1.
+    where they fit (about Taylor re-expansions of p where a base rung follows
+    and the monomial form leaves a point's condition above 2^40; see
+    _float_stage), then sweeps with the real kernels and the exact
+    certificate of real_root_certificate on p's roots, a simple zero root
+    with the rest, kept as `separators`; its roots have imaginary part
+    exactly 0.  Near a root doubles keep about 53 - cond bits (cond the
+    conditioning estimate): where they ran and one cubic Aberth step from
+    them, 3 (53 - cond) bits, reaches the base rung, the real climb skips
+    that rung.  If the gate, the sweeps or the certificate fails, the complex
+    path runs from complex seeds up the whole ladder.  Raises NonConvergence
+    with partial diagnostics if the last rung of the complex path fails to
+    converge, InvalidParameters for precision_bits < 1.
     """
     if precision_bits is not None and precision_bits < 1:
         raise InvalidParameters(f"precision_bits must be >= 1, got {precision_bits}")
@@ -198,9 +278,10 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     ok, seps = False, None
     if _sign_changes(nums) + neg == deg:
         seeds = _real_points(lcs, deg, neg)
-        moved = _float_stage(mono, b, lcs, seeds)
         # doubles near a root keep about 53 - cond bits: one cubic step from there passes the base rung
-        top = moved is not None and 3 * (53 - cond) >= base
+        one_rung = 3 * (53 - cond) >= base
+        moved = _float_stage(nums, den, b, lcs, seeds, one_rung)
+        top = moved is not None and one_rung
         pts, ok = _climb(ladder[-1:] if top else ladder, mono, dmono, lcs, moved or seeds, True)
         seps = _isolate(gate, zero + pts) if ok else None
         ok = seps is not None
@@ -322,7 +403,7 @@ def real_root_certificate(p: Polynomial, roots):
 def _exact_real(z):
     """The real z as the exact triple (m, 0, e) with z = m 2^e, None if z is not finite or has an imaginary
     part: read by `_as_coeff`, a dyadic value whole, any other rational rounded once at the working precision."""
-    if isinstance(z, (mp.mpc, complex)):
+    if isinstance(z, (mp.mpc, complex, np.complexfloating)):
         if z.imag:
             return None
         z = z.real

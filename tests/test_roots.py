@@ -1,7 +1,9 @@
+import math
 import random
 import re
 from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +15,7 @@ from finfree.conv import mult_conv
 from finfree.errors import DegreeGapTooLarge, InvalidParameters, NonConvergence, NonRealRoots
 from finfree.families import jp1_cdf, jp2_cdf
 from finfree.hyper import HypergeometricSpec, hyper_poly
-from finfree.mop import JPSpec, jp_typeI, jp_typeII
+from finfree.mop import JPSpec, ML1Spec, jp_typeI, jp_typeII, ml1_typeII
 from finfree.poly import Polynomial, _as_coeff
 from finfree.roots import (
     EmpiricalDistribution,
@@ -317,7 +319,7 @@ def test_complex_coefficients_are_refused(c):
 def test_nonconvergence_carries_roots_and_residuals(monkeypatch):
     sweeps = roots_module._aberth_sweeps
     monkeypatch.setattr(
-        roots_module, "_aberth_sweeps", lambda c, d, lcs, pts, wp, budget, kernels: sweeps(c, d, lcs, pts, wp, 1, kernels)
+        roots_module, "_aberth_sweeps", lambda forms, pts, wp, budget, kernels: sweeps(forms, pts, wp, 1, kernels)
     )
     p = hyper_poly(HypergeometricSpec(n=12, a=(F(36),), b=(F(3, 2),)))
     with pytest.raises(NonConvergence) as caught:
@@ -424,6 +426,10 @@ def test_certificate_reads_roots_by_the_input_rule():
     half = Polynomial.from_roots([F(1, 2), 2])
     for roots in ([F(1, 2), 2], [np.float32(0.5), 2], [np.float64(0.5), np.int64(2)]):
         assert roots_module.real_root_certificate(half, roots) == [0, 1, 3]
+    # complex scalars of any width are read by their real part, and one off the line has no certificate
+    for kind in (complex, np.complex64, np.complex128, mp.mpc):
+        assert roots_module.real_root_certificate(half, [kind(0.5), kind(2)]) == [0, 1, 3]
+        assert roots_module.real_root_certificate(half, [kind(0.5, 1), kind(2)]) is None
     # what the input rule refuses is refused here too
     for bad in (Decimal("0.5"), "0.5", True):
         with pytest.raises(TypeError):
@@ -588,9 +594,9 @@ def _record_sweeps(monkeypatch):
         steps[0] += 1
         return rstep(*args)
 
-    def sweeps(coeffs, dcoeffs, lcs, pts, wp, budget, kernels):
+    def sweeps(forms, pts, wp, budget, kernels):
         before = steps[0]
-        pts, ok = aberth_module._aberth_sweeps(coeffs, dcoeffs, lcs, pts, wp, budget, kernels)
+        pts, ok = aberth_module._aberth_sweeps(forms, pts, wp, budget, kernels)
         name = "float" if kernels is aberth_module._FLOATS else "real" if kernels is aberth_module._REAL else "complex"
         calls.append((name, wp, ok, steps[0] - before))
         return pts, ok
@@ -641,6 +647,84 @@ def test_float_stage_is_skipped_where_doubles_overflow(monkeypatch, rts):
     assert all(z.imag == 0 for z in got)
     seps = roots_module.real_root_certificate(p, got)
     assert seps is not None and all(a < r < b for a, r, b in zip(seps, rts, seps[1:]))
+
+
+def _record_gate(monkeypatch):
+    """The verdicts of the float stage's condition gate, and the centres of every
+    Taylor expansion it builds."""
+    verdicts, built = [], []
+    conditioned, expansion = roots_module._conditioned, roots_module._expansion
+
+    def gate(fc, ys):
+        verdicts.append(conditioned(fc, ys))
+        return verdicts[-1]
+
+    def spy(nums, den, c, s):
+        built.append(c)
+        return expansion(nums, den, c, s)
+
+    monkeypatch.setattr(roots_module, "_conditioned", gate)
+    monkeypatch.setattr(roots_module, "_expansion", spy)
+    return verdicts, built
+
+
+def test_well_conditioned_float_stages_build_no_expansion(monkeypatch):
+    verdicts, built = _record_gate(monkeypatch)
+    for make in TRIAL:  # conditioning 3..12 bits: the one-rung rule already trusts the doubles
+        find_roots(make(), 256)
+    assert (verdicts, built) == ([], [])
+    find_roots(_jp1_degree_39())  # every point's condition stays below 2^35
+    assert (verdicts, built) == ([True], [])
+    # near 1 the monomial form of jp2 (18, 18) cancels some 55 bits: the stage re-expands on the positive side
+    find_roots(jp_typeII(JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1, 2)), (18, 18)))
+    assert verdicts == [True, False]
+    assert 0 < len(built) <= roots_module._CENTRES and all(c > 0 for c in built)
+
+
+def test_float_expansion_is_the_taylor_shift_rounded_once():
+    p = jp_typeII(JPSpec(alpha=(F(1, 2), F(3, 7)), beta=F(1, 2)), (6, 6))
+    nums, den = p._mono_ints()
+    for c, s in ((0.875, -1), (0.3125, 0), (-1.5, 2)):
+        got = roots_module._expansion(nums, den, c, s)
+        exact = [x * F(2) ** (s * k) for k, x in enumerate(p.shift(-F(c) * F(2) ** s).to_monomial())]
+        # one power of two scales every coefficient, so each double is the exact one rounded
+        k = max(range(len(got)), key=lambda k: abs(got[k]))
+        scale = F(2) ** round(math.log2(abs(exact[k] / F(got[k]))))
+        assert got == [float(x / scale) for x in exact]
+        assert 0.5 <= abs(got[k]) < 4
+
+
+def test_re_expanded_float_stage_leaves_the_base_rung_few_evaluations(monkeypatch):
+    # the jp2 and ml1 (18, 18) polynomials of the benchmark's `zeros` pool; seeded from the
+    # monomial form alone, their base rung took 8.2 to 14.8 big-integer evaluations per root
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from bench.workloads.zeros import JP2_INT_POOL, JP2_REV_POOL, ML1_POOL
+
+    _no_complex_path(monkeypatch)
+    evals, rungs = [0], []
+    rhorner, sweeps = aberth_module._rhorner, roots_module._aberth_sweeps
+
+    def counting(*args):
+        evals[0] += 1
+        return rhorner(*args)
+
+    def spy(forms, pts, wp, budget, kernels):
+        before = evals[0]
+        pts, ok = sweeps(forms, pts, wp, budget, kernels)
+        if kernels is aberth_module._REAL:
+            rungs.append(evals[0] - before)
+        return pts, ok
+
+    _patch_real_kernel(monkeypatch, 0, counting)
+    monkeypatch.setattr(roots_module, "_aberth_sweeps", spy)
+    polys = [jp_typeII(JPSpec(alpha=a, beta=b), (18, 18)) for a, b in JP2_INT_POOL + JP2_REV_POOL]
+    polys += [ml1_typeII(ML1Spec(alpha=a), (18, 18)) for a in ML1_POOL]
+    for p in polys:
+        rungs.clear()
+        got = find_roots(p)
+        base, _ = rungs
+        assert base <= 5 * p.degree
+        assert got.separators is not None
 
 
 # -- the ladder: the float stage stands in for the base rung where it is well conditioned --
