@@ -48,7 +48,8 @@ def add_conv(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
     a and b a large content (g_b = gcd(b) has ~800 bits for F(-n; b'; x) at
     n = 160), so the product runs on a' = a/g_a and b' = b/g_b,
     and e_k = (a' * b')_k u / (v (n-k)!) with u/v = g_a g_b / (pd qd n!):
-    numerators (a' * b')_k u n!/(n-k)! over v n!.
+    numerators (a' * b')_k u n!/(n-k)! over v n!, the falling factorials
+    n!/(n-k)! built by a running product.
 
     The product a' * b' is `poly._mul_ints`: the schoolbook sum for small n or
     narrow numerators, and past its crossover the multi-modular convolution
@@ -71,8 +72,11 @@ def add_conv(p: Polynomial, q: Polynomial, n: int) -> Polynomial:
     u, v = ga * gb, pd * qd * fact[n]
     g = gcd(u, v)
     u, v = u // g, v // g
-    ab = _mul_ints([c // ga for c in a], [c // gb for c in b], n)
-    return Polynomial._from_ints(n, [c * u * (fact[n] // fact[n - k]) for k, c in enumerate(ab)], v * fact[n])
+    nums, ff = [], 1  # ff = n!/(n-k)!, a running product
+    for k, c in enumerate(_mul_ints([c // ga for c in a], [c // gb for c in b], n)):
+        nums.append(c * u * ff)
+        ff *= n - k
+    return Polynomial._from_ints(n, nums, v * fact[n])
 
 
 def check_identity_dilation_distribute(p, q, n, alpha) -> bool:

@@ -46,6 +46,7 @@ class AlgebraicCurve:
             raise ValueError("zero curve")
         self.deg_y = max(i for i, _ in self.coeffs)
         self.deg_u = max(j for _, j in self.coeffs)
+        self._disc = None  # y_discriminant's coefficients, built by its first call
         # float rows: y^deg_y down to y^0, each from u^deg_u down to u^0
         self._rows = [
             [float(self.coeffs.get((i, j), 0)) for j in range(self.deg_u, -1, -1)] for i in range(self.deg_y, -1, -1)
@@ -382,7 +383,8 @@ def _bareiss_det(m):
 
 
 def y_discriminant(curve: AlgebraicCurve):
-    """Resultant_y(F, dF/dy) as a univariate polynomial in u (ascending).
+    """Resultant_y(F, dF/dy) as a univariate polynomial in u (ascending), a new
+    list on each call; the curve keeps it from the first.
 
     The Sylvester matrix is (2 deg_y - 1)-square with entries of degree <=
     deg_u, so the degree is <= D = (2 deg_y - 1) deg_u.  With L the lcm of F's
@@ -391,6 +393,12 @@ def y_discriminant(curve: AlgebraicCurve):
     and divided by L^(2 deg_y - 1).  The list keeps the cofactor expansion's
     length (trailing zeros included), at most D + 1: that many points are used.
     """
+    if curve._disc is None:
+        curve._disc = tuple(_y_resultant(curve))
+    return list(curve._disc)
+
+
+def _y_resultant(curve):
     ny = curve.deg_y
     den = reduce(lcm, (c.denominator for c in curve.coeffs.values()))
     # f[i]: the coefficient of y^i in L F, an integer polynomial in u

@@ -382,20 +382,34 @@ def _legendre_rule():
 
 
 def _gauss_legendre(f, a, b):
+    """The 96-point rule for the integral of f over [a, b]; for an array b, one
+    row of nodes per bound in one (len(b), 96) grid, and an array of integrals."""
     x, w = _legendre_rule()
+    b = np.asarray(b, dtype=float)[..., None]
+    if not b.size:  # no bounds: f is not called
+        return b[..., 0]
     xm = 0.5 * (b + a) + 0.5 * (b - a) * x
-    return float(0.5 * (b - a) * np.sum(w * f(xm)))
+    out = 0.5 * (b[..., 0] - a) * np.sum(w * f(xm), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def _near_zero(model, sgn, t):
-    """Mass of `model` between 0 and sgn*t; x = sgn*s^3 absorbs the |x|^(-2/3) law."""
-    return _gauss_legendre(lambda s: model(sgn * s**3) * 3 * s**2, 0.0, t ** (1 / 3))
+    """Mass of `model` between 0 and sgn*t, for a float t or each t of an array;
+    x = sgn*s^3 absorbs the |x|^(-2/3) law."""
+    # each cube root by Python's float power: numpy's array power rounds a few an ulp apart
+    bounds = t ** (1 / 3) if np.ndim(t) == 0 else [u ** (1 / 3) for u in t.tolist()]
+    return _gauss_legendre(lambda s: model(sgn * s**3) * 3 * s**2, 0.0, bounds)
 
 
 def _near_edge(model, sgn, edge, t):
-    """Mass of `model` between sgn*t and sgn*edge; x = sgn*(edge - w^2) absorbs
-    the square-root edge (decay or blow-up)."""
+    """Mass of `model` between sgn*t and sgn*edge, for a float t or each t of an
+    array; x = sgn*(edge - w^2) absorbs the square-root edge (decay or blow-up)."""
     return _gauss_legendre(lambda w: model(sgn * (edge - w**2)) * 2 * w, 0.0, np.sqrt(edge - t))
+
+
+def _as_read(x, out):
+    """The CDF values out at the points x: a Python float for a scalar x, else an array of x's shape."""
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
 def _jp1_bounded(theta):
@@ -407,17 +421,18 @@ def _jp1_bounded(theta):
     return model, cstar
 
 
-def jp1_cdf(theta, x) -> float:
-    """CDF of the Type I r=2 density: F(x) = mu([-c*, x]) for x in [-c*, 0].
+def jp1_cdf(theta, x):
+    """CDF of the Type I r=2 density: F(x) = mu([-c*, x]) for x in [-c*, 0],
+    at a point (a Python float) or at each entry of an array, all in one grid.
 
     Needs theta < 1/2; the theta = 1/2 support is unbounded (ThetaOutOfRange)."""
     model, cstar = _jp1_bounded(theta)
-    t = min(max(float(-x), 0.0), cstar)
-    if t == 0.0:
-        return 1.0
-    if t <= 0.6 * cstar:
-        return 1.0 - _near_zero(model, -1, t)
-    return _near_edge(model, -1, cstar, t)
+    t = np.clip(-np.asarray(x, dtype=float).ravel(), 0.0, cstar)
+    out, near = np.ones_like(t), t <= 0.6 * cstar
+    rows = near & (t != 0.0)
+    out[rows] = 1.0 - _near_zero(model, -1, t[rows])
+    out[~near] = _near_edge(model, -1, cstar, t[~near])  # NaN too, as read at a point
+    return _as_read(x, out)
 
 
 def jp1_mass(theta) -> float:
@@ -432,17 +447,18 @@ def jp2_mass(theta) -> float:
     return _near_zero(model, 1, 0.5) + _near_edge(model, 1, 1.0, 0.5)
 
 
-def jp2_cdf(theta, x) -> float:
-    """CDF of the Type II r=2 density on [0, 1]."""
+def jp2_cdf(theta, x):
+    """CDF of the Type II r=2 density on [0, 1], at a point (a Python float) or
+    at each entry of an array, all in one grid."""
     model = density_jp_typeII_r2(theta)
-    x = min(max(float(x), 0.0), 1.0)
-    if x == 0.0:
-        return 0.0
-    if x <= 0.6:
-        return _near_zero(model, 1, x)
-    if x == 1.0:
-        return jp2_mass(theta)
-    return jp2_mass(theta) - _near_edge(model, 1, 1.0, x)
+    t = np.clip(np.asarray(x, dtype=float).ravel(), 0.0, 1.0)
+    out, near, mass = np.zeros_like(t), t <= 0.6, jp2_mass(theta)
+    rows = near & (t != 0.0)
+    out[rows] = _near_zero(model, 1, t[rows])
+    rows = ~near & (t != 1.0)  # NaN too, as read at a point
+    out[rows] = mass - _near_edge(model, 1, 1.0, t[rows])
+    out[t == 1.0] = mass
+    return _as_read(x, out)
 
 
 # -- support endpoint formulas -----------------------------------------------------

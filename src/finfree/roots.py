@@ -14,20 +14,22 @@ driver; find_roots picks the path and passes it down:
   root to be real (sign changes of p(x) and p(-x) summing to the degree).
   It seeds real points of the counted signs at the radii of the Newton
   polygon of the coefficient magnitudes and first sweeps them on hardware
-  doubles, where p scaled to its root scale fits them.  Where a base rung
-  follows and a swept point's condition sum |c_k| |x|^k / |x p'(x)| exceeds
-  2^40, the monomial form has cancelled all but 13 of its bits (jp2 near
-  x = 1), and the sweeps go on with p read, for each point, from the exact
-  Taylor expansion about the nearest of a few short dyadic centres spread
-  over the points (0 among them), rounded to doubles once.  This stage
-  only moves the seeds: the big-integer rungs below take every root to the
-  Adams criterion and the certificate proves them, so the stage changes
-  how much the base rung does (and the bits below the criterion), never
-  what is found or proved; it stands in for the base rung where p is well
-  conditioned.  The ladder then sweeps the points (m, 0, exp) with the
-  real kernels, one multiplication per Horner step instead of three; each
-  step's Aberth sum runs on doubles, and exactly only where doubles cannot
-  resolve it.
+  doubles, where p scaled to its root scale fits them.  Where p is not so
+  well conditioned that doubles are trusted outright and a swept point's
+  condition sum |c_k| |x|^k / |x p'(x)| exceeds 2^40, the monomial form
+  has cancelled all but 13 of its bits (jp2 near x = 1), and the sweeps go
+  on with p read, for each point, from the exact Taylor expansion about
+  the nearest of a few short dyadic centres spread over the points (0
+  among them), rounded to doubles once.  This stage only moves the seeds:
+  the big-integer rung after it takes every root to the Adams criterion and
+  the certificate proves them, so the stage changes how much that rung does
+  (and the bits below the criterion), never what is found or proved.  It
+  stands in for the base rung: where it ran, the real climb takes the top
+  rung alone, whose cubic steps pass the base rung's precision on the way;
+  only where it is skipped (doubles overflow) do both rungs run.  The
+  climb sweeps the points (m, 0, exp) with the real kernels, one
+  multiplication per Horner step instead of three; each step's Aberth sum
+  runs on doubles, and exactly only where doubles cannot resolve it.
   Its result stands only with an exact certificate
   (real_root_certificate): p, evaluated by integer Horner at dyadic
   separators between the sorted roots and beyond both ends, alternates
@@ -44,7 +46,6 @@ Default precision: 256 bits for degree <= 100, plus 128 bits per additional
 
 import cmath
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -148,8 +149,8 @@ def _float_stage(nums, den, b, lcs, pts, trusted):
     _centres: each point reads p, p' and its Adams bound from the exact
     Taylor expansion about its nearest centre, rounded to doubles once.  The
     conditions are not read where the caller already trusts doubles to keep
-    53 - cond >= 38 bits (find_roots' one-rung rule).  A point that ends
-    coincident with another keeps its seed.
+    53 - cond >= 38 bits, so that one cubic step from them reaches the base
+    rung.  A point that ends coincident with another keeps its seed.
     """
     n = len(nums) - 1
     s = (b[0] - b[n]) // n
@@ -236,18 +237,20 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     ladder whose base rung has min(conditioning estimate + 96, working
     precision) bits.  When Descartes' rule of signs allows every root to be
     real, a real path runs first: real seeds, moved by sweeps on doubles
-    where they fit (about Taylor re-expansions of p where a base rung follows
-    and the monomial form leaves a point's condition above 2^40; see
-    _float_stage), then sweeps with the real kernels and the exact
+    where they fit, then sweeps with the real kernels and the exact
     certificate of real_root_certificate on p's roots, a simple zero root
     with the rest, kept as `separators`; its roots have imaginary part
-    exactly 0.  Near a root doubles keep about 53 - cond bits (cond the
-    conditioning estimate): where they ran and one cubic Aberth step from
-    them, 3 (53 - cond) bits, reaches the base rung, the real climb skips
-    that rung.  If the gate, the sweeps or the certificate fails, the complex
-    path runs from complex seeds up the whole ladder.  Raises NonConvergence
-    with partial diagnostics if the last rung of the complex path fails to
-    converge, InvalidParameters for precision_bits < 1.
+    exactly 0.  Where the doubles ran, the real climb takes the top rung
+    alone: its cubic steps pass the base rung's precision for less than the
+    base rung's acceptance pass costs.  Near a root doubles keep about
+    53 - cond bits (cond the conditioning estimate); where one cubic step
+    from them, 3 (53 - cond) bits, would not reach the base rung, the
+    doubles' sweeps also read each point's condition and go on about Taylor
+    re-expansions of p where the monomial form leaves it above 2^40 (see
+    _float_stage).  If the gate, the sweeps or the certificate fails, the
+    complex path runs from complex seeds up the whole ladder.  Raises
+    NonConvergence with partial diagnostics if the last rung of the complex
+    path fails to converge, InvalidParameters for precision_bits < 1.
     """
     if precision_bits is not None and precision_bits < 1:
         raise InvalidParameters(f"precision_bits must be >= 1, got {precision_bits}")
@@ -278,11 +281,10 @@ def find_roots(p: Polynomial, precision_bits: int | None = None):
     ok, seps = False, None
     if _sign_changes(nums) + neg == deg:
         seeds = _real_points(lcs, deg, neg)
-        # doubles near a root keep about 53 - cond bits: one cubic step from there passes the base rung
-        one_rung = 3 * (53 - cond) >= base
-        moved = _float_stage(nums, den, b, lcs, seeds, one_rung)
-        top = moved is not None and one_rung
-        pts, ok = _climb(ladder[-1:] if top else ladder, mono, dmono, lcs, moved or seeds, True)
+        # doubles near a root keep about 53 - cond bits: where one cubic step from there passes the
+        # base rung, the stage trusts them without reading the points' conditions
+        moved = _float_stage(nums, den, b, lcs, seeds, 3 * (53 - cond) >= base)
+        pts, ok = _climb(ladder if moved is None else ladder[-1:], mono, dmono, lcs, moved or seeds, True)
         seps = _isolate(gate, zero + pts) if ok else None
         ok = seps is not None
     if not ok:
@@ -459,18 +461,19 @@ class EmpiricalDistribution(tuple):
     def ks_distance(self, cdf) -> float:
         """Kolmogorov-Smirnov sup-distance to a continuous model CDF (real spectra only).
 
-        The model is read once at each distinct root x: with i roots below x and
-        j at or below it, the empirical CDF steps there from i/n to j/n.
+        The model is called once, on the float array of the distinct sorted
+        roots, and returns an array of its values there (or one value for all):
+        with i roots below a root x and j at or below it, the empirical CDF steps
+        at x from i/n to j/n.
         """
-        xs = self.real_sorted()
+        xs = np.array(self.real_sorted())
         n = len(xs)
-        stat, i = 0.0, 0
-        while i < n:
-            j = bisect_right(xs, xs[i], i)
-            at = float(cdf(xs[i]))
-            stat = max(stat, abs(j / n - at), abs(i / n - at))
-            i = j
-        return stat
+        if not n:
+            return 0.0
+        i = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+        j = np.r_[i[1:], n]
+        at = np.asarray(cdf(xs[i]), dtype=float)
+        return float(np.max(np.maximum(abs(j / n - at), abs(i / n - at))))
 
 
 # -- interlacing verdicts -------------------------------------------------------

@@ -257,6 +257,24 @@ def test_y_discriminant_beyond_the_cofactor_range(r):
     assert_discriminant_zeros(disc, sup)
 
 
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_discriminant_and_support_run_one_bareiss_pass_per_curve(r, monkeypatch):
+    import finfree.curves as curves_module
+
+    dets, bareiss = [], curves_module._bareiss_det
+    monkeypatch.setattr(curves_module, "_bareiss_det", lambda m: dets.append(1) or bareiss(m))
+    curve = family_curves("jp2", limit_params("jp2", r)).curve
+    disc = y_discriminant(curve)
+    one_pass = len(dets)
+    sup = support_candidates(curve)
+    assert len(dets) == one_pass > 0  # the support read the discriminant the curve kept
+    # each call hands back a new list: changing one leaves the next call alone
+    disc.append(F(7))
+    assert y_discriminant(curve) == disc[:-1] and y_discriminant(curve) is not y_discriminant(curve)
+    fresh = family_curves("jp2", limit_params("jp2", r)).curve
+    assert support_candidates(fresh) == sup and len(dets) == 2 * one_pass
+
+
 def test_double_branch_point_reported_once():
     # at theta = (1/4, 3/4) the jp2 discriminant has a double root at u = 1
     curve = family_curves("jp2", LimitParams(theta=(F(1, 4), F(3, 4)))).curve

@@ -373,6 +373,19 @@ def test_closed_form_cdfs_and_masses_keep_their_bytes():
     assert digest == "4c0c7a5f1decab78c33071e24fdd18a2d45102c00829e77968b1b795cab32ea4"
 
 
+def test_cdf_arrays_read_the_scalar_bits():
+    # the pinned grid above in one call per law: each entry is the scalar read, to the bit
+    for th in _PIN_THETAS:
+        xs = np.linspace(-1.1 * float(endpoints("jp1-r2", theta=th)), 0.1, 53)
+        assert [v.hex() for v in jp1_cdf(th, xs).tolist()] == [jp1_cdf(th, x).hex() for x in xs]
+    for th in _PIN_THETAS + (F(1, 2),):
+        xs = np.linspace(-0.1, 1.1, 53)
+        assert [v.hex() for v in jp2_cdf(th, xs).tolist()] == [jp2_cdf(th, x).hex() for x in xs]
+    # an array keeps its shape, a 0-d one reads as a point
+    assert jp2_cdf(F(1, 3), np.full((2, 3), 0.3)).shape == (2, 3)
+    assert type(jp1_cdf(F(1, 3), np.array(-0.5))) is float
+
+
 def test_closed_form_cdfs_and_masses_are_python_floats():
     # one x per branch: past the support, near zero, near the edge, at the edge
     th = F(1, 3)

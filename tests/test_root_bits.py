@@ -76,13 +76,13 @@ def test_real_path_roots_keep_their_doubles():
 
 
 def test_real_path_roots_keep_their_bits():
-    assert _digest(_real_solves()) == "2fc32313f7070a7e595accedb18856d43f25a8638813359d5e7e7f52decc8981"
+    assert _digest(_real_solves()) == "df698ec67e375424685291e1602a4917c36932934fd2ef245401f63ae01b95bb"
 
 
-def test_two_rung_real_solves_keep_their_bits():
-    # conditioning 39 and 54 bits: both rungs still run; the jp2 (14, 14) points reach condition 2^50 in
-    # the monomial form, so its base rung starts from the float stage's Taylor re-expansions
-    assert _digest(_real_solves()[len(TRIAL) :]) == "8b5c9ecb9ec2860ff9e25c328c15c83fedaa18edcdd5c9f17a3f7111a386c713"
+def test_ill_conditioned_real_solves_keep_their_bits():
+    # conditioning 39 and 54 bits, so the float stage reads its points' conditions: the jp2 (14, 14)
+    # points reach 2^50 in the monomial form, and its top rung starts from the Taylor re-expansions
+    assert _digest(_real_solves()[len(TRIAL) :]) == "84c6b70337237c6576e2011d57685cfdd50a00371aa741946651f6447a1d644b"
 
 
 def test_complex_path_roots_keep_their_bits():

@@ -161,7 +161,7 @@ def test_histogram_and_ks():
     # density columns integrate to one
     total = sum((r[1] - r[0]) * r[3] for r in rows)
     assert total == pytest.approx(1.0)
-    uniform_cdf = lambda x: min(max(x, 0.0), 1.0)
+    uniform_cdf = lambda x: np.clip(x, 0.0, 1.0)
     assert dist.ks_distance(uniform_cdf) <= 0.1 + 1e-12  # bounded by 1/n
 
 
@@ -208,12 +208,28 @@ def test_ks_of_a_continuous_law_matches_the_two_call_oracle(build, cdf):
     assert abs(dist.ks_distance(cdf) - _ks_two_calls(dist.real_sorted(), cdf)) <= 1e-7
 
 
+def test_ks_and_cdf_arrays_keep_the_scalar_bits_on_the_pool_roots(monkeypatch):
+    # the jp1 and jp2 polynomials of the benchmark's pool against the limit laws it reads
+    laws = [(jp1_cdf, F(1, 3))] * 8 + [(jp2_cdf, F(1, 2))] * 8
+    for p, (cdf, th) in zip(_zeros_pool(monkeypatch), laws):
+        dist = find_roots(p)
+        xs = np.array(dist.real_sorted())
+        at = [cdf(th, x) for x in xs]
+        assert [v.hex() for v in cdf(th, xs).tolist()] == [v.hex() for v in at]
+        # the KS distance of the per-root reads, one model call per root
+        n = len(xs)
+        want = max(max(abs((i + 1) / n - v), abs(i / n - v)) for i, v in enumerate(at))
+        assert dist.ks_distance(lambda x: cdf(th, x)).hex() == want.hex()
+
+
 def test_ks_reads_the_model_once_per_distinct_root():
     calls = []
-    uniform = lambda x: calls.append(x) or min(max(x, 0.0), 1.0)
+    uniform = lambda x: calls.append(x.tolist()) or np.clip(x, 0.0, 1.0)
     dist = EmpiricalDistribution([mp.mpc(x) for x in (0.1, 0.5, 0.5, 0.9)])
     assert dist.ks_distance(uniform) == pytest.approx(0.25)
-    assert calls == [0.1, 0.5, 0.9]
+    assert calls == [[0.1, 0.5, 0.9]]  # one call, on the distinct roots
+    # a model that returns one value reads it at every root
+    assert dist.ks_distance(lambda x: 0.5) == 0.5
     # ties: the empirical CDF steps from 0 to 1 at the one root, 1/2 off the model on both sides
     assert EmpiricalDistribution([mp.mpc(0.5)] * 8).ks_distance(uniform) == 0.5
 
@@ -613,11 +629,11 @@ def test_float_stage_seeds_every_big_integer_rung_once(monkeypatch):
     find_roots(p)
     (kernels, wp, ok, _), *rungs = calls
     assert (kernels, wp, ok) == ("float", 52, True)
-    # the ladder below the float stage is unchanged: one pass per rung, with the real kernels
-    assert [(kernels, wp) for kernels, wp, _, _ in rungs] == [("real", 170), ("real", default_precision(39) + 32)]
-    assert all(ok for _, _, ok, _ in rungs)
-    # the base rung took 252 Aberth steps from the Newton-polygon seeds alone
-    assert rungs[0][3] <= 0.6 * 252
+    # after the float stage the real climb takes the top rung alone, with the real kernels
+    assert [(kernels, wp, ok) for kernels, wp, ok, _ in rungs] == [("real", default_precision(39) + 32, True)]
+    # 112 Aberth steps; the 170-bit base rung took 252 from the Newton-polygon seeds alone, and
+    # 88 from the float stage's points, before 39 more on the top rung
+    assert rungs[0][3] <= 120
 
 
 @pytest.mark.parametrize(
@@ -694,40 +710,37 @@ def test_float_expansion_is_the_taylor_shift_rounded_once():
         assert 0.5 <= abs(got[k]) < 4
 
 
-def test_re_expanded_float_stage_leaves_the_base_rung_few_evaluations(monkeypatch):
-    # the jp2 and ml1 (18, 18) polynomials of the benchmark's `zeros` pool; seeded from the
-    # monomial form alone, their base rung took 8.2 to 14.8 big-integer evaluations per root
+def _zeros_pool(monkeypatch):
+    """The 24 polynomials of the benchmark's `zeros` pool at its full degrees."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
-    from bench.workloads.zeros import JP2_INT_POOL, JP2_REV_POOL, ML1_POOL
+    from bench.workloads.zeros import JP1_POOL, JP2_INT_POOL, JP2_REV_POOL, ML1_POOL, SIZES
 
+    size = SIZES["full"]
+    polys = [jp_typeI(JPSpec(alpha=a, beta=b), (k, 2 * k), 1) for k in size["jp1"] for a, b in JP1_POOL]
+    polys += [jp_typeII(JPSpec(alpha=a, beta=b), (m, m)) for m, pool in zip(size["jp2"], (JP2_INT_POOL, JP2_REV_POOL))
+              for a, b in pool]
+    return polys + [ml1_typeII(ML1Spec(alpha=a), (m, m)) for m in size["ml1"] for a in ML1_POOL]
+
+
+def test_real_solves_of_the_zeros_pool_take_few_evaluations_per_root(monkeypatch):
+    # big-integer evaluations per root, from 5.0 (jp2 m14) to 7.4 (ml1 m14); with a base rung
+    # between the float stage and the top rung, 6.0 to 8.6
     _no_complex_path(monkeypatch)
-    evals, rungs = [0], []
-    rhorner, sweeps = aberth_module._rhorner, roots_module._aberth_sweeps
+    evals, rhorner = [0], aberth_module._rhorner
 
     def counting(*args):
         evals[0] += 1
         return rhorner(*args)
 
-    def spy(forms, pts, wp, budget, kernels):
-        before = evals[0]
-        pts, ok = sweeps(forms, pts, wp, budget, kernels)
-        if kernels is aberth_module._REAL:
-            rungs.append(evals[0] - before)
-        return pts, ok
-
     _patch_real_kernel(monkeypatch, 0, counting)
-    monkeypatch.setattr(roots_module, "_aberth_sweeps", spy)
-    polys = [jp_typeII(JPSpec(alpha=a, beta=b), (18, 18)) for a, b in JP2_INT_POOL + JP2_REV_POOL]
-    polys += [ml1_typeII(ML1Spec(alpha=a), (18, 18)) for a in ML1_POOL]
-    for p in polys:
-        rungs.clear()
+    for p in _zeros_pool(monkeypatch):
+        evals[0] = 0
         got = find_roots(p)
-        base, _ = rungs
-        assert base <= 5 * p.degree
+        assert evals[0] <= 7.5 * p.degree
         assert got.separators is not None
 
 
-# -- the ladder: the float stage stands in for the base rung where it is well conditioned --
+# -- the ladder: the float stage stands in for the base rung wherever it runs ---------
 
 
 def _record_climbs(monkeypatch):
@@ -762,17 +775,17 @@ def _force_two_rungs(monkeypatch):
     return calls
 
 
-def test_well_conditioned_real_solves_climb_one_rung(monkeypatch):
+def test_real_solves_after_the_float_stage_climb_one_rung(monkeypatch):
     _no_complex_path(monkeypatch)
     calls = _record_climbs(monkeypatch)
     for make in TRIAL:  # conditioning 3..12 bits: 3 (53 - cond) >= cond + 96
         find_roots(make(), 256)
     assert calls == [(1, True)] * len(TRIAL)
-    # conditioning 39 and 54 bits: the doubles keep too few bits to stand in for the base rung
+    # conditioning 39 and 54 bits: the stage reads the points' conditions, and the top rung follows it
     calls.clear()
     find_roots(jp_typeII(JP_PARAMS, (14, 14)))
     find_roots(jp_typeI(JP_PARAMS, (30, 60), 1))
-    assert calls == [(2, True)] * 2
+    assert calls == [(1, True)] * 2
     # the float stage is skipped (the terms of p out at 2^700 overflow doubles): both rungs run
     calls.clear()
     find_roots(Polynomial.from_roots([F(1, 2**700), F(1, 3), F(2**700)]), 1200)
@@ -781,12 +794,15 @@ def test_well_conditioned_real_solves_climb_one_rung(monkeypatch):
 
 def test_one_rung_ladder_keeps_the_two_rung_doubles_and_certificate(monkeypatch):
     rng = random.Random(33)
+    polys = []
     for _ in range(40):
         n = rng.randint(3, 12)
         rts = set()
         while len(rts) < n:
             rts.add(F(rng.choice((-1, 1)) * rng.randint(1, 400), rng.randint(1, 60)))
-        p = Polynomial.from_roots(sorted(rts))
+        polys.append(Polynomial.from_roots(sorted(rts)))
+    # and the benchmark's pool, where the float stage reads the conditions of its points
+    for p in polys + _zeros_pool(monkeypatch):
         with monkeypatch.context() as m:
             one_rung = _record_climbs(m)
             got = find_roots(p)
@@ -795,8 +811,7 @@ def test_one_rung_ladder_keeps_the_two_rung_doubles_and_certificate(monkeypatch)
             want = find_roots(p)
         assert (one_rung, two_rungs) == ([(1, True)], [2])
         assert sorted(float(z.real) for z in got) == sorted(float(z.real) for z in want)
-        assert roots_module.real_root_certificate(p, got) is not None
-        assert roots_module.real_root_certificate(p, want) is not None
+        assert got.separators is not None and got.separators == want.separators
 
 
 # -- the pair kernels: oracles of the real kernels on the triples (m, 0, e) ---------
